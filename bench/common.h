@@ -39,6 +39,7 @@
 #include "obs/inspect.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "wal/wal_format.h"
 #include "workloads/workload.h"
 
 namespace alex::bench {
@@ -339,6 +340,25 @@ inline core::Config PmaArmiConfig(bool splitting = false) {
 /// Header for a markdown table.
 inline void PrintRule(const char* title) {
   std::printf("\n### %s\n\n", title);
+}
+
+/// Removes the files a durable ShardedAlex left at `prefix`: its
+/// manifest, segments and WAL logs (`<base>.manifest*`, `<base>.seg-*`,
+/// `<base>.wal-*`), and nothing else that shares the prefix.
+inline void RemovePrefixFiles(const std::string& prefix) {
+  std::string dir, base;
+  wal::SplitPrefixPath(prefix, &dir, &base);
+  std::vector<std::string> names;
+  if (!wal::ListDirectory(dir, &names)) return;
+  for (const std::string& name : names) {
+    for (const char* kind : {".manifest", ".seg-", ".wal-"}) {
+      if (name.compare(0, base.size(), base) == 0 &&
+          name.compare(base.size(), std::strlen(kind), kind) == 0) {
+        std::remove((dir + "/" + name).c_str());
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace alex::bench

@@ -37,7 +37,7 @@
 //
 // Usage: obs_overhead [--quick] [--csv PATH] [--json PATH] [--prom PATH]
 //                     [--trace PATH] [--health PATH]
-// Log/snapshot files go to $TMPDIR (or /tmp) and are removed afterwards.
+// Log/segment files go to $TMPDIR (or /tmp) and are removed afterwards.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -64,18 +64,7 @@ std::string TempPrefix() {
   return std::string(tmp != nullptr ? tmp : "/tmp") + "/obs_overhead";
 }
 
-void Cleanup(const std::string& prefix) {
-  std::remove(Index::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 8; ++gen) {
-    for (size_t i = 0; i < 16; ++i) {
-      std::remove(Index::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (const alex::wal::WalSegmentFile& f :
-       alex::wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
-}
+constexpr auto Cleanup = alex::bench::RemovePrefixFiles;
 
 /// Fresh-key region: above the preload keys (i << 20, i < preload, so
 /// < 2^38 for any realistic preload) and identical for every round.

@@ -16,7 +16,7 @@
 //
 // Usage: wal_throughput [--quick] [--threads N] [--csv PATH] [--json PATH]
 //   --threads caps the sweep's highest writer count (default 8).
-// Log/snapshot files go to $TMPDIR (or /tmp) and are removed afterwards.
+// Log/segment files go to $TMPDIR (or /tmp) and are removed afterwards.
 #include <atomic>
 #include <cinttypes>
 #include <cstdint>
@@ -45,18 +45,7 @@ std::string TempPrefix() {
   return std::string(tmp != nullptr ? tmp : "/tmp") + "/wal_throughput";
 }
 
-void Cleanup(const std::string& prefix) {
-  std::remove(Index::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 4; ++gen) {
-    for (size_t i = 0; i < 16; ++i) {
-      std::remove(Index::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (const alex::wal::WalSegmentFile& f :
-       alex::wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
-}
+constexpr auto Cleanup = alex::bench::RemovePrefixFiles;
 
 /// One timed run; returns ops/sec. `policy_name` "off" disables the WAL.
 /// For logged runs, *p50_us / *p99_us receive the commit-wait quantiles;

@@ -34,11 +34,6 @@
 #include "core/node.h"
 #include "models/linear_model.h"
 
-namespace alex::baseline {
-template <typename K, typename P>
-class PerLeafLockAlex;
-}  // namespace alex::baseline
-
 namespace alex::core {
 
 template <typename K, typename P>
@@ -693,13 +688,12 @@ class Alex {
     delete node;
   }
 
-  // The concurrency wrappers build on the leaf-level API (FindLeaf +
-  // per-leaf latches) and maintain num_keys_ themselves when they commit
-  // leaf-local inserts/erases without going through Insert/Erase.
-  // ConcurrentAlex additionally descends through root_ with its own
-  // memory ordering and splits leaves under node-level locks.
+  // The concurrent wrapper builds on the leaf-level API (FindLeaf +
+  // per-leaf latches) and maintains num_keys_ itself when it commits
+  // leaf-local inserts/erases without going through Insert/Erase. It
+  // also descends through root_ with its own memory ordering and splits
+  // leaves under node-level locks.
   friend class ConcurrentAlex<K, P>;
-  friend class baseline::PerLeafLockAlex<K, P>;
 
   std::unique_ptr<Config> config_;
   std::unique_ptr<Stats> stats_;

@@ -1,33 +1,34 @@
-// On-disk manifest for a sharded snapshot.
+// On-disk manifest for a sharded checkpoint.
 //
-// A ShardedAlex snapshot is one core/serialization.h file per shard plus
-// this manifest, which records the routing state needed to reassemble the
+// A ShardedAlex checkpoint is one tier/segment.h file per shard plus this
+// manifest, which records the routing state needed to reassemble the
 // index: the boundary array, the router model (so a load restores the
 // bulk-load-quality model instead of a refit from boundaries), and the
-// per-shard key counts (so a load can detect a shard file that was
+// per-shard key counts (so a load can detect a segment file that was
 // swapped or rebuilt independently of its manifest).
 //
-// Layout (format v4): ManifestHeader, boundaries (num_shards-1 keys),
+// Layout (format v5): ManifestHeader, boundaries (num_shards-1 keys),
 // per-shard key counts (num_shards uint64s), per-shard WAL ids and
 // checkpoint LSNs (num_shards uint64s each; all zero when the WAL is
-// disabled), per-shard tier tags and cold-segment ids (num_shards
-// uint64s each; tag 0 = resident with a .shard snapshot file, tag 1 =
-// cold with a .seg-<id> segment file), the next cold-segment id to
-// allocate (one uint64), then a trailing FNV-1a checksum over
-// everything before it. A v3 manifest (no tier arrays) still loads:
-// every shard is implicitly resident and segment allocation restarts
-// from the directory scan.
+// disabled), per-shard tier tags and segment ids (num_shards uint64s
+// each; every shard's contents live in its .seg-<id> file, and the tag
+// says what recovery builds from it: 0 = a resident tree bulk-loaded
+// from the segment, 1 = a cold shard serving the segment in place), the
+// next segment id to allocate (one uint64), then a trailing FNV-1a
+// checksum over everything before it. Only v5 loads: v3/v4 manifests
+// name per-shard snapshot files that no reader understands any more, so
+// they fail with kBadVersion.
 // The WAL fields make the manifest the checkpoint record: shard i's
-// snapshot file captures exactly the effects of its log's records up to
+// segment captures exactly the effects of its log's records up to
 // checkpoint_lsns[i], so recovery replays only what came after —
 // per shard: the boundary array plus the per-shard wal lineage anchors
 // are what let LoadFrom rebuild each shard independently with the exact
 // pre-crash boundaries (boundary-preserving recovery) instead of
-// repartitioning a merged map. v3 also records the topology epoch (how
-// many topology transactions — splits, merges, rebalances — the index
-// has committed), so the counter survives restarts. Reading validates
-// magic, version, key size, the declared lengths against the actual
-// file size, and the checksum — each failure maps to a distinct
+// repartitioning a merged map. The header also records the topology
+// epoch (how many topology transactions — splits, merges, rebalances —
+// the index has committed), so the counter survives restarts. Reading
+// validates magic, version, key size, the declared lengths against the
+// actual file size, and the checksum — each failure maps to a distinct
 // core::SnapshotStatus.
 #pragma once
 
@@ -51,9 +52,9 @@ inline constexpr uint64_t kManifestMagic = 0x414C455853485244ULL;
 // added the topology epoch and the boundary-preserving-recovery
 // contract (each shard file + wal lineage replays independently);
 // version 4 added the per-shard tier tags + cold segment ids and the
-// next-segment-id watermark. Readers accept v3 (all shards resident).
-inline constexpr uint32_t kManifestVersion = 4;
-inline constexpr uint32_t kOldestReadableManifestVersion = 3;
+// next-segment-id watermark; version 5 gives every shard a segment (the
+// only durable shard format). Readers accept v5 alone.
+inline constexpr uint32_t kManifestVersion = 5;
 
 /// Tier tag values stored in ShardManifest::tier_tags.
 inline constexpr uint64_t kTierResident = 0;
@@ -72,9 +73,7 @@ struct ManifestHeader {
   uint32_t key_size = 0;
   uint64_t num_shards = 0;
   uint64_t total_keys = 0;
-  // Snapshot generation: shard files are stamped with it, so a save never
-  // overwrites the files the live manifest references — the manifest
-  // rename is the all-or-nothing commit point.
+  // Checkpoint counter: one more than the manifest this one replaced.
   uint64_t generation = 0;
   // Lower bound on the next WAL id a recovered index may allocate (the
   // directory scan can only raise it); 0 when the WAL is disabled.
@@ -93,13 +92,13 @@ struct ShardManifest {
   std::vector<K> boundaries;         ///< num_shards - 1 shard lower bounds
   std::vector<uint64_t> shard_keys;  ///< key count per shard
   /// Per-shard WAL id (0 = shard is not logging) and the LSN up to which
-  /// that log's effects are captured by this snapshot. Either empty (WAL
+  /// that log's effects are captured by this checkpoint. Either empty (WAL
   /// never enabled) or exactly num_shards long.
   std::vector<uint64_t> wal_ids;
   std::vector<uint64_t> checkpoint_lsns;
-  /// Per-shard storage tier (internal::kTierResident / kTierCold) and,
-  /// for cold shards, the id of the segment file holding its records.
-  /// Either empty (every shard resident — the v3 reading) or exactly
+  /// Per-shard storage tier (internal::kTierResident / kTierCold) and the
+  /// id of the segment file holding the shard's records. Either empty
+  /// (in memory only: written as all-resident, segment id 0) or exactly
   /// num_shards long.
   std::vector<uint64_t> tier_tags;
   std::vector<uint64_t> segment_ids;
@@ -107,8 +106,8 @@ struct ShardManifest {
   uint64_t generation = 0;
   uint64_t next_wal_id = 0;
   uint64_t topology_epoch = 0;
-  /// Lower bound on the next cold-segment id to allocate (the directory
-  /// scan can only raise it).
+  /// Lower bound on the next segment id to allocate (the directory scan
+  /// can only raise it).
   uint64_t next_segment_id = 0;
 
   size_t num_shards() const { return shard_keys.size(); }
@@ -231,11 +230,9 @@ core::SnapshotStatus ReadManifest(const std::string& path,
   if (header.magic != internal::kManifestMagic) {
     return core::SnapshotStatus::kBadMagic;
   }
-  if (header.version < internal::kOldestReadableManifestVersion ||
-      header.version > internal::kManifestVersion) {
+  if (header.version != internal::kManifestVersion) {
     return core::SnapshotStatus::kBadVersion;
   }
-  const bool has_tiers = header.version >= 4;
   if (header.key_size != sizeof(K)) {
     return core::SnapshotStatus::kKeySizeMismatch;
   }
@@ -243,17 +240,16 @@ core::SnapshotStatus ReadManifest(const std::string& path,
   // Validate the declared length against the file before allocating. The
   // division-based bound comes first so the exact byte count below cannot
   // overflow on a corrupt shard count.
-  // v4 appends the next-segment-id watermark before the checksum.
-  const uint64_t tail_bytes =
-      sizeof(uint64_t) + (has_tiers ? sizeof(uint64_t) : 0);
+  // The next-segment-id watermark and the checksum close the file.
+  const uint64_t tail_bytes = 2 * sizeof(uint64_t);
   if (file_size < sizeof(header) + tail_bytes) {
     return core::SnapshotStatus::kTruncated;
   }
   const uint64_t body_budget = file_size - sizeof(header) - tail_bytes;
   // Per shard the body holds one boundary key (except the first shard)
-  // plus per-shard uint64s: key count, wal id, checkpoint LSN, and in v4
-  // the tier tag and segment id.
-  const uint64_t words_per_shard = has_tiers ? 5 : 3;
+  // plus per-shard uint64s: key count, wal id, checkpoint LSN, tier tag
+  // and segment id.
+  const uint64_t words_per_shard = 5;
   if (header.num_shards - 1 >
       body_budget / (sizeof(K) + words_per_shard * sizeof(uint64_t))) {
     return core::SnapshotStatus::kTruncated;
@@ -287,26 +283,19 @@ core::SnapshotStatus ReadManifest(const std::string& path,
                  f) != out->checkpoint_lsns.size()) {
     return core::SnapshotStatus::kTruncated;
   }
+  out->tier_tags.resize(header.num_shards);
+  out->segment_ids.resize(header.num_shards);
+  if (std::fread(out->tier_tags.data(), sizeof(uint64_t),
+                 out->tier_tags.size(), f) != out->tier_tags.size()) {
+    return core::SnapshotStatus::kTruncated;
+  }
+  if (std::fread(out->segment_ids.data(), sizeof(uint64_t),
+                 out->segment_ids.size(), f) != out->segment_ids.size()) {
+    return core::SnapshotStatus::kTruncated;
+  }
   uint64_t next_segment_id = 0;
-  if (has_tiers) {
-    out->tier_tags.resize(header.num_shards);
-    out->segment_ids.resize(header.num_shards);
-    if (std::fread(out->tier_tags.data(), sizeof(uint64_t),
-                   out->tier_tags.size(), f) != out->tier_tags.size()) {
-      return core::SnapshotStatus::kTruncated;
-    }
-    if (std::fread(out->segment_ids.data(), sizeof(uint64_t),
-                   out->segment_ids.size(),
-                   f) != out->segment_ids.size()) {
-      return core::SnapshotStatus::kTruncated;
-    }
-    if (std::fread(&next_segment_id, sizeof(next_segment_id), 1, f) != 1) {
-      return core::SnapshotStatus::kTruncated;
-    }
-  } else {
-    // v3: every shard is implicitly resident.
-    out->tier_tags.assign(header.num_shards, internal::kTierResident);
-    out->segment_ids.assign(header.num_shards, 0);
+  if (std::fread(&next_segment_id, sizeof(next_segment_id), 1, f) != 1) {
+    return core::SnapshotStatus::kTruncated;
   }
   uint64_t stored_checksum = 0;
   if (std::fread(&stored_checksum, sizeof(stored_checksum), 1, f) != 1) {
@@ -325,16 +314,13 @@ core::SnapshotStatus ReadManifest(const std::string& path,
   checksum = internal::Fnv1a(out->checkpoint_lsns.data(),
                              out->checkpoint_lsns.size() * sizeof(uint64_t),
                              checksum);
-  if (has_tiers) {
-    checksum = internal::Fnv1a(out->tier_tags.data(),
-                               out->tier_tags.size() * sizeof(uint64_t),
-                               checksum);
-    checksum = internal::Fnv1a(out->segment_ids.data(),
-                               out->segment_ids.size() * sizeof(uint64_t),
-                               checksum);
-    checksum =
-        internal::Fnv1a(&next_segment_id, sizeof(uint64_t), checksum);
-  }
+  checksum = internal::Fnv1a(out->tier_tags.data(),
+                             out->tier_tags.size() * sizeof(uint64_t),
+                             checksum);
+  checksum = internal::Fnv1a(out->segment_ids.data(),
+                             out->segment_ids.size() * sizeof(uint64_t),
+                             checksum);
+  checksum = internal::Fnv1a(&next_segment_id, sizeof(uint64_t), checksum);
   if (checksum != stored_checksum) {
     return core::SnapshotStatus::kChecksumMismatch;
   }

@@ -74,27 +74,31 @@
 //     so concatenation is already sorted. Same read-committed contract as
 //     ConcurrentAlex::RangeScan.
 //
-//   Durability.   SaveTo quiesces writers (all gates, in shard order),
-//     writes one serialization.h snapshot per shard plus a checksummed
-//     manifest (manifest.h v3) holding the boundaries, router model,
-//     per-shard key counts and wal lineage anchors. LoadFrom rebuilds
-//     the whole table off to the side and publishes it only when every
-//     shard file validated, mapping each failure to a distinct
-//     core::SnapshotStatus. Recovery with a manifest is
-//     *boundary-preserving* and shard-parallel: the manifest's boundary
-//     array is the recovered topology, and each shard replays its own
-//     snapshot + log-tail lineage independently on a small thread pool
-//     (a merge child's records are range-filtered back to the shards
-//     they came from) instead of funneling everything through one
-//     merged map and a router refit.
+//   Durability.   A shard has one durable form, resident or cold:
+//     manifest entry + tier/segment.h segment + WAL tail. SaveTo
+//     quiesces writers (all gates, in shard order), writes one fresh
+//     segment per shard (a clean cold shard's existing segment is
+//     referenced as-is) plus a checksummed manifest (manifest.h v5)
+//     holding the boundaries, router model, per-shard key counts, tier
+//     tags, segment ids and wal lineage anchors; the manifest rename is
+//     the commit point. LoadFrom rebuilds the whole table off to the
+//     side and publishes it only when every segment validated, mapping
+//     each failure to a distinct core::SnapshotStatus. Recovery with a
+//     manifest is *boundary-preserving* and shard-parallel: the
+//     manifest's boundary array is the recovered topology, and each
+//     shard replays its own log-tail lineage into a segment + delta
+//     overlay independently on a small thread pool (a merge child's
+//     records are range-filtered back to the shards they came from);
+//     shards tagged resident are then bulk-loaded from that merged
+//     stream.
 //
 //   Write-ahead logging.   EnableWal attaches one src/wal/ log per shard
 //     and anchors it with a checkpoint. From then on every write is
 //     log-before-apply under the same shared gate that already covers the
 //     apply, so a checkpoint's exclusive gates see log and index in
 //     lockstep. SaveTo doubles as the checkpoint: it records each log's
-//     LSN in the manifest, rotates the segments, and deletes everything
-//     the snapshot made redundant. LoadFrom doubles as recovery: snapshot
+//     LSN in the manifest, rotates the logs, and deletes everything the
+//     checkpoint made redundant. LoadFrom doubles as recovery: segments
 //     first, then the per-shard log tails replayed in wal-id order
 //     (parent-before-child across shard splits — wal/wal_format.h), with
 //     a torn final record truncated and every other corruption surfaced
@@ -112,6 +116,8 @@
 // reclamation domain (the guard ConcurrentAlex pins internally is a
 // reentrant no-op on ours).
 #pragma once
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -243,7 +249,7 @@ class ShardedAlex {
   /// load; in-flight writers are drained shard by shard. While the WAL is
   /// enabled the load seals the old shards' logs, opens fresh ones, and
   /// re-checkpoints automatically (the bulk-loaded contents exist in no
-  /// log, so only a snapshot can anchor them); a checkpoint failure
+  /// log, so only a checkpoint can anchor them); a checkpoint failure
   /// disables logging — nothing could truthfully be called durable
   /// without the anchor — and records kCheckpointFailed in
   /// last_wal_error().
@@ -282,10 +288,7 @@ class ShardedAlex {
     for (const auto& shard : old->shards) {
       std::unique_lock<std::shared_mutex> gate(shard->write_gate);
       shard->retired.store(true, std::memory_order_seq_cst);
-      if (shard->log != nullptr) {
-        retired_commit_wait_.Merge(shard->log->CommitWaitHistogram());
-        shard->log->Seal();
-      }
+      if (shard->log != nullptr) shard->log->Seal();
     }
     epoch_.Retire(old);
     epoch_.TryReclaim();
@@ -293,7 +296,7 @@ class ShardedAlex {
                    shards);
     if (wal_enabled_ &&
         SaveToLocked(wal_prefix_) != core::SnapshotStatus::kOk) {
-      // The bulk-loaded baseline now exists in no snapshot and no log;
+      // The bulk-loaded baseline now exists in no checkpoint and no log;
       // continuing to log would let a recovery silently roll the index
       // back to the pre-load state while claiming the post-load writes
       // were durable. Fail closed: stop logging and surface the error.
@@ -834,8 +837,9 @@ class ShardedAlex {
 
   /// Demotes shard `idx` to a cold segment written at the tier prefix
   /// (options.tier_prefix, defaulting to the WAL prefix). kOk when the
-  /// shard is already cold; kIoError when the shard is empty, no prefix
-  /// is configured, or the segment cannot be written durably.
+  /// shard is already cold; kIoError when no prefix is configured or the
+  /// segment cannot be written durably. An empty shard demotes to an
+  /// empty segment.
   core::SnapshotStatus DemoteShard(size_t idx) {
     std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
     return DemoteShardLocked(idx);
@@ -849,10 +853,9 @@ class ShardedAlex {
   }
 
   /// Compacts cold shard `idx`: folds its delta overlay into a fresh
-  /// segment (dropping overwritten and erased keys), emptying the
-  /// overlay. A clean overlay is a no-op. A shard whose live count
-  /// dropped to zero is promoted to an empty resident shard instead
-  /// (segments cannot be empty).
+  /// segment (dropping overwritten and erased keys; an emptied shard
+  /// folds into an empty segment), emptying the overlay. A clean overlay
+  /// is a no-op.
   core::SnapshotStatus CompactShard(size_t idx) {
     std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
     return CompactShardLocked(idx);
@@ -1011,26 +1014,6 @@ class ShardedAlex {
   /// The cold-tier block cache (stats for benches/tests).
   const tier::BlockCache& block_cache() const { return block_cache_; }
 
-  /// Aggregate per-commit WAL wait histogram (microsecond buckets)
-  /// across every shard's log — p50/p99 via Quantile. Includes the
-  /// samples of logs already sealed by topology transactions, bulk
-  /// loads and recoveries (folded into an accumulator at seal time), so
-  /// a run's distribution is not biased toward whatever logs happen to
-  /// be live at the end. Empty while the WAL was never on.
-  util::Log2Histogram CommitWaitHistogram() const {
-    std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
-    util::EpochManager::Guard guard(epoch_);
-    Table* table = table_.load(std::memory_order_seq_cst);
-    util::Log2Histogram merged = retired_commit_wait_;
-    for (const auto& shard : table->shards) {
-      std::shared_lock<std::shared_mutex> gate(shard->write_gate);
-      if (shard->log != nullptr) {
-        merged.Merge(shard->log->CommitWaitHistogram());
-      }
-    }
-    return merged;
-  }
-
   /// Current shard lower bounds (diagnostics/tests).
   std::vector<K> ShardBoundaries() const {
     util::EpochManager::Guard guard(epoch_);
@@ -1078,53 +1061,47 @@ class ShardedAlex {
 
   // ---- Durability ----
 
-  /// Path of the manifest / per-shard snapshot files for `prefix`. Shard
-  /// files are stamped with the manifest's generation so a save never
-  /// touches the files the committed manifest references.
+  /// Path of the manifest for `prefix`; each shard's contents live in a
+  /// tier::SegmentPath(prefix, id) file the manifest names.
   static std::string ManifestPath(const std::string& prefix) {
     return prefix + ".manifest";
   }
-  static std::string ShardPath(const std::string& prefix,
-                               uint64_t generation, size_t shard) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ".g%llu.shard-%04zu",
-                  static_cast<unsigned long long>(generation), shard);
-    return prefix + buf;
-  }
 
-  /// Writes one snapshot file per shard plus the manifest. Quiesces
+  /// Writes one segment file per shard plus the manifest. Quiesces
   /// writers for the duration (all gates, ascending shard order), so the
-  /// snapshot is a fully consistent point-in-time image; readers are
+  /// checkpoint is a fully consistent point-in-time image; readers are
   /// never blocked. The save is all-or-nothing with respect to a
-  /// previous snapshot at the same prefix: shard files are written under
-  /// a fresh generation stamp, the manifest is committed with an atomic
-  /// rename, and only then is the previous generation's data removed —
-  /// a failure at any step leaves the old snapshot loadable.
+  /// previous checkpoint at the same prefix: segments are written under
+  /// fresh ids the committed manifest never references, the manifest is
+  /// committed with an atomic rename, and only then are unreferenced
+  /// files removed — a failure at any step leaves the old checkpoint
+  /// loadable.
   ///
   /// With the WAL enabled (and `prefix` equal to the WAL prefix) this is
   /// the *checkpoint*: the manifest records each shard log's LSN, the
-  /// logs rotate onto fresh segments, and every segment the snapshot
-  /// made redundant is deleted. Saving to a different prefix is a plain
-  /// export and leaves the logs alone.
+  /// logs rotate onto fresh segments, and every log segment the
+  /// checkpoint made redundant is deleted. Saving to a different prefix
+  /// is a plain export and leaves the logs alone.
   core::SnapshotStatus SaveTo(const std::string& prefix) const {
     std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
     return SaveToLocked(prefix);
   }
 
   /// Replaces the contents from a SaveTo image — and, when WAL segments
-  /// exist at the prefix, *recovers*: the snapshot is loaded first, then
-  /// each log's tail (records past its checkpoint LSN) is replayed in
-  /// wal-id order. The replacement table is built entirely off to the
-  /// side and published only when the manifest, every shard file, and
-  /// every log segment validated; on any non-kOk status the live index
-  /// is untouched. A shard file the manifest references but the
-  /// filesystem lacks yields kMissingShard; a shard file whose key count
-  /// disagrees with the manifest, or whose keys fall outside the shard's
-  /// boundary range (a swapped or foreign file), yields
-  /// kManifestMismatch; an unreplayable log yields kWalReplayFailed with
-  /// the distinct wal::WalStatus (and, on success, replay counts) in
-  /// `*report`. A torn final record is tolerated: replay truncates it
-  /// away and loses at most that one unacknowledged write.
+  /// exist at the prefix, *recovers*: each shard's log tail (records
+  /// past its checkpoint LSN) is replayed over its segment in wal-id
+  /// order. The replacement table is built entirely off to the side and
+  /// published only when the manifest, every shard segment, and every
+  /// log segment validated; on any non-kOk status the live index is
+  /// untouched. A segment the manifest references but the filesystem
+  /// lacks yields kMissingShard; a segment whose key count disagrees
+  /// with the manifest, or whose keys fall outside the shard's boundary
+  /// range (a swapped or foreign file), yields kManifestMismatch; a
+  /// flipped block byte yields kSegmentCorrupt; an unreplayable log
+  /// yields kWalReplayFailed with the distinct wal::WalStatus (and, on
+  /// success, replay counts) in `*report`. A torn final record is
+  /// tolerated: replay truncates it away and loses at most that one
+  /// unacknowledged write.
   ///
   /// Recovery does not resume logging: call EnableWal afterwards, whose
   /// anchor checkpoint also retires the replayed segments.
@@ -1150,8 +1127,8 @@ class ShardedAlex {
     ShardManifest<K> manifest;
     bool have_manifest = false;
     {
-      // Distinguish "no snapshot was ever committed" (recovery can still
-      // proceed from the logs alone) from an unreadable/corrupt one.
+      // Distinguish "no checkpoint was ever committed" (recovery can
+      // still proceed from the logs alone) from an unreadable/corrupt one.
       std::FILE* probe = std::fopen(ManifestPath(prefix).c_str(), "rb");
       if (probe != nullptr) {
         std::fclose(probe);
@@ -1161,125 +1138,66 @@ class ShardedAlex {
         have_manifest = true;
       }
     }
-    const std::vector<wal::WalSegmentFile> segments =
+    const std::vector<wal::WalSegmentFile> wal_files =
         wal::ListWalSegments(prefix);
-    if (!have_manifest && segments.empty()) {
+    if (!have_manifest && wal_files.empty()) {
       return core::SnapshotStatus::kIoError;  // nothing at this prefix
     }
 
-    // Load and validate every snapshot shard file; cold shards have a
-    // segment file instead, opened (mmap) and fully verified here.
-    std::vector<std::vector<K>> shard_keys(manifest.num_shards());
-    std::vector<std::vector<P>> shard_payloads(manifest.num_shards());
-    std::vector<std::shared_ptr<tier::ColdSegment<K, P>>> cold_segments(
+    // Open (mmap) and fully verify every shard's segment, resident and
+    // cold alike.
+    std::vector<std::shared_ptr<tier::ColdSegment<K, P>>> segments(
         manifest.num_shards());
     for (size_t i = 0; i < manifest.num_shards(); ++i) {
-      if (manifest.IsCold(i)) {
-        const std::string seg_path =
-            tier::SegmentPath(prefix, manifest.segment_ids[i]);
-        auto segment = std::make_shared<tier::ColdSegment<K, P>>();
-        const core::SnapshotStatus status =
-            segment->Open(seg_path, manifest.segment_ids[i]);
-        if (status == core::SnapshotStatus::kIoError) {
-          std::FILE* probe = std::fopen(seg_path.c_str(), "rb");
-          if (probe != nullptr) {
-            std::fclose(probe);
-            return core::SnapshotStatus::kIoError;
-          }
-          return errno == ENOENT ? core::SnapshotStatus::kMissingShard
-                                 : core::SnapshotStatus::kIoError;
-        }
-        if (status != core::SnapshotStatus::kOk) return status;
-        // Open validates structure + metadata checksums; recovery also
-        // pays one full data pass so a flipped block byte surfaces now,
-        // not on some future read.
-        if (segment->VerifyAllBlocks() != core::SnapshotStatus::kOk) {
-          return core::SnapshotStatus::kSegmentCorrupt;
-        }
-        if (segment->num_keys() != manifest.shard_keys[i]) {
-          return core::SnapshotStatus::kManifestMismatch;
-        }
-        if (i > 0 && segment->min_key() < manifest.boundaries[i - 1]) {
-          return core::SnapshotStatus::kManifestMismatch;
-        }
-        if (i + 1 < manifest.num_shards() &&
-            !(segment->max_key() < manifest.boundaries[i])) {
-          return core::SnapshotStatus::kManifestMismatch;
-        }
-        cold_segments[i] = std::move(segment);
-        continue;
-      }
-      std::vector<K>& keys = shard_keys[i];
-      std::vector<P>& payloads = shard_payloads[i];
-      const std::string shard_path =
-          ShardPath(prefix, manifest.generation, i);
-      core::SnapshotStatus status =
-          core::ReadSnapshotFile<K, P>(shard_path, &keys, &payloads);
-      if (status == core::SnapshotStatus::kIoError) {
-        // Only a file that is actually gone is "missing"; a file that
-        // exists but cannot be opened or read (permissions, disk) stays
-        // kIoError — keep the statuses honest.
-        std::FILE* probe = std::fopen(shard_path.c_str(), "rb");
-        if (probe != nullptr) {
-          std::fclose(probe);
-          return core::SnapshotStatus::kIoError;
-        }
-        return errno == ENOENT ? core::SnapshotStatus::kMissingShard
-                               : core::SnapshotStatus::kIoError;
+      const std::string path =
+          tier::SegmentPath(prefix, manifest.segment_ids[i]);
+      auto segment = std::make_shared<tier::ColdSegment<K, P>>();
+      const core::SnapshotStatus status =
+          segment->Open(path, manifest.segment_ids[i]);
+      // Only a file that is actually gone is "missing"; one that exists
+      // but cannot be opened or mapped stays kIoError.
+      if (status == core::SnapshotStatus::kIoError &&
+          ::access(path.c_str(), F_OK) != 0 && errno == ENOENT) {
+        return core::SnapshotStatus::kMissingShard;
       }
       if (status != core::SnapshotStatus::kOk) return status;
-      if (keys.size() != manifest.shard_keys[i]) {
+      // Open validates structure + metadata checksums; recovery also
+      // pays one full data pass so a flipped block byte surfaces now,
+      // not on some future read.
+      if (segment->VerifyAllBlocks() != core::SnapshotStatus::kOk) {
+        return core::SnapshotStatus::kSegmentCorrupt;
+      }
+      if (segment->num_keys() != manifest.shard_keys[i]) {
         return core::SnapshotStatus::kManifestMismatch;
       }
-      // Snapshots are sorted, so first/last bound the whole file: every
-      // key must lie inside [boundaries[i-1], boundaries[i]). Catches
-      // shard files that were swapped or replaced on disk even when the
-      // key counts happen to agree.
-      if (!keys.empty()) {
-        if (i > 0 && keys.front() < manifest.boundaries[i - 1]) {
-          return core::SnapshotStatus::kManifestMismatch;
-        }
-        if (i + 1 < manifest.num_shards() &&
-            !(keys.back() < manifest.boundaries[i])) {
-          return core::SnapshotStatus::kManifestMismatch;
-        }
+      // Segments are sorted, so min/max bound the whole file: every key
+      // must lie inside the shard's boundary range. Catches swapped or
+      // replaced files even when the key counts happen to agree.
+      if (segment->num_keys() > 0 &&
+          (!KeyInShard(segment->min_key(), i, manifest.boundaries) ||
+           !KeyInShard(segment->max_key(), i, manifest.boundaries))) {
+        return core::SnapshotStatus::kManifestMismatch;
       }
+      segments[i] = std::move(segment);
     }
 
     std::unique_ptr<Table> next;
-    uint64_t floor_wal_id = manifest.next_wal_id;
-    [[maybe_unused]] uint64_t journal_replayed = 0;  // kRecovery event
-    if (segments.empty()) {
-      // Pure snapshot load: rebuild the saved table exactly (same
-      // shards, boundaries, and router model).
-      next = std::make_unique<Table>();
-      next->router = ShardRouter<K>(manifest.boundaries,
-                                    manifest.router_model);
-      next->shards.reserve(manifest.num_shards());
-      for (size_t i = 0; i < manifest.num_shards(); ++i) {
-        auto shard =
-            std::make_shared<Shard>(options_.shard_config, &epoch_);
-        if (manifest.IsCold(i)) {
-          shard->cold_live.store(cold_segments[i]->num_keys(),
-                                 std::memory_order_relaxed);
-          shard->segment = std::move(cold_segments[i]);
-        } else {
-          shard->index.BulkLoad(shard_keys[i].data(),
-                                shard_payloads[i].data(),
-                                shard_keys[i].size());
-        }
-        next->shards.push_back(std::move(shard));
-      }
-    } else if (!have_manifest) {
+    wal::RecoveryReport local_report;
+    wal::RecoveryReport* rep = report != nullptr ? report : &local_report;
+    if (have_manifest) {
+      // Boundary-preserving recovery: the manifest's boundary array IS
+      // the recovered topology, and each shard replays independently
+      // (with no logs at the prefix, over zero lineages).
+      const core::SnapshotStatus status = RecoverBoundaryPreserving(
+          prefix, manifest, &segments, was_logging, rep, &next);
+      if (status != core::SnapshotStatus::kOk) return status;
+    } else {
       // Logs-alone recovery: no checkpoint ever committed, so there is
       // no topology to preserve — merge everything into one logical map
       // and partition fresh. Ascending wal-id order is parent-before-
       // child across topology changes, the only cross-log ordering
       // replay needs.
       std::map<K, P> state;
-      wal::RecoveryReport local_report;
-      wal::RecoveryReport* rep =
-          report != nullptr ? report : &local_report;
       // Never physically truncate while the segments might belong to
       // this index's own live logs (their writers hold fd offsets past
       // the truncation point).
@@ -1290,8 +1208,6 @@ class ShardedAlex {
       if (wal_status != wal::WalStatus::kOk) {
         return core::SnapshotStatus::kWalReplayFailed;
       }
-      floor_wal_id = std::max(floor_wal_id, rep->max_wal_id + 1);
-      journal_replayed = rep->records_replayed;
 
       std::vector<K> keys;
       std::vector<P> payloads;
@@ -1317,31 +1233,19 @@ class ShardedAlex {
                               hi - lo);
         next->shards.push_back(std::move(shard));
       }
-    } else {
-      // Boundary-preserving recovery: the manifest's boundary array IS
-      // the recovered topology, and each shard replays independently.
-      wal::RecoveryReport local_report;
-      wal::RecoveryReport* rep =
-          report != nullptr ? report : &local_report;
-      const core::SnapshotStatus status = RecoverBoundaryPreserving(
-          prefix, manifest, shard_keys, shard_payloads, &cold_segments,
-          was_logging, rep, &next);
-      if (status != core::SnapshotStatus::kOk) return status;
-      floor_wal_id = std::max(floor_wal_id, rep->max_wal_id + 1);
-      journal_replayed = rep->records_replayed;
     }
 
     if (have_manifest) {
       topology_epoch_.store(manifest.topology_epoch,
                             std::memory_order_relaxed);
     }
-    if (floor_wal_id > next_wal_id_) next_wal_id_ = floor_wal_id;
+    next_wal_id_ =
+        std::max({next_wal_id_, manifest.next_wal_id, rep->max_wal_id + 1});
     // Fresh segment ids must clear the manifest's counter AND every
     // segment file on disk (a crashed demotion can leave a stray whose
     // id the crashed-away counter never persisted).
+    next_segment_id_ = std::max(next_segment_id_, manifest.next_segment_id);
     {
-      uint64_t floor_segment_id =
-          have_manifest ? manifest.next_segment_id : 0;
       std::string dir, base;
       wal::SplitPrefixPath(prefix, &dir, &base);
       std::vector<std::string> names;
@@ -1350,12 +1254,9 @@ class ShardedAlex {
           uint64_t id = 0;
           bool is_tmp = false;
           if (tier::ParseSegmentFileName(name, base, &id, &is_tmp)) {
-            floor_segment_id = std::max(floor_segment_id, id + 1);
+            next_segment_id_ = std::max(next_segment_id_, id + 1);
           }
         }
-      }
-      if (floor_segment_id > next_segment_id_) {
-        next_segment_id_ = floor_segment_id;
       }
     }
     // The recovered table starts unlogged (see the method comment); any
@@ -1371,15 +1272,12 @@ class ShardedAlex {
     for (const auto& shard : old->shards) {
       std::unique_lock<std::shared_mutex> gate(shard->write_gate);
       shard->retired.store(true, std::memory_order_seq_cst);
-      if (shard->log != nullptr) {
-        retired_commit_wait_.Merge(shard->log->CommitWaitHistogram());
-        shard->log->Seal();
-      }
+      if (shard->log != nullptr) shard->log->Seal();
     }
     epoch_.Retire(old);
     epoch_.TryReclaim();
     ALEX_OBS_EVENT(obs::EventType::kRecovery, obs::kShardAll, 0, 0,
-                   journal_replayed, recovered_shards);
+                   rep->records_replayed, recovered_shards);
     return core::SnapshotStatus::kOk;
   }
 
@@ -1387,7 +1285,7 @@ class ShardedAlex {
 
   /// Starts logging every write to per-shard logs at `prefix` and
   /// anchors them with an initial checkpoint (so recovery always has a
-  /// snapshot to replay onto). Typical lifecycles:
+  /// checkpoint to replay onto). Typical lifecycles:
   ///
   ///   fresh:    ShardedAlex idx; idx.BulkLoad(...); idx.EnableWal(p);
   ///   restart:  ShardedAlex idx; idx.LoadFrom(p);   idx.EnableWal(p);
@@ -1396,7 +1294,7 @@ class ShardedAlex {
   /// incarnation left at the prefix, so enable-after-recover retires the
   /// very logs that were just replayed. Fails with kAlreadyEnabled when
   /// logging is already on, kIoError when a log file cannot be opened,
-  /// and kCheckpointFailed when the anchor snapshot cannot commit (in
+  /// and kCheckpointFailed when the anchor checkpoint cannot commit (in
   /// which case logging stays off and the index is unchanged).
   wal::WalStatus EnableWal(
       const std::string& prefix,
@@ -1762,6 +1660,22 @@ class ShardedAlex {
     });
   }
 
+  /// Streams a whole shard, resident or cold, into sorted key/payload
+  /// arrays: the input of every segment write and tier-transition bulk
+  /// load. Callers keep the shard write-quiescent (exclusive gate, or a
+  /// shard not yet published).
+  static void ShardContents(const Shard* shard, std::vector<K>* keys,
+                            std::vector<P>* payloads) {
+    keys->reserve(shard->TierSize());
+    payloads->reserve(shard->TierSize());
+    ShardScan(shard, std::numeric_limits<K>::lowest(),
+              std::numeric_limits<K>::max(),
+              [&](const K& key, const P& payload) {
+                keys->push_back(key);
+                payloads->push_back(payload);
+              });
+  }
+
   /// Aggregate pushdown for a cold shard: one merged overlay+segment
   /// stream folded with the same spec semantics as the resident
   /// per-leaf kernels (core/concurrent_alex.h AggregateLeafSlots).
@@ -1949,21 +1863,22 @@ class ShardedAlex {
   }
 
   /// Rebuilds the table with the manifest's exact boundary array and
-  /// router model, each shard recovered independently: its snapshot
-  /// contents plus every log lineage rooted at its checkpoint anchor,
-  /// replayed in ascending wal-id order. A topology child's records are
-  /// range-filtered back to the manifest shards its parents anchor (a
-  /// merge child spans several; each key's full history threads through
-  /// logs of ascending id, so the filtered per-shard order is the true
-  /// per-key order). Shards replay in parallel on a small thread pool —
-  /// recovery is shard-parallel by construction because no two shards
-  /// share mutable state. Fills one ShardReplayStats per shard in
-  /// `rep->shards`.
+  /// router model, each shard recovered independently: its segment plus
+  /// every log lineage rooted at its checkpoint anchor, replayed in
+  /// ascending wal-id order into a delta overlay over the segment (the
+  /// cold-shard form; TierInsert/TierErase/TierUpdate are
+  /// ApplyWalRecord's semantics over the overlay). Shards the manifest
+  /// tags resident are then bulk-loaded from the merged stream. A
+  /// topology child's records are range-filtered back to the manifest
+  /// shards its parents anchor (a merge child spans several; each key's
+  /// full history threads through logs of ascending id, so the filtered
+  /// per-shard order is the true per-key order). Shards replay in
+  /// parallel on a small thread pool — recovery is shard-parallel by
+  /// construction because no two shards share mutable state. Fills one
+  /// ShardReplayStats per shard in `rep->shards`.
   core::SnapshotStatus RecoverBoundaryPreserving(
       const std::string& prefix, const ShardManifest<K>& manifest,
-      const std::vector<std::vector<K>>& shard_keys,
-      const std::vector<std::vector<P>>& shard_payloads,
-      std::vector<std::shared_ptr<tier::ColdSegment<K, P>>>* cold_segments,
+      std::vector<std::shared_ptr<tier::ColdSegment<K, P>>>* segments,
       bool was_logging, wal::RecoveryReport* rep,
       std::unique_ptr<Table>* out) {
     std::map<uint64_t, uint64_t> checkpoints;
@@ -2030,55 +1945,10 @@ class ShardedAlex {
       wal::ShardReplayStats& stats = (*rep).shards[i];
       stats.shard = i;
       stats.wal_id = manifest.wal_ids.size() > i ? manifest.wal_ids[i] : 0;
-      if (manifest.IsCold(i)) {
-        // A cold shard recovers as exactly the form it runs in: the
-        // verified segment plus a delta overlay rebuilt from the log
-        // tail (the records past its checkpoint LSN). TierInsert/
-        // TierErase/TierUpdate are ApplyWalRecord's semantics over the
-        // overlay, so the merged view equals the resident replay.
-        auto shard =
-            std::make_shared<Shard>(options_.shard_config, &epoch_);
-        shard->cold_live.store((*cold_segments)[i]->num_keys(),
-                               std::memory_order_relaxed);
-        shard->segment = std::move((*cold_segments)[i]);
-        for (size_t l = 0; l < lineages.size(); ++l) {
-          if (std::find(feeds[l].begin(), feeds[l].end(), i) ==
-              feeds[l].end()) {
-            continue;
-          }
-          if (lineages[l].tail_truncated) stats.tail_truncated = true;
-          for (const wal::WalRecord<K, P>& rec : lineages[l].records) {
-            if (!KeyInShard(rec.key, i, manifest.boundaries)) continue;
-            if (rec.lsn <= lineages[l].checkpoint_lsn) {
-              ++stats.records_skipped;
-              continue;
-            }
-            switch (rec.type) {
-              case wal::WalRecordType::kInsert:
-                shard->TierInsert(rec.key, rec.payload);
-                break;
-              case wal::WalRecordType::kUpdate:
-                shard->TierUpdate(rec.key, rec.payload);
-                break;
-              case wal::WalRecordType::kErase:
-                shard->TierErase(rec.key);
-                break;
-              default:
-                break;
-            }
-            ++stats.records_replayed;
-          }
-        }
-        next_raw->shards[i] = std::move(shard);
-        return;
-      }
-      std::map<K, P> state;
-      for (size_t j = 0; j < shard_keys[i].size(); ++j) {
-        // Snapshot keys arrive sorted, so end() is always the right
-        // hint: O(1) amortized per key.
-        state.emplace_hint(state.end(), shard_keys[i][j],
-                           shard_payloads[i][j]);
-      }
+      auto shard = std::make_shared<Shard>(options_.shard_config, &epoch_);
+      shard->cold_live.store((*segments)[i]->num_keys(),
+                             std::memory_order_relaxed);
+      shard->segment = std::move((*segments)[i]);
       for (size_t l = 0; l < lineages.size(); ++l) {
         if (std::find(feeds[l].begin(), feeds[l].end(), i) ==
             feeds[l].end()) {
@@ -2091,21 +1961,33 @@ class ShardedAlex {
             ++stats.records_skipped;
             continue;
           }
-          wal::ApplyWalRecord(rec, &state);
+          switch (rec.type) {
+            case wal::WalRecordType::kInsert:
+              shard->TierInsert(rec.key, rec.payload);
+              break;
+            case wal::WalRecordType::kUpdate:
+              shard->TierUpdate(rec.key, rec.payload);
+              break;
+            case wal::WalRecordType::kErase:
+              shard->TierErase(rec.key);
+              break;
+            default:
+              break;
+          }
           ++stats.records_replayed;
         }
       }
+      if (manifest.IsCold(i)) {
+        next_raw->shards[i] = std::move(shard);
+        return;
+      }
       std::vector<K> keys;
       std::vector<P> payloads;
-      keys.reserve(state.size());
-      payloads.reserve(state.size());
-      for (const auto& [key, payload] : state) {
-        keys.push_back(key);
-        payloads.push_back(payload);
-      }
-      auto shard = std::make_shared<Shard>(options_.shard_config, &epoch_);
-      shard->index.BulkLoad(keys.data(), payloads.data(), keys.size());
-      next_raw->shards[i] = std::move(shard);
+      ShardContents(shard.get(), &keys, &payloads);
+      auto resident =
+          std::make_shared<Shard>(options_.shard_config, &epoch_);
+      resident->index.BulkLoad(keys.data(), payloads.data(), keys.size());
+      next_raw->shards[i] = std::move(resident);
     });
     for (const wal::ShardReplayStats& stats : rep->shards) {
       rep->records_replayed += stats.records_replayed;
@@ -2128,14 +2010,19 @@ class ShardedAlex {
       gates.emplace_back(shard->write_gate);
     }
     const bool wal_checkpoint = wal_enabled_ && prefix == wal_prefix_;
-    // A committed snapshot at this prefix determines the previous
-    // generation (for post-commit cleanup) and the next stamp.
+    // A committed checkpoint at this prefix numbers the next one, and
+    // its id watermark keeps the segments written below off every id it
+    // references: they are written in place, so reusing one would
+    // overwrite the previous checkpoint before this one commits.
     ShardManifest<K> previous;
     const bool had_previous =
         ReadManifest<K>(ManifestPath(prefix), &previous) ==
         core::SnapshotStatus::kOk;
     ShardManifest<K> manifest;
     manifest.generation = had_previous ? previous.generation + 1 : 1;
+    if (had_previous) {
+      next_segment_id_ = std::max(next_segment_id_, previous.next_segment_id);
+    }
     manifest.boundaries = table->router.boundaries();
     manifest.router_model = table->router.model();
     manifest.next_wal_id = wal_checkpoint ? next_wal_id_ : 0;
@@ -2144,71 +2031,39 @@ class ShardedAlex {
     manifest.shard_keys.reserve(table->shards.size());
     for (size_t i = 0; i < table->shards.size(); ++i) {
       Shard* shard = table->shards[i].get();
-      uint64_t tier_tag = internal::kTierResident;
       uint64_t segment_id = 0;
-      if (!shard->cold()) {
-        const std::string shard_path =
-            ShardPath(prefix, manifest.generation, i);
-        const core::SnapshotStatus status =
-            shard->index.SaveToFile(shard_path);
-        if (status != core::SnapshotStatus::kOk) return status;
-        // Durable before the manifest can reference it (and before the
-        // WAL segments it supersedes are deleted below).
-        if (!wal::SyncPath(shard_path)) {
-          return core::SnapshotStatus::kIoError;
-        }
-      } else if (shard->DeltaClean() &&
-                 shard->segment->path() ==
-                     tier::SegmentPath(prefix, shard->segment->id())) {
+      if (shard->cold() && shard->DeltaClean() &&
+          shard->segment->path() ==
+              tier::SegmentPath(prefix, shard->segment->id())) {
         // Clean overlay, segment already durable at this prefix (the
         // demotion/compaction that built it committed it): reference it
         // as-is — the checkpoint writes zero bytes for this shard.
-        tier_tag = internal::kTierCold;
         segment_id = shard->segment->id();
       } else {
-        // Dirty overlay (or an export to a foreign prefix): fold the
-        // merged stream into a fresh segment at `prefix`. The live
-        // shard keeps its current segment+overlay; only the manifest
-        // references the folded copy.
+        // Every other shard streams into a fresh segment at `prefix`. A
+        // dirty cold shard keeps serving its current segment+overlay;
+        // only the manifest references the folded copy. The file needs
+        // no staging name: nothing reaches it before the manifest
+        // rename, and the sweep collects it if the save dies first.
+        segment_id = next_segment_id_++;
         std::vector<K> keys;
         std::vector<P> payloads;
-        keys.reserve(shard->TierSize());
-        payloads.reserve(shard->TierSize());
-        shard->TierScanUntil(std::numeric_limits<K>::lowest(),
-                             std::numeric_limits<K>::max(),
-                             [&](const K& key, const P& payload) {
-                               keys.push_back(key);
-                               payloads.push_back(payload);
-                               return true;
-                             });
-        if (keys.empty()) {
-          // Fully erased: segments cannot be empty, so this shard
-          // checkpoints as an empty resident snapshot.
-          const std::string shard_path =
-              ShardPath(prefix, manifest.generation, i);
-          const core::SnapshotStatus status =
-              core::WriteSnapshotFile<K, P>(shard_path, nullptr, nullptr,
-                                            0);
-          if (status != core::SnapshotStatus::kOk) return status;
-          if (!wal::SyncPath(shard_path)) {
-            return core::SnapshotStatus::kIoError;
-          }
-        } else {
-          std::shared_ptr<tier::ColdSegment<K, P>> folded;
-          const uint64_t seg_id = next_segment_id_++;
-          const core::SnapshotStatus status =
-              WriteAndOpenSegment(prefix, seg_id, keys.data(),
-                                  payloads.data(), keys.size(), &folded);
-          if (status != core::SnapshotStatus::kOk) return status;
-          tier_tag = internal::kTierCold;
-          segment_id = seg_id;
-        }
+        ShardContents(shard, &keys, &payloads);
+        const std::string path = tier::SegmentPath(prefix, segment_id);
+        const core::SnapshotStatus status = tier::WriteSegmentFile<K, P>(
+            path, keys.data(), payloads.data(), keys.size(),
+            KeysPerBlock());
+        if (status != core::SnapshotStatus::kOk) return status;
+        // Durable before the manifest can reference it (and before the
+        // WAL segments it supersedes are deleted below).
+        if (!wal::SyncPath(path)) return core::SnapshotStatus::kIoError;
       }
       manifest.shard_keys.push_back(shard->TierSize());
-      manifest.tier_tags.push_back(tier_tag);
+      manifest.tier_tags.push_back(shard->cold() ? internal::kTierCold
+                                                 : internal::kTierResident);
       manifest.segment_ids.push_back(segment_id);
       // With the gates held, log and index are in lockstep: this
-      // snapshot holds exactly the effects of records up to last_lsn().
+      // checkpoint holds exactly the effects of records up to last_lsn().
       const auto& log = shard->log;
       if (wal_checkpoint && log != nullptr) {
         manifest.wal_ids.push_back(log->wal_id());
@@ -2232,9 +2087,9 @@ class ShardedAlex {
       std::remove(tmp.c_str());
       return core::SnapshotStatus::kIoError;
     }
-    // Persist the rename itself: only now is the checkpoint durably
-    // committed and the cleanup below allowed to destroy what it
-    // superseded.
+    // Persist the rename (and the new segments' directory entries): only
+    // now is the checkpoint durably committed and the cleanup below
+    // allowed to destroy what it superseded.
     {
       std::string dir, base;
       wal::SplitPrefixPath(prefix, &dir, &base);
@@ -2250,18 +2105,11 @@ class ShardedAlex {
       ALEX_OBS_EVENT(obs::EventType::kCheckpoint, obs::kShardAll, 0, max_lsn,
                      manifest.generation, table->shards.size());
     }
-    // Post-commit, best-effort cleanup: the superseded generation's
-    // shard files, any strays from crashed saves (other generations, or
-    // same-generation indexes past the shard count), and — after a
-    // checkpoint rotation — every WAL segment the snapshot covers.
-    if (had_previous) {
-      for (size_t i = 0; i < previous.num_shards(); ++i) {
-        std::remove(
-            ShardPath(prefix, previous.generation, i).c_str());
-      }
-    }
-    SweepStaleSnapshots(prefix, manifest.generation,
-                        table->shards.size());
+    // Post-commit, best-effort cleanup: every segment neither the new
+    // manifest nor the live table references (the superseded
+    // checkpoint's, strays from crashed saves and demotions), and —
+    // after a checkpoint rotation — every WAL segment the checkpoint
+    // covers.
     SweepStaleSegments(prefix, manifest.segment_ids, table);
     if (wal_checkpoint) {
       for (const auto& shard : table->shards) {
@@ -2273,9 +2121,9 @@ class ShardedAlex {
     } else if (!wal_enabled_) {
       // This manifest records no checkpoint LSNs, so any segment left at
       // the prefix (e.g. the logs a recovery just replayed) would replay
-      // *from LSN 0 over this newer snapshot* at the next load. They are
-      // superseded by the committed snapshot: remove them all. Skipped
-      // while logging is live: `prefix` could then be a spelled-
+      // *from LSN 0 over this newer checkpoint* at the next load. They
+      // are superseded by the committed checkpoint: remove them all.
+      // Skipped while logging is live: `prefix` could then be a spelled-
       // differently alias of wal_prefix_ (./db vs db), and sweeping
       // would unlink the live logs' current segments. (Recovery guards
       // the leftover-segment case anyway: with a manifest, an
@@ -2285,51 +2133,10 @@ class ShardedAlex {
     return core::SnapshotStatus::kOk;
   }
 
-  /// Parses `<base>.g<gen>.shard-<idx>` (the ShardPath format). Returns
-  /// false for any other name.
-  static bool ParseShardFileName(const std::string& name,
-                                 const std::string& base, uint64_t* gen,
-                                 uint64_t* idx) {
-    const std::string marker = base + ".g";
-    if (name.size() <= marker.size() ||
-        name.compare(0, marker.size(), marker) != 0) {
-      return false;
-    }
-    unsigned long long g = 0, i = 0;
-    int consumed = 0;
-    const char* tail = name.c_str() + marker.size();
-    if (std::sscanf(tail, "%llu.shard-%llu%n", &g, &i, &consumed) != 2 ||
-        tail[consumed] != '\0') {
-      return false;
-    }
-    *gen = g;
-    *idx = i;
-    return true;
-  }
-
-  /// Removes every shard snapshot file at the prefix that the committed
-  /// manifest does not reference: other generations (crashed saves,
-  /// superseded snapshots) and same-generation strays past the shard
-  /// count (a crashed wider save reusing the generation number).
-  void SweepStaleSnapshots(const std::string& prefix, uint64_t generation,
-                           size_t num_shards) const {
-    std::string dir, base;
-    wal::SplitPrefixPath(prefix, &dir, &base);
-    std::vector<std::string> names;
-    if (!wal::ListDirectory(dir, &names)) return;
-    for (const std::string& name : names) {
-      uint64_t gen = 0, idx = 0;
-      if (ParseShardFileName(name, base, &gen, &idx) &&
-          (gen != generation || idx >= num_shards)) {
-        std::remove((dir + "/" + name).c_str());
-      }
-    }
-  }
-
   /// Removes every WAL segment at the prefix that is not some live
   /// shard's *current* segment (all of them when `table` is null — a
   /// save without a checkpoint). Only called after a manifest commit,
-  /// when the snapshot has made the swept segments (rotated-out seqs,
+  /// when the checkpoint has made the swept segments (rotated-out seqs,
   /// sealed split victims, abandoned or replayed lineages) redundant.
   void SweepStaleWalSegments(const std::string& prefix,
                              Table* table) const {
@@ -2439,37 +2246,58 @@ class ShardedAlex {
     if (idx >= table->shards.size()) {
       return core::SnapshotStatus::kIoError;
     }
-    Shard* victim = table->shards[idx].get();
-    if (victim->cold()) return core::SnapshotStatus::kOk;
+    if (table->shards[idx]->cold()) return core::SnapshotStatus::kOk;
+    return SealColdLocked(table, idx, obs::EventType::kTierDemotion);
+  }
+
+  core::SnapshotStatus CompactShardLocked(size_t idx) {
+    util::EpochManager::Guard guard(epoch_);
+    Table* table = table_.load(std::memory_order_seq_cst);
+    if (idx >= table->shards.size()) {
+      return core::SnapshotStatus::kIoError;
+    }
+    const Shard* victim = table->shards[idx].get();
+    if (!victim->cold() || victim->DeltaClean()) {
+      return core::SnapshotStatus::kOk;
+    }
+    return SealColdLocked(table, idx, obs::EventType::kTierCompaction);
+  }
+
+  /// Demotion and compaction are one transition: stream shard `idx` (a
+  /// resident tree, or a cold segment + overlay) into a fresh segment at
+  /// the tier prefix and replace it with a clean cold shard serving that
+  /// segment. Caller holds rebalance_mutex_ and an epoch guard.
+  core::SnapshotStatus SealColdLocked(Table* table, size_t idx,
+                                      obs::EventType event) {
     const std::string prefix = TierPrefix();
     if (prefix.empty()) return core::SnapshotStatus::kIoError;
+    Shard* victim = table->shards[idx].get();
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
-    const size_t n = victim->index.size();
-    if (n == 0) return core::SnapshotStatus::kIoError;  // nothing to seal
     std::vector<K> keys;
     std::vector<P> payloads;
-    keys.reserve(n);
-    payloads.reserve(n);
-    victim->index.Scan(std::numeric_limits<K>::lowest(),
-                       std::numeric_limits<K>::max(),
-                       [&](const K& key, const P& payload) {
-                         keys.push_back(key);
-                         payloads.push_back(payload);
-                       });
+    ShardContents(victim, &keys, &payloads);
     const uint64_t seg_id = next_segment_id_++;
     std::shared_ptr<tier::ColdSegment<K, P>> segment;
-    const core::SnapshotStatus status = WriteAndOpenSegment(
-        prefix, seg_id, keys.data(), payloads.data(), n, &segment);
+    const core::SnapshotStatus status =
+        WriteAndOpenSegment(prefix, seg_id, keys.data(), payloads.data(),
+                            keys.size(), &segment);
     if (status != core::SnapshotStatus::kOk) return status;
+    const std::shared_ptr<tier::ColdSegment<K, P>> old_segment =
+        victim->segment;
     auto cold = std::make_shared<Shard>(options_.shard_config, &epoch_);
     cold->segment = std::move(segment);
-    cold->cold_live.store(n, std::memory_order_relaxed);
+    cold->cold_live.store(keys.size(), std::memory_order_relaxed);
     ReplaceShard(table, idx, std::move(cold), &gate);
-    demotions_.fetch_add(1, std::memory_order_relaxed);
-    ALEX_OBS_COUNTER_INC("tier.demotions");
-    ALEX_OBS_EVENT(obs::EventType::kTierDemotion,
-                   static_cast<uint32_t>(idx), 0, 0,
-                   static_cast<int64_t>(n),
+    if (old_segment != nullptr) block_cache_.EraseSegment(old_segment->id());
+    if (event == obs::EventType::kTierDemotion) {
+      demotions_.fetch_add(1, std::memory_order_relaxed);
+      ALEX_OBS_COUNTER_INC("tier.demotions");
+    } else {
+      compactions_.fetch_add(1, std::memory_order_relaxed);
+      ALEX_OBS_COUNTER_INC("tier.compactions");
+    }
+    ALEX_OBS_EVENT(event, static_cast<uint32_t>(idx), 0, 0,
+                   static_cast<int64_t>(keys.size()),
                    static_cast<int64_t>(seg_id));
     return core::SnapshotStatus::kOk;
   }
@@ -2485,17 +2313,8 @@ class ShardedAlex {
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
     std::vector<K> keys;
     std::vector<P> payloads;
-    keys.reserve(victim->TierSize());
-    payloads.reserve(victim->TierSize());
-    victim->TierScanUntil(std::numeric_limits<K>::lowest(),
-                          std::numeric_limits<K>::max(),
-                          [&](const K& key, const P& payload) {
-                            keys.push_back(key);
-                            payloads.push_back(payload);
-                            return true;
-                          });
+    ShardContents(victim, &keys, &payloads);
     const uint64_t old_segment = victim->segment->id();
-    const uint64_t n = keys.size();
     auto resident =
         std::make_shared<Shard>(options_.shard_config, &epoch_);
     resident->index.BulkLoad(keys.data(), payloads.data(), keys.size());
@@ -2508,64 +2327,15 @@ class ShardedAlex {
     ALEX_OBS_COUNTER_INC("tier.promotions");
     ALEX_OBS_EVENT(obs::EventType::kTierPromotion,
                    static_cast<uint32_t>(idx), 0, 0,
-                   static_cast<int64_t>(n),
+                   static_cast<int64_t>(keys.size()),
                    static_cast<int64_t>(old_segment));
     return core::SnapshotStatus::kOk;
   }
 
-  core::SnapshotStatus CompactShardLocked(size_t idx) {
-    util::EpochManager::Guard guard(epoch_);
-    Table* table = table_.load(std::memory_order_seq_cst);
-    if (idx >= table->shards.size()) {
-      return core::SnapshotStatus::kIoError;
-    }
-    Shard* victim = table->shards[idx].get();
-    if (!victim->cold()) return core::SnapshotStatus::kOk;
-    if (victim->DeltaClean()) return core::SnapshotStatus::kOk;
-    if (victim->TierSize() == 0) {
-      // Everything erased: a segment cannot be empty, so the compacted
-      // form of this shard is an empty resident one.
-      return PromoteShardLocked(idx);
-    }
-    const std::string prefix = TierPrefix();
-    if (prefix.empty()) return core::SnapshotStatus::kIoError;
-    std::unique_lock<std::shared_mutex> gate(victim->write_gate);
-    std::vector<K> keys;
-    std::vector<P> payloads;
-    keys.reserve(victim->TierSize());
-    payloads.reserve(victim->TierSize());
-    victim->TierScanUntil(std::numeric_limits<K>::lowest(),
-                          std::numeric_limits<K>::max(),
-                          [&](const K& key, const P& payload) {
-                            keys.push_back(key);
-                            payloads.push_back(payload);
-                            return true;
-                          });
-    const uint64_t old_segment = victim->segment->id();
-    const uint64_t seg_id = next_segment_id_++;
-    std::shared_ptr<tier::ColdSegment<K, P>> segment;
-    const core::SnapshotStatus status =
-        WriteAndOpenSegment(prefix, seg_id, keys.data(), payloads.data(),
-                            keys.size(), &segment);
-    if (status != core::SnapshotStatus::kOk) return status;
-    auto cold = std::make_shared<Shard>(options_.shard_config, &epoch_);
-    cold->segment = std::move(segment);
-    cold->cold_live.store(keys.size(), std::memory_order_relaxed);
-    ReplaceShard(table, idx, std::move(cold), &gate);
-    block_cache_.EraseSegment(old_segment);
-    compactions_.fetch_add(1, std::memory_order_relaxed);
-    ALEX_OBS_COUNTER_INC("tier.compactions");
-    ALEX_OBS_EVENT(obs::EventType::kTierCompaction,
-                   static_cast<uint32_t>(idx), 0, 0,
-                   static_cast<int64_t>(keys.size()),
-                   static_cast<int64_t>(seg_id));
-    return core::SnapshotStatus::kOk;
-  }
-
-  /// Removes cold-segment files at `prefix` that neither the committed
+  /// Removes segment files at `prefix` that neither the committed
   /// manifest (`keep`) nor the live table references, plus every .tmp
   /// stray a crashed writer left behind. Post-commit, best-effort, like
-  /// the snapshot/WAL sweeps.
+  /// the WAL sweep; the one sweeper of shard files.
   void SweepStaleSegments(const std::string& prefix,
                           std::vector<uint64_t> keep,
                           const Table* table) const {
@@ -2857,7 +2627,6 @@ class ShardedAlex {
         assert(victim->log->last_lsn() == drained_lsns[logged] &&
                "a record landed in a drained victim before its seal");
         (void)drained_lsns;
-        retired_commit_wait_.Merge(victim->log->CommitWaitHistogram());
         victim->log->Seal();
         ++logged;
       }
@@ -2918,10 +2687,6 @@ class ShardedAlex {
   bool wal_enabled_ = false;
   uint64_t next_wal_id_ = 1;
   std::atomic<wal::WalStatus> last_wal_error_{wal::WalStatus::kOk};
-  // Commit-wait samples of logs sealed by topology transactions, bulk
-  // loads and recoveries (their ShardLogs are dropped with their
-  // tables); CommitWaitHistogram folds live logs on top.
-  util::Log2Histogram retired_commit_wait_;
   // Next cold-segment id, guarded by rebalance_mutex_ (mutable: a
   // checkpoint — SaveToLocked, const — may need a fresh id to fold a
   // dirty overlay). Checkpoints persist it, LoadFrom restores it.

@@ -22,10 +22,16 @@
 // hot ones pinned in user space, so a segment's DRAM cost is its metadata
 // plus whatever the cache holds.
 //
-// One writer serves three producers: checkpointing a cold shard, demoting
-// a resident shard, and compacting a cold shard's delta overlay — all
-// stream sorted (key, payload) runs through WriteSegmentFile, so the three
-// paths cannot diverge in format.
+// One writer serves three producers: checkpointing any shard (resident or
+// cold), demoting a resident shard, and compacting a cold shard's delta
+// overlay — all stream sorted (key, payload) runs through
+// WriteSegmentFile, so the three paths cannot diverge in format. The
+// segment is the only durable form of a shard.
+//
+// An empty shard is an empty segment: num_keys == 0, num_blocks == 0, the
+// file just the header. Its key range is the inverted [max(), lowest()],
+// so every range check below rejects every key without a branch of its
+// own.
 //
 // Integrity: every block carries its own FNV-1a checksum (verified on
 // every cache miss load and by VerifyAllBlocks at recovery), the metadata
@@ -44,6 +50,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -122,14 +129,15 @@ inline bool ParseSegmentFileName(const std::string& name,
   return true;
 }
 
-/// The one cold-segment writer (checkpoint, demotion and compaction all
-/// call it). `keys` must be strictly increasing. Writes straight to
-/// `path`; callers stage under a `.tmp` name and rename for atomicity.
+/// The one segment writer (checkpoint, demotion and compaction all call
+/// it). `keys` must be strictly increasing; `n` may be 0. Writes straight
+/// to `path`; durability and atomicity are the caller's (fsync, and a
+/// commit point that makes the file reachable only once complete).
 template <typename K, typename P>
 core::SnapshotStatus WriteSegmentFile(const std::string& path,
                                       const K* keys, const P* payloads,
                                       size_t n, size_t keys_per_block) {
-  if (n == 0 || keys_per_block == 0) return core::SnapshotStatus::kIoError;
+  if (keys_per_block == 0) return core::SnapshotStatus::kIoError;
   const size_t kpb = keys_per_block;
   const size_t num_blocks = (n + kpb - 1) / kpb;
 
@@ -171,10 +179,12 @@ core::SnapshotStatus WriteSegmentFile(const std::string& path,
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return core::SnapshotStatus::kIoError;
   bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1;
-  ok = ok && std::fwrite(checksums.data(), sizeof(uint64_t), num_blocks,
-                         f) == num_blocks;
-  ok = ok && std::fwrite(fence.data(), sizeof(K), num_blocks, f) ==
-                 num_blocks;
+  if (num_blocks > 0) {  // an empty segment is its header alone
+    ok = ok && std::fwrite(checksums.data(), sizeof(uint64_t), num_blocks,
+                           f) == num_blocks;
+    ok = ok && std::fwrite(fence.data(), sizeof(K), num_blocks, f) ==
+                   num_blocks;
+  }
   for (size_t b = 0; ok && b < num_blocks; ++b) {
     const size_t lo = b * kpb;
     const size_t m = std::min(kpb, n - lo);
@@ -242,11 +252,15 @@ class ColdSegment {
     // Random point reads dominate the cold tier; tell the kernel not to
     // read ahead. Best-effort: a hint, not a correctness requirement.
     ::madvise(const_cast<uint8_t*>(base_), map_size_, MADV_RANDOM);
-    const K last_key = internal::LoadAt<K>(
-        base_ + BlockOffset(header_.num_blocks - 1) +
-        (LastBlockKeys() - 1) * sizeof(K));
+    if (header_.num_keys == 0) {
+      min_key_ = std::numeric_limits<K>::max();
+      max_key_ = std::numeric_limits<K>::lowest();
+      return core::SnapshotStatus::kOk;
+    }
     min_key_ = fence_[0];
-    max_key_ = last_key;
+    max_key_ = internal::LoadAt<K>(base_ +
+                                   BlockOffset(header_.num_blocks - 1) +
+                                   (LastBlockKeys() - 1) * sizeof(K));
     return core::SnapshotStatus::kOk;
   }
 
@@ -406,7 +420,7 @@ class ColdSegment {
     if (header.payload_size != sizeof(P)) {
       return core::SnapshotStatus::kPayloadSizeMismatch;
     }
-    if (header.num_keys == 0 || header.keys_per_block == 0) {
+    if (header.keys_per_block == 0) {
       return core::SnapshotStatus::kTruncated;
     }
     // Division-first overflow guards (the serialization.h idiom): bound
@@ -444,12 +458,14 @@ class ColdSegment {
     if (meta != header.meta_checksum) {
       return core::SnapshotStatus::kSegmentCorrupt;
     }
-    checksums_.resize(header.num_blocks);
-    std::memcpy(checksums_.data(), checksum_bytes,
-                header.num_blocks * sizeof(uint64_t));
-    fence_.resize(header.num_blocks);
-    std::memcpy(fence_.data(), fence_bytes,
-                header.num_blocks * sizeof(K));
+    checksums_.assign(header.num_blocks, 0);
+    fence_.assign(header.num_blocks, K{});
+    if (header.num_blocks > 0) {
+      std::memcpy(checksums_.data(), checksum_bytes,
+                  header.num_blocks * sizeof(uint64_t));
+      std::memcpy(fence_.data(), fence_bytes,
+                  header.num_blocks * sizeof(K));
+    }
     for (size_t b = 1; b < fence_.size(); ++b) {
       if (!(fence_[b - 1] < fence_[b])) {
         return core::SnapshotStatus::kUnsortedKeys;

@@ -34,9 +34,9 @@
 // and destruction, and Rotate waits out any in-flight clock sync before
 // swapping file descriptors.
 //
-// Commit latency: every successful Log() records its wall-clock wait
-// (entry to commit, microseconds) in a util/histogram.h Log2Histogram,
-// so benches can report p50/p99 group-commit wait.
+// Commit latency: every successful Log()/LogBatch() records its
+// wall-clock wait (entry to commit, nanoseconds) in the obs registry's
+// "wal.commit_wait_ns" histogram — the one record of commit wait.
 //
 // Thread safety: Log() may be called from any number of threads. Seal()
 // and Rotate() require the caller to exclude concurrent Log() calls —
@@ -57,7 +57,6 @@
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "util/histogram.h"
 #include "wal/wal_format.h"
 
 namespace alex::wal {
@@ -124,13 +123,11 @@ class ShardLog {
     arena_records_ += 1;
     const WalStatus status = CommitLocked(lock, lsn);
     if (status != WalStatus::kOk) return status;
-    // Commit wait, entry to acknowledgement (the lock is held here, so
-    // the histogram needs no further synchronization).
-    const uint64_t wait_ns = static_cast<uint64_t>(
+    // Commit wait, entry to acknowledgement.
+    [[maybe_unused]] const uint64_t wait_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
-    commit_wait_.Record(wait_ns / 1000);
     ALEX_OBS_HIST_RECORD("wal.commit_wait_ns", wait_ns);
     // Feed the op-context from the wait this call already measured —
     // the slow-op trace gets the number without a second clock pair.
@@ -162,11 +159,10 @@ class ShardLog {
     arena_records_ += n;
     const WalStatus status = CommitLocked(lock, lsn);
     if (status != WalStatus::kOk) return status;
-    const uint64_t wait_ns = static_cast<uint64_t>(
+    [[maybe_unused]] const uint64_t wait_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
-    commit_wait_.Record(wait_ns / 1000);
     ALEX_OBS_HIST_RECORD("wal.commit_wait_ns", wait_ns);
     ALEX_OBS_CTX_ADD(wal_wait_ns, wait_ns);
     return WalStatus::kOk;
@@ -281,11 +277,6 @@ class ShardLog {
   uint64_t durable_lsn() const {
     std::lock_guard<std::mutex> lock(mu_);
     return durable_lsn_;
-  }
-  /// Snapshot of the per-commit wait histogram (microsecond buckets).
-  util::Log2Histogram CommitWaitHistogram() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return commit_wait_;
   }
   bool sealed() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -499,7 +490,6 @@ class ShardLog {
   bool io_error_ = false;
   std::vector<uint8_t> arena_;
   std::chrono::steady_clock::time_point last_sync_;
-  util::Log2Histogram commit_wait_;  ///< per-commit wait, microseconds
   std::thread clock_thread_;         ///< background sync clock (kBatch)
   std::condition_variable clock_cv_;
   bool stop_clock_ = false;

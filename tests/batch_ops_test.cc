@@ -18,6 +18,7 @@
 
 #include "core/concurrent_alex.h"
 #include "shard/sharded_alex.h"
+#include "test_files.h"
 #include "util/random.h"
 #include "wal/log_reader.h"
 #include "wal/wal_format.h"
@@ -32,21 +33,8 @@ using util::Xoshiro256;
 using wal::SyncPolicy;
 using wal::WalStatus;
 
-std::string TempPrefix(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
-void Cleanup(const std::string& prefix) {
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 8; ++gen) {
-    for (size_t i = 0; i < 16; ++i) {
-      std::remove(Sharded::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
-}
+using test::TempPrefix;
+constexpr auto Cleanup = test::RemovePrefixFiles;
 
 wal::WalOptions Wal(SyncPolicy policy) {
   wal::WalOptions options;

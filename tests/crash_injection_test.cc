@@ -1,8 +1,8 @@
-// Crash-injection tests for the snapshot/checkpoint atomic-commit path:
-// simulate a save that died between writing shard files and renaming the
-// manifest (the commit point), with and without leftover superseded-
-// generation files, and assert (a) the previous snapshot still loads
-// bit-for-bit and (b) the next successful save sweeps every stale file.
+// Crash-injection tests for the checkpoint atomic-commit path: simulate
+// a save that died between writing its segment files and renaming the
+// manifest (the commit point), with and without other leftover files, and
+// assert (a) the previous checkpoint still loads bit-for-bit and (b) the
+// next successful save sweeps every stale file.
 #include "shard/sharded_alex.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "core/serialization.h"
+#include "test_files.h"
+#include "tier/segment.h"
 #include "wal/wal_format.h"
 
 namespace alex::shard {
@@ -21,40 +23,14 @@ namespace {
 
 using Sharded = ShardedAlex<int64_t, int64_t>;
 using core::SnapshotStatus;
-
-std::string TempPrefix(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using test::FilesAt;
+using test::TempPrefix;
+constexpr auto Cleanup = test::RemovePrefixFiles;
 
 ShardedOptions Opts(size_t shards) {
   ShardedOptions options;
   options.num_shards = shards;
   return options;
-}
-
-/// Every file at the prefix (by name), for asserting cleanup.
-std::set<std::string> FilesAt(const std::string& prefix) {
-  std::string dir, base;
-  wal::SplitPrefixPath(prefix, &dir, &base);
-  std::vector<std::string> names;
-  wal::ListDirectory(dir, &names);
-  std::set<std::string> out;
-  for (const std::string& name : names) {
-    if (name.size() > base.size() &&
-        name.compare(0, base.size(), base) == 0 &&
-        name[base.size()] == '.') {
-      out.insert(name);
-    }
-  }
-  return out;
-}
-
-void Cleanup(const std::string& prefix) {
-  std::string dir, base;
-  wal::SplitPrefixPath(prefix, &dir, &base);
-  for (const std::string& name : FilesAt(prefix)) {
-    std::remove((dir + "/" + name).c_str());
-  }
 }
 
 void FillDense(Sharded* index, int64_t n) {
@@ -69,20 +45,28 @@ void FillDense(Sharded* index, int64_t n) {
 void WriteGarbageFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  const char junk[] = "not a snapshot";
+  const char junk[] = "not a segment";
   std::fwrite(junk, 1, sizeof(junk), f);
   std::fclose(f);
 }
 
-/// Simulates a save of generation `gen` that crashed after writing shard
-/// files (some real-looking, by copying; here garbage suffices because
-/// the manifest never came to reference them) but before the manifest
-/// rename: the would-be shard files and the orphaned .manifest.tmp exist,
-/// the manifest still names the previous generation.
-void InjectCrashedSave(const std::string& prefix, uint64_t gen,
-                       size_t shards) {
+/// The committed manifest at `prefix`.
+ShardManifest<int64_t> Committed(const std::string& prefix) {
+  ShardManifest<int64_t> manifest;
+  EXPECT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &manifest),
+            SnapshotStatus::kOk);
+  return manifest;
+}
+
+/// Simulates a save that crashed after writing `shards` segment files
+/// (garbage suffices: the manifest never came to reference them) under
+/// the ids it would have allocated next, but before the manifest rename:
+/// the would-be segments and the orphaned .manifest.tmp exist, the
+/// manifest still names the previous checkpoint's segments.
+void InjectCrashedSave(const std::string& prefix, size_t shards) {
+  const uint64_t first = Committed(prefix).next_segment_id;
   for (size_t i = 0; i < shards; ++i) {
-    WriteGarbageFile(Sharded::ShardPath(prefix, gen, i));
+    WriteGarbageFile(tier::SegmentPath(prefix, first + i));
   }
   WriteGarbageFile(Sharded::ManifestPath(prefix) + ".tmp");
 }
@@ -92,15 +76,14 @@ TEST(CrashInjectionTest, CrashBeforeManifestRenameKeepsPreviousSnapshot) {
   Cleanup(prefix);
   Sharded index(Opts(4));
   FillDense(&index, 8000);
-  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);  // generation 1
+  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
 
   // The index moved on, then a second save died right before its commit
-  // point: generation-2 shard files exist, the manifest does not name
-  // them.
+  // point: its segment files exist, the manifest does not name them.
   ASSERT_TRUE(index.Insert(100000, 1));
-  InjectCrashedSave(prefix, /*gen=*/2, /*shards=*/4);
+  InjectCrashedSave(prefix, /*shards=*/4);
 
-  // The previous snapshot is what loads — completely, and without the
+  // The previous checkpoint is what loads — completely, and without the
   // post-save insert the crashed save would have captured.
   Sharded loaded(Opts(4));
   ASSERT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kOk);
@@ -119,27 +102,32 @@ TEST(CrashInjectionTest, NextSaveSweepsStaleGenerations) {
   Cleanup(prefix);
   Sharded index(Opts(2));
   FillDense(&index, 2000);
-  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);  // generation 1
+  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+  const ShardManifest<int64_t> first = Committed(prefix);
 
-  // Leftovers of every flavor: a crashed generation-2 save, plus stray
-  // superseded-generation files a long-dead process left behind, plus a
-  // same-generation shard index past the real shard count.
-  InjectCrashedSave(prefix, /*gen=*/2, /*shards=*/2);
-  WriteGarbageFile(Sharded::ShardPath(prefix, 7, 0));
-  WriteGarbageFile(Sharded::ShardPath(prefix, 1, 9));
+  // Leftovers of every flavor: a crashed save's segments, a stray
+  // segment far past the id watermark that a long-dead process left
+  // behind, and a half-written staging file.
+  InjectCrashedSave(prefix, /*shards=*/2);
+  WriteGarbageFile(tier::SegmentPath(prefix, 77));
+  WriteGarbageFile(tier::SegmentPath(prefix, 5) + ".tmp");
 
-  // A fresh save (generation 2 again — it numbers from the committed
-  // manifest) overwrites the crashed files and sweeps everything stale.
+  // A fresh save writes new segments for both shards and sweeps
+  // everything else: the superseded checkpoint's segments included.
   ASSERT_TRUE(index.Insert(100000, 5));
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+  const ShardManifest<int64_t> second = Committed(prefix);
+  ASSERT_EQ(second.segment_ids.size(), 2u);
+  for (const uint64_t id : second.segment_ids) {
+    EXPECT_GE(id, first.next_segment_id);
+  }
 
   std::string dir, base;
   wal::SplitPrefixPath(prefix, &dir, &base);
-  const std::set<std::string> expected = {
-      base + ".manifest",
-      base + ".g2.shard-0000",
-      base + ".g2.shard-0001",
-  };
+  std::set<std::string> expected = {base + ".manifest"};
+  for (const uint64_t id : second.segment_ids) {
+    expected.insert(base + ".seg-" + std::to_string(id));
+  }
   EXPECT_EQ(FilesAt(prefix), expected);
 
   Sharded loaded(Opts(2));
@@ -176,8 +164,8 @@ TEST(CrashInjectionTest, CheckpointCrashKeepsLogReplayConsistent) {
     Sharded index(Opts(2));
     ASSERT_EQ(index.EnableWal(prefix), wal::WalStatus::kOk);
     for (int64_t k = 0; k < 500; ++k) ASSERT_TRUE(index.Insert(k, k));
-    // Crashed second checkpoint: generation-2 shard files only.
-    InjectCrashedSave(prefix, /*gen=*/2, /*shards=*/1);
+    // Crashed second checkpoint: segment files only.
+    InjectCrashedSave(prefix, /*shards=*/1);
     for (int64_t k = 500; k < 600; ++k) ASSERT_TRUE(index.Insert(k, k));
   }
   Sharded recovered(Opts(2));

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "shard/sharded_alex.h"
+#include "test_files.h"
 
 namespace alex {
 namespace {
@@ -28,23 +29,8 @@ using obs::GlobalJournal;
 using obs::JournalEvent;
 using Sharded = shard::ShardedAlex<int64_t, int64_t>;
 
-std::string TempPrefix(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
-#if !defined(ALEX_DISABLE_OBS)
-void CleanupFiles(const std::string& prefix) {
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 8; ++gen) {
-    for (size_t i = 0; i < 32; ++i) {
-      std::remove(Sharded::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
-}
-#endif  // !ALEX_DISABLE_OBS
+using test::TempPrefix;
+[[maybe_unused]] constexpr auto CleanupFiles = test::RemovePrefixFiles;
 
 class JournalTest : public ::testing::Test {
  protected:

@@ -24,27 +24,15 @@
 
 #include "obs/metrics.h"
 #include "shard/sharded_alex.h"
+#include "test_files.h"
 
 namespace alex::shard {
 namespace {
 
 using Sharded = ShardedAlex<int64_t, int64_t>;
 
-[[maybe_unused]] std::string TempPrefix(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
-[[maybe_unused]] void CleanupFiles(const std::string& prefix) {
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 8; ++gen) {
-    for (size_t i = 0; i < 32; ++i) {
-      std::remove(Sharded::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
-}
+using test::TempPrefix;
+[[maybe_unused]] constexpr auto CleanupFiles = test::RemovePrefixFiles;
 
 class ObsIntegrationTest : public ::testing::Test {
  protected:

@@ -18,6 +18,8 @@
 
 #include "core/serialization.h"
 #include "shard/router.h"
+#include "test_files.h"
+#include "tier/segment.h"
 #include "util/random.h"
 
 namespace alex::shard {
@@ -26,8 +28,16 @@ namespace {
 using Sharded = ShardedAlex<int64_t, int64_t>;
 using core::SnapshotStatus;
 
-std::string TempPrefix(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+using test::TempPrefix;
+constexpr auto Cleanup = test::RemovePrefixFiles;
+
+/// Path of shard `i`'s segment in the checkpoint committed at `prefix`.
+std::string SegmentOf(const std::string& prefix, size_t i) {
+  ShardManifest<int64_t> manifest;
+  EXPECT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &manifest),
+            SnapshotStatus::kOk);
+  EXPECT_LT(i, manifest.segment_ids.size());
+  return tier::SegmentPath(prefix, manifest.segment_ids.at(i));
 }
 
 ShardedOptions Opts(size_t shards) {
@@ -573,11 +583,7 @@ TEST(ShardedAlexTest, SaveLoadRoundTripAcrossShardCounts) {
                    &b);
   EXPECT_EQ(a, b);
   EXPECT_TRUE(loaded.CheckInvariants());
-
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (size_t i = 0; i < index.num_shards(); ++i) {
-    std::remove(Sharded::ShardPath(prefix, 1, i).c_str());
-  }
+  Cleanup(prefix);
 }
 
 TEST(ShardedAlexTest, SuccessiveSavesCommitAtomicallyPerGeneration) {
@@ -586,24 +592,22 @@ TEST(ShardedAlexTest, SuccessiveSavesCommitAtomicallyPerGeneration) {
   for (int64_t i = 0; i < 1000; ++i) keys[i] = payloads[i] = i;
   index.BulkLoad(keys.data(), payloads.data(), keys.size());
   const std::string prefix = TempPrefix("sharded-generations");
-  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);  // generation 1
+  Cleanup(prefix);
+  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+  const std::string first_segment = SegmentOf(prefix, 0);
   ASSERT_TRUE(index.Insert(5000, 50));
-  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);  // generation 2
+  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
 
-  // The superseded generation's shard files were cleaned up; the new
-  // generation is what loads, reflecting the newer state.
-  std::FILE* stale = std::fopen(Sharded::ShardPath(prefix, 1, 0).c_str(),
-                                "rb");
+  // The superseded checkpoint's segments were cleaned up; the new
+  // checkpoint is what loads, reflecting the newer state.
+  EXPECT_NE(SegmentOf(prefix, 0), first_segment);
+  std::FILE* stale = std::fopen(first_segment.c_str(), "rb");
   EXPECT_EQ(stale, nullptr);
   Sharded loaded(Opts(2));
   ASSERT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kOk);
   EXPECT_EQ(loaded.size(), 1001u);
   EXPECT_TRUE(loaded.Contains(5000));
-
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (size_t i = 0; i < 2; ++i) {
-    std::remove(Sharded::ShardPath(prefix, 2, i).c_str());
-  }
+  Cleanup(prefix);
 }
 
 TEST(ShardedAlexTest, LoadFromMissingShardFileIsDistinctError) {
@@ -613,7 +617,7 @@ TEST(ShardedAlexTest, LoadFromMissingShardFileIsDistinctError) {
   index.BulkLoad(keys.data(), payloads.data(), keys.size());
   const std::string prefix = TempPrefix("sharded-missing");
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
-  std::remove(Sharded::ShardPath(prefix, 1, 2).c_str());
+  ASSERT_EQ(std::remove(SegmentOf(prefix, 2).c_str()), 0);
 
   Sharded loaded(Opts(4));
   loaded.Insert(42, 42);
@@ -622,11 +626,7 @@ TEST(ShardedAlexTest, LoadFromMissingShardFileIsDistinctError) {
   int64_t v = 0;
   EXPECT_TRUE(loaded.Get(42, &v));
   EXPECT_EQ(loaded.size(), 1u);
-
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (size_t i = 0; i < 4; ++i) {
-    std::remove(Sharded::ShardPath(prefix, 1, i).c_str());
-  }
+  Cleanup(prefix);
 }
 
 TEST(ShardedAlexTest, CorruptManifestChecksumIsDetected) {
@@ -648,11 +648,7 @@ TEST(ShardedAlexTest, CorruptManifestChecksumIsDetected) {
 
   Sharded loaded(Opts(4));
   EXPECT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kChecksumMismatch);
-
-  std::remove(manifest.c_str());
-  for (size_t i = 0; i < 4; ++i) {
-    std::remove(Sharded::ShardPath(prefix, 1, i).c_str());
-  }
+  Cleanup(prefix);
 }
 
 TEST(ShardedAlexTest, UnsortedManifestBoundariesAreRejected) {
@@ -672,7 +668,7 @@ TEST(ShardedAlexTest, UnsortedManifestBoundariesAreRejected) {
 
 TEST(ShardedAlexTest, SwappedShardFilesAreDetected) {
   // Even partitioning gives every shard the same key count, so a swap of
-  // two shard files must be caught by the boundary-range check, not the
+  // two segment files must be caught by the boundary-range check, not the
   // count check.
   Sharded index(Opts(2));
   std::vector<int64_t> keys(2000), payloads(2000);
@@ -681,8 +677,8 @@ TEST(ShardedAlexTest, SwappedShardFilesAreDetected) {
   const std::string prefix = TempPrefix("sharded-swapped");
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
 
-  const std::string shard0 = Sharded::ShardPath(prefix, 1, 0);
-  const std::string shard1 = Sharded::ShardPath(prefix, 1, 1);
+  const std::string shard0 = SegmentOf(prefix, 0);
+  const std::string shard1 = SegmentOf(prefix, 1);
   const std::string stash = shard0 + ".stash";
   ASSERT_EQ(std::rename(shard0.c_str(), stash.c_str()), 0);
   ASSERT_EQ(std::rename(shard1.c_str(), shard0.c_str()), 0);
@@ -691,11 +687,7 @@ TEST(ShardedAlexTest, SwappedShardFilesAreDetected) {
   Sharded loaded(Opts(2));
   EXPECT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kManifestMismatch);
   EXPECT_EQ(loaded.size(), 0u);
-
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (size_t i = 0; i < 2; ++i) {
-    std::remove(Sharded::ShardPath(prefix, 1, i).c_str());
-  }
+  Cleanup(prefix);
 }
 
 TEST(ShardedAlexTest, ShardFileCountMismatchIsDetected) {
@@ -706,19 +698,16 @@ TEST(ShardedAlexTest, ShardFileCountMismatchIsDetected) {
   const std::string prefix = TempPrefix("sharded-mismatch");
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
 
-  // Overwrite shard 1's file with a valid snapshot of the wrong size.
-  core::ConcurrentAlex<int64_t, int64_t> rogue;
-  rogue.Insert(5, 5);
-  ASSERT_EQ(rogue.SaveToFile(Sharded::ShardPath(prefix, 1, 1)),
+  // Overwrite shard 1's segment with a valid segment of the wrong size
+  // (its one key lies inside the shard's range).
+  const int64_t rogue = 1500;
+  ASSERT_EQ((tier::WriteSegmentFile<int64_t, int64_t>(
+                SegmentOf(prefix, 1), &rogue, &rogue, 1, 64)),
             SnapshotStatus::kOk);
 
   Sharded loaded(Opts(2));
   EXPECT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kManifestMismatch);
-
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (size_t i = 0; i < 2; ++i) {
-    std::remove(Sharded::ShardPath(prefix, 1, i).c_str());
-  }
+  Cleanup(prefix);
 }
 
 }  // namespace

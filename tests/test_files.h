@@ -1,0 +1,48 @@
+// File helpers shared by the suites that write manifests, segments and
+// WAL logs under a per-test prefix in the gtest temp directory.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "wal/wal_format.h"
+
+namespace alex::test {
+
+/// `<gtest temp dir>/<name>`: the prefix a test's files live under.
+inline std::string TempPrefix(const char* name) {
+  return std::string(::testing::TempDir()) + "/" + name;
+}
+
+/// Every file at the prefix (`<base>.` followed by anything), by name.
+inline std::set<std::string> FilesAt(const std::string& prefix) {
+  std::string dir, base;
+  wal::SplitPrefixPath(prefix, &dir, &base);
+  std::vector<std::string> names;
+  wal::ListDirectory(dir, &names);
+  std::set<std::string> out;
+  for (const std::string& name : names) {
+    if (name.size() > base.size() &&
+        name.compare(0, base.size(), base) == 0 &&
+        name[base.size()] == '.') {
+      out.insert(name);
+    }
+  }
+  return out;
+}
+
+/// Removes every file at the prefix: manifest, segments, WAL logs and
+/// any stray a test planted.
+inline void RemovePrefixFiles(const std::string& prefix) {
+  std::string dir, base;
+  wal::SplitPrefixPath(prefix, &dir, &base);
+  for (const std::string& name : FilesAt(prefix)) {
+    std::remove((dir + "/" + name).c_str());
+  }
+}
+
+}  // namespace alex::test

@@ -1,6 +1,6 @@
 // Unit tests for the cold-tier building blocks (src/tier/): segment
-// write/open round trips, the learned fence lookup with its binary-search
-// fallback, every Validate rejection path (byte flips must surface as the
+// write/open round trips (empty segments included), the learned fence
+// lookup with its binary-search fallback, every Validate rejection path (byte flips must surface as the
 // distinct kSegmentCorrupt status), segment file-name parsing for the
 // checkpoint sweep, raw-mapping Get/ScanUntil, and the sharded-LRU block
 // cache (hit/miss/eviction accounting, singleflight miss loading, pinned
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,12 +124,6 @@ TEST(TierSegment, BlockOfKeyAgreesWithFence) {
   std::remove(path.c_str());
 }
 
-TEST(TierSegment, EmptyRunRejected) {
-  const std::string path = TempPath("seg_empty");
-  EXPECT_EQ((WriteSegmentFile<int64_t, int64_t>(path, nullptr, nullptr, 0,
-                                                64)),
-            SnapshotStatus::kIoError);
-}
 
 // ---- ScanUntil ----
 
@@ -197,6 +192,46 @@ void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
+}
+
+TEST(TierSegment, EmptySegmentRoundTrips) {
+  const std::string path = TempPath("seg_empty");
+  ASSERT_EQ((WriteSegmentFile<int64_t, int64_t>(path, nullptr, nullptr, 0,
+                                                64)),
+            SnapshotStatus::kOk);
+  Segment seg;
+  ASSERT_EQ(seg.Open(path, 3), SnapshotStatus::kOk);
+  EXPECT_EQ(seg.num_keys(), 0u);
+  EXPECT_EQ(seg.num_blocks(), 0u);
+  EXPECT_EQ(seg.file_bytes(), sizeof(SegmentHeader));
+  EXPECT_EQ(seg.VerifyAllBlocks(), SnapshotStatus::kOk);
+  // The inverted key range makes every lookup miss, extremes included.
+  for (const int64_t key : {std::numeric_limits<int64_t>::lowest(),
+                            int64_t{0}, std::numeric_limits<int64_t>::max()}) {
+    int64_t payload = 0;
+    EXPECT_FALSE(seg.Get(key, &payload)) << key;
+    EXPECT_FALSE(seg.Contains(key)) << key;
+  }
+  size_t seen = 0;
+  EXPECT_EQ(seg.ScanUntil(std::numeric_limits<int64_t>::lowest(),
+                          std::numeric_limits<int64_t>::max(),
+                          [&](int64_t, int64_t) { return ++seen > 0; }),
+            0u);
+  EXPECT_EQ(seen, 0u);
+
+  // An empty segment has no blocks: a header claiming one is truncated
+  // (header checksum recomputed so only the block count is wrong).
+  SegmentHeader header;
+  std::vector<uint8_t> bytes = ReadAll(path);
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  header.num_blocks = 1;
+  header.header_checksum = core::internal::Fnv1a(
+      &header, sizeof(header) - sizeof(header.header_checksum),
+      core::internal::kFnvOffsetBasis);
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  WriteAll(path, bytes);
+  EXPECT_EQ(seg.Open(path, 3), SnapshotStatus::kTruncated);
+  std::remove(path.c_str());
 }
 
 TEST(TierSegment, BlockByteFlipIsSegmentCorrupt) {

@@ -1,9 +1,10 @@
 // Tests for the tiered-storage layer (src/tier/ + the ShardedAlex
 // integration): cold-read correctness against a std::map oracle over a
 // mixed hot/cold topology, overlay write semantics (tombstones,
-// revival), the demote/promote/compact lifecycle, checkpoint + recovery
-// with tier preservation, manifest v4 round-trip and v3 cross-version
-// loads, crash-injection stray-segment sweeping, the
+// revival), the demote/promote/compact lifecycle including empty
+// segments, checkpoint + recovery with tier preservation, the files a
+// checkpoint leaves behind, manifest v5 round-trip and the v4
+// kBadVersion refusal, crash-injection stray-segment sweeping, the
 // compaction-shrinks-replay acceptance criterion, the traffic-driven
 // tiering policy, and a TSan target reading cold shards during
 // concurrent tier transitions.
@@ -11,11 +12,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,6 +28,7 @@
 #include "core/serialization.h"
 #include "shard/manifest.h"
 #include "shard/sharded_alex.h"
+#include "test_files.h"
 #include "tier/segment.h"
 #include "wal/log_reader.h"
 #include "wal/wal_format.h"
@@ -36,9 +41,9 @@ using core::AggField;
 using core::AggSpec;
 using core::SnapshotStatus;
 
-std::string TempPrefix(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using test::FilesAt;
+using test::TempPrefix;
+constexpr auto Cleanup = test::RemovePrefixFiles;
 
 /// Options with the cold tier enabled at `prefix` (no WAL required) and
 /// topology churn disabled so shard indices stay stable.
@@ -48,23 +53,6 @@ ShardedOptions TierOpts(size_t shards, const std::string& prefix) {
   options.tier_prefix = prefix;
   options.min_rebalance_keys = 1u << 30;
   return options;
-}
-
-/// Best-effort cleanup of every file a tiered test can leave behind.
-void Cleanup(const std::string& prefix) {
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 8; ++gen) {
-    for (size_t i = 0; i < 8; ++i) {
-      std::remove(Sharded::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (uint64_t id = 1; id <= 64; ++id) {
-    std::remove(tier::SegmentPath(prefix, id).c_str());
-    std::remove((tier::SegmentPath(prefix, id) + ".tmp").c_str());
-  }
-  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
 }
 
 bool FileExists(const std::string& path) {
@@ -328,36 +316,72 @@ TEST(TieredAlexTest, DemotePromoteCompactLifecycle) {
   Cleanup(prefix);
 }
 
-TEST(TieredAlexTest, FullyErasedColdShardCompactsToEmptyResident) {
-  const std::string prefix = TempPrefix("tier-erase-all");
-  Sharded index(TierOpts(2, prefix));
-  auto oracle = BulkLoadStride3(&index, 800);
-  ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
-
-  // Erase every record the cold shard holds.
-  std::vector<int64_t> doomed;
-  for (const auto& [k, v] : oracle) {
-    if (index.ShardOf(k) == 1) doomed.push_back(k);
-  }
-  ASSERT_FALSE(doomed.empty());
-  for (const int64_t k : doomed) {
-    ASSERT_TRUE(index.Erase(k));
-    oracle.erase(k);
-  }
-  // Segments cannot be empty, so compaction lands the shard back in the
-  // resident tier with zero keys.
-  ASSERT_EQ(index.CompactShard(1), SnapshotStatus::kOk);
-  EXPECT_FALSE(index.IsShardCold(1));
-  ExpectMatchesOracle(index, oracle);
-  Cleanup(prefix);
-}
-
-TEST(TieredAlexTest, EmptyShardCannotBeDemoted) {
+TEST(TieredAlexTest, EmptyShardsLiveAsEmptySegments) {
   const std::string prefix = TempPrefix("tier-empty");
-  Sharded index(TierOpts(2, prefix));
-  // Nothing loaded: there is no record stream to seal into a segment.
-  EXPECT_NE(index.DemoteShard(0), SnapshotStatus::kOk);
-  EXPECT_FALSE(index.IsShardCold(0));
+  Cleanup(prefix);
+  std::map<int64_t, int64_t> oracle;
+  {
+    Sharded index(TierOpts(3, prefix));
+    oracle = BulkLoadStride3(&index, 900);
+    ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
+    // Empty shard 1 while cold (tombstones over its whole segment) and
+    // shard 2 while resident.
+    std::vector<int64_t> doomed;
+    for (const auto& [k, v] : oracle) {
+      if (index.ShardOf(k) != 0) doomed.push_back(k);
+    }
+    for (const int64_t k : doomed) {
+      ASSERT_TRUE(index.Erase(k));
+      oracle.erase(k);
+    }
+
+    // The emptied cold shard compacts into an empty segment and stays
+    // cold; it promotes and demotes like any other shard.
+    ASSERT_EQ(index.CompactShard(1), SnapshotStatus::kOk);
+    EXPECT_TRUE(index.IsShardCold(1));
+    ASSERT_EQ(index.PromoteShard(1), SnapshotStatus::kOk);
+    ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
+    EXPECT_TRUE(index.IsShardCold(1));
+
+    // The empty resident shard demotes to an empty segment, folds one
+    // overlay key in and a tombstone over it back out, and promotes.
+    ASSERT_EQ(index.DemoteShard(2), SnapshotStatus::kOk);
+    EXPECT_TRUE(index.IsShardCold(2));
+    const int64_t probe = 2500;  // inside shard 2's range
+    ASSERT_EQ(index.ShardOf(probe), 2u);
+    ASSERT_TRUE(index.Insert(probe, 1));
+    ASSERT_EQ(index.CompactShard(2), SnapshotStatus::kOk);
+    ASSERT_TRUE(index.Erase(probe));
+    ASSERT_EQ(index.CompactShard(2), SnapshotStatus::kOk);
+    EXPECT_EQ(index.compaction_count(), 3u);
+    ASSERT_EQ(index.PromoteShard(2), SnapshotStatus::kOk);
+    EXPECT_FALSE(index.IsShardCold(2));
+    ExpectMatchesOracle(index, oracle);
+
+    // Checkpoint: an empty cold and an empty resident shard.
+    ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+    ShardManifest<int64_t> manifest;
+    ASSERT_EQ(
+        ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &manifest),
+        SnapshotStatus::kOk);
+    EXPECT_EQ(manifest.shard_keys[1], 0u);
+    EXPECT_EQ(manifest.shard_keys[2], 0u);
+  }
+
+  Sharded recovered(TierOpts(3, prefix));
+  ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
+  EXPECT_TRUE(recovered.IsShardCold(1));
+  EXPECT_FALSE(recovered.IsShardCold(2));
+  for (const size_t s : {size_t{1}, size_t{2}}) {
+    const std::vector<int64_t> bounds = recovered.ShardBoundaries();
+    EXPECT_EQ(recovered.Aggregate(bounds[s - 1], bounds[s - 1] + 899).count,
+              0u);
+  }
+  ExpectMatchesOracle(recovered, oracle);
+  // The recovered empty cold shard still takes writes.
+  ASSERT_TRUE(recovered.Insert(1201, 7));
+  oracle[1201] = 7;
+  ExpectMatchesOracle(recovered, oracle);
   Cleanup(prefix);
 }
 
@@ -371,7 +395,7 @@ TEST(TieredAlexTest, CheckpointPreservesTierAcrossLoad) {
     oracle = BulkLoadStride3(&index, 2000);
     ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
     // Dirty both tiers after demotion so the checkpoint has to fold the
-    // cold shard's overlay into its snapshot image.
+    // cold shard's overlay into a fresh segment.
     ASSERT_TRUE(index.Insert(1, 111));  // hot shard
     oracle[1] = 111;
     ASSERT_TRUE(index.Update(5100, 42));  // cold shard
@@ -473,74 +497,98 @@ TEST(TieredAlexTest, CompactionShrinksReplayChain) {
   Cleanup(prefix);
 }
 
-// ---- Manifest formats ----
-
-/// Writes `manifest` in the v3 on-disk format (no tier arrays, no
-/// next-segment-id watermark) — the layout v3-era builds produced.
-void WriteV3Manifest(const std::string& path,
-                     const ShardManifest<int64_t>& manifest) {
-  ManifestHeader header;
-  header.magic = internal::kManifestMagic;
-  header.version = 3;
-  header.key_size = sizeof(int64_t);
-  header.num_shards = manifest.num_shards();
-  header.total_keys = manifest.total_keys();
-  header.generation = manifest.generation;
-  header.next_wal_id = manifest.next_wal_id;
-  header.topology_epoch = manifest.topology_epoch;
-  header.router_slope = manifest.router_model.slope();
-  header.router_intercept = manifest.router_model.intercept();
-  std::vector<uint64_t> wal_ids = manifest.wal_ids;
-  std::vector<uint64_t> checkpoint_lsns = manifest.checkpoint_lsns;
-  wal_ids.resize(manifest.num_shards(), 0);
-  checkpoint_lsns.resize(manifest.num_shards(), 0);
-
-  uint64_t checksum = internal::Fnv1a(&header, sizeof(header),
-                                      core::internal::kFnvOffsetBasis);
-  checksum = internal::Fnv1a(manifest.boundaries.data(),
-                             manifest.boundaries.size() * sizeof(int64_t),
-                             checksum);
-  checksum = internal::Fnv1a(manifest.shard_keys.data(),
-                             manifest.shard_keys.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(wal_ids.data(),
-                             wal_ids.size() * sizeof(uint64_t), checksum);
-  checksum = internal::Fnv1a(checkpoint_lsns.data(),
-                             checkpoint_lsns.size() * sizeof(uint64_t),
-                             checksum);
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(&header, sizeof(header), 1, f), 1u);
-  if (!manifest.boundaries.empty()) {
-    ASSERT_EQ(std::fwrite(manifest.boundaries.data(), sizeof(int64_t),
-                          manifest.boundaries.size(), f),
-              manifest.boundaries.size());
+TEST(TieredAlexTest, CheckpointLeavesOnlyReferencedFiles) {
+  // A mixed index: resident shard 0, clean cold shard 1, dirty cold
+  // shard 2, empty resident shard 3, all logging at the tier prefix.
+  const std::string prefix = TempPrefix("tier-mixed-files");
+  Cleanup(prefix);
+  Sharded index(TierOpts(4, prefix));
+  auto oracle = BulkLoadStride3(&index, 4000);
+  ASSERT_EQ(index.EnableWal(prefix), wal::WalStatus::kOk);
+  ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
+  ASSERT_EQ(index.DemoteShard(2), SnapshotStatus::kOk);
+  const int64_t dirty_key = 6000;  // 2000 * 3, in shard 2
+  ASSERT_EQ(index.ShardOf(dirty_key), 2u);
+  ASSERT_TRUE(index.Update(dirty_key, -1));
+  oracle[dirty_key] = -1;
+  std::vector<int64_t> doomed;
+  for (const auto& [k, v] : oracle) {
+    if (index.ShardOf(k) == 3) doomed.push_back(k);
   }
-  ASSERT_EQ(std::fwrite(manifest.shard_keys.data(), sizeof(uint64_t),
-                        manifest.shard_keys.size(), f),
-            manifest.shard_keys.size());
-  ASSERT_EQ(std::fwrite(wal_ids.data(), sizeof(uint64_t), wal_ids.size(),
-                        f),
-            wal_ids.size());
-  ASSERT_EQ(std::fwrite(checkpoint_lsns.data(), sizeof(uint64_t),
-                        checkpoint_lsns.size(), f),
-            checkpoint_lsns.size());
-  ASSERT_EQ(std::fwrite(&checksum, sizeof(checksum), 1, f), 1u);
-  ASSERT_EQ(std::fclose(f), 0);
+  for (const int64_t k : doomed) {
+    ASSERT_TRUE(index.Erase(k));
+    oracle.erase(k);
+  }
+  const std::set<std::string> before = FilesAt(prefix);
+  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+
+  std::string dir, base;
+  wal::SplitPrefixPath(prefix, &dir, &base);
+  const auto expected_files = [&] {
+    ShardManifest<int64_t> manifest;
+    EXPECT_EQ(
+        ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &manifest),
+        SnapshotStatus::kOk);
+    std::set<std::string> files = {base + ".manifest"};
+    for (const uint64_t id : manifest.segment_ids) {
+      files.insert(base + ".seg-" + std::to_string(id));
+    }
+    for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
+      files.insert(f.path.substr(f.path.rfind('/') + 1));
+    }
+    return files;
+  };
+  ShardManifest<int64_t> manifest;
+  ASSERT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &manifest),
+            SnapshotStatus::kOk);
+  EXPECT_FALSE(manifest.IsCold(0));
+  EXPECT_TRUE(manifest.IsCold(1));
+  EXPECT_TRUE(manifest.IsCold(2));
+  EXPECT_FALSE(manifest.IsCold(3));
+  EXPECT_EQ(manifest.shard_keys[3], 0u);
+  // The clean cold shard's segment is referenced as-is; every other
+  // shard got a fresh one.
+  for (size_t i = 0; i < 4; ++i) {
+    const std::string name =
+        base + ".seg-" + std::to_string(manifest.segment_ids[i]);
+    EXPECT_EQ(before.count(name), i == 1 ? 1u : 0u) << "shard " << i;
+  }
+  // Besides those files, only the segment the dirty cold shard still
+  // serves (its overlay is folded only into the checkpoint's copy)
+  // remains.
+  std::set<std::string> extra;
+  const std::set<std::string> expected = expected_files();
+  for (const std::string& name : FilesAt(prefix)) {
+    if (expected.count(name) == 0) extra.insert(name);
+  }
+  ASSERT_EQ(extra.size(), 1u);
+  EXPECT_EQ(before.count(*extra.begin()), 1u);
+
+  // Compacting that shard makes it clean: the next checkpoint leaves
+  // exactly the manifest, its segments and the live logs.
+  EXPECT_EQ(index.Compact(), 1u);
+  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+  EXPECT_EQ(FilesAt(prefix), expected_files());
+
+  Sharded recovered(TierOpts(4, prefix));
+  ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
+  ExpectMatchesOracle(recovered, oracle);
+  Cleanup(prefix);
 }
 
-TEST(TieredAlexTest, ManifestV4RoundTripsTierState) {
+// ---- Manifest formats ----
+
+TEST(TieredAlexTest, ManifestV5RoundTripsTierState) {
   ShardManifest<int64_t> manifest;
   manifest.boundaries = {1000};
   manifest.shard_keys = {400, 600};
   manifest.wal_ids = {3, 4};
   manifest.checkpoint_lsns = {17, 23};
   manifest.tier_tags = {internal::kTierResident, internal::kTierCold};
-  manifest.segment_ids = {0, 9};
+  manifest.segment_ids = {8, 9};
   manifest.next_segment_id = 10;
   manifest.generation = 2;
-  const std::string path = TempPrefix("tier-manifest-v4") + ".manifest";
+  const std::string path = TempPrefix("tier-manifest-v5") + ".manifest";
   ASSERT_EQ(WriteManifest(path, manifest), SnapshotStatus::kOk);
 
   ShardManifest<int64_t> loaded;
@@ -560,35 +608,47 @@ TEST(TieredAlexTest, ManifestV4RoundTripsTierState) {
   std::remove(path.c_str());
 }
 
-TEST(TieredAlexTest, V3ManifestLoadsAllResident) {
-  // Unit level: a v3 body reads back with implicit all-resident tiers.
+TEST(TieredAlexTest, V4ManifestIsBadVersion) {
+  // A v4 manifest names per-shard snapshot files for resident shards,
+  // which nothing reads any more: it must be refused outright.
+  const std::string prefix = TempPrefix("tier-v4-load");
+  Cleanup(prefix);
+  {
+    Sharded index(TierOpts(2, prefix));
+    BulkLoadStride3(&index, 1000);
+    ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+  }
+  // Stamp the committed manifest as v4, re-checksummed so the version is
+  // the only thing wrong with it (the checksum is FNV-1a over every byte
+  // before the trailing checksum word).
+  const std::string path = Sharded::ManifestPath(prefix);
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::vector<uint8_t> bytes(4096);
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+  std::fclose(f);
+  ASSERT_GT(bytes.size(), sizeof(ManifestHeader) + sizeof(uint64_t));
+  const uint32_t v4 = 4;
+  std::memcpy(bytes.data() + offsetof(ManifestHeader, version), &v4,
+              sizeof(v4));
+  const uint64_t checksum =
+      internal::Fnv1a(bytes.data(), bytes.size() - sizeof(uint64_t),
+                      internal::kFnvOffsetBasis);
+  std::memcpy(bytes.data() + bytes.size() - sizeof(uint64_t), &checksum,
+              sizeof(checksum));
+  f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+
   ShardManifest<int64_t> manifest;
-  manifest.boundaries = {500};
-  manifest.shard_keys = {2, 2};
-  const std::string path = TempPrefix("tier-manifest-v3") + ".manifest";
-  WriteV3Manifest(path, manifest);
-  ShardManifest<int64_t> loaded;
-  ASSERT_EQ(ReadManifest<int64_t>(path, &loaded), SnapshotStatus::kOk);
-  ASSERT_EQ(loaded.tier_tags.size(), 2u);
-  EXPECT_FALSE(loaded.IsCold(0));
-  EXPECT_FALSE(loaded.IsCold(1));
-  EXPECT_EQ(loaded.next_segment_id, 0u);
-  std::remove(path.c_str());
-
-  // Full stack: rewrite a fresh v4 checkpoint's manifest in the v3
-  // format and load the whole snapshot through it.
-  const std::string prefix = TempPrefix("tier-v3-load");
-  Sharded index(TierOpts(2, prefix));
-  const auto oracle = BulkLoadStride3(&index, 1000);
-  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
-  ShardManifest<int64_t> saved;
-  ASSERT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &saved),
-            SnapshotStatus::kOk);
-  WriteV3Manifest(Sharded::ManifestPath(prefix), saved);
-
-  Sharded loaded_index(TierOpts(2, prefix));
-  ASSERT_EQ(loaded_index.LoadFrom(prefix), SnapshotStatus::kOk);
-  ExpectMatchesOracle(loaded_index, oracle);
+  EXPECT_EQ(ReadManifest<int64_t>(path, &manifest),
+            SnapshotStatus::kBadVersion);
+  // A live index asked to load it stays untouched.
+  Sharded live(TierOpts(2, prefix));
+  const auto oracle = BulkLoadStride3(&live, 300);
+  EXPECT_EQ(live.LoadFrom(prefix), SnapshotStatus::kBadVersion);
+  ExpectMatchesOracle(live, oracle);
   Cleanup(prefix);
 }
 
@@ -596,21 +656,23 @@ TEST(TieredAlexTest, V3ManifestLoadsAllResident) {
 
 TEST(TieredAlexTest, CheckpointSweepsStraySegments) {
   const std::string prefix = TempPrefix("tier-stray");
+  Cleanup(prefix);
   {
     Sharded index(TierOpts(2, prefix));
     BulkLoadStride3(&index, 2000);
+    // The anchor checkpoint writes segments 1 and 2.
     ASSERT_EQ(index.EnableWal(prefix), wal::WalStatus::kOk);
-    // Demote after the anchor checkpoint: the segment file lands on
-    // disk, but the committed manifest still calls the shard resident —
-    // exactly the state a crash between segment write and manifest
-    // rename leaves behind.
+    // Demote after the anchor checkpoint: segment 3 lands on disk, but
+    // the committed manifest still calls the shard resident — exactly
+    // the state a crash between segment write and manifest rename
+    // leaves behind.
     ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
-    ASSERT_TRUE(FileExists(tier::SegmentPath(prefix, 1)));
+    ASSERT_TRUE(FileExists(tier::SegmentPath(prefix, 3)));
   }
   // More crash debris: an unreferenced segment with a high id and a
   // torn temp file from an interrupted segment write.
   const std::string stray_seg = tier::SegmentPath(prefix, 9);
-  const std::string stray_tmp = tier::SegmentPath(prefix, 3) + ".tmp";
+  const std::string stray_tmp = tier::SegmentPath(prefix, 4) + ".tmp";
   for (const std::string& path : {stray_seg, stray_tmp}) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -622,18 +684,23 @@ TEST(TieredAlexTest, CheckpointSweepsStraySegments) {
   ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
   // The manifest predates the demotion, so the shard comes back
   // resident; the orphaned segment is still on disk (LoadFrom never
-  // deletes), and the next checkpoint sweeps all three strays.
+  // deletes), and the next checkpoint — writing segments 10 and 11,
+  // above the debris — sweeps the strays and the superseded checkpoint.
   EXPECT_FALSE(recovered.IsShardCold(1));
-  EXPECT_TRUE(FileExists(tier::SegmentPath(prefix, 1)));
+  EXPECT_TRUE(FileExists(tier::SegmentPath(prefix, 3)));
   ASSERT_EQ(recovered.SaveTo(prefix), SnapshotStatus::kOk);
-  EXPECT_FALSE(FileExists(tier::SegmentPath(prefix, 1)));
+  for (const uint64_t id : {1, 2, 3}) {
+    EXPECT_FALSE(FileExists(tier::SegmentPath(prefix, id))) << id;
+  }
   EXPECT_FALSE(FileExists(stray_seg));
   EXPECT_FALSE(FileExists(stray_tmp));
+  EXPECT_TRUE(FileExists(tier::SegmentPath(prefix, 10)));
+  EXPECT_TRUE(FileExists(tier::SegmentPath(prefix, 11)));
 
   // The stray scan raised the id watermark past the debris: a fresh
   // demotion allocates above it instead of recycling swept names.
   ASSERT_EQ(recovered.DemoteShard(1), SnapshotStatus::kOk);
-  EXPECT_TRUE(FileExists(tier::SegmentPath(prefix, 10)));
+  EXPECT_TRUE(FileExists(tier::SegmentPath(prefix, 12)));
   Cleanup(prefix);
 }
 
@@ -669,8 +736,8 @@ TEST(TieredAlexTest, CorruptOrMissingSegmentIsRejectedDistinctly) {
     EXPECT_EQ(probe.size(), 0u);  // failed load left it untouched
   }
 
-  // A manifest-referenced segment the filesystem lacks is the same
-  // distinct error as a missing shard snapshot.
+  // A manifest-referenced segment the filesystem lacks is its own
+  // distinct error.
   ASSERT_EQ(std::remove(seg_path.c_str()), 0);
   {
     Sharded probe(TierOpts(2, prefix));

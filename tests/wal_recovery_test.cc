@@ -15,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "test_files.h"
 #include "wal/log_reader.h"
 #include "wal/wal_format.h"
 
@@ -26,22 +28,8 @@ using core::SnapshotStatus;
 using wal::SyncPolicy;
 using wal::WalStatus;
 
-std::string TempPrefix(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
-/// Removes every file (manifest, snapshots, segments) of a prefix.
-void Cleanup(const std::string& prefix) {
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 8; ++gen) {
-    for (size_t i = 0; i < 16; ++i) {
-      std::remove(Sharded::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
-}
+using test::TempPrefix;
+constexpr auto Cleanup = test::RemovePrefixFiles;
 
 wal::WalOptions Wal(SyncPolicy policy) {
   wal::WalOptions options;
@@ -585,10 +573,15 @@ TEST(WalRecoveryTest, PerShardReportNamesTheShardThatLostItsTail) {
 }
 
 TEST(WalRecoveryTest, CommitWaitHistogramSurvivesTopologyChanges) {
-  // Splits seal the victims' logs; their commit-wait samples must fold
-  // into the aggregate instead of vanishing with the sealed logs.
+  // Splits seal the victims' logs; the registry histogram keeps their
+  // commit-wait samples, since it outlives every log.
+#if defined(ALEX_DISABLE_OBS)
+  GTEST_SKIP() << "the registry is compiled out";
+#endif
   const std::string prefix = TempPrefix("recover-commitwait");
   Cleanup(prefix);
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Global().ResetAll();
   ShardedOptions options = Opts(1);
   options.min_rebalance_keys = 256;
   options.max_shard_keys = 1024;
@@ -601,8 +594,11 @@ TEST(WalRecoveryTest, CommitWaitHistogramSurvivesTopologyChanges) {
   }
   ASSERT_GT(index.rebalance_count(), 0u);
   // One sample per acknowledged logged commit — sealed logs included.
-  EXPECT_EQ(index.CommitWaitHistogram().total(),
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                .GetHistogram("wal.commit_wait_ns")
+                ->Count(),
             static_cast<uint64_t>(kN));
+  obs::SetEnabled(false);
   Cleanup(prefix);
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/serialization.h"
+#include "obs/metrics.h"
 #include "util/histogram.h"
 
 namespace alex::wal {
@@ -800,17 +801,28 @@ TEST(WalClockTest, ClockSurvivesRotationAndDestruction) {
 // ---- Commit-wait histogram ----
 
 TEST(WalLogTest, CommitWaitHistogramCountsEveryAck) {
+#if defined(ALEX_DISABLE_OBS)
+  GTEST_SKIP() << "the registry is compiled out";
+#endif
   const std::string prefix = TempPrefix("wal-commitwait");
   RemoveSegments(prefix);
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Global().ResetAll();
   Log log(prefix, 1, 0, 1, 0, NoSync());
   ASSERT_EQ(log.Open(), WalStatus::kOk);
   for (int64_t k = 0; k < 200; ++k) {
     const int64_t v = k;
     ASSERT_EQ(log.Log(WalRecordType::kInsert, k, &v), WalStatus::kOk);
   }
-  const util::Log2Histogram hist = log.CommitWaitHistogram();
-  EXPECT_EQ(hist.total(), 200u);
-  // Quantiles are well-defined (values are microseconds, possibly 0).
+  // A batch is one acknowledgement, hence one sample.
+  const int64_t keys[] = {1000, 1001, 1002};
+  ASSERT_EQ(log.LogBatch(WalRecordType::kInsert, keys, keys, 3),
+            WalStatus::kOk);
+  const util::Log2Histogram hist = obs::MetricsRegistry::Global()
+                                       .GetHistogram("wal.commit_wait_ns")
+                                       ->Snapshot();
+  obs::SetEnabled(false);
+  EXPECT_EQ(hist.total(), 201u);
   EXPECT_GE(hist.Quantile(0.99), hist.Quantile(0.5));
   RemoveSegments(prefix);
 }
