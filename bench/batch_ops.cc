@@ -1,8 +1,9 @@
 // Batched-vs-scalar sweep: batch size × workload mix, single-threaded.
 //
-// The batch API's claim is per-op overhead amortization (one epoch guard,
-// one leaf latch per leaf run, one router evaluation's gate per shard run)
-// plus the SIMD bounded in-leaf search — so the honest comparison is the
+// The batch API's claim is per-op overhead amortization (one epoch guard;
+// for MultiGet, overlapped cache misses across a group of descents; for
+// writes, one leaf latch per leaf run and one gate per shard run) plus
+// the SIMD bounded in-leaf search — so the honest comparison is the
 // same op stream driven through scalar calls vs Multi* calls on one
 // thread, with latency recorded per work unit (a group of `batch` ops) so
 // the p50/p99 columns compare like for like.
@@ -48,9 +49,10 @@ struct Streams {
   std::vector<K> inserts;  // distinct fresh odd keys, shuffled
 };
 
-/// Sorts each `batch`-sized chunk in place (MultiGet/MultiInsert take
-/// sorted batches; the scalar runner uses the same chunked stream so both
-/// modes touch identical keys in identical order).
+/// Sorts each `batch`-sized chunk in place (ConcurrentAlex's MultiInsert
+/// takes sorted batches; MultiGet takes any order but gets the same
+/// sorted chunks, and the scalar runner uses the same chunked stream, so
+/// all modes touch identical keys in identical order).
 void SortChunks(std::vector<K>* v, size_t batch) {
   for (size_t i = 0; i + batch <= v->size(); i += batch) {
     std::sort(v->begin() + static_cast<ptrdiff_t>(i),

@@ -111,11 +111,11 @@ double RunReadMostly(MakeIndex make, size_t threads, size_t preload,
 }
 
 /// Batched variant of RunReadMostly: the 19 reads of each 95/5 iteration
-/// go through ONE MultiGet call instead of 19 scalar Gets (one epoch
-/// guard and one latch per leaf run, predicted slots prefetched); the
-/// insert stays scalar, preserving the interleave. Each 19-key batch of
-/// the precomputed stream is sorted in advance — MultiGet's contract —
-/// so the timed loop measures batched index ops, not sorting.
+/// go through ONE MultiGet call instead of 19 scalar Gets (one grouped,
+/// prefetched descent per 16 keys); the insert stays scalar, preserving
+/// the interleave. MultiGet takes keys in any order, but each 19-key
+/// batch of the precomputed stream is sorted in advance anyway, which
+/// keeps the measured key order of earlier results.
 template <typename MakeIndex>
 double RunReadMostlyBatched(MakeIndex make, size_t threads, size_t preload,
                             double seconds) {

@@ -16,6 +16,7 @@
 // derived classes.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -24,6 +25,7 @@
 
 #include "models/linear_model.h"
 #include "util/bitmap.h"
+#include "util/prefetch.h"
 #include "util/search.h"
 #include "util/simd_scan.h"
 #include "util/simd_search.h"
@@ -200,13 +202,27 @@ class GappedStorage {
     return capacity();
   }
 
-  /// Software-prefetches the key and payload cachelines of slot
-  /// `predicted`, ahead of a batched probe (MultiGet issues these for the
-  /// whole run before the first search touches memory).
+  /// Capacity as last published by ResetStorage; readable without the
+  /// owner's latch (see PrefetchSlot).
+  size_t ProbeCapacity() const {
+    return probe_capacity_.load(std::memory_order_relaxed);
+  }
+
+  /// Software-prefetches the lines a probe at slot `predicted` reads: the
+  /// key, the occupancy-bitmap word and the payload (FindSlotBounded's
+  /// direct-hit check reads all three). MultiGet issues these for every
+  /// key of a group before any of them latches its leaf, so this reads
+  /// only the relaxed mirrors ResetStorage publishes, never the arrays
+  /// themselves: a mirror that a concurrent rebuild made stale costs a
+  /// wasted prefetch, not a wrong answer or a data race.
   void PrefetchSlot(size_t predicted) const {
-    if (predicted >= capacity()) return;
-    __builtin_prefetch(keys_.data() + predicted, 0, 1);
-    __builtin_prefetch(payloads_.data() + predicted, 0, 1);
+    if (predicted >= ProbeCapacity()) return;
+    util::PrefetchRead(probe_keys_.load(std::memory_order_relaxed),
+                       predicted * sizeof(K));
+    util::PrefetchRead(probe_bitmap_.load(std::memory_order_relaxed),
+                       (predicted >> 6) * sizeof(uint64_t));
+    util::PrefetchRead(probe_payloads_.load(std::memory_order_relaxed),
+                       predicted * sizeof(P));
   }
 
   /// Removes the key at occupied slot `slot`, restoring the gap-fill
@@ -367,6 +383,10 @@ class GappedStorage {
     bitmap_ = util::Bitmap(capacity);
     num_keys_ = 0;
     num_shifts_ = 0;
+    probe_keys_.store(keys_.data(), std::memory_order_relaxed);
+    probe_payloads_.store(payloads_.data(), std::memory_order_relaxed);
+    probe_bitmap_.store(bitmap_.words(), std::memory_order_relaxed);
+    probe_capacity_.store(capacity, std::memory_order_relaxed);
   }
 
   /// Places `n` sorted keys at the given strictly-increasing `positions`
@@ -424,6 +444,13 @@ class GappedStorage {
     }
   }
 
+  // Relaxed mirrors of the array bases and the capacity for PrefetchSlot.
+  // ResetStorage is the only place the arrays are reallocated, so it is
+  // the only writer.
+  std::atomic<const K*> probe_keys_{nullptr};
+  std::atomic<const P*> probe_payloads_{nullptr};
+  std::atomic<const uint64_t*> probe_bitmap_{nullptr};
+  std::atomic<size_t> probe_capacity_{0};
   std::vector<K> keys_;
   std::vector<P> payloads_;
   util::Bitmap bitmap_;

@@ -80,6 +80,7 @@
 #include "obs/inspect.h"
 #include "obs/metrics.h"
 #include "util/epoch.h"
+#include "util/prefetch.h"
 #include "util/simd_scan.h"
 
 namespace alex::core {
@@ -251,37 +252,131 @@ class ConcurrentAlex {
 
   // ---- Batched point operations ----
   //
-  // Each batch takes ONE epoch guard, and each *leaf run* — the maximal
-  // stretch of consecutive keys owned by the same leaf — takes one descent
-  // cascade (O(log run) routing probes instead of one per key) and one
-  // leaf latch. Keys MUST be sorted ascending: leaf ownership is a
+  // MultiGet takes keys in any order and walks them through the tree in
+  // groups of kMultiGetGroup, one level at a time (GroupGet): every key of
+  // the group computes and prefetches its next node before any of them
+  // dereferences one, so the cache misses of the group's descents overlap
+  // instead of queueing (group prefetching, Chen, Ailamaki, Gibbons &
+  // Mowry, ICDE 2004). MultiInsert and MultiErase need keys sorted
+  // ascending: each *leaf run*, the maximal stretch of consecutive keys
+  // owned by the same leaf, takes one descent cascade (O(log run) routing
+  // probes instead of one per key) and one leaf latch. Leaf ownership is a
   // contiguous key interval, so sortedness is what makes runs contiguous
-  // and the galloped run-boundary search valid. ShardedAlex sorts batches
-  // before calling these. Per-key results match the scalar ops exactly;
-  // batches are NOT atomic as a unit — each key linearizes individually,
-  // in batch order.
+  // and the galloped run-boundary search valid; ShardedAlex sorts write
+  // batches before calling these. MultiGet pins one epoch guard per
+  // group, MultiInsert and MultiErase one per call. Per-key results match
+  // the scalar ops exactly; batches are NOT atomic as a unit: each key
+  // linearizes individually, in batch order.
 
-  /// Batched Get. Fills `payloads[i]`/`found[i]` for each key; returns the
-  /// number found. Prefetches the run's predicted slots before probing.
+  /// Keys that one GroupGet pass walks through the tree together.
+  static constexpr size_t kMultiGetGroup = 16;
+
+  /// Batched Get over keys in any order. Fills `payloads[i]`/`found[i]`
+  /// for each key; returns the number found.
   size_t MultiGet(const K* keys, size_t n, P* payloads, bool* found) const {
-    assert(std::is_sorted(keys, keys + n));
+    return GroupGet([this](size_t) { return this; }, keys, n, payloads,
+                    found);
+  }
+
+  /// The batched lookup over (tree, key) pairs: key i is looked up in
+  /// `tree_at(i)`, a `const ConcurrentAlex*`; a null tree skips key i and
+  /// leaves its outputs untouched. Every tree must share one epoch
+  /// manager, as the shard layer's shards do. Returns the number found.
+  ///
+  /// Each group of kMultiGetGroup keys descends level by level: one pass
+  /// computes every pending key's child slot and prefetches it, the next
+  /// loads each child pointer and prefetches the child's head. At the
+  /// leaves, one pass prefetches each key's predicted-slot lines (key,
+  /// bitmap word, payload) and its latch line; only then does each key
+  /// take the shared leaf latch, check IsRetired() and copy its payload,
+  /// exactly as Get does, so per-key linearizability is Get's. Consecutive
+  /// keys that reached the same leaf share one hold of its latch. A key
+  /// whose leaf retired under it (a racing split) takes Get's re-descent.
+  ///
+  /// `tree_at` is called once per key, in key order, as the key's group
+  /// starts, and may do work of its own: the shard layer routes there and
+  /// serves cold shards' keys through the tier.
+  template <typename TreeAt>
+  static size_t GroupGet(TreeAt tree_at, const K* keys, size_t n,
+                         P* payloads, bool* found) {
     size_t hits = 0;
-    util::EpochManager::Guard guard(*epoch_);
-    size_t i = 0;
-    while (i < n) {
-      const DataNodeT* leaf = DescendAcquire(keys[i]);
-      ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
-      if (leaf->IsRetired()) { CountDescentRetry(); continue; }  // raced a split: re-descend
-      const size_t j = RunEnd(keys, n, i, leaf);
-      for (size_t k = i; k < j; ++k) leaf->PrefetchFor(keys[k]);
-      for (; i < j; ++i) {
-        const P* p = leaf->Find(keys[i]);
-        found[i] = p != nullptr;
-        if (p != nullptr) {
-          payloads[i] = *p;
-          ++hits;
+    for (size_t base = 0; base < n; base += kMultiGetGroup) {
+      const size_t m = std::min(kMultiGetGroup, n - base);
+      const ConcurrentAlex* tree[kMultiGetGroup];
+      const Node* node[kMultiGetGroup];
+      size_t slot[kMultiGetGroup];
+      size_t pending[kMultiGetGroup];  // group members above the leaves
+      size_t live = 0;
+      for (size_t k = 0; k < m; ++k) {
+        tree[k] = tree_at(base + k);
+        if (tree[k] != nullptr) pending[live++] = k;
+      }
+      if (live == 0) continue;
+      util::EpochManager::Guard guard(*tree[pending[0]]->epoch_);
+      for (size_t j = 0; j < live; ++j) {
+        const size_t k = pending[j];
+        assert(tree[k]->epoch_ == tree[pending[0]]->epoch_);
+        node[k] = tree[k]->index_.root_.load(std::memory_order_seq_cst);
+        util::PrefetchReadRange(node[k], kNodeHeadBytes);
+      }
+      while (true) {
+        size_t inner = 0;
+        for (size_t j = 0; j < live; ++j) {
+          const size_t k = pending[j];
+          if (node[k]->is_leaf()) continue;
+          const auto* parent = static_cast<const InnerNodeT*>(node[k]);
+          slot[k] = parent->ChildSlotFor(static_cast<double>(keys[base + k]));
+          parent->PrefetchSlot(slot[k]);
+          pending[inner++] = k;
         }
+        live = inner;
+        if (live == 0) break;
+        for (size_t j = 0; j < live; ++j) {
+          const size_t k = pending[j];
+          node[k] =
+              static_cast<const InnerNodeT*>(node[k])->ChildAcquire(slot[k]);
+          util::PrefetchReadRange(node[k], kNodeHeadBytes);
+        }
+      }
+      for (size_t k = 0; k < m; ++k) {
+        if (tree[k] == nullptr) continue;
+        const auto* leaf = static_cast<const DataNodeT*>(node[k]);
+        util::PrefetchReadRange(leaf, sizeof(DataNodeT));
+        leaf->PrefetchFor(keys[base + k]);
+        util::PrefetchWrite(&leaf->latch());
+      }
+      for (size_t k = 0; k < m;) {
+        if (tree[k] == nullptr) {
+          ++k;
+          continue;
+        }
+        const auto* leaf = static_cast<const DataNodeT*>(node[k]);
+        size_t end = k + 1;
+        while (end < m && tree[end] != nullptr && node[end] == leaf) ++end;
+        bool retired;
+        {
+          ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(),
+                                     "core.leaf_latch_contended",
+                                     "core.leaf_latch_wait_ns");
+          retired = leaf->IsRetired();
+          for (size_t j = k; j < end && !retired; ++j) {
+            const size_t i = base + j;
+            const P* p = leaf->Find(keys[i]);
+            found[i] = p != nullptr;
+            if (p != nullptr) {
+              payloads[i] = *p;
+              ++hits;
+            }
+          }
+        }
+        for (size_t j = k; j < end && retired; ++j) {
+          // Raced a split: re-descend with the latch dropped.
+          const size_t i = base + j;
+          CountDescentRetry();
+          found[i] = tree[j]->Get(keys[i], &payloads[i]);
+          if (found[i]) ++hits;
+        }
+        k = end;
       }
     }
     return hits;
@@ -614,6 +709,11 @@ class ConcurrentAlex {
 
  private:
   using InnerNodeT = InnerNode;
+
+  /// Bytes of a node's head that GroupGet prefetches on reaching it,
+  /// before it knows the node's kind: all of an inner node's routing
+  /// fields, and a leaf's probe mirrors and latch.
+  static constexpr size_t kNodeHeadBytes = 192;
 
   /// Telemetry for a failed leaf validation (the leaf retired under a
   /// racing structural change): the operation re-descends from the root.

@@ -43,12 +43,16 @@ class DataNode : public Node {
  public:
   using GappedArrayT = container::GappedArray<K, P>;
   using PmaT = container::Pma<K, P>;
+  using StorageBase = container::GappedStorage<K, P>;
 
   DataNode(const Config& config, Stats* stats)
       : Node(/*is_leaf=*/true), config_(&config), stats_(stats) {
     if (config.layout == NodeLayout::kPackedMemoryArray) {
       storage_.template emplace<PmaT>(config.pma_bounds);
     }
+    storage_base_ = Visit([](const auto& s) -> const StorageBase* {
+      return &s;
+    });
     BulkLoad(nullptr, nullptr, 0);
   }
 
@@ -108,13 +112,20 @@ class DataNode : public Node {
     }
   }
 
-  /// Software-prefetches the slots a probe of `key` will touch. Batched
-  /// lookups issue these for a whole run of keys before the first search.
+  /// Software-prefetches the slots a probe of `key` will touch. Safe
+  /// without the latch: MultiGet issues it for a whole group of keys
+  /// before the first of them latches its leaf, so it predicts the slot
+  /// from the relaxed model mirror and the storage's published capacity
+  /// (container::GappedStorage::PrefetchSlot), never from the fields a
+  /// writer rebuilds under the exclusive latch.
   void PrefetchFor(K key) const {
-    Visit([&](const auto& s) {
-      s.PrefetchSlot(PredictSlot(key));
-      return 0;
-    });
+    const size_t cap = storage_base_->ProbeCapacity();
+    if (cap == 0) return;
+    const model::LinearModel probe_model(
+        probe_slope_.load(std::memory_order_relaxed),
+        probe_intercept_.load(std::memory_order_relaxed));
+    storage_base_->PrefetchSlot(
+        probe_model.Predict(static_cast<double>(key), cap));
   }
 
   // Sibling links are atomics so the concurrent wrapper can splice the
@@ -212,6 +223,7 @@ class DataNode : public Node {
       }
     }
     RecomputeModelError();
+    PublishProbeModel();
   }
 
   /// Predicted slot for `key` — the model's prediction, or the array
@@ -554,6 +566,7 @@ class DataNode : public Node {
       }
     }
     RecomputeModelError();
+    PublishProbeModel();
   }
 
   /// Measures the build-time maximum |slot - Predict(key)| over occupied
@@ -575,6 +588,17 @@ class DataNode : public Node {
     }
   }
 
+  /// Mirrors the rebuilt model for PrefetchFor; a model-less node
+  /// predicts the midpoint, as PredictSlot does.
+  void PublishProbeModel() {
+    const model::LinearModel m =
+        has_model_ ? model_
+                   : model::LinearModel(
+                         0.0, static_cast<double>(capacity() / 2));
+    probe_slope_.store(m.slope(), std::memory_order_relaxed);
+    probe_intercept_.store(m.intercept(), std::memory_order_relaxed);
+  }
+
   // Accumulates the storage's shift counter before the storage is rebuilt
   // (rebuilds reset the embedded counter).
   void RetireStorageCounters() {
@@ -583,6 +607,12 @@ class DataNode : public Node {
 
   const Config* config_;
   Stats* stats_;
+  // What PrefetchFor reads without the latch: a relaxed mirror of the
+  // model, republished by every rebuild, and the storage's base class,
+  // fixed at construction because the alternative never changes.
+  std::atomic<double> probe_slope_{0.0};
+  std::atomic<double> probe_intercept_{0.0};
+  const StorageBase* storage_base_ = nullptr;
   mutable std::shared_mutex latch_;
   std::variant<GappedArrayT, PmaT> storage_;
   model::LinearModel model_;

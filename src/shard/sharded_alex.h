@@ -409,55 +409,59 @@ class ShardedAlex {
 
   // ---- Batched operations ----
   //
-  // Each batch is sorted once (an index permutation, so callers' arrays
-  // stay in caller order) and executed as one *shard run* at a time: the
-  // maximal stretch of consecutive sorted keys routing to one shard.
-  // Costs amortized per run instead of per key: one write-gate shared
-  // lock, one WAL group-commit batch (one reservation in the mapped log
-  // and at most one fdatasync(2) for the whole run), and — inside the
-  // shard — one epoch guard with one leaf latch per leaf run. The router
-  // is still evaluated once per key (run boundaries come from the
-  // router's own shard lower bounds, one comparison per key). Batches
-  // are not atomic as a unit; each key linearizes individually, exactly
-  // like the scalar ops.
+  // MultiGet routes each key once, in caller order. Keys of cold shards
+  // read through the tier as Get does; every other key goes straight
+  // into ConcurrentAlex::GroupGet, which walks a group of them through
+  // their shards' trees together with the group's cache misses
+  // overlapped. The batch is never sorted.
+  //
+  // Write batches are sorted once (an index permutation, so callers'
+  // arrays stay in caller order) and executed as one *shard run* at a
+  // time: the maximal stretch of consecutive sorted keys routing to one
+  // shard. Costs amortized per run instead of per key: one write-gate
+  // shared lock, one WAL group-commit batch (one reservation in the
+  // mapped log and at most one fdatasync(2) for the whole run), and,
+  // inside the shard, one epoch guard with one leaf latch per leaf run.
+  // The router is evaluated once per run; run boundaries come from the
+  // router's own shard lower bounds, one comparison per key.
+  //
+  // Batches are not atomic as a unit; each key linearizes individually,
+  // exactly like the scalar ops.
 
   /// Batched Get. Fills `payloads[i]`/`found[i]` per key (caller order);
   /// returns the number found. Lock-free at the shard layer, like Get.
+  /// Every routed key is charged to its shard's traffic, one RMW per run
+  /// of consecutive keys routed to the same shard.
   size_t MultiGet(const K* keys, size_t n, P* payloads, bool* found) const {
     if (n == 0) return 0;
     obs::ScopedOpTimer op_timer(obs::OpType::kMultiGet);
-    std::vector<size_t> order;
-    std::vector<K> sorted_keys;
-    SortBatch(keys, n, &order, &sorted_keys);
-    std::vector<P> run_payloads(n);
-    const std::unique_ptr<bool[]> run_found(new bool[n]());
-    size_t hits = 0;
     util::EpochManager::Guard guard(epoch_);
-    Table* table = table_.load(std::memory_order_seq_cst);
-    size_t i = 0;
-    while (i < n) {
-      const size_t idx = table->router.Route(sorted_keys[i]);
-      const size_t j = RunEnd(table, idx, sorted_keys, i);
-      Shard* shard = table->shards[idx].get();
-      shard->traffic.fetch_add(j - i, std::memory_order_relaxed);
-      if (shard->cold()) {
-        for (size_t k = i; k < j; ++k) {
-          run_found[k] = shard->TierGet(sorted_keys[k], &run_payloads[k],
-                                        &block_cache_);
-          hits += run_found[k] ? 1 : 0;
+    const Table* table = table_.load(std::memory_order_seq_cst);
+    const Shard* run_shard = nullptr;
+    uint64_t run_keys = 0;
+    size_t cold_hits = 0;
+    // GroupGet asks for each key's tree once, in caller order: route the
+    // key there, and serve a cold shard's key through the tier on the
+    // spot.
+    auto route = [&](size_t i) -> const core::ConcurrentAlex<K, P>* {
+      const Shard* shard = table->shards[table->router.Route(keys[i])].get();
+      if (shard != run_shard) {
+        if (run_shard != nullptr) {
+          run_shard->traffic.fetch_add(run_keys, std::memory_order_relaxed);
         }
-      } else {
-        hits += shard->index.MultiGet(sorted_keys.data() + i, j - i,
-                                      run_payloads.data() + i,
-                                      run_found.get() + i);
+        run_shard = shard;
+        run_keys = 0;
       }
-      i = j;
-    }
-    for (size_t k = 0; k < n; ++k) {
-      found[order[k]] = run_found[k];
-      if (run_found[k]) payloads[order[k]] = run_payloads[k];
-    }
-    return hits;
+      ++run_keys;
+      if (!shard->cold()) return &shard->index;
+      found[i] = shard->TierGet(keys[i], &payloads[i], &block_cache_);
+      if (found[i]) ++cold_hits;
+      return nullptr;
+    };
+    const size_t hits = core::ConcurrentAlex<K, P>::GroupGet(
+        route, keys, n, payloads, found);
+    run_shard->traffic.fetch_add(run_keys, std::memory_order_relaxed);
+    return hits + cold_hits;
   }
 
   /// Batched Insert; `inserted[i]` (when non-null, caller order) reports

@@ -185,7 +185,7 @@ class ShardedAlexAdapter {
   bool Insert(K key, const P& payload) { return index_.Insert(key, payload); }
   bool Find(K key) { return index_.Contains(key); }
   bool Erase(K key) { return index_.Erase(key); }
-  // Batched entry points (any key order; the shard layer sorts).
+  // Batched entry points (any key order; the shard layer sorts writes).
   size_t MultiGet(const K* keys, size_t n, P* payloads, bool* found) {
     return index_.MultiGet(keys, n, payloads, found);
   }
