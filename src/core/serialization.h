@@ -3,8 +3,8 @@
 // form of that — whole-index snapshots).
 //
 // Format: a fixed header, then the sorted key array, then the payload
-// array, then an FNV-1a checksum over the two arrays. Models and node
-// structure are NOT serialized: loading bulk-loads the pairs, which
+// array, then a util::Checksum64 digest over the two arrays. Models and
+// node structure are NOT serialized: loading bulk-loads the pairs, which
 // deterministically retrains models for the *loader's* configuration.
 // That keeps snapshots portable across config changes and is exactly the
 // paper's bulk-load path.
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/alex.h"
+#include "util/checksum.h"
 
 namespace alex::core {
 
@@ -87,8 +88,14 @@ namespace internal {
 
 // "ALEXSNAP" in ASCII.
 inline constexpr uint64_t kSnapshotMagic = 0x414C4558534E4150ULL;
-// Version 2 added the trailing content checksum.
-inline constexpr uint32_t kSnapshotVersion = 2;
+// Version 2 added the trailing content checksum; version 3 computes it
+// with util::Checksum64 instead of FNV-1a (same layout).
+inline constexpr uint32_t kSnapshotVersion = 3;
+
+// Elements per checksummed chunk. The writer streams and hashes the key
+// and payload arrays this many elements at a time, each chunk seeded
+// with the previous digest, and the reader hashes the same chunks.
+inline constexpr size_t kSnapshotChunk = 4096;
 
 /// RAII fclose so every early return in the readers closes the handle.
 struct FileCloser {
@@ -98,18 +105,15 @@ struct FileCloser {
   }
 };
 
-/// FNV-1a, chainable: pass the previous return value as `hash` to extend
-/// a running digest. Shared by the snapshot body checksum here and the
-/// shard manifest checksum (shard/manifest.h).
-inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
-
-inline uint64_t Fnv1a(const void* data, size_t n, uint64_t hash) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
+/// Extends `checksum` over `n` elements at `data` in the writer's
+/// kSnapshotChunk-element chunks.
+template <typename T>
+uint64_t ChecksumChunks(const T* data, size_t n, uint64_t checksum) {
+  for (size_t i = 0; i < n; i += kSnapshotChunk) {
+    const size_t m = std::min(kSnapshotChunk, n - i);
+    checksum = util::Checksum64(data + i, m * sizeof(T), checksum);
   }
-  return hash;
+  return checksum;
 }
 
 }  // namespace internal
@@ -127,10 +131,11 @@ struct SnapshotHeader {
 namespace internal {
 
 /// The one authoritative snapshot writer: header, key array, payload
-/// array (each in chunked passes), trailing FNV-1a checksum over the two
-/// arrays so interior corruption — not just truncation — is detected at
-/// load. `key_at(i)` / `payload_at(i)` supply element i, letting callers
-/// stream from any layout without materializing parallel arrays.
+/// array (each in kSnapshotChunk-element passes), trailing checksum over
+/// those chunks so interior corruption — not just truncation — is
+/// detected at load. `key_at(i)` / `payload_at(i)` supply element i,
+/// letting callers stream from any layout without materializing parallel
+/// arrays.
 template <typename K, typename P, typename KeyAt, typename PayloadAt>
 SnapshotStatus WriteSnapshotImpl(const std::string& path, size_t n,
                                  KeyAt key_at, PayloadAt payload_at) {
@@ -147,24 +152,24 @@ SnapshotStatus WriteSnapshotImpl(const std::string& path, size_t n,
   header.payload_size = sizeof(P);
   header.num_keys = n;
   bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1;
-  uint64_t checksum = kFnvOffsetBasis;
-  constexpr size_t kChunk = 4096;
+  uint64_t checksum = 0;
   std::vector<K> key_buf;
-  for (size_t i = 0; ok && i < n; i += kChunk) {
-    const size_t m = std::min(kChunk, n - i);
+  for (size_t i = 0; ok && i < n; i += kSnapshotChunk) {
+    const size_t m = std::min(kSnapshotChunk, n - i);
     key_buf.clear();
     for (size_t j = 0; j < m; ++j) key_buf.push_back(key_at(i + j));
-    checksum = Fnv1a(key_buf.data(), m * sizeof(K), checksum);
+    checksum = util::Checksum64(key_buf.data(), m * sizeof(K), checksum);
     ok = std::fwrite(key_buf.data(), sizeof(K), m, f) == m;
   }
   std::vector<P> payload_buf;
-  for (size_t i = 0; ok && i < n; i += kChunk) {
-    const size_t m = std::min(kChunk, n - i);
+  for (size_t i = 0; ok && i < n; i += kSnapshotChunk) {
+    const size_t m = std::min(kSnapshotChunk, n - i);
     payload_buf.clear();
     for (size_t j = 0; j < m; ++j) {
       payload_buf.push_back(payload_at(i + j));
     }
-    checksum = Fnv1a(payload_buf.data(), m * sizeof(P), checksum);
+    checksum = util::Checksum64(payload_buf.data(), m * sizeof(P),
+                                checksum);
     ok = std::fwrite(payload_buf.data(), sizeof(P), m, f) == m;
   }
   ok = ok && std::fwrite(&checksum, sizeof(checksum), 1, f) == 1;
@@ -240,7 +245,7 @@ SnapshotStatus ReadSnapshotFile(const std::string& path,
   }
   keys->resize(header.num_keys);
   payloads->resize(header.num_keys);
-  uint64_t checksum = internal::kFnvOffsetBasis;
+  uint64_t checksum = 0;
   if (header.num_keys > 0) {
     if (std::fread(keys->data(), sizeof(K), keys->size(), f) !=
             keys->size() ||
@@ -248,10 +253,9 @@ SnapshotStatus ReadSnapshotFile(const std::string& path,
             payloads->size()) {
       return SnapshotStatus::kTruncated;
     }
-    checksum = internal::Fnv1a(keys->data(), keys->size() * sizeof(K),
-                               checksum);
-    checksum = internal::Fnv1a(payloads->data(),
-                               payloads->size() * sizeof(P), checksum);
+    checksum = internal::ChecksumChunks(keys->data(), keys->size(), checksum);
+    checksum = internal::ChecksumChunks(payloads->data(), payloads->size(),
+                                        checksum);
   }
   uint64_t stored_checksum = 0;
   if (std::fread(&stored_checksum, sizeof(stored_checksum), 1, f) != 1) {

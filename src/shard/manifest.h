@@ -7,17 +7,18 @@
 // per-shard key counts (so a load can detect a segment file that was
 // swapped or rebuilt independently of its manifest).
 //
-// Layout (format v5): ManifestHeader, boundaries (num_shards-1 keys),
+// Layout (format v6): ManifestHeader, boundaries (num_shards-1 keys),
 // per-shard key counts (num_shards uint64s), per-shard WAL ids and
 // checkpoint LSNs (num_shards uint64s each; all zero when the WAL is
 // disabled), per-shard tier tags and segment ids (num_shards uint64s
 // each; every shard's contents live in its .seg-<id> file, and the tag
 // says what recovery builds from it: 0 = a resident tree bulk-loaded
 // from the segment, 1 = a cold shard serving the segment in place), the
-// next segment id to allocate (one uint64), then a trailing FNV-1a
-// checksum over everything before it. Only v5 loads: v3/v4 manifests
-// name per-shard snapshot files that no reader understands any more, so
-// they fail with kBadVersion.
+// next segment id to allocate (one uint64), then a trailing
+// util::Checksum64 digest over everything before it, in one pass. Only v6
+// loads: v3/v4 manifests name per-shard snapshot files that no reader
+// understands any more, and v5 has the same layout under the FNV-1a
+// checksum v6 replaced, so all of them fail with kBadVersion.
 // The WAL fields make the manifest the checkpoint record: shard i's
 // segment captures exactly the effects of its log's records up to
 // checkpoint_lsns[i], so recovery replays only what came after —
@@ -35,12 +36,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "core/serialization.h"
 #include "models/linear_model.h"
+#include "util/checksum.h"
 
 namespace alex::shard {
 
@@ -53,16 +56,13 @@ inline constexpr uint64_t kManifestMagic = 0x414C455853485244ULL;
 // contract (each shard file + wal lineage replays independently);
 // version 4 added the per-shard tier tags + cold segment ids and the
 // next-segment-id watermark; version 5 gives every shard a segment (the
-// only durable shard format). Readers accept v5 alone.
-inline constexpr uint32_t kManifestVersion = 5;
+// only durable shard format); version 6 replaced FNV-1a with
+// util::Checksum64 (same layout). Readers accept v6 alone.
+inline constexpr uint32_t kManifestVersion = 6;
 
 /// Tier tag values stored in ShardManifest::tier_tags.
 inline constexpr uint64_t kTierResident = 0;
 inline constexpr uint64_t kTierCold = 1;
-
-// The checksum primitive is shared with the snapshot body checksum.
-using core::internal::Fnv1a;
-using core::internal::kFnvOffsetBasis;
 
 }  // namespace internal
 
@@ -122,13 +122,30 @@ struct ShardManifest {
   }
 };
 
+namespace internal {
+
+/// Appends the raw bytes of `n` elements at `data` to `out`.
+template <typename T>
+void AppendBytes(std::vector<uint8_t>* out, const T* data, size_t n) {
+  const auto* bytes = reinterpret_cast<const uint8_t*>(data);
+  out->insert(out->end(), bytes, bytes + n * sizeof(T));
+}
+
+/// Copies `n` elements out of `*at` and advances it past them.
+template <typename T>
+void TakeBytes(const uint8_t** at, std::vector<T>* out, size_t n) {
+  out->resize(n);
+  if (n > 0) std::memcpy(out->data(), *at, n * sizeof(T));
+  *at += n * sizeof(T);
+}
+
+}  // namespace internal
+
 template <typename K>
 core::SnapshotStatus WriteManifest(const std::string& path,
                                    const ShardManifest<K>& manifest) {
   static_assert(std::is_trivially_copyable_v<K>,
                 "keys must be trivially copyable");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return core::SnapshotStatus::kIoError;
   ManifestHeader header;
   header.magic = internal::kManifestMagic;
   header.version = internal::kManifestVersion;
@@ -153,54 +170,25 @@ core::SnapshotStatus WriteManifest(const std::string& path,
   tier_tags.resize(manifest.num_shards(), internal::kTierResident);
   segment_ids.resize(manifest.num_shards(), 0);
 
-  uint64_t checksum = internal::Fnv1a(&header, sizeof(header),
-                                      internal::kFnvOffsetBasis);
-  checksum = internal::Fnv1a(manifest.boundaries.data(),
-                             manifest.boundaries.size() * sizeof(K),
-                             checksum);
-  checksum = internal::Fnv1a(manifest.shard_keys.data(),
-                             manifest.shard_keys.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(wal_ids.data(),
-                             wal_ids.size() * sizeof(uint64_t), checksum);
-  checksum = internal::Fnv1a(checkpoint_lsns.data(),
-                             checkpoint_lsns.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(tier_tags.data(),
-                             tier_tags.size() * sizeof(uint64_t), checksum);
-  checksum = internal::Fnv1a(segment_ids.data(),
-                             segment_ids.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(&manifest.next_segment_id, sizeof(uint64_t),
-                             checksum);
+  // The file image, header through next_segment_id, then its checksum.
+  std::vector<uint8_t> image;
+  internal::AppendBytes(&image, &header, 1);
+  internal::AppendBytes(&image, manifest.boundaries.data(),
+                        manifest.boundaries.size());
+  internal::AppendBytes(&image, manifest.shard_keys.data(),
+                        manifest.shard_keys.size());
+  internal::AppendBytes(&image, wal_ids.data(), wal_ids.size());
+  internal::AppendBytes(&image, checkpoint_lsns.data(),
+                        checkpoint_lsns.size());
+  internal::AppendBytes(&image, tier_tags.data(), tier_tags.size());
+  internal::AppendBytes(&image, segment_ids.data(), segment_ids.size());
+  internal::AppendBytes(&image, &manifest.next_segment_id, 1);
+  const uint64_t checksum = util::Checksum64(image.data(), image.size(), 0);
+  internal::AppendBytes(&image, &checksum, 1);
 
-  bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1;
-  if (ok && !manifest.boundaries.empty()) {
-    ok = std::fwrite(manifest.boundaries.data(), sizeof(K),
-                     manifest.boundaries.size(),
-                     f) == manifest.boundaries.size();
-  }
-  if (ok && !manifest.shard_keys.empty()) {
-    ok = std::fwrite(manifest.shard_keys.data(), sizeof(uint64_t),
-                     manifest.shard_keys.size(),
-                     f) == manifest.shard_keys.size();
-  }
-  if (ok && !wal_ids.empty()) {
-    ok = std::fwrite(wal_ids.data(), sizeof(uint64_t), wal_ids.size(),
-                     f) == wal_ids.size();
-    ok = ok && std::fwrite(checkpoint_lsns.data(), sizeof(uint64_t),
-                           checkpoint_lsns.size(),
-                           f) == checkpoint_lsns.size();
-  }
-  if (ok && !tier_tags.empty()) {
-    ok = std::fwrite(tier_tags.data(), sizeof(uint64_t), tier_tags.size(),
-                     f) == tier_tags.size();
-    ok = ok && std::fwrite(segment_ids.data(), sizeof(uint64_t),
-                           segment_ids.size(), f) == segment_ids.size();
-  }
-  ok = ok && std::fwrite(&manifest.next_segment_id, sizeof(uint64_t), 1,
-                         f) == 1;
-  ok = ok && std::fwrite(&checksum, sizeof(checksum), 1, f) == 1;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return core::SnapshotStatus::kIoError;
+  bool ok = std::fwrite(image.data(), 1, image.size(), f) == image.size();
   ok = std::fclose(f) == 0 && ok;
   return ok ? core::SnapshotStatus::kOk : core::SnapshotStatus::kIoError;
 }
@@ -261,69 +249,30 @@ core::SnapshotStatus ReadManifest(const std::string& path,
     return core::SnapshotStatus::kTruncated;
   }
 
-  out->boundaries.resize(header.num_shards - 1);
-  out->shard_keys.resize(header.num_shards);
-  out->wal_ids.resize(header.num_shards);
-  out->checkpoint_lsns.resize(header.num_shards);
-  if (!out->boundaries.empty() &&
-      std::fread(out->boundaries.data(), sizeof(K), out->boundaries.size(),
-                 f) != out->boundaries.size()) {
+  // The checksummed image is contiguous: header through next_segment_id.
+  std::vector<uint8_t> image(sizeof(header) + body_bytes + tail_bytes);
+  std::memcpy(image.data(), &header, sizeof(header));
+  const size_t rest = image.size() - sizeof(header);
+  if (std::fread(image.data() + sizeof(header), 1, rest, f) != rest) {
     return core::SnapshotStatus::kTruncated;
   }
-  if (std::fread(out->shard_keys.data(), sizeof(uint64_t),
-                 out->shard_keys.size(), f) != out->shard_keys.size()) {
-    return core::SnapshotStatus::kTruncated;
-  }
-  if (std::fread(out->wal_ids.data(), sizeof(uint64_t),
-                 out->wal_ids.size(), f) != out->wal_ids.size()) {
-    return core::SnapshotStatus::kTruncated;
-  }
-  if (std::fread(out->checkpoint_lsns.data(), sizeof(uint64_t),
-                 out->checkpoint_lsns.size(),
-                 f) != out->checkpoint_lsns.size()) {
-    return core::SnapshotStatus::kTruncated;
-  }
-  out->tier_tags.resize(header.num_shards);
-  out->segment_ids.resize(header.num_shards);
-  if (std::fread(out->tier_tags.data(), sizeof(uint64_t),
-                 out->tier_tags.size(), f) != out->tier_tags.size()) {
-    return core::SnapshotStatus::kTruncated;
-  }
-  if (std::fread(out->segment_ids.data(), sizeof(uint64_t),
-                 out->segment_ids.size(), f) != out->segment_ids.size()) {
-    return core::SnapshotStatus::kTruncated;
-  }
-  uint64_t next_segment_id = 0;
-  if (std::fread(&next_segment_id, sizeof(next_segment_id), 1, f) != 1) {
-    return core::SnapshotStatus::kTruncated;
-  }
+  const size_t covered = image.size() - sizeof(uint64_t);
   uint64_t stored_checksum = 0;
-  if (std::fread(&stored_checksum, sizeof(stored_checksum), 1, f) != 1) {
-    return core::SnapshotStatus::kTruncated;
-  }
-  uint64_t checksum = internal::Fnv1a(&header, sizeof(header),
-                                      internal::kFnvOffsetBasis);
-  checksum = internal::Fnv1a(out->boundaries.data(),
-                             out->boundaries.size() * sizeof(K), checksum);
-  checksum = internal::Fnv1a(out->shard_keys.data(),
-                             out->shard_keys.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(out->wal_ids.data(),
-                             out->wal_ids.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(out->checkpoint_lsns.data(),
-                             out->checkpoint_lsns.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(out->tier_tags.data(),
-                             out->tier_tags.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(out->segment_ids.data(),
-                             out->segment_ids.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(&next_segment_id, sizeof(uint64_t), checksum);
-  if (checksum != stored_checksum) {
+  std::memcpy(&stored_checksum, image.data() + covered,
+              sizeof(stored_checksum));
+  if (util::Checksum64(image.data(), covered, 0) != stored_checksum) {
     return core::SnapshotStatus::kChecksumMismatch;
   }
+  const size_t n = header.num_shards;
+  const uint8_t* at = image.data() + sizeof(header);
+  internal::TakeBytes(&at, &out->boundaries, n - 1);
+  internal::TakeBytes(&at, &out->shard_keys, n);
+  internal::TakeBytes(&at, &out->wal_ids, n);
+  internal::TakeBytes(&at, &out->checkpoint_lsns, n);
+  internal::TakeBytes(&at, &out->tier_tags, n);
+  internal::TakeBytes(&at, &out->segment_ids, n);
+  uint64_t next_segment_id = 0;
+  std::memcpy(&next_segment_id, at, sizeof(next_segment_id));
   if (header.total_keys != out->total_keys()) {
     return core::SnapshotStatus::kChecksumMismatch;
   }

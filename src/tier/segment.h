@@ -8,7 +8,7 @@
 // File layout (little-endian, fixed-width fields, no padding):
 //
 //   SegmentHeader                      88 bytes, self-checksummed
-//   block_checksums  u64[num_blocks]   FNV-1a of each block's raw bytes
+//   block_checksums  u64[num_blocks]   Checksum64 of each block's bytes
 //   fence_keys       K[num_blocks]     first key of each block (sorted)
 //   blocks           block i = K[m_i] keys then P[m_i] payloads, where
 //                    m_i = keys_per_block except a short final block;
@@ -33,12 +33,14 @@
 // so every range check below rejects every key without a branch of its
 // own.
 //
-// Integrity: every block carries its own FNV-1a checksum (verified on
-// every cache miss load and by VerifyAllBlocks at recovery), the metadata
-// arrays are covered by meta_checksum, and the header by header_checksum.
-// Any mismatch surfaces as core::SnapshotStatus::kSegmentCorrupt —
-// distinct from kTruncated/kBadMagic so a flipped byte is never mistaken
-// for a torn or foreign file.
+// Integrity: every block carries its own util::Checksum64 digest
+// (verified on every cache miss load and by VerifyAllBlocks at recovery),
+// the two metadata arrays are covered by one meta_checksum over their
+// contiguous bytes, and the header by header_checksum. Any mismatch
+// surfaces as core::SnapshotStatus::kSegmentCorrupt — distinct from
+// kTruncated/kBadMagic so a flipped byte is never mistaken for a torn or
+// foreign file. The version is checked before the header checksum, so a
+// file of an older format version reads as kBadVersion.
 #pragma once
 
 #include <fcntl.h>
@@ -56,6 +58,7 @@
 
 #include "core/serialization.h"
 #include "models/linear_model.h"
+#include "util/checksum.h"
 
 namespace alex::tier {
 
@@ -63,7 +66,8 @@ namespace internal {
 
 // "ALEXCSEG" in ASCII.
 inline constexpr uint64_t kSegmentMagic = 0x414C455843534547ULL;
-inline constexpr uint64_t kSegmentVersion = 1;
+// Version 2 replaced FNV-1a with util::Checksum64 (same layout).
+inline constexpr uint64_t kSegmentVersion = 2;
 
 /// Unaligned typed load: block payloads start at keys_per_block * |K|,
 /// which is not a multiple of alignof(P) for every K/P pairing, and the
@@ -94,6 +98,12 @@ struct SegmentHeader {
   uint64_t header_checksum = 0;
 };
 static_assert(sizeof(SegmentHeader) == 88, "segment header must be packed");
+
+/// Checksum of a segment header (over every field before header_checksum).
+inline uint64_t SegmentHeaderChecksum(const SegmentHeader& header) {
+  return util::Checksum64(
+      &header, sizeof(header) - sizeof(header.header_checksum), 0);
+}
 
 /// Path of segment `id` at `prefix` (beside the manifest / WAL files).
 inline std::string SegmentPath(const std::string& prefix, uint64_t id) {
@@ -141,21 +151,24 @@ core::SnapshotStatus WriteSegmentFile(const std::string& path,
   const size_t kpb = keys_per_block;
   const size_t num_blocks = (n + kpb - 1) / kpb;
 
-  std::vector<K> fence(num_blocks);
-  std::vector<uint64_t> checksums(num_blocks);
+  // The metadata exactly as it lies on disk: the block checksums, then
+  // the fence keys, so meta_checksum is one pass over contiguous bytes.
+  std::vector<uint8_t> meta(num_blocks * (sizeof(uint64_t) + sizeof(K)));
+  uint8_t* const fence_bytes = meta.data() + num_blocks * sizeof(uint64_t);
   model::LinearModelBuilder fence_fit;
   std::vector<uint8_t> block;
   for (size_t b = 0; b < num_blocks; ++b) {
     const size_t lo = b * kpb;
     const size_t m = std::min(kpb, n - lo);
-    fence[b] = keys[lo];
+    std::memcpy(fence_bytes + b * sizeof(K), keys + lo, sizeof(K));
     fence_fit.Add(static_cast<double>(keys[lo]), static_cast<double>(b));
     block.resize(m * (sizeof(K) + sizeof(P)));
     std::memcpy(block.data(), keys + lo, m * sizeof(K));
     std::memcpy(block.data() + m * sizeof(K), payloads + lo,
                 m * sizeof(P));
-    checksums[b] = core::internal::Fnv1a(block.data(), block.size(),
-                                         core::internal::kFnvOffsetBasis);
+    const uint64_t checksum = util::Checksum64(block.data(), block.size(), 0);
+    std::memcpy(meta.data() + b * sizeof(uint64_t), &checksum,
+                sizeof(checksum));
   }
   const model::LinearModel fence_model = fence_fit.Build();
 
@@ -167,23 +180,14 @@ core::SnapshotStatus WriteSegmentFile(const std::string& path,
   header.num_blocks = num_blocks;
   header.fence_slope = fence_model.slope();
   header.fence_intercept = fence_model.intercept();
-  uint64_t meta = core::internal::Fnv1a(checksums.data(),
-                                        num_blocks * sizeof(uint64_t),
-                                        core::internal::kFnvOffsetBasis);
-  meta = core::internal::Fnv1a(fence.data(), num_blocks * sizeof(K), meta);
-  header.meta_checksum = meta;
-  header.header_checksum = core::internal::Fnv1a(
-      &header, sizeof(header) - sizeof(header.header_checksum),
-      core::internal::kFnvOffsetBasis);
+  header.meta_checksum = util::Checksum64(meta.data(), meta.size(), 0);
+  header.header_checksum = SegmentHeaderChecksum(header);
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return core::SnapshotStatus::kIoError;
   bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1;
-  if (num_blocks > 0) {  // an empty segment is its header alone
-    ok = ok && std::fwrite(checksums.data(), sizeof(uint64_t), num_blocks,
-                           f) == num_blocks;
-    ok = ok && std::fwrite(fence.data(), sizeof(K), num_blocks, f) ==
-                   num_blocks;
+  if (!meta.empty()) {  // an empty segment is its header alone
+    ok = ok && std::fwrite(meta.data(), 1, meta.size(), f) == meta.size();
   }
   for (size_t b = 0; ok && b < num_blocks; ++b) {
     const size_t lo = b * kpb;
@@ -308,8 +312,7 @@ class ColdSegment {
     const size_t bytes = BlockBytes(b);
     out->resize(bytes);
     std::memcpy(out->data(), base_ + BlockOffset(b), bytes);
-    const uint64_t checksum = core::internal::Fnv1a(
-        out->data(), bytes, core::internal::kFnvOffsetBasis);
+    const uint64_t checksum = util::Checksum64(out->data(), bytes, 0);
     return checksum == checksums_[b] ? core::SnapshotStatus::kOk
                                      : core::SnapshotStatus::kSegmentCorrupt;
   }
@@ -405,14 +408,11 @@ class ColdSegment {
     if (header.magic != internal::kSegmentMagic) {
       return core::SnapshotStatus::kBadMagic;
     }
-    const uint64_t header_checksum = core::internal::Fnv1a(
-        &header, sizeof(header) - sizeof(header.header_checksum),
-        core::internal::kFnvOffsetBasis);
-    if (header_checksum != header.header_checksum) {
-      return core::SnapshotStatus::kSegmentCorrupt;
-    }
     if (header.version != internal::kSegmentVersion) {
       return core::SnapshotStatus::kBadVersion;
+    }
+    if (SegmentHeaderChecksum(header) != header.header_checksum) {
+      return core::SnapshotStatus::kSegmentCorrupt;
     }
     if (header.key_size != sizeof(K)) {
       return core::SnapshotStatus::kKeySizeMismatch;
@@ -450,11 +450,9 @@ class ColdSegment {
     const uint8_t* checksum_bytes = base_ + sizeof(SegmentHeader);
     const uint8_t* fence_bytes =
         checksum_bytes + header.num_blocks * sizeof(uint64_t);
-    uint64_t meta = core::internal::Fnv1a(
-        checksum_bytes, header.num_blocks * sizeof(uint64_t),
-        core::internal::kFnvOffsetBasis);
-    meta = core::internal::Fnv1a(fence_bytes,
-                                 header.num_blocks * sizeof(K), meta);
+    const uint64_t meta = util::Checksum64(
+        checksum_bytes, header.num_blocks * (sizeof(uint64_t) + sizeof(K)),
+        0);
     if (meta != header.meta_checksum) {
       return core::SnapshotStatus::kSegmentCorrupt;
     }

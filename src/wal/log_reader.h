@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "core/serialization.h"
 #include "wal/wal_format.h"
 
 namespace alex::wal {
@@ -199,8 +200,9 @@ WalStatus ReadWalSegment(const std::string& path, WalSegmentInfo* info,
       info->tail_truncated = true;  // body runs past EOF
       return WalStatus::kOk;
     }
-    const uint8_t* body = data.data() + at + sizeof(rec);
-    if (rec.checksum != WalRecordChecksum(rec, body)) {
+    const uint8_t* record = data.data() + at;
+    const uint8_t* body = record + sizeof(rec);
+    if (rec.checksum != WalRecordChecksum(record, rec.body_len)) {
       if (at + sizeof(rec) + rec.body_len >= end) {
         info->tail_truncated = true;  // final record, torn mid-write
         return WalStatus::kOk;

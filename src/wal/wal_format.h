@@ -5,10 +5,10 @@
 // wal id), its position in that log (a rotation sequence number and the
 // LSN the log had when the segment was opened), and the lineage link used
 // by recovery after a shard split (the parent wal id). After the header
-// come back-to-back records: a fixed header (FNV-1a checksum, LSN, type,
-// body length) followed by a type-determined body (key, and for
-// Insert/Update the payload). LSNs are per-shard and contiguous, so a
-// reader can detect any dropped or reordered record.
+// come back-to-back records: a fixed header (checksum, LSN, type, body
+// length) followed by a type-determined body (key, and for Insert/Update
+// the payload). Every checksum is util::Checksum64. LSNs are per-shard
+// and contiguous, so a reader can detect any dropped or reordered record.
 //
 // Wal ids are allocated from one monotonic counter, and a shard created
 // by a topology transaction (split, merge, rebalance) always has a
@@ -37,6 +37,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -44,7 +45,7 @@
 #include <string>
 #include <vector>
 
-#include "core/serialization.h"
+#include "util/checksum.h"
 
 namespace alex::wal {
 
@@ -159,11 +160,8 @@ namespace internal {
 
 // "ALEXWALS" in ASCII.
 inline constexpr uint64_t kWalMagic = 0x414C455857414C53ULL;
-inline constexpr uint32_t kWalVersion = 1;
-
-// The checksum primitive is shared with the snapshot/manifest formats.
-using core::internal::Fnv1a;
-using core::internal::kFnvOffsetBasis;
+// Version 2 replaced FNV-1a with util::Checksum64 (same layout).
+inline constexpr uint32_t kWalVersion = 2;
 
 }  // namespace internal
 
@@ -181,12 +179,13 @@ struct WalSegmentHeader {
   uint64_t parent_wal_id = 0;  ///< sealed log this shard split from; 0 = root
   uint64_t seq = 0;            ///< rotation sequence within the wal id
   uint64_t start_lsn = 0;
-  uint64_t header_checksum = 0;  ///< FNV-1a over every field above
+  uint64_t header_checksum = 0;  ///< Checksum64 over every field above
 };
 
 /// Fixed per-record header; the body (key, optional payload) follows.
-/// `checksum` is FNV-1a over (lsn, type, body_len, body bytes), so a torn
-/// or corrupted record cannot replay.
+/// `checksum` is Checksum64 over the record's bytes after itself (lsn,
+/// type, body_len, body — contiguous on disk, hashed in one pass), so a
+/// torn or corrupted record cannot replay.
 struct WalRecordHeader {
   uint64_t checksum = 0;
   uint64_t lsn = 0;
@@ -212,21 +211,18 @@ constexpr size_t WalBodyLen(uint32_t type) {
   return SIZE_MAX;
 }
 
-/// Checksum of one record given its header fields and body bytes.
-inline uint64_t WalRecordChecksum(const WalRecordHeader& header,
-                                  const void* body) {
-  uint64_t sum = internal::Fnv1a(&header.lsn, sizeof(header.lsn),
-                                 internal::kFnvOffsetBasis);
-  sum = internal::Fnv1a(&header.type, sizeof(header.type), sum);
-  sum = internal::Fnv1a(&header.body_len, sizeof(header.body_len), sum);
-  return internal::Fnv1a(body, header.body_len, sum);
+/// Checksum of the encoded record at `record` whose body is `body_len`
+/// bytes: every byte after the checksum field, lsn through the body.
+inline uint64_t WalRecordChecksum(const uint8_t* record, uint32_t body_len) {
+  constexpr size_t kFrom = offsetof(WalRecordHeader, lsn);
+  return util::Checksum64(record + kFrom,
+                          sizeof(WalRecordHeader) - kFrom + body_len, 0);
 }
 
 /// Checksum of a segment header (over every field before header_checksum).
 inline uint64_t WalHeaderChecksum(const WalSegmentHeader& header) {
-  return internal::Fnv1a(
-      &header, sizeof(WalSegmentHeader) - sizeof(uint64_t),
-      internal::kFnvOffsetBasis);
+  return util::Checksum64(&header,
+                          sizeof(WalSegmentHeader) - sizeof(uint64_t), 0);
 }
 
 /// On-disk bytes of one record of a fixed-body type (header + body).
@@ -241,6 +237,13 @@ inline constexpr size_t WalTopologyRecordBytes(size_t num_parents) {
   return sizeof(WalRecordHeader) + (1 + num_parents) * sizeof(uint64_t);
 }
 
+/// Fills in the checksum field of the record encoded at `out`.
+inline void StampWalRecordChecksum(uint8_t* out, uint32_t body_len) {
+  const uint64_t checksum = WalRecordChecksum(out, body_len);
+  std::memcpy(out + offsetof(WalRecordHeader, checksum), &checksum,
+              sizeof(checksum));
+}
+
 /// Encodes one fixed-body record (header + body) in place at `out`,
 /// which must have room for WalRecordBytes<K, P>(type).
 template <typename K, typename P>
@@ -250,13 +253,13 @@ void EncodeWalRecord(uint8_t* out, uint64_t lsn, WalRecordType type,
   header.lsn = lsn;
   header.type = static_cast<uint32_t>(type);
   header.body_len = static_cast<uint32_t>(WalBodyLen<K, P>(header.type));
+  std::memcpy(out, &header, sizeof(header));
   uint8_t* body = out + sizeof(header);
   if (header.body_len >= sizeof(K)) std::memcpy(body, &key, sizeof(K));
   if (header.body_len == sizeof(K) + sizeof(P)) {
     std::memcpy(body + sizeof(K), payload, sizeof(P));
   }
-  header.checksum = WalRecordChecksum(header, body);
-  std::memcpy(out, &header, sizeof(header));
+  StampWalRecordChecksum(out, header.body_len);
 }
 
 /// Encodes one kTopology record listing `parents` (at most
@@ -269,13 +272,13 @@ inline void EncodeWalTopologyRecord(uint8_t* out, uint64_t lsn,
   header.type = static_cast<uint32_t>(WalRecordType::kTopology);
   header.body_len = static_cast<uint32_t>(
       WalTopologyRecordBytes(parents.size()) - sizeof(header));
+  std::memcpy(out, &header, sizeof(header));
   const uint64_t count = parents.size();
   uint8_t* body = out + sizeof(header);
   std::memcpy(body, &count, sizeof(count));
   std::memcpy(body + sizeof(count), parents.data(),
               parents.size() * sizeof(uint64_t));
-  header.checksum = WalRecordChecksum(header, body);
-  std::memcpy(out, &header, sizeof(header));
+  StampWalRecordChecksum(out, header.body_len);
 }
 
 // ---- File naming ----

@@ -199,6 +199,89 @@ TEST(SerializationRobustnessTest, WrongVersionIsDistinct) {
   std::remove(path.c_str());
 }
 
+TEST(SerializationRobustnessTest, PreviousVersionIsBadVersion) {
+  // A v2 snapshot has this layout under the old checksum. The checksum
+  // covers only the two arrays, so re-stamping the version needs no
+  // re-checksum for the version to be the only thing wrong.
+  const std::string path = WriteSmallSnapshot("previous-version.alex");
+  AlexInt loaded;
+  ASSERT_EQ(LoadIndexEx(&loaded, path), SnapshotStatus::kOk);
+  const uint32_t previous = internal::kSnapshotVersion - 1;
+  PatchFile(path, offsetof(SnapshotHeader, version), &previous,
+            sizeof(previous));
+  EXPECT_EQ(LoadIndexEx(&loaded, path), SnapshotStatus::kBadVersion);
+  std::remove(path.c_str());
+}
+
+// The writer checksums each array in kSnapshotChunk-element chunks, every
+// chunk seeded with the previous digest; the reader must hash the same
+// chunks. Sizes straddle the chunk boundary on both sides.
+TEST(SerializationRobustnessTest, ChunkBoundariesRoundTripAndDetectFlips) {
+  constexpr size_t kChunk = internal::kSnapshotChunk;
+  for (const size_t n : {size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+                         3 * kChunk + 5}) {
+    SCOPED_TRACE(n);
+    std::vector<int64_t> keys(n), payloads(n);
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = static_cast<int64_t>(i) * 7 - 100;
+      payloads[i] = static_cast<int64_t>(i) ^ 0x5A5A;
+    }
+    const auto expect_pairs = [&](auto lookup) {
+      for (size_t i = 0; i < n; ++i) {
+        int64_t v = 0;
+        ASSERT_TRUE(lookup(keys[i], &v)) << keys[i];
+        ASSERT_EQ(v, payloads[i]);
+      }
+    };
+
+    AlexInt source;
+    source.BulkLoad(keys.data(), payloads.data(), n);
+    const std::string alex_path = TempPath("chunks-alex.alex");
+    ASSERT_TRUE(SaveIndex(source, alex_path));
+    AlexInt loaded;
+    ASSERT_EQ(LoadIndexEx(&loaded, alex_path), SnapshotStatus::kOk);
+    ASSERT_EQ(loaded.size(), n);
+    expect_pairs([&](int64_t k, int64_t* v) {
+      const int64_t* p = loaded.Find(k);
+      if (p != nullptr) *v = *p;
+      return p != nullptr;
+    });
+
+    ConcurrentAlex<int64_t, int64_t> concurrent;
+    concurrent.BulkLoad(keys.data(), payloads.data(), n);
+    const std::string concurrent_path = TempPath("chunks-concurrent.alex");
+    ASSERT_EQ(concurrent.SaveToFile(concurrent_path), SnapshotStatus::kOk);
+    ConcurrentAlex<int64_t, int64_t> reloaded;
+    ASSERT_EQ(reloaded.LoadFromFile(concurrent_path), SnapshotStatus::kOk);
+    ASSERT_EQ(reloaded.size(), n);
+    expect_pairs([&](int64_t k, int64_t* v) { return reloaded.Get(k, v); });
+
+    // One flipped byte in the last (possibly partial) chunk of either
+    // array is a checksum mismatch; restoring it loads again.
+    const long keys_at = static_cast<long>(sizeof(SnapshotHeader));
+    const long payloads_at =
+        keys_at + static_cast<long>(n * sizeof(int64_t));
+    for (const long array_at : {keys_at, payloads_at}) {
+      const long at =
+          array_at + static_cast<long>((n - 1) * sizeof(int64_t)) + 2;
+      const unsigned char bad = 0xC3;
+      PatchFile(alex_path, at, &bad, 1);
+      EXPECT_EQ(LoadIndexEx(&loaded, alex_path),
+                SnapshotStatus::kChecksumMismatch);
+      ConcurrentAlex<int64_t, int64_t> rejected;
+      EXPECT_EQ(rejected.LoadFromFile(alex_path),
+                SnapshotStatus::kChecksumMismatch);
+      const int64_t original =
+          array_at == keys_at ? keys[n - 1] : payloads[n - 1];
+      const auto good = static_cast<unsigned char>(original >> 16);
+      PatchFile(alex_path, at, &good, 1);
+      EXPECT_EQ(LoadIndexEx(&loaded, alex_path), SnapshotStatus::kOk);
+    }
+    std::remove(alex_path.c_str());
+    std::remove(concurrent_path.c_str());
+  }
+}
+
 TEST(SerializationRobustnessTest, SizeMismatchesAreDistinct) {
   const std::string path = WriteSmallSnapshot("sizes.alex");
   Alex<int64_t, int32_t> narrow_payload;

@@ -30,6 +30,7 @@
 #include "shard/sharded_alex.h"
 #include "test_files.h"
 #include "tier/segment.h"
+#include "util/checksum.h"
 #include "wal/log_reader.h"
 #include "wal/wal_format.h"
 
@@ -610,7 +611,8 @@ TEST(TieredAlexTest, ManifestV5RoundTripsTierState) {
 
 TEST(TieredAlexTest, V4ManifestIsBadVersion) {
   // A v4 manifest names per-shard snapshot files for resident shards,
-  // which nothing reads any more: it must be refused outright.
+  // which nothing reads any more, and a v5 manifest has today's layout
+  // under the checksum v6 replaced: both must be refused outright.
   const std::string prefix = TempPrefix("tier-v4-load");
   Cleanup(prefix);
   {
@@ -618,37 +620,46 @@ TEST(TieredAlexTest, V4ManifestIsBadVersion) {
     BulkLoadStride3(&index, 1000);
     ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
   }
-  // Stamp the committed manifest as v4, re-checksummed so the version is
-  // the only thing wrong with it (the checksum is FNV-1a over every byte
-  // before the trailing checksum word).
   const std::string path = Sharded::ManifestPath(prefix);
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
-  std::vector<uint8_t> bytes(4096);
-  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+  std::vector<uint8_t> committed(4096);
+  committed.resize(std::fread(committed.data(), 1, committed.size(), f));
   std::fclose(f);
-  ASSERT_GT(bytes.size(), sizeof(ManifestHeader) + sizeof(uint64_t));
-  const uint32_t v4 = 4;
-  std::memcpy(bytes.data() + offsetof(ManifestHeader, version), &v4,
-              sizeof(v4));
-  const uint64_t checksum =
-      internal::Fnv1a(bytes.data(), bytes.size() - sizeof(uint64_t),
-                      internal::kFnvOffsetBasis);
-  std::memcpy(bytes.data() + bytes.size() - sizeof(uint64_t), &checksum,
-              sizeof(checksum));
-  f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
+  ASSERT_GT(committed.size(), sizeof(ManifestHeader) + sizeof(uint64_t));
+  // Stamps the committed manifest with `version`, re-checksummed so the
+  // version is the only thing that can be wrong with it (the checksum is
+  // Checksum64 over every byte before the trailing checksum word).
+  const auto stamp = [&](uint32_t version) {
+    std::vector<uint8_t> bytes = committed;
+    std::memcpy(bytes.data() + offsetof(ManifestHeader, version), &version,
+                sizeof(version));
+    const uint64_t checksum =
+        util::Checksum64(bytes.data(), bytes.size() - sizeof(uint64_t), 0);
+    std::memcpy(bytes.data() + bytes.size() - sizeof(uint64_t), &checksum,
+                sizeof(checksum));
+    std::FILE* out = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), out), bytes.size());
+    std::fclose(out);
+  };
 
   ShardManifest<int64_t> manifest;
-  EXPECT_EQ(ReadManifest<int64_t>(path, &manifest),
-            SnapshotStatus::kBadVersion);
-  // A live index asked to load it stays untouched.
-  Sharded live(TierOpts(2, prefix));
-  const auto oracle = BulkLoadStride3(&live, 300);
-  EXPECT_EQ(live.LoadFrom(prefix), SnapshotStatus::kBadVersion);
-  ExpectMatchesOracle(live, oracle);
+  // Positive control: the same rewrite at the current version loads, so
+  // kBadVersion below comes from the version alone.
+  stamp(internal::kManifestVersion);
+  EXPECT_EQ(ReadManifest<int64_t>(path, &manifest), SnapshotStatus::kOk);
+  for (const uint32_t old_version : {4u, internal::kManifestVersion - 1}) {
+    SCOPED_TRACE(old_version);
+    stamp(old_version);
+    EXPECT_EQ(ReadManifest<int64_t>(path, &manifest),
+              SnapshotStatus::kBadVersion);
+    // A live index asked to load it stays untouched.
+    Sharded live(TierOpts(2, prefix));
+    const auto oracle = BulkLoadStride3(&live, 300);
+    EXPECT_EQ(live.LoadFrom(prefix), SnapshotStatus::kBadVersion);
+    ExpectMatchesOracle(live, oracle);
+  }
   Cleanup(prefix);
 }
 

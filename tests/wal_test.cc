@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -30,6 +31,7 @@
 #include "core/serialization.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "util/checksum.h"
 #include "util/histogram.h"
 
 namespace alex::wal {
@@ -393,6 +395,33 @@ TEST(WalReaderTest, HeaderCorruptionsHaveDistinctStatuses) {
               WalStatus::kBadVersion);
     std::remove(p.c_str());
   }
+  {  // previous version, whole segment re-stamped and re-checksummed over
+     // the span the format defines (every header byte before the checksum)
+    std::vector<uint8_t> bytes(1 << 16);
+    std::FILE* src = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(src, nullptr);
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), src));
+    std::fclose(src);
+    ASSERT_GT(bytes.size(), sizeof(WalSegmentHeader));
+    const std::string p = path + ".prev";
+    const auto stamp = [&](uint32_t version) {
+      WalSegmentHeader h;
+      std::memcpy(&h, bytes.data(), sizeof(h));
+      h.version = version;
+      h.header_checksum = util::Checksum64(
+          &h, offsetof(WalSegmentHeader, header_checksum), 0);
+      std::memcpy(bytes.data(), &h, sizeof(h));
+      std::FILE* f = std::fopen(p.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+      std::fclose(f);
+    };
+    stamp(internal::kWalVersion);  // positive control
+    EXPECT_EQ(ReadSeg(p, &info, &records), WalStatus::kOk);
+    stamp(internal::kWalVersion - 1);
+    EXPECT_EQ(ReadSeg(p, &info, &records), WalStatus::kBadVersion);
+    std::remove(p.c_str());
+  }
   {  // key size
     std::vector<Record> unused;
     WalSegmentInfo i32;
@@ -677,7 +706,9 @@ TEST(WalSegmentTest, ClosedSegmentIsExactlyHeaderPlusRecords) {
   EXPECT_EQ(rec.lsn, 18u);
   EXPECT_EQ(rec.type, static_cast<uint32_t>(WalRecordType::kInsert));
   EXPECT_EQ(rec.body_len, 16u);
-  EXPECT_EQ(rec.checksum, WalRecordChecksum(rec, bytes.data() + at + 24));
+  // The checksum covers lsn through the body's last byte, in one pass.
+  EXPECT_EQ(rec.checksum, util::Checksum64(bytes.data() + at + 8,
+                                           16 + rec.body_len, 0));
   EXPECT_EQ(key, 10);
   EXPECT_EQ(payload, 30);
   RemoveSegments(prefix);
