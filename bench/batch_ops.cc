@@ -2,10 +2,9 @@
 //
 // The batch API's claim is per-op overhead amortization (one epoch guard;
 // for MultiGet, overlapped cache misses across a group of descents; for
-// writes, one leaf latch per leaf run and one gate per shard run) plus
-// the SIMD bounded in-leaf search — so the honest comparison is the
-// same op stream driven through scalar calls vs Multi* calls on one
-// thread, with latency recorded per work unit (a group of `batch` ops) so
+// writes, one leaf latch per leaf run and one gate per shard run) — so
+// the honest comparison is the same op stream driven through scalar calls
+// vs Multi* calls on one thread, with latency recorded per work unit (a group of `batch` ops) so
 // the p50/p99 columns compare like for like.
 //
 // Sweeps: index ∈ {lock-free ConcurrentAlex, ShardedAlex} × mix ∈
@@ -29,7 +28,6 @@
 #include "shard/sharded_alex.h"
 #include "util/histogram.h"
 #include "util/random.h"
-#include "util/simd_search.h"
 #include "util/timer.h"
 
 namespace {
@@ -144,9 +142,8 @@ int main(int argc, char** argv) {
   const Mix mixes[] = {{"get", 2}, {"mixed", 1}, {"insert", 0}};
 
   std::printf("Batch ops sweep: %zu preloaded keys, %zu ops/cell, "
-              "single-threaded, SIMD search %s\n",
-              preload, total_ops,
-              util::SimdSearchEnabled() ? "AVX2" : "scalar");
+              "single-threaded\n",
+              preload, total_ops);
   bench::PrintRule("batched Multi* vs scalar loop, per index/mix/batch");
   std::printf(
       "| index | mix | batch | scalar Mops | batched Mops | speedup "

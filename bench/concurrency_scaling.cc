@@ -3,7 +3,7 @@
 //
 //   * global shared_mutex         (baselines/global_lock_index.h)
 //   * lock-free reads + EBR       (core/concurrent_alex.h)
-//   * sharded + learned routing   (shard/sharded_alex.h)
+//   * sharded + range routing     (shard/sharded_alex.h)
 //
 // A read-mostly YCSB-B-style workload (95% Zipfian point lookups / 5%
 // inserts of fresh keys; bench/read_mostly.h) runs on T threads against
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
              [] { return core::ConcurrentAlex<int64_t, int64_t>(); }, t, p,
              s);
        }},
-      {"sharded (8 shards) + learned routing",
+      {"sharded (8 shards) + range routing",
        [](size_t t, size_t p, double s) {
          return bench::RunReadMostly(
              [] { return shard::ShardedAlex<int64_t, int64_t>(); }, t, p,
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
              [] { return core::ConcurrentAlex<int64_t, int64_t>(); }, t, p,
              s);
        }},
-      {"sharded + learned routing (batched MultiGet)",
+      {"sharded + range routing (batched MultiGet)",
        [](size_t t, size_t p, double s) {
          return bench::RunReadMostlyBatched(
              [] { return shard::ShardedAlex<int64_t, int64_t>(); }, t, p,

@@ -28,7 +28,6 @@
 #include "util/prefetch.h"
 #include "util/search.h"
 #include "util/simd_scan.h"
-#include "util/simd_search.h"
 
 namespace alex::container {
 
@@ -173,35 +172,6 @@ class GappedStorage {
     return capacity();
   }
 
-  /// Bounded variant of LowerBoundSlot: resolves inside the model's error
-  /// window [predicted - error, predicted + error] with a branchless scan
-  /// (AVX2 when available), falling back to exponential search only when
-  /// the result lands on a window edge (stale bound). Same answer as
-  /// LowerBoundSlot for every input.
-  size_t LowerBoundSlotBounded(K key, size_t predicted, size_t error) const {
-    const size_t pos = util::PredictedWindowLowerBound(
-        keys_.data(), keys_.size(), key, predicted, error);
-    return bitmap_.NextSet(pos);
-  }
-
-  /// Bounded variant of UpperBoundSlot.
-  size_t UpperBoundSlotBounded(K key, size_t predicted, size_t error) const {
-    const size_t pos = util::PredictedWindowUpperBound(
-        keys_.data(), keys_.size(), key, predicted, error);
-    return bitmap_.NextSet(pos);
-  }
-
-  /// Bounded variant of FindSlot (keeps the direct-hit fast path).
-  size_t FindSlotBounded(K key, size_t predicted, size_t error) const {
-    if (predicted < capacity() && keys_[predicted] == key &&
-        bitmap_.Get(predicted)) {
-      return predicted;
-    }
-    const size_t slot = LowerBoundSlotBounded(key, predicted, error);
-    if (slot < capacity() && keys_[slot] == key) return slot;
-    return capacity();
-  }
-
   /// Capacity as last published by ResetStorage; readable without the
   /// owner's latch (see PrefetchSlot).
   size_t ProbeCapacity() const {
@@ -209,9 +179,9 @@ class GappedStorage {
   }
 
   /// Software-prefetches the lines a probe at slot `predicted` reads: the
-  /// key, the occupancy-bitmap word and the payload (FindSlotBounded's
-  /// direct-hit check reads all three). MultiGet issues these for every
-  /// key of a group before any of them latches its leaf, so this reads
+  /// key, the occupancy-bitmap word and the payload (FindSlot's direct-hit
+  /// check reads all three). MultiGet issues these for every key of a
+  /// group before any of them latches its leaf, so this reads
   /// only the relaxed mirrors ResetStorage publishes, never the arrays
   /// themselves: a mirror that a concurrent rebuild made stale costs a
   /// wasted prefetch, not a wrong answer or a data race.

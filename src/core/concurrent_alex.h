@@ -526,7 +526,7 @@ class ConcurrentAlex {
         leaf = DescendAcquire(resume);
         continue;
       }
-      // Two bounded searches bracket the leaf's contribution as one slot
+      // Two leaf searches bracket the leaf's contribution as one slot
       // run; after a resume the strict upper bound skips the last visited
       // key without a per-record compare.
       const size_t slot_lo = emitted ? leaf->UpperBoundSlot(resume)
@@ -725,7 +725,8 @@ class ConcurrentAlex {
   /// Recursive helper for CollectStructure: inner nodes contribute to the
   /// node counts (merged partitions — consecutive slots sharing one child
   /// pointer — are visited once); each live leaf contributes its stats
-  /// under its shared latch.
+  /// under its shared latch, including its exact model error, measured
+  /// here in one pass over the leaf.
   void CollectNode(Node* node, uint64_t depth,
                    obs::TreeStructure* out) const {
     if (node == nullptr) return;
@@ -743,11 +744,10 @@ class ConcurrentAlex {
       out->depth_sum += depth;
       out->keys += leaf->num_keys();
       out->capacity += leaf->capacity();
-      const size_t err = leaf->TrackedModelError();
-      if (err == DataNodeT::kNoErrorBound) {
-        ++out->unbounded_leaves;
+      if (leaf->has_model()) {
+        out->model_error.Record(leaf->MaxModelError());
       } else {
-        out->model_error.Record(err);
+        ++out->unbounded_leaves;
       }
       return;
     }

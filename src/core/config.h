@@ -86,15 +86,6 @@ struct Config {
   /// ("cold start", §3.3.3).
   size_t min_model_keys = 32;
 
-  /// Gapped-array nodes whose tracked model error (build-time maximum plus
-  /// one slot of drift per insert since the last rebuild) is at most this
-  /// many slots resolve lookups with the branchless bounded window search
-  /// (util/simd_search.h, AVX2 when available) instead of scalar
-  /// exponential search. 0 disables the bounded path. Correctness does not
-  /// depend on the tracked bound: edge hits fall back to exponential
-  /// search.
-  size_t simd_error_bound = 64;
-
   /// Smallest data-node capacity (slots).
   size_t min_node_capacity = 16;
 

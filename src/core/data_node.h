@@ -5,6 +5,11 @@
 //     rescaled to the array capacity (Alg. 3), and
 //   * sibling links so range scans stream across leaves (§5.2.3).
 //
+// Lookups predict a slot with the model and correct it with exponential
+// search outward from the prediction (§3.2). The node stores no error
+// bound: model-based inserts keep the error small, so exponential search
+// costs O(log error) without one (Fig. 11).
+//
 // Inserts follow Alg. 1 (GA) / Alg. 2 (PMA): predict the position, correct
 // it for sorted order, place the key; expand (and retrain) when the density
 // bound is hit (GA) or the PMA reports failure. When adaptive-RMI splitting
@@ -26,7 +31,6 @@
 #include "core/config.h"
 #include "core/node.h"
 #include "models/linear_model.h"
-#include "obs/metrics.h"
 
 namespace alex::core {
 
@@ -67,49 +71,24 @@ class DataNode : public Node {
   bool has_model() const { return has_model_; }
   const model::LinearModel& model() const { return model_; }
 
-  /// Sentinel returned by SearchErrorBound when bounded search does not
-  /// apply to this node.
-  static constexpr size_t kNoErrorBound = static_cast<size_t>(-1);
-
-  /// Tracked model error bound in slots — the build-time maximum
-  /// |slot - Predict(key)| plus one slot of drift per insert since the
-  /// last rebuild (a gapped-array insert shifts each element by at most
-  /// one slot) — or kNoErrorBound when the bounded window search is not
-  /// applicable: no model (cold node), PMA layout (rebalances move
-  /// elements arbitrarily), the bound exceeds Config::simd_error_bound,
-  /// or the knob is 0.
-  size_t SearchErrorBound() const {
-    if (!has_model_ || config_->simd_error_bound == 0 ||
-        !std::holds_alternative<GappedArrayT>(storage_)) {
-      return kNoErrorBound;
-    }
-    const size_t err = model_error_ + insert_drift_;
-    return err <= config_->simd_error_bound ? err : kNoErrorBound;
-  }
-
-  /// True when lookups currently take the branchless bounded window path.
-  bool UsesBoundedSearch() const {
-    return SearchErrorBound() != kNoErrorBound;
-  }
-
-  /// Raw tracked error (build-time max error + insert drift) regardless of
-  /// the SIMD clamp, or kNoErrorBound for model-less nodes. Introspection
-  /// uses this for the max-error distribution; lookups use
-  /// SearchErrorBound(), which additionally applies the config clamp.
-  size_t TrackedModelError() const {
-    if (!has_model_) return kNoErrorBound;
-    return model_error_ + insert_drift_;
-  }
-
-  /// In-leaf search dispatch telemetry: did the model's tracked error
-  /// bound hold (bounded branchless window) or did the lookup fall back to
-  /// unbounded exponential search?
-  static void CountSearchDispatch(size_t err) {
-    if (err == kNoErrorBound) {
-      ALEX_OBS_COUNTER_INC("core.search_exponential");
-    } else {
-      ALEX_OBS_COUNTER_INC("core.search_bounded");
-    }
+  /// Exact max |slot - Predict(key)| over the occupied slots, computed
+  /// on demand in one pass over the node. Introspection only (the caller
+  /// holds the latch); lookups never need it, because exponential search
+  /// from the predicted slot is correct for any prediction error. 0 for a
+  /// model-less node.
+  size_t MaxModelError() const {
+    if (!has_model_) return 0;
+    return Visit([&](const auto& s) {
+      const size_t cap = s.capacity();
+      size_t max_err = 0;
+      for (size_t i = s.FirstOccupied(); i < cap; i = s.NextOccupied(i)) {
+        const size_t pred =
+            model_.Predict(static_cast<double>(s.key_at(i)), cap);
+        const size_t err = pred > i ? pred - i : i - pred;
+        if (err > max_err) max_err = err;
+      }
+      return max_err;
+    });
   }
 
   /// Software-prefetches the slots a probe of `key` will touch. Safe
@@ -222,7 +201,6 @@ class DataNode : public Node {
         pma.BuildFromSortedUniform(keys, payloads, n, pma_capacity);
       }
     }
-    RecomputeModelError();
     PublishProbeModel();
   }
 
@@ -244,13 +222,8 @@ class DataNode : public Node {
 
   /// Const point lookup: reads only, so shared-latch holders never write.
   const P* Find(K key) const {
-    const size_t err = SearchErrorBound();
-    CountSearchDispatch(err);
     return Visit([&](const auto& s) -> const P* {
-      const size_t slot =
-          err == kNoErrorBound
-              ? s.FindSlot(key, PredictSlot(key))
-              : s.FindSlotBounded(key, PredictSlot(key), err);
+      const size_t slot = s.FindSlot(key, PredictSlot(key));
       if (slot == s.capacity()) return nullptr;
       return &s.payload_at(slot);
     });
@@ -258,37 +231,25 @@ class DataNode : public Node {
 
   /// Slot of `key`, or capacity() when absent.
   size_t FindSlotOf(K key) const {
-    const size_t err = SearchErrorBound();
-    CountSearchDispatch(err);
     return Visit([&](const auto& s) {
-      return err == kNoErrorBound
-                 ? s.FindSlot(key, PredictSlot(key))
-                 : s.FindSlotBounded(key, PredictSlot(key), err);
+      return s.FindSlot(key, PredictSlot(key));
     });
   }
 
   /// First occupied slot with key >= `key`, or capacity().
   size_t LowerBoundSlot(K key) const {
-    const size_t err = SearchErrorBound();
-    CountSearchDispatch(err);
     return Visit([&](const auto& s) {
-      return err == kNoErrorBound
-                 ? s.LowerBoundSlot(key, PredictSlot(key))
-                 : s.LowerBoundSlotBounded(key, PredictSlot(key), err);
+      return s.LowerBoundSlot(key, PredictSlot(key));
     });
   }
 
   /// First occupied slot with key > `key`, or capacity(). With
   /// LowerBoundSlot this brackets a [lo, hi] key range as a slot range in
-  /// two model-guided (optionally SIMD-bounded) searches — the scan
-  /// engine's per-leaf "filter by key range" step.
+  /// two model-guided exponential searches — the scan engine's per-leaf
+  /// "filter by key range" step.
   size_t UpperBoundSlot(K key) const {
-    const size_t err = SearchErrorBound();
-    CountSearchDispatch(err);
     return Visit([&](const auto& s) {
-      return err == kNoErrorBound
-                 ? s.UpperBoundSlot(key, PredictSlot(key))
-                 : s.UpperBoundSlotBounded(key, PredictSlot(key), err);
+      return s.UpperBoundSlot(key, PredictSlot(key));
     });
   }
 
@@ -315,9 +276,6 @@ class DataNode : public Node {
       }
       const bool ok = ga->Insert(key, payload, PredictSlot(key));
       if (!ok) return InsertResult::kDuplicate;
-      // Each GA insert shifts elements by at most one slot, so the search
-      // error window grows by at most one. Rebuilds reset the drift.
-      ++insert_drift_;
     } else {
       auto& pma = std::get<PmaT>(storage_);
       auto status = pma.Insert(key, payload, PredictSlot(key));
@@ -565,27 +523,7 @@ class DataNode : public Node {
         pma.BuildFromSortedUniform(keys.data(), payloads.data(), n, cap);
       }
     }
-    RecomputeModelError();
     PublishProbeModel();
-  }
-
-  /// Measures the build-time maximum |slot - Predict(key)| over occupied
-  /// slots and resets the insert drift. Called after every (re)build; only
-  /// meaningful for gapped arrays with a model, and skipped entirely when
-  /// the bounded path is disabled.
-  void RecomputeModelError() {
-    insert_drift_ = 0;
-    model_error_ = 0;
-    if (!has_model_ || config_->simd_error_bound == 0) return;
-    const auto* ga = std::get_if<GappedArrayT>(&storage_);
-    if (ga == nullptr) return;
-    const size_t cap = ga->capacity();
-    for (size_t i = ga->FirstOccupied(); i < cap; i = ga->NextOccupied(i)) {
-      const size_t pred =
-          model_.Predict(static_cast<double>(ga->key_at(i)), cap);
-      const size_t err = pred > i ? pred - i : i - pred;
-      if (err > model_error_) model_error_ = err;
-    }
   }
 
   /// Mirrors the rebuilt model for PrefetchFor; a model-less node
@@ -617,8 +555,6 @@ class DataNode : public Node {
   std::variant<GappedArrayT, PmaT> storage_;
   model::LinearModel model_;
   bool has_model_ = false;
-  size_t model_error_ = 0;   ///< max |slot - prediction| at last (re)build
-  size_t insert_drift_ = 0;  ///< GA inserts since last (re)build
   uint64_t retired_shifts_ = 0;
   uint64_t last_synced_shifts_ = 0;
   std::atomic<uint64_t> version_{0};

@@ -3,13 +3,13 @@
 //
 // PR 8's metrics layer can tell an operator *what* the numbers are; it
 // cannot notice that epoch reclamation has silently stalled, that WAL
-// group commit has regressed 10x, or that the router has drifted into
-// binary-search fallback. This header closes that loop:
+// group commit has regressed 10x, or that one shard has taken all the
+// traffic. This header closes that loop:
 //
 //   - SampledMetrics is one fixed-shape snapshot of the health-relevant
 //     registry state (epoch counters, WAL commit-wait histogram buckets,
-//     write-gate waits, router hit/fallback counts, per-shard op counts,
-//     slow-op ring capture count).
+//     write-gate waits, per-shard op counts, slow-op ring capture
+//     count).
 //   - SampleRing publishes snapshots through the same seqlock idiom as
 //     SlowOpRing, generalized to a word-array payload: the writer marks
 //     the slot odd, stores sizeof(SampledMetrics)/8 relaxed words, and
@@ -88,10 +88,6 @@ struct SampledMetrics {
   uint64_t gate_contended = 0;
   uint64_t gate_wait_count = 0;
   uint64_t gate_wait_sum_ns = 0;
-
-  // Shard router.
-  uint64_t router_hits = 0;
-  uint64_t router_fallbacks = 0;
 
   // Slow-op ring + shard shape.
   uint64_t slow_ops_captured = 0;
@@ -200,12 +196,11 @@ enum class HealthDetector : uint8_t {
   kRetiredGrowth,     // retired-unreclaimed backlog beyond bounds
   kWalCommitWait,     // windowed commit-wait p99 vs EWMA baseline
   kWriteGateWait,     // mean contended write-gate wait spike
-  kRouterFallback,    // model-fallback fraction of routed lookups
   kShardSkew,         // per-shard size or traffic imbalance
   kSlowOpBurst,       // slow-op ring captures per window
   kTierCacheMiss,     // cold-tier cache miss ratio vs EWMA baseline
 };
-constexpr size_t kNumHealthDetectors = 8;
+constexpr size_t kNumHealthDetectors = 7;
 
 inline const char* DetectorName(HealthDetector d) {
   switch (d) {
@@ -213,7 +208,6 @@ inline const char* DetectorName(HealthDetector d) {
     case HealthDetector::kRetiredGrowth: return "retired_growth";
     case HealthDetector::kWalCommitWait: return "wal_commit_wait";
     case HealthDetector::kWriteGateWait: return "write_gate_wait";
-    case HealthDetector::kRouterFallback: return "router_fallback";
     case HealthDetector::kShardSkew: return "shard_skew";
     case HealthDetector::kSlowOpBurst: return "slow_op_burst";
     case HealthDetector::kTierCacheMiss: return "tier_cache_miss";
@@ -297,11 +291,6 @@ struct HealthOptions {
   uint64_t gate_wait_critical_ns = 10'000'000;
   uint64_t gate_min_contended = 4;
 
-  // kRouterFallback: fallback fraction of routed lookups.
-  double fallback_warn_rate = 0.25;
-  double fallback_critical_rate = 0.75;
-  uint64_t fallback_min_routes = 64;
-
   // kShardSkew: size skew from the gauge (largest/mean x100, matching the
   // rebalancer's trigger shape) and traffic skew from per-shard op deltas.
   int64_t skew_warn_x100 = 400;
@@ -358,8 +347,6 @@ class HealthMonitor {
     wal_commit_wait_ = registry_->GetHistogram("wal.commit_wait_ns");
     gate_contended_ = registry_->GetCounter("shard.write_gate_contended");
     gate_wait_ = registry_->GetHistogram("shard.write_gate_wait_ns");
-    router_hits_ = registry_->GetCounter("shard.router_model_hits");
-    router_fallbacks_ = registry_->GetCounter("shard.router_fallbacks");
     size_skew_ = registry_->GetGauge("shard.size_skew_x100");
     tier_cache_hits_ = registry_->GetCounter("tier.cache_hits");
     tier_cache_misses_ = registry_->GetCounter("tier.cache_misses");
@@ -428,10 +415,9 @@ class HealthMonitor {
       report.verdicts[1] = JudgeRetiredGrowth(sample);
       report.verdicts[2] = JudgeWalCommitWait(prev, sample);
       report.verdicts[3] = JudgeWriteGateWait(prev, sample);
-      report.verdicts[4] = JudgeRouterFallback(prev, sample);
-      report.verdicts[5] = JudgeShardSkew(prev, sample);
-      report.verdicts[6] = JudgeSlowOpBurst(prev, sample);
-      report.verdicts[7] = JudgeTierCacheMiss(prev, sample);
+      report.verdicts[4] = JudgeShardSkew(prev, sample);
+      report.verdicts[5] = JudgeSlowOpBurst(prev, sample);
+      report.verdicts[6] = JudgeTierCacheMiss(prev, sample);
     } else {
       // First sample: no window to judge; all detectors report Ok with
       // their identities filled in.
@@ -442,10 +428,9 @@ class HealthMonitor {
       report.verdicts[1].metric = "epoch.retired_unreclaimed";
       report.verdicts[2].metric = "wal.commit_wait_ns";
       report.verdicts[3].metric = "shard.write_gate_wait_ns";
-      report.verdicts[4].metric = "shard.router_fallbacks";
-      report.verdicts[5].metric = "shard.size_skew_x100";
-      report.verdicts[6].metric = "slow_ops.captured";
-      report.verdicts[7].metric = "tier.cache_misses";
+      report.verdicts[4].metric = "shard.size_skew_x100";
+      report.verdicts[5].metric = "slow_ops.captured";
+      report.verdicts[6].metric = "tier.cache_misses";
     }
 
     for (const HealthVerdict& v : report.verdicts) {
@@ -548,8 +533,6 @@ class HealthMonitor {
     s.gate_contended = gate_contended_->Load();
     s.gate_wait_count = gate_wait_->Count();
     s.gate_wait_sum_ns = gate_wait_->Sum();
-    s.router_hits = router_hits_->Load();
-    s.router_fallbacks = router_fallbacks_->Load();
     s.slow_ops_captured = registry_->slow_ops().captured();
     s.size_skew_x100 = size_skew_->Load();
     s.tier_cache_hits = tier_cache_hits_->Load();
@@ -683,27 +666,6 @@ class HealthMonitor {
                    static_cast<double>(options_.gate_wait_warn_ns));
   }
 
-  HealthVerdict JudgeRouterFallback(const SampledMetrics& prev,
-                                    const SampledMetrics& cur) const {
-    const uint64_t hits = Delta(cur.router_hits, prev.router_hits);
-    const uint64_t fallbacks =
-        Delta(cur.router_fallbacks, prev.router_fallbacks);
-    const uint64_t routes = hits + fallbacks;
-    HealthLevel level = HealthLevel::kOk;
-    double rate = 0.0;
-    if (routes >= options_.fallback_min_routes) {
-      rate = static_cast<double>(fallbacks) / static_cast<double>(routes);
-      if (rate >= options_.fallback_critical_rate) {
-        level = HealthLevel::kCritical;
-      } else if (rate >= options_.fallback_warn_rate) {
-        level = HealthLevel::kWarn;
-      }
-    }
-    return Verdict(HealthDetector::kRouterFallback, level,
-                   "shard.router_fallbacks", rate,
-                   options_.fallback_warn_rate);
-  }
-
   HealthVerdict JudgeShardSkew(const SampledMetrics& prev,
                                const SampledMetrics& cur) const {
     // Size skew: the rebalancer's own gauge (largest/mean x100).
@@ -829,8 +791,6 @@ class HealthMonitor {
   Histogram* wal_commit_wait_ = nullptr;
   Counter* gate_contended_ = nullptr;
   Histogram* gate_wait_ = nullptr;
-  Counter* router_hits_ = nullptr;
-  Counter* router_fallbacks_ = nullptr;
   Gauge* size_skew_ = nullptr;
   Counter* tier_cache_hits_ = nullptr;
   Counter* tier_cache_misses_ = nullptr;

@@ -50,8 +50,9 @@ struct TreeStructure {
   uint64_t keys = 0;
   uint64_t capacity = 0;      // gapped-array slots across leaves
   uint64_t chain_length = 0;  // leaves reached via next-leaf pointers
-  uint64_t unbounded_leaves = 0;  // leaves past the SIMD error bound
-  util::Log2Histogram model_error;  // tracked max-error per bounded leaf
+  uint64_t unbounded_leaves = 0;  // model-less (cold-start) leaves
+  util::Log2Histogram model_error;  // exact max |slot - prediction| per
+                                    // model leaf
 
   double fill_factor() const {
     return capacity > 0

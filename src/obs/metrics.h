@@ -650,11 +650,6 @@ class MetricsRegistry {
          "Write-gate acquisitions that found the gate held"},
         {"shard.write_gate_wait_ns",
          "Wait time for contended write-gate acquisitions"},
-        {"shard.router_model_hits",
-         "Routed lookups answered by the router's learned model"},
-        {"shard.router_fallbacks",
-         "Routed lookups that fell back to boundary binary search"},
-        {"shard.router_refits", "Router model refits from key distribution"},
         {"shard.topology_splits", "Committed shard split transactions"},
         {"shard.topology_merges", "Committed shard merge transactions"},
         {"shard.topology_rebalances",

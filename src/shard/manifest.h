@@ -2,12 +2,11 @@
 //
 // A ShardedAlex checkpoint is one tier/segment.h file per shard plus this
 // manifest, which records the routing state needed to reassemble the
-// index: the boundary array, the router model (so a load restores the
-// bulk-load-quality model instead of a refit from boundaries), and the
-// per-shard key counts (so a load can detect a segment file that was
-// swapped or rebuilt independently of its manifest).
+// index: the boundary array (the router is a search over it, nothing
+// more) and the per-shard key counts (so a load can detect a segment file
+// that was swapped or rebuilt independently of its manifest).
 //
-// Layout (format v6): ManifestHeader, boundaries (num_shards-1 keys),
+// Layout (format v7): ManifestHeader, boundaries (num_shards-1 keys),
 // per-shard key counts (num_shards uint64s), per-shard WAL ids and
 // checkpoint LSNs (num_shards uint64s each; all zero when the WAL is
 // disabled), per-shard tier tags and segment ids (num_shards uint64s
@@ -15,10 +14,11 @@
 // says what recovery builds from it: 0 = a resident tree bulk-loaded
 // from the segment, 1 = a cold shard serving the segment in place), the
 // next segment id to allocate (one uint64), then a trailing
-// util::Checksum64 digest over everything before it, in one pass. Only v6
+// util::Checksum64 digest over everything before it, in one pass. Only v7
 // loads: v3/v4 manifests name per-shard snapshot files that no reader
-// understands any more, and v5 has the same layout under the FNV-1a
-// checksum v6 replaced, so all of them fail with kBadVersion.
+// understands any more, v5 has the v6 layout under the FNV-1a checksum
+// v6 replaced, and v6 carries the two router-model doubles v7 dropped
+// from the header, so all of them fail with kBadVersion.
 // The WAL fields make the manifest the checkpoint record: shard i's
 // segment captures exactly the effects of its log's records up to
 // checkpoint_lsns[i], so recovery replays only what came after —
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "core/serialization.h"
-#include "models/linear_model.h"
 #include "util/checksum.h"
 
 namespace alex::shard {
@@ -57,8 +56,9 @@ inline constexpr uint64_t kManifestMagic = 0x414C455853485244ULL;
 // version 4 added the per-shard tier tags + cold segment ids and the
 // next-segment-id watermark; version 5 gives every shard a segment (the
 // only durable shard format); version 6 replaced FNV-1a with
-// util::Checksum64 (same layout). Readers accept v6 alone.
-inline constexpr uint32_t kManifestVersion = 6;
+// util::Checksum64 (same layout); version 7 dropped the router model's
+// slope and intercept from the header. Readers accept v7 alone.
+inline constexpr uint32_t kManifestVersion = 7;
 
 /// Tier tag values stored in ShardManifest::tier_tags.
 inline constexpr uint64_t kTierResident = 0;
@@ -82,8 +82,6 @@ struct ManifestHeader {
   // the index's lifetime; restored by LoadFrom so the epoch is monotone
   // across restarts.
   uint64_t topology_epoch = 0;
-  double router_slope = 0.0;
-  double router_intercept = 0.0;
 };
 
 /// In-memory manifest contents.
@@ -102,7 +100,6 @@ struct ShardManifest {
   /// num_shards long.
   std::vector<uint64_t> tier_tags;
   std::vector<uint64_t> segment_ids;
-  model::LinearModel router_model;
   uint64_t generation = 0;
   uint64_t next_wal_id = 0;
   uint64_t topology_epoch = 0;
@@ -155,8 +152,6 @@ core::SnapshotStatus WriteManifest(const std::string& path,
   header.generation = manifest.generation;
   header.next_wal_id = manifest.next_wal_id;
   header.topology_epoch = manifest.topology_epoch;
-  header.router_slope = manifest.router_model.slope();
-  header.router_intercept = manifest.router_model.intercept();
 
   // The WAL arrays are optional in memory (an index that never enabled
   // the WAL leaves them empty) but fixed-size on disk: pad with zeros.
@@ -276,9 +271,9 @@ core::SnapshotStatus ReadManifest(const std::string& path,
   if (header.total_keys != out->total_keys()) {
     return core::SnapshotStatus::kChecksumMismatch;
   }
-  // Strictly increasing boundaries are the router's precondition (its
-  // binary-search fallback runs over this array); a checksummed-but-
-  // malformed manifest from a foreign writer must not misroute.
+  // Strictly increasing boundaries are the router's precondition (it
+  // searches this array); a checksummed-but-malformed manifest from a
+  // foreign writer must not misroute.
   for (size_t i = 1; i < out->boundaries.size(); ++i) {
     if (!(out->boundaries[i - 1] < out->boundaries[i])) {
       return core::SnapshotStatus::kUnsortedKeys;
@@ -294,8 +289,6 @@ core::SnapshotStatus ReadManifest(const std::string& path,
   out->next_wal_id = header.next_wal_id;
   out->topology_epoch = header.topology_epoch;
   out->next_segment_id = next_segment_id;
-  out->router_model =
-      model::LinearModel(header.router_slope, header.router_intercept);
   return core::SnapshotStatus::kOk;
 }
 

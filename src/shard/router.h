@@ -1,26 +1,22 @@
-// Learned shard router for the sharded service layer.
+// Shard router for the sharded service layer.
 //
 // The key space is range-partitioned: shard i owns [boundaries[i-1],
-// boundaries[i]) with open ends at both extremes. Routing a key costs one
-// linear-model evaluation (the same two-double model family the index
-// itself uses, models/linear_model.h) verified against the boundary array;
-// when the model's guess is wrong — skewed distributions, or a router
-// refit from boundaries alone after a rebalance — the router falls back to
-// a binary search over the boundaries. Routing is therefore always exact;
-// the model only buys the common case O(1) instead of O(log #shards).
+// boundaries[i]) with open ends at both extremes. Routing a key is an
+// upper bound over the boundary array, done as a fixed-step branchless
+// search: ⌈log2 #boundaries⌉ halvings whose only data-dependent choice is
+// a conditional move, so a route never mispredicts a branch. The array is
+// a few cache lines even at hundreds of shards, which is why no learned
+// model sits in front of it: a model's guess has to be verified against
+// the same boundaries and, on skewed keys, is mostly wrong.
 //
 // Routers are immutable once built and shared read-only across threads; a
-// rebalance builds a new router for its replacement table rather than
-// mutating the live one.
+// topology change builds a new router for its replacement table rather
+// than mutating the live one.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
-
-#include "models/linear_model.h"
-#include "obs/metrics.h"
 
 namespace alex::shard {
 
@@ -30,33 +26,23 @@ class ShardRouter {
   /// A default router has a single shard: everything routes to 0.
   ShardRouter() = default;
 
-  /// Wraps an existing boundary array and model (used when loading a
-  /// manifest, which persists both).
-  ShardRouter(std::vector<K> boundaries, model::LinearModel model)
-      : boundaries_(std::move(boundaries)), model_(model) {}
+  /// Wraps a strictly increasing boundary array: boundaries[i] is the
+  /// first key owned by shard i+1.
+  explicit ShardRouter(std::vector<K> boundaries)
+      : boundaries_(std::move(boundaries)) {}
 
   /// Builds a router partitioning `n` strictly-increasing keys into
   /// `num_shards` contiguous ranges of ~n/num_shards keys each;
   /// boundaries[i] = keys[(i+1)*n/num_shards], the first key owned by
-  /// shard i+1. The model is a CDF fit over at most `sample_cap` evenly
-  /// sampled keys, rescaled to predict shard indexes directly. Requires
-  /// n >= num_shards (callers clamp).
+  /// shard i+1. Requires n >= num_shards (callers clamp).
   static ShardRouter FitFromSortedKeys(const K* keys, size_t n,
-                                       size_t num_shards,
-                                       size_t sample_cap = 4096) {
+                                       size_t num_shards) {
     ShardRouter router;
     if (num_shards <= 1 || n == 0) return router;
     router.boundaries_.reserve(num_shards - 1);
     for (size_t i = 1; i < num_shards; ++i) {
       router.boundaries_.push_back(keys[i * n / num_shards]);
     }
-    const size_t stride = std::max<size_t>(1, n / sample_cap);
-    std::vector<K> sample;
-    sample.reserve(n / stride + 1);
-    for (size_t i = 0; i < n; i += stride) sample.push_back(keys[i]);
-    router.model_ =
-        model::TrainCdfModel(sample.data(), sample.size(), num_shards);
-    ALEX_OBS_COUNTER_INC("shard.router_refits");
     return router;
   }
 
@@ -87,55 +73,36 @@ class ShardRouter {
     return out;
   }
 
-  /// Builds a router from a boundary array alone (the topology-change
-  /// path, where no global sorted key array exists). The model is fit on
-  /// the boundary keys themselves — a coarse CDF, but the binary-search
-  /// fallback keeps routing exact regardless of its quality.
-  static ShardRouter FitFromBoundaries(std::vector<K> boundaries) {
-    model::LinearModelBuilder builder;
-    for (size_t i = 0; i < boundaries.size(); ++i) {
-      builder.Add(static_cast<double>(boundaries[i]),
-                  static_cast<double>(i + 1));
-    }
-    ALEX_OBS_COUNTER_INC("shard.router_refits");
-    return ShardRouter(std::move(boundaries), builder.Build());
-  }
-
   size_t num_shards() const { return boundaries_.size() + 1; }
   const std::vector<K>& boundaries() const { return boundaries_; }
-  const model::LinearModel& model() const { return model_; }
 
-  /// Shard owning `key`: one model evaluation, verified against the
-  /// owning range; binary search over the boundaries when the model
-  /// misses.
+  /// Shard owning `key`: the number of boundaries <= key, i.e.
+  /// std::upper_bound over the boundaries. Each step keeps the half that
+  /// holds the answer, so `base` ends on the last boundary that could
+  /// still be <= key.
   size_t Route(K key) const {
-    if (boundaries_.empty()) return 0;
-    const size_t shards = boundaries_.size() + 1;
-    const size_t s = model_.Predict(static_cast<double>(key), shards);
-    if ((s == 0 || !(key < boundaries_[s - 1])) &&
-        (s + 1 == shards || key < boundaries_[s])) {
-      ALEX_OBS_COUNTER_INC("shard.router_model_hits");
-      return s;
+    size_t n = boundaries_.size();
+    if (n == 0) return 0;
+    const K* base = boundaries_.data();
+    while (n > 1) {
+      const size_t half = n / 2;
+      base = key < base[half] ? base : base + half;
+      n -= half;
     }
-    ALEX_OBS_COUNTER_INC("shard.router_fallbacks");
-    return static_cast<size_t>(
-        std::upper_bound(boundaries_.begin(), boundaries_.end(), key) -
-        boundaries_.begin());
+    return static_cast<size_t>(base - boundaries_.data()) +
+           (key < *base ? 0 : 1);
   }
 
   /// Smallest key owned by shard `s` (s >= 1; shard 0's range is open
   /// below).
   K LowerBoundOf(size_t s) const { return boundaries_[s - 1]; }
 
-  /// Router footprint: the model plus the boundary array (reported under
-  /// index size, like inner-node models).
-  size_t SizeBytes() const {
-    return model::LinearModel::SizeBytes() + boundaries_.size() * sizeof(K);
-  }
+  /// Router footprint: the boundary array (reported under index size,
+  /// like inner-node models).
+  size_t SizeBytes() const { return boundaries_.size() * sizeof(K); }
 
  private:
   std::vector<K> boundaries_;
-  model::LinearModel model_;
 };
 
 }  // namespace alex::shard

@@ -1,5 +1,5 @@
 // Sharded index service layer: N independent ConcurrentAlex shards behind
-// a learned router (ROADMAP "production scale"; the step past the paper's
+// a range router (ROADMAP "production scale"; the step past the paper's
 // single in-process tree that §7 gestures at).
 //
 // Why: even with the lock-free read path, one ConcurrentAlex has
@@ -23,9 +23,9 @@
 //
 // Protocol (mirrors the index's own EBR design one level up):
 //
-//   Routing.   `table_` points at an immutable Table: a ShardRouter (one
-//     linear-model evaluation, binary-search fallback — router.h) plus the
-//     shard array. Readers pin an epoch guard (util/epoch.h), load the
+//   Routing.   `table_` points at an immutable Table: a ShardRouter (a
+//     branchless upper bound over the shard boundaries — router.h) plus
+//     the shard array. Readers pin an epoch guard (util/epoch.h), load the
 //     table with one seq_cst load, route, and operate on the shard with no
 //     shard-layer locking of any kind.
 //
@@ -78,10 +78,10 @@
 //     manifest entry + tier/segment.h segment + WAL tail. SaveTo
 //     quiesces writers (all gates, in shard order), writes one fresh
 //     segment per shard (a clean cold shard's existing segment is
-//     referenced as-is) plus a checksummed manifest (manifest.h v5)
-//     holding the boundaries, router model, per-shard key counts, tier
-//     tags, segment ids and wal lineage anchors; the manifest rename is
-//     the commit point. LoadFrom rebuilds the whole table off to the
+//     referenced as-is) plus a checksummed manifest (manifest.h v7)
+//     holding the boundaries, per-shard key counts, tier tags, segment
+//     ids and wal lineage anchors; the manifest rename is the commit
+//     point. LoadFrom rebuilds the whole table off to the
 //     side and publishes it only when every segment validated, mapping
 //     each failure to a distinct core::SnapshotStatus. Recovery with a
 //     manifest is *boundary-preserving* and shard-parallel: the
@@ -180,8 +180,6 @@ struct ShardedOptions {
   /// below min_rebalance_keys so a fresh merge child cannot immediately
   /// re-trip the split trigger.
   size_t merge_threshold_keys = 0;
-  /// Maximum keys sampled for the bulk-load router model.
-  size_t router_sample_cap = 4096;
   /// Recovery thread-pool width for the per-shard replay (clamped to
   /// the shard count and the hardware concurrency).
   size_t recovery_threads = 8;
@@ -219,7 +217,7 @@ struct ShardedOptions {
   core::Config shard_config;
 };
 
-/// A range-partitioned, learned-routed collection of ConcurrentAlex
+/// A range-partitioned, range-routed collection of ConcurrentAlex
 /// shards. All methods are safe to call from any thread. Point operations
 /// are linearizable; scans are read-committed (see the protocol above).
 template <typename K, typename P>
@@ -259,8 +257,7 @@ class ShardedAlex {
         std::max<size_t>(1, std::min(options_.num_shards,
                                      std::max<size_t>(n, 1)));
     auto* next = new Table();
-    next->router = ShardRouter<K>::FitFromSortedKeys(
-        keys, n, shards, options_.router_sample_cap);
+    next->router = ShardRouter<K>::FitFromSortedKeys(keys, n, shards);
     next->shards.reserve(shards);
     for (size_t j = 0; j < shards; ++j) {
       const size_t lo = j * n / shards;
@@ -1225,8 +1222,8 @@ class ShardedAlex {
           1, std::min(options_.num_shards,
                       std::max<size_t>(keys.size(), 1)));
       next = std::make_unique<Table>();
-      next->router = ShardRouter<K>::FitFromSortedKeys(
-          keys.data(), keys.size(), shards, options_.router_sample_cap);
+      next->router =
+          ShardRouter<K>::FitFromSortedKeys(keys.data(), keys.size(), shards);
       next->shards.reserve(shards);
       for (size_t j = 0; j < shards; ++j) {
         const size_t lo = j * keys.size() / shards;
@@ -1398,7 +1395,7 @@ class ShardedAlex {
   }
 
   /// Structural introspection (obs/inspect.h): per-shard tree shape —
-  /// depth, leaf count, fill factor, gap density, tracked-model-error
+  /// depth, leaf count, fill factor, gap density, exact model-error
   /// distribution, chain length — plus the merged totals, stamped with
   /// the topology epoch the walk observed. Safe against concurrent
   /// operations (epoch-guarded, per-leaf shared latches); the result is
@@ -1866,12 +1863,12 @@ class ShardedAlex {
     util::ParallelFor(n, workers, std::forward<Fn>(fn));
   }
 
-  /// Rebuilds the table with the manifest's exact boundary array and
-  /// router model, each shard recovered independently: its segment plus
-  /// every log lineage rooted at its checkpoint anchor, replayed in
-  /// ascending wal-id order into a delta overlay over the segment (the
-  /// cold-shard form; TierInsert/TierErase/TierUpdate are
-  /// ApplyWalRecord's semantics over the overlay). Shards the manifest
+  /// Rebuilds the table with the manifest's exact boundary array, each
+  /// shard recovered independently: its segment plus every log lineage
+  /// rooted at its checkpoint anchor, replayed in ascending wal-id order
+  /// into a delta overlay over the segment (the cold-shard form;
+  /// TierInsert/TierErase/TierUpdate are ApplyWalRecord's semantics over
+  /// the overlay). Shards the manifest
   /// tags resident are then bulk-loaded from the merged stream. A
   /// topology child's records are range-filtered back to the manifest
   /// shards its parents anchor (a merge child spans several; each key's
@@ -1938,8 +1935,7 @@ class ShardedAlex {
 
     const size_t n = manifest.num_shards();
     auto next = std::make_unique<Table>();
-    next->router =
-        ShardRouter<K>(manifest.boundaries, manifest.router_model);
+    next->router = ShardRouter<K>(manifest.boundaries);
     next->shards.resize(n);
     rep->shards.assign(n, wal::ShardReplayStats{});
     Table* next_raw = next.get();
@@ -2028,7 +2024,6 @@ class ShardedAlex {
       next_segment_id_ = std::max(next_segment_id_, previous.next_segment_id);
     }
     manifest.boundaries = table->router.boundaries();
-    manifest.router_model = table->router.model();
     manifest.next_wal_id = wal_checkpoint ? next_wal_id_ : 0;
     manifest.topology_epoch =
         topology_epoch_.load(std::memory_order_relaxed);
@@ -2605,9 +2600,8 @@ class ShardedAlex {
     }
     // Publish: one store; readers pick the new table up immediately.
     auto* next = new Table();
-    next->router = ShardRouter<K>::FitFromBoundaries(
-        ShardRouter<K>::SpliceBoundaries(table->router.boundaries(), lo,
-                                         hi, split_keys));
+    next->router = ShardRouter<K>(ShardRouter<K>::SpliceBoundaries(
+        table->router.boundaries(), lo, hi, split_keys));
     next->shards.reserve(table->shards.size() - (hi - lo) + ways);
     next->shards.insert(next->shards.end(), table->shards.begin(),
                         table->shards.begin() +

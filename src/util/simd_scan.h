@@ -1,8 +1,6 @@
-// Branchless SIMD kernels for the scan/aggregate path (AVX2 + scalar).
-//
-// Where util/simd_search.h answers "where does this key live inside a
-// leaf", this header answers "what do the occupied slots between two leaf
-// positions add up to" without materializing them. Two kernel families:
+// Branchless SIMD kernels for the scan/aggregate path (AVX2 + scalar):
+// "what do the occupied slots between two leaf positions add up to",
+// answered without materializing them. Two kernel families:
 //
 //   MaskedAggregate(data, words, lo, hi)
 //       Fused count/sum/min/max over the *occupied* slots in [lo, hi) of a
@@ -17,33 +15,50 @@
 //       [value_lo, value_hi]. Dense words evaluate the predicate 4 lanes at
 //       a time (compare + movemask + popcount).
 //
-// Dispatch reuses the exact three gates of util/simd_search.h: compile out
-// with -DALEX_DISABLE_SIMD, runtime cpuid (AVX2), and the
-// ALEX_FORCE_SCALAR_SEARCH environment variable — all via
-// SimdSearchEnabled(), so search and scan always dispatch together.
+// Point lookups do not use SIMD: a leaf search is ALEX's exponential
+// search from the model's predicted slot (util/search.h).
 //
-// Determinism contract: for int64_t/uint64_t/double the scalar kernels are
-// written to be *byte-identical* to the AVX2 kernels. Integer sums
-// accumulate modulo 2^64 (matching packed 64-bit vector adds; wraparound
-// is well-defined, UBSan-clean). Double sums are the subtle case — FP
-// addition is not associative — so the scalar kernel mirrors the vector
-// kernel's shape exactly: four striped lane accumulators over dense words,
-// one separate accumulator for sparse slots, reduced in the fixed order
-// ((lane0+lane1) + (lane2+lane3)) + sparse. Caveats: NaN values are
-// unsupported (keys are always NaN-free; payload aggregation over NaNs is
-// unspecified), and when both -0.0 and +0.0 are present min/max may return
-// either zero representation depending on dispatch mode (they compare
-// equal).
+// Dispatch has three gates, all read through SimdSearchEnabled():
+//   - compile time: the AVX2 kernels are compiled only on x86-64
+//     GCC/Clang and only when ALEX_DISABLE_SIMD is not defined (CMake
+//     -DALEX_DISABLE_SIMD=ON defines it). They carry
+//     __attribute__((target("avx2"))) so the rest of the TU stays
+//     baseline-ISA.
+//   - run time: __builtin_cpu_supports("avx2") gates the vector path.
+//   - environment: setting ALEX_FORCE_SCALAR_SEARCH (any value) forces
+//     the portable scalar kernels for A/B testing.
+//
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <type_traits>
 
-#include "util/simd_search.h"
+#if !defined(ALEX_DISABLE_SIMD) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define ALEX_SIMD_X86 1
+#include <immintrin.h>
+#else
+#define ALEX_SIMD_X86 0
+#endif
 
 namespace alex::util {
+
+/// True when the AVX2 kernels are compiled in, the CPU reports AVX2, and
+/// ALEX_FORCE_SCALAR_SEARCH is not set in the environment. Evaluated once.
+inline bool SimdSearchEnabled() {
+#if ALEX_SIMD_X86
+  static const bool enabled = [] {
+    if (std::getenv("ALEX_FORCE_SCALAR_SEARCH") != nullptr) return false;
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return enabled;
+#else
+  return false;
+#endif
+}
 
 /// Accumulator element type for sums: integral inputs accumulate modulo
 /// 2^64, floating-point inputs accumulate in their own type.
@@ -90,6 +105,13 @@ struct AggState {
 };
 
 namespace simd_scan_internal {
+
+// Value types with an AVX2 kernel below. Everything else (int32 keys,
+// custom comparables) takes the scalar kernels.
+template <typename T>
+inline constexpr bool kHasAvx2Kernel =
+    std::is_same_v<T, int64_t> || std::is_same_v<T, uint64_t> ||
+    std::is_same_v<T, double>;
 
 /// Masks a bitmap word (covering slots [base, base+64)) down to the bits
 /// inside [lo, hi). Precondition: the word overlaps the range.
@@ -286,7 +308,8 @@ __attribute__((target("avx2"))) inline AggState<int64_t> MaskedAggregateAvx2(
 __attribute__((target("avx2"))) inline AggState<uint64_t> MaskedAggregateAvx2(
     const uint64_t* data, const uint64_t* words, size_t lo, size_t hi) {
   AggState<uint64_t> out;
-  // Unsigned compares via the sign-bit bias trick (see simd_search.h);
+  // Unsigned compares via the sign-bit bias trick (XOR-flipping the sign
+  // bit maps the unsigned order onto the signed comparator's order);
   // min/max blend the *unbiased* values on the biased compare mask.
   const __m256i bias =
       _mm256_set1_epi64x(static_cast<int64_t>(0x8000000000000000ULL));
@@ -565,7 +588,7 @@ inline AggState<T> MaskedAggregate(const T* data, const uint64_t* words,
                                    size_t lo, size_t hi) {
   if (lo >= hi) return AggState<T>{};
 #if ALEX_SIMD_X86
-  if constexpr (simd_internal::kHasAvx2Kernel<T>) {
+  if constexpr (simd_scan_internal::kHasAvx2Kernel<T>) {
     if (SimdSearchEnabled()) {
       return simd_scan_internal::MaskedAggregateAvx2(data, words, lo, hi);
     }
@@ -583,7 +606,7 @@ inline uint64_t MaskedCountBetween(const T* data, const uint64_t* words,
                                    T value_hi) {
   if (lo >= hi) return 0;
 #if ALEX_SIMD_X86
-  if constexpr (simd_internal::kHasAvx2Kernel<T>) {
+  if constexpr (simd_scan_internal::kHasAvx2Kernel<T>) {
     if (SimdSearchEnabled()) {
       return simd_scan_internal::MaskedCountBetweenAvx2(data, words, lo, hi,
                                                         value_lo, value_hi);

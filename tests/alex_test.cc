@@ -497,5 +497,51 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// ---------- per-leaf model error (what Inspect() reports) ----------
+
+/// Brute force: max |slot - PredictSlot(key)| over the occupied slots.
+size_t BruteForceMaxError(const DataNode<int64_t, int64_t>& node) {
+  size_t max_err = 0;
+  for (size_t i = 0; i < node.capacity(); ++i) {
+    if (!node.IsOccupied(i)) continue;
+    const size_t pred = node.PredictSlot(node.KeyAt(i));
+    max_err = std::max(max_err, pred > i ? pred - i : i - pred);
+  }
+  return max_err;
+}
+
+TEST(DataNodeTest, MaxModelErrorIsExactThroughChurn) {
+  for (const NodeLayout layout :
+       {NodeLayout::kGappedArray, NodeLayout::kPackedMemoryArray}) {
+    SCOPED_TRACE(static_cast<int>(layout));
+    Config config;
+    config.layout = layout;
+    DataNode<int64_t, int64_t> node(config, nullptr);
+    const auto keys = SortedKeys(400, 5);
+    const auto payloads = Payloads(400);
+    node.BulkLoad(keys.data(), payloads.data(), keys.size());
+    ASSERT_TRUE(node.has_model());
+    EXPECT_EQ(node.MaxModelError(), BruteForceMaxError(node));
+    // Random inserts and erases over a range wider than the bulk-loaded
+    // keys, so shifts, expansions and contractions all move slots away
+    // from their predictions.
+    util::Xoshiro256 rng(1234 + static_cast<uint64_t>(layout));
+    for (int op = 0; op < 20000; ++op) {
+      const int64_t key = static_cast<int64_t>(rng() % 3000);
+      if (rng() % 2 == 0) {
+        node.Insert(key, key, /*allow_split_request=*/false);
+      } else {
+        node.Erase(key);
+      }
+      if (op % 97 == 0) {
+        ASSERT_TRUE(node.CheckInvariants());
+        const size_t expected = node.has_model() ? BruteForceMaxError(node)
+                                                 : size_t{0};
+        ASSERT_EQ(node.MaxModelError(), expected) << "op " << op;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace alex::core

@@ -264,26 +264,6 @@ TEST_F(HealthTest, WriteGateWaitEdges) {
   ExpectCanonicalEdges(HealthDetector::kWriteGateWait);
 }
 
-TEST_F(HealthTest, RouterFallbackEdges) {
-  Inject();
-  auto window = [&](uint64_t hits, uint64_t fallbacks) {
-    cursor_.router_hits += hits;
-    cursor_.router_fallbacks += fallbacks;
-    Inject();
-  };
-  window(70, 30);  // 30% fallback
-  EXPECT_EQ(LevelOf(HealthDetector::kRouterFallback), HealthLevel::kWarn);
-  window(10, 90);  // 90%
-  EXPECT_EQ(LevelOf(HealthDetector::kRouterFallback), HealthLevel::kCritical);
-  window(100, 0);
-  EXPECT_EQ(LevelOf(HealthDetector::kRouterFallback), HealthLevel::kOk);
-  ExpectCanonicalEdges(HealthDetector::kRouterFallback);
-  // Below the minimum route count the rule never judges.
-  cursor_.router_fallbacks += 10;  // 10 routes, all fallbacks
-  Inject();
-  EXPECT_EQ(LevelOf(HealthDetector::kRouterFallback), HealthLevel::kOk);
-}
-
 TEST_F(HealthTest, ShardSizeSkewEdges) {
   Inject();
   cursor_.size_skew_x100 = 500;  // largest shard 5x the mean
@@ -517,8 +497,8 @@ TEST_F(HealthTest, InspectReportsConsistentStructure) {
   EXPECT_LE(report.total.min_depth, report.total.max_depth);
   // Every live leaf is reachable both top-down and along the chain.
   EXPECT_EQ(report.total.chain_length, report.total.leaf_count);
-  // Every leaf is either bounded (in the error histogram) or counted
-  // unbounded.
+  // Every leaf is either a model leaf (in the error histogram) or counted
+  // unbounded (model-less).
   EXPECT_EQ(report.total.model_error.Count() + report.total.unbounded_leaves,
             report.total.leaf_count);
   uint64_t shard_keys = 0;

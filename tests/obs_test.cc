@@ -21,8 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/simd_search.h"
-
 namespace alex::obs {
 namespace {
 
@@ -436,46 +434,6 @@ TEST_F(ObsTest, ScopedLatencyTimerRecordsRegardlessOfFlag) {
   { ScopedLatencyTimer timer(nullptr); }  // nullptr disables cleanly
   EXPECT_EQ(h->Count(), 1u);
 }
-
-#if !defined(ALEX_DISABLE_OBS)
-
-// Satellite: the in-leaf search kernels count their dispatch decision.
-// Dispatch is decided once per process (CPU feature probe +
-// ALEX_FORCE_SCALAR_SEARCH cached in a function-local static), so every
-// bounded search in this process lands on the same counter — and the two
-// counters together must account for every call.
-TEST_F(ObsTest, SimdDispatchCountersAccountForEverySearch) {
-  SetEnabled(true);
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  std::vector<int64_t> data(256);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<int64_t>(i) * 3;
-  }
-  constexpr uint64_t kSearches = 32;
-  for (uint64_t i = 0; i < kSearches; ++i) {
-    const int64_t key = static_cast<int64_t>(i * 17 % 800);
-    const size_t pos = i % 2 == 0
-                           ? util::BoundedSearchLowerBound(
-                                 data.data(), 0, data.size(), key)
-                           : util::BoundedSearchUpperBound(
-                                 data.data(), 0, data.size(), key);
-    ASSERT_LE(pos, data.size());
-  }
-  const uint64_t vec =
-      reg.GetCounter("simd.bounded_search_vector")->Load();
-  const uint64_t scalar =
-      reg.GetCounter("simd.bounded_search_scalar")->Load();
-  EXPECT_EQ(vec + scalar, kSearches);
-  if (util::SimdSearchEnabled()) {
-    EXPECT_EQ(vec, kSearches);
-    EXPECT_EQ(scalar, 0u);
-  } else {
-    EXPECT_EQ(vec, 0u);
-    EXPECT_EQ(scalar, kSearches);
-  }
-}
-
-#endif  // !ALEX_DISABLE_OBS
 
 TEST_F(ObsTest, ClockConvertsTicks) {
   EXPECT_EQ(TicksToNs(0), 0u);

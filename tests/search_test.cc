@@ -107,8 +107,9 @@ TEST(BinarySearchTest, EmptyWindowReturnsHi) {
 // Differential fuzz against std::lower_bound / std::upper_bound over
 // duplicate-heavy arrays (tiny value domain, so nearly every key repeats)
 // with adversarial predicted positions: 0, the last slot, the exact
-// answer, and far misses on both sides. The same oracle shape covers the
-// SIMD bounded search in tests/simd_search_test.cc.
+// answer, and far misses on both sides. Exponential search from the
+// predicted slot is the only in-leaf search (core/data_node.h), so this
+// fuzz guards every leaf lookup.
 TEST(ExponentialSearchTest, DuplicateHeavyAdversarialFuzz) {
   Xoshiro256 rng(991);
   for (int trial = 0; trial < 60; ++trial) {

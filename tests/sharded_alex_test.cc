@@ -1,12 +1,12 @@
-// Tests for the sharded service layer (src/shard/): learned routing
-// (boundary exactness + fallback), cross-shard scans, online rebalance
-// under concurrent readers (built to run under TSan), and per-shard
-// durability including manifest corruption and missing shard files.
+// Tests for the sharded service layer (src/shard/): routing through the
+// shard table (the router itself is tested in router_test.cc),
+// cross-shard scans, online rebalance under concurrent readers (built to
+// run under TSan), and per-shard durability including manifest
+// corruption and missing shard files.
 #include "shard/sharded_alex.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/serialization.h"
-#include "shard/router.h"
 #include "test_files.h"
 #include "tier/segment.h"
 #include "util/random.h"
@@ -44,80 +43,6 @@ ShardedOptions Opts(size_t shards) {
   ShardedOptions options;
   options.num_shards = shards;
   return options;
-}
-
-/// Reference routing: index of the first boundary greater than `key`.
-size_t ReferenceRoute(const std::vector<int64_t>& bounds, int64_t key) {
-  return static_cast<size_t>(
-      std::upper_bound(bounds.begin(), bounds.end(), key) - bounds.begin());
-}
-
-// ---- ShardRouter ----
-
-TEST(ShardRouterTest, DefaultRoutesEverythingToShardZero) {
-  ShardRouter<int64_t> router;
-  EXPECT_EQ(router.num_shards(), 1u);
-  EXPECT_EQ(router.Route(-1000), 0u);
-  EXPECT_EQ(router.Route(0), 0u);
-  EXPECT_EQ(router.Route(1 << 30), 0u);
-}
-
-TEST(ShardRouterTest, AgreesWithBinarySearchEverywhere) {
-  std::vector<int64_t> keys;
-  for (int64_t i = 0; i < 10000; ++i) keys.push_back(i * 3);
-  const auto router =
-      ShardRouter<int64_t>::FitFromSortedKeys(keys.data(), keys.size(), 8);
-  ASSERT_EQ(router.num_shards(), 8u);
-  const std::vector<int64_t>& bounds = router.boundaries();
-  ASSERT_EQ(bounds.size(), 7u);
-  // Every key (and the gaps between them) routes exactly like the
-  // reference binary search, including off-distribution probes.
-  for (int64_t probe = -10; probe < 30020; ++probe) {
-    ASSERT_EQ(router.Route(probe), ReferenceRoute(bounds, probe))
-        << "probe " << probe;
-  }
-}
-
-TEST(ShardRouterTest, BoundaryKeysRouteToUpperShard) {
-  std::vector<int64_t> keys;
-  for (int64_t i = 0; i < 4096; ++i) keys.push_back(i * 2);
-  const auto router =
-      ShardRouter<int64_t>::FitFromSortedKeys(keys.data(), keys.size(), 4);
-  const std::vector<int64_t>& bounds = router.boundaries();
-  ASSERT_EQ(bounds.size(), 3u);
-  for (size_t i = 0; i < bounds.size(); ++i) {
-    // The boundary key itself belongs to the upper shard; its predecessor
-    // belongs to the lower.
-    EXPECT_EQ(router.Route(bounds[i]), i + 1);
-    EXPECT_EQ(router.Route(bounds[i] - 1), i);
-  }
-}
-
-TEST(ShardRouterTest, FallbackKeepsSkewedDistributionsExact) {
-  // Heavily skewed keys make the linear model useless; routing must stay
-  // exact through the binary-search fallback.
-  std::vector<int64_t> keys;
-  for (int64_t i = 0; i < 2000; ++i) keys.push_back(i);
-  for (int64_t i = 0; i < 2000; ++i) {
-    keys.push_back(1000000000LL + i * 1000000LL);
-  }
-  const auto router =
-      ShardRouter<int64_t>::FitFromSortedKeys(keys.data(), keys.size(), 8);
-  const std::vector<int64_t>& bounds = router.boundaries();
-  for (const int64_t key : keys) {
-    ASSERT_EQ(router.Route(key), ReferenceRoute(bounds, key));
-  }
-}
-
-TEST(ShardRouterTest, FitFromBoundariesRoutesExactly) {
-  std::vector<int64_t> bounds = {100, 200, 1000, 50000};
-  const auto router = ShardRouter<int64_t>::FitFromBoundaries(bounds);
-  EXPECT_EQ(router.num_shards(), 5u);
-  for (int64_t probe : {-5LL, 0LL, 99LL, 100LL, 150LL, 200LL, 999LL,
-                        1000LL, 49999LL, 50000LL, 1000000LL}) {
-    ASSERT_EQ(router.Route(probe), ReferenceRoute(bounds, probe))
-        << "probe " << probe;
-  }
 }
 
 // ---- ShardedAlex: routing + point ops ----
@@ -653,8 +578,8 @@ TEST(ShardedAlexTest, CorruptManifestChecksumIsDetected) {
 
 TEST(ShardedAlexTest, UnsortedManifestBoundariesAreRejected) {
   // A well-checksummed manifest whose boundaries are out of order (a
-  // buggy or foreign writer) must not reach the router, whose fallback
-  // binary-searches that array.
+  // buggy or foreign writer) must not reach the router, which searches
+  // that array.
   ShardManifest<int64_t> manifest;
   manifest.boundaries = {10, 5};
   manifest.shard_keys = {1, 1, 1};

@@ -611,8 +611,9 @@ TEST(TieredAlexTest, ManifestV5RoundTripsTierState) {
 
 TEST(TieredAlexTest, V4ManifestIsBadVersion) {
   // A v4 manifest names per-shard snapshot files for resident shards,
-  // which nothing reads any more, and a v5 manifest has today's layout
-  // under the checksum v6 replaced: both must be refused outright.
+  // which nothing reads any more, a v5 manifest uses the checksum v6
+  // replaced, and a v6 header still carries the router model v7 dropped:
+  // all must be refused outright.
   const std::string prefix = TempPrefix("tier-v4-load");
   Cleanup(prefix);
   {
@@ -649,7 +650,8 @@ TEST(TieredAlexTest, V4ManifestIsBadVersion) {
   // kBadVersion below comes from the version alone.
   stamp(internal::kManifestVersion);
   EXPECT_EQ(ReadManifest<int64_t>(path, &manifest), SnapshotStatus::kOk);
-  for (const uint32_t old_version : {4u, internal::kManifestVersion - 1}) {
+  for (const uint32_t old_version :
+       {4u, 5u, internal::kManifestVersion - 1}) {
     SCOPED_TRACE(old_version);
     stamp(old_version);
     EXPECT_EQ(ReadManifest<int64_t>(path, &manifest),
