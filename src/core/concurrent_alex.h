@@ -307,15 +307,18 @@ class ConcurrentAlex {
       size_t slot[kMultiGetGroup];
       size_t pending[kMultiGetGroup];  // group members above the leaves
       size_t live = 0;
+      const ConcurrentAlex* first = nullptr;
       for (size_t k = 0; k < m; ++k) {
         tree[k] = tree_at(base + k);
-        if (tree[k] != nullptr) pending[live++] = k;
+        if (tree[k] == nullptr) continue;
+        if (live == 0) first = tree[k];
+        pending[live++] = k;
       }
-      if (live == 0) continue;
-      util::EpochManager::Guard guard(*tree[pending[0]]->epoch_);
+      if (first == nullptr) continue;
+      util::EpochManager::Guard guard(*first->epoch_);
       for (size_t j = 0; j < live; ++j) {
         const size_t k = pending[j];
-        assert(tree[k]->epoch_ == tree[pending[0]]->epoch_);
+        assert(tree[k]->epoch_ == first->epoch_);
         node[k] = tree[k]->index_.root_.load(std::memory_order_seq_cst);
         util::PrefetchReadRange(node[k], kNodeHeadBytes);
       }

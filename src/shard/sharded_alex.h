@@ -18,8 +18,13 @@
 //          ┌───────────────┼──────────────────┐
 //          ▼               ▼                  ▼
 //       Shard 0         Shard 1    ...     Shard N-1
-//     ConcurrentAlex  ConcurrentAlex     ConcurrentAlex
+//     ConcurrentAlex  cold segment       ConcurrentAlex
 //     (-inf, b0)      [b0, b1)           [b_{N-2}, +inf)
+//
+// A Shard serves its own data ops (Get, Apply, Scan, Aggregate, ...)
+// from whichever tier holds it: a resident ConcurrentAlex, or a cold
+// segment + delta overlay (src/tier/). This layer routes, gates, logs
+// and runs topology without branching on the tier.
 //
 // Protocol (mirrors the index's own EBR design one level up):
 //
@@ -41,7 +46,7 @@
 //
 //   Topology transactions.   Every topology change — a *split* (one hot
 //     shard → split_ways children, triggered by the skew check or the
-//     absolute bound), a *merge* (two adjacent cold shards → one child,
+//     absolute bound), a *merge* (two adjacent small shards → one child,
 //     triggered by the inverse skew check when erases shrink them under
 //     the configured floor), and an explicit *rebalance* (re-even the
 //     boundaries of an adjacent run, shard count unchanged) — runs
@@ -175,7 +180,7 @@ struct ShardedOptions {
   /// How many shards one split turns the victim into.
   size_t split_ways = 2;
   /// Merge two adjacent shards once their *combined* size falls under
-  /// this floor (the inverse of the skew check: two cold shards whose
+  /// this floor (the inverse of the skew check: two small shards whose
   /// union is still a small shard). 0 disables merges. Keep it at or
   /// below min_rebalance_keys so a fresh merge child cannot immediately
   /// re-trip the split trigger.
@@ -253,19 +258,7 @@ class ShardedAlex {
   /// last_wal_error().
   void BulkLoad(const K* keys, const P* payloads, size_t n) {
     std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
-    const size_t shards =
-        std::max<size_t>(1, std::min(options_.num_shards,
-                                     std::max<size_t>(n, 1)));
-    auto* next = new Table();
-    next->router = ShardRouter<K>::FitFromSortedKeys(keys, n, shards);
-    next->shards.reserve(shards);
-    for (size_t j = 0; j < shards; ++j) {
-      const size_t lo = j * n / shards;
-      const size_t hi = (j + 1) * n / shards;
-      auto shard = std::make_shared<Shard>(options_.shard_config, &epoch_);
-      shard->index.BulkLoad(keys + lo, payloads + lo, hi - lo);
-      next->shards.push_back(std::move(shard));
-    }
+    Table* next = Partition(keys, payloads, n);
     if (wal_enabled_ && !AttachFreshLogs(&next->shards, /*parents=*/{})) {
       // Could not open log files: surface the error and stop logging
       // rather than silently running some shards unlogged.
@@ -275,22 +268,11 @@ class ShardedAlex {
       ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll, 0, 0,
                      static_cast<int>(wal::WalStatus::kIoError), 0);
     }
-    Table* old = table_.exchange(next, std::memory_order_seq_cst);
-    util::EpochManager::Guard guard(epoch_);
-    // Drain in-flight writers of every old shard and mark it retired so
-    // stragglers re-route into the new table; once every gate has cycled,
-    // no further commit can land in the old table. The sealed logs keep
-    // the old lineage replayable until the checkpoint below supersedes
-    // it.
-    for (const auto& shard : old->shards) {
-      std::unique_lock<std::shared_mutex> gate(shard->write_gate);
-      shard->retired.store(true, std::memory_order_seq_cst);
-      if (shard->log != nullptr) shard->log->Seal();
-    }
-    epoch_.Retire(old);
-    epoch_.TryReclaim();
+    // The sealed logs keep the old lineage replayable until the
+    // checkpoint below supersedes it.
+    ReplaceTable(next);
     ALEX_OBS_EVENT(obs::EventType::kBulkLoad, obs::kShardAll, 0, 0, n,
-                   shards);
+                   next->shards.size());
     if (wal_enabled_ &&
         SaveToLocked(wal_prefix_) != core::SnapshotStatus::kOk) {
       // The bulk-loaded baseline now exists in no checkpoint and no log;
@@ -312,42 +294,8 @@ class ShardedAlex {
   /// before returning (the relative skew check itself is amortized — see
   /// MaybeSplit).
   bool Insert(K key, const P& payload) {
-    obs::ScopedOpTimer op_timer(obs::OpType::kInsert);
-    util::EpochManager::Guard guard(epoch_);
-    while (true) {
-      Table* table = table_.load(std::memory_order_seq_cst);
-      const size_t idx = table->router.Route(key);
-      op_timer.set_shard(static_cast<uint32_t>(idx));
-      Shard* shard = table->shards[idx].get();
-      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
-                                 "shard.write_gate_contended",
-                                 "shard.write_gate_wait_ns");
-      if (shard->retired.load(std::memory_order_seq_cst)) {
-        continue;  // raced a rebalance/bulk load: re-route
-      }
-      shard->traffic.fetch_add(1, std::memory_order_relaxed);
-      // Log-before-apply: the record replays as insert-if-absent, so a
-      // duplicate that fails below is a no-op on replay too.
-      if (!LogWrite(shard, wal::WalRecordType::kInsert, key, &payload)) {
-        return false;
-      }
-      if (shard->cold()) {
-        // Cold shards absorb writes into the delta overlay; the skew
-        // check is moot (tiering owns their lifecycle).
-        return shard->TierInsert(key, payload);
-      }
-      const bool inserted = shard->index.Insert(key, payload);
-      gate.unlock();
-      if (!inserted) return false;
-      // The shard-local commit counter makes the amortized skew check
-      // deterministic: exactly one committing thread observes each
-      // kSkewCheckInterval-th commit, however commits interleave.
-      const uint64_t commit =
-          shard->commit_count.fetch_add(1, std::memory_order_relaxed) + 1;
-      MaybeSplit(table, shard, key,
-                 (commit & (kSkewCheckInterval - 1)) == 0);
-      return true;
-    }
+    return Write(obs::OpType::kInsert, wal::WalRecordType::kInsert, key,
+                 payload);
   }
 
   /// Removes `key`; false when absent. An erase that leaves the target
@@ -356,52 +304,13 @@ class ShardedAlex {
   /// skew check, the check is amortized to every kSkewCheckInterval-th
   /// commit into the shard.
   bool Erase(K key) {
-    obs::ScopedOpTimer op_timer(obs::OpType::kErase);
-    util::EpochManager::Guard guard(epoch_);
-    while (true) {
-      Table* table = table_.load(std::memory_order_seq_cst);
-      const size_t idx = table->router.Route(key);
-      op_timer.set_shard(static_cast<uint32_t>(idx));
-      Shard* shard = table->shards[idx].get();
-      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
-                                 "shard.write_gate_contended",
-                                 "shard.write_gate_wait_ns");
-      if (shard->retired.load(std::memory_order_seq_cst)) continue;
-      shard->traffic.fetch_add(1, std::memory_order_relaxed);
-      if (!LogWrite(shard, wal::WalRecordType::kErase, key, nullptr)) {
-        return false;
-      }
-      if (shard->cold()) return shard->TierErase(key);
-      const bool erased = shard->index.Erase(key);
-      gate.unlock();
-      if (!erased) return false;
-      const uint64_t commit =
-          shard->commit_count.fetch_add(1, std::memory_order_relaxed) + 1;
-      MaybeMerge(key, (commit & (kSkewCheckInterval - 1)) == 0);
-      return true;
-    }
+    return Write(obs::OpType::kErase, wal::WalRecordType::kErase, key, P{});
   }
 
   /// Overwrites an existing payload; false when absent.
   bool Update(K key, const P& payload) {
-    obs::ScopedOpTimer op_timer(obs::OpType::kUpdate);
-    util::EpochManager::Guard guard(epoch_);
-    while (true) {
-      Table* table = table_.load(std::memory_order_seq_cst);
-      const size_t idx = table->router.Route(key);
-      op_timer.set_shard(static_cast<uint32_t>(idx));
-      Shard* shard = table->shards[idx].get();
-      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
-                                 "shard.write_gate_contended",
-                                 "shard.write_gate_wait_ns");
-      if (shard->retired.load(std::memory_order_seq_cst)) continue;
-      shard->traffic.fetch_add(1, std::memory_order_relaxed);
-      if (!LogWrite(shard, wal::WalRecordType::kUpdate, key, &payload)) {
-        return false;
-      }
-      if (shard->cold()) return shard->TierUpdate(key, payload);
-      return shard->index.Update(key, payload);
-    }
+    return Write(obs::OpType::kUpdate, wal::WalRecordType::kUpdate, key,
+                 payload);
   }
 
   // ---- Batched operations ----
@@ -451,7 +360,7 @@ class ShardedAlex {
       }
       ++run_keys;
       if (!shard->cold()) return &shard->index;
-      found[i] = shard->TierGet(keys[i], &payloads[i], &block_cache_);
+      found[i] = shard->Get(keys[i], &payloads[i], &block_cache_);
       if (found[i]) ++cold_hits;
       return nullptr;
     };
@@ -468,125 +377,16 @@ class ShardedAlex {
   /// is applied, and a failed batch fails the whole run closed.
   size_t MultiInsert(const K* keys, const P* payloads, size_t n,
                      bool* inserted = nullptr) {
-    if (n == 0) return 0;
-    obs::ScopedOpTimer op_timer(obs::OpType::kMultiInsert);
-    std::vector<size_t> order;
-    std::vector<K> sorted_keys;
-    SortBatch(keys, n, &order, &sorted_keys);
-    std::vector<P> sorted_payloads(n);
-    for (size_t k = 0; k < n; ++k) sorted_payloads[k] = payloads[order[k]];
-    const std::unique_ptr<bool[]> run_ok(new bool[n]());
-    size_t count = 0;
-    util::EpochManager::Guard guard(epoch_);
-    size_t i = 0;
-    while (i < n) {
-      Table* table = table_.load(std::memory_order_seq_cst);
-      const size_t idx = table->router.Route(sorted_keys[i]);
-      Shard* shard = table->shards[idx].get();
-      const size_t j = RunEnd(table, idx, sorted_keys, i);
-      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
-                                 "shard.write_gate_contended",
-                                 "shard.write_gate_wait_ns");
-      if (shard->retired.load(std::memory_order_seq_cst)) {
-        continue;  // raced a topology transaction: re-route from key i
-      }
-      const size_t len = j - i;
-      shard->traffic.fetch_add(len, std::memory_order_relaxed);
-      if (!LogWriteBatch(shard, wal::WalRecordType::kInsert,
-                         sorted_keys.data() + i, sorted_payloads.data() + i,
-                         len)) {
-        i = j;  // fail the run closed; later runs surface the same error
-        continue;
-      }
-      if (shard->cold()) {
-        size_t run_count = 0;
-        for (size_t k = i; k < j; ++k) {
-          run_ok[k] = shard->TierInsert(sorted_keys[k], sorted_payloads[k]);
-          run_count += run_ok[k] ? 1 : 0;
-        }
-        gate.unlock();
-        count += run_count;
-        i = j;
-        continue;  // no skew check: tiering owns cold shards
-      }
-      const size_t run_inserted = shard->index.MultiInsert(
-          sorted_keys.data() + i, sorted_payloads.data() + i, len,
-          run_ok.get() + i);
-      gate.unlock();
-      count += run_inserted;
-      i = j;
-      if (run_inserted > 0) {
-        const uint64_t before = shard->commit_count.fetch_add(
-            run_inserted, std::memory_order_relaxed);
-        // The scalar path checks the skew on every kSkewCheckInterval-th
-        // commit; a batch increment can jump the counter past the exact
-        // multiple, so the tick fires when the run crossed one.
-        MaybeSplit(table, shard, sorted_keys[i - 1],
-                   CrossedSkewInterval(before, run_inserted));
-      }
-    }
-    if (inserted != nullptr) {
-      for (size_t k = 0; k < n; ++k) inserted[order[k]] = run_ok[k];
-    }
-    return count;
+    return MultiWrite(obs::OpType::kMultiInsert, wal::WalRecordType::kInsert,
+                      keys, payloads, n, inserted);
   }
 
   /// Batched Erase; `erased[i]` (when non-null, caller order) reports
   /// per-key success. Returns the number erased. One WAL group-commit
   /// batch per shard run, like MultiInsert.
   size_t MultiErase(const K* keys, size_t n, bool* erased = nullptr) {
-    if (n == 0) return 0;
-    obs::ScopedOpTimer op_timer(obs::OpType::kMultiErase);
-    std::vector<size_t> order;
-    std::vector<K> sorted_keys;
-    SortBatch(keys, n, &order, &sorted_keys);
-    const std::unique_ptr<bool[]> run_ok(new bool[n]());
-    size_t count = 0;
-    util::EpochManager::Guard guard(epoch_);
-    size_t i = 0;
-    while (i < n) {
-      Table* table = table_.load(std::memory_order_seq_cst);
-      const size_t idx = table->router.Route(sorted_keys[i]);
-      Shard* shard = table->shards[idx].get();
-      const size_t j = RunEnd(table, idx, sorted_keys, i);
-      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
-                                 "shard.write_gate_contended",
-                                 "shard.write_gate_wait_ns");
-      if (shard->retired.load(std::memory_order_seq_cst)) continue;
-      const size_t len = j - i;
-      shard->traffic.fetch_add(len, std::memory_order_relaxed);
-      if (!LogWriteBatch(shard, wal::WalRecordType::kErase,
-                         sorted_keys.data() + i, nullptr, len)) {
-        i = j;
-        continue;
-      }
-      if (shard->cold()) {
-        size_t run_count = 0;
-        for (size_t k = i; k < j; ++k) {
-          run_ok[k] = shard->TierErase(sorted_keys[k]);
-          run_count += run_ok[k] ? 1 : 0;
-        }
-        gate.unlock();
-        count += run_count;
-        i = j;
-        continue;
-      }
-      const size_t run_erased = shard->index.MultiErase(
-          sorted_keys.data() + i, len, run_ok.get() + i);
-      gate.unlock();
-      count += run_erased;
-      i = j;
-      if (run_erased > 0) {
-        const uint64_t before = shard->commit_count.fetch_add(
-            run_erased, std::memory_order_relaxed);
-        MaybeMerge(sorted_keys[i - 1],
-                   CrossedSkewInterval(before, run_erased));
-      }
-    }
-    if (erased != nullptr) {
-      for (size_t k = 0; k < n; ++k) erased[order[k]] = run_ok[k];
-    }
-    return count;
+    return MultiWrite(obs::OpType::kMultiErase, wal::WalRecordType::kErase,
+                      keys, nullptr, n, erased);
   }
 
   /// Copies the payload of `key` into `*out`; returns false when absent.
@@ -599,7 +399,7 @@ class ShardedAlex {
     op_timer.set_shard(static_cast<uint32_t>(idx));
     Shard* shard = table->shards[idx].get();
     shard->traffic.fetch_add(1, std::memory_order_relaxed);
-    return shard->TierGet(key, out, &block_cache_);
+    return shard->Get(key, out, &block_cache_);
   }
 
   /// True when `key` is present (same lock-free path as Get).
@@ -611,7 +411,8 @@ class ShardedAlex {
     op_timer.set_shard(static_cast<uint32_t>(idx));
     Shard* shard = table->shards[idx].get();
     shard->traffic.fetch_add(1, std::memory_order_relaxed);
-    return shard->TierContains(key, &block_cache_);
+    P ignored;
+    return shard->Get(key, &ignored, &block_cache_);
   }
 
   /// Cross-shard range scan: stitches per-shard scans in key order (the
@@ -631,17 +432,7 @@ class ShardedAlex {
     while (out->size() < max_results && idx < table->shards.size()) {
       Shard* shard = table->shards[idx].get();
       shard->traffic.fetch_add(1, std::memory_order_relaxed);
-      if (shard->cold()) {
-        chunk.clear();
-        const size_t want = max_results - out->size();
-        shard->TierScanUntil(resume, std::numeric_limits<K>::max(),
-                             [&](const K& key, const P& payload) {
-                               chunk.emplace_back(key, payload);
-                               return chunk.size() < want;
-                             });
-      } else {
-        shard->index.RangeScan(resume, max_results - out->size(), &chunk);
-      }
+      shard->RangeScan(resume, max_results - out->size(), &chunk);
       out->insert(out->end(), chunk.begin(), chunk.end());
       ++idx;
       if (idx < table->shards.size()) {
@@ -675,7 +466,7 @@ class ShardedAlex {
     if (workers <= 1) {
       size_t total = 0;
       for (size_t s = first; s <= last; ++s) {
-        total += ShardScan(table->shards[s].get(), lo, hi, visit);
+        total += table->shards[s]->Scan(lo, hi, visit);
       }
       return total;
     }
@@ -698,9 +489,8 @@ class ShardedAlex {
         ChunkQueue& q = queues[i];
         std::vector<std::pair<K, P>> chunk;
         chunk.reserve(kScanChunkRecords);
-        ShardScan(
-            table->shards[first + i].get(), lo, hi,
-            [&](const K& key, const P& payload) {
+        table->shards[first + i]->Scan(
+            lo, hi, [&](const K& key, const P& payload) {
               chunk.emplace_back(key, payload);
               if (chunk.size() >= kScanChunkRecords) {
                 {
@@ -757,13 +547,10 @@ class ShardedAlex {
     const size_t first = table->router.Route(lo);
     const size_t last = table->router.Route(hi);
     const size_t n = last - first + 1;
-    if (n == 1) {
-      return AggregateShard(table->shards[first].get(), lo, hi, spec);
-    }
+    if (n == 1) return table->shards[first]->Aggregate(lo, hi, spec);
     std::vector<core::AggResult<K, P>> partials(n);
     util::ParallelFor(n, std::min(options_.scan_threads, n), [&](size_t i) {
-      partials[i] =
-          AggregateShard(table->shards[first + i].get(), lo, hi, spec);
+      partials[i] = table->shards[first + i]->Aggregate(lo, hi, spec);
     });
     for (const auto& partial : partials) result.Merge(partial);
     return result;
@@ -806,9 +593,10 @@ class ShardedAlex {
   /// topology transaction as splits and merges. One transaction handles
   /// at most wal::kMaxTopologyParents victims (a child's lineage record
   /// must name every one); a wider range is clamped — call again to
-  /// continue. Returns false when the range maps to a single shard, a
-  /// rival transaction is in flight, or the victims hold fewer keys
-  /// than shards.
+  /// continue. Cold victims are taken like resident ones (streamed
+  /// through their segment + overlay); every child is resident. Returns
+  /// false when the range maps to a single shard, a rival transaction is
+  /// in flight, or the victims hold fewer keys than shards.
   bool Rebalance(K lo_key, K hi_key) {
     if (hi_key < lo_key) return false;
     util::EpochManager::Guard guard(epoch_);
@@ -836,6 +624,8 @@ class ShardedAlex {
   // shard's WAL log *moves* to the replacement instead of being sealed:
   // the logical shard (and its LSN stream) continues across the tier
   // transition, so recovery needs no tier-specific lineage handling.
+  // Topology transactions take cold victims as they are and build
+  // resident children; only demotion turns a shard cold.
 
   /// Demotes shard `idx` to a cold segment written at the tier prefix
   /// (options.tier_prefix, defaulting to the WAL prefix). kOk when the
@@ -878,7 +668,7 @@ class ShardedAlex {
       Table* table = table_.load(std::memory_order_seq_cst);
       if (i >= table->shards.size()) break;
       Shard* shard = table->shards[i].get();
-      if (!shard->cold() || shard->DeltaClean()) continue;
+      if (shard->DeltaEntries() == 0) continue;  // resident, or clean
       if (CompactShardLocked(i) == core::SnapshotStatus::kOk) ++ran;
     }
     return ran;
@@ -935,7 +725,7 @@ class ShardedAlex {
       } else {
         const bool idle = static_cast<double>(window[i]) <=
                           fair * options_.tier_demote_fraction;
-        if (idle && shard->TierSize() >= options_.tier_min_demote_keys &&
+        if (idle && shard->size() >= options_.tier_min_demote_keys &&
             DemoteShardLocked(i) == core::SnapshotStatus::kOk) {
           ++transitions;
         }
@@ -995,12 +785,7 @@ class ShardedAlex {
   /// Bytes held in cold-tier segment files (the live table's).
   uint64_t ColdBytes() const {
     util::EpochManager::Guard guard(epoch_);
-    Table* table = table_.load(std::memory_order_seq_cst);
-    uint64_t bytes = 0;
-    for (const auto& shard : table->shards) {
-      if (shard->cold()) bytes += shard->segment->file_bytes();
-    }
-    return bytes;
+    return ColdBytesOf(table_.load(std::memory_order_seq_cst));
   }
 
   uint64_t demotion_count() const {
@@ -1034,16 +819,7 @@ class ShardedAlex {
     util::EpochManager::Guard guard(epoch_);
     Table* table = table_.load(std::memory_order_seq_cst);
     size_t total = table->router.SizeBytes();
-    for (const auto& shard : table->shards) {
-      if (shard->cold()) {
-        // A cold shard's resident metadata: the segment's fence model +
-        // per-block checksums. The mapped data blocks live on disk (and
-        // transiently in the block cache, accounted by its own stats).
-        total += shard->segment->MetaSizeBytes();
-      } else {
-        total += shard->index.IndexSizeBytes();
-      }
-    }
+    for (const auto& shard : table->shards) total += shard->IndexBytes();
     return total;
   }
 
@@ -1051,13 +827,7 @@ class ShardedAlex {
     util::EpochManager::Guard guard(epoch_);
     Table* table = table_.load(std::memory_order_seq_cst);
     size_t total = 0;
-    for (const auto& shard : table->shards) {
-      if (shard->cold()) {
-        total += shard->DeltaEntries() * (sizeof(K) + sizeof(P));
-      } else {
-        total += shard->index.DataSizeBytes();
-      }
-    }
+    for (const auto& shard : table->shards) total += shard->DataBytes();
     return total;
   }
 
@@ -1218,22 +988,7 @@ class ShardedAlex {
         keys.push_back(key);
         payloads.push_back(payload);
       }
-      const size_t shards = std::max<size_t>(
-          1, std::min(options_.num_shards,
-                      std::max<size_t>(keys.size(), 1)));
-      next = std::make_unique<Table>();
-      next->router =
-          ShardRouter<K>::FitFromSortedKeys(keys.data(), keys.size(), shards);
-      next->shards.reserve(shards);
-      for (size_t j = 0; j < shards; ++j) {
-        const size_t lo = j * keys.size() / shards;
-        const size_t hi = (j + 1) * keys.size() / shards;
-        auto shard =
-            std::make_shared<Shard>(options_.shard_config, &epoch_);
-        shard->index.BulkLoad(keys.data() + lo, payloads.data() + lo,
-                              hi - lo);
-        next->shards.push_back(std::move(shard));
-      }
+      next.reset(Partition(keys.data(), payloads.data(), keys.size()));
     }
 
     if (have_manifest) {
@@ -1267,16 +1022,7 @@ class ShardedAlex {
     wal_enabled_ = false;
     quiesce.clear();
     [[maybe_unused]] const size_t recovered_shards = next->shards.size();
-    Table* old = table_.exchange(next.release(),
-                                 std::memory_order_seq_cst);
-    util::EpochManager::Guard guard(epoch_);
-    for (const auto& shard : old->shards) {
-      std::unique_lock<std::shared_mutex> gate(shard->write_gate);
-      shard->retired.store(true, std::memory_order_seq_cst);
-      if (shard->log != nullptr) shard->log->Seal();
-    }
-    epoch_.Retire(old);
-    epoch_.TryReclaim();
+    ReplaceTable(next.release());
     ALEX_OBS_EVENT(obs::EventType::kRecovery, obs::kShardAll, 0, 0,
                    rep->records_replayed, recovered_shards);
     return core::SnapshotStatus::kOk;
@@ -1372,23 +1118,23 @@ class ShardedAlex {
     size_t total = 0;
     for (size_t i = 0; i < table->shards.size(); ++i) {
       const auto& shard = table->shards[i];
-      if (!shard->cold() && !shard->index.CheckInvariants()) return false;
+      if (!shard->index.CheckInvariants()) return false;
       // Visitor-based drain: routing is checked record by record as the
       // scan streams — nothing is materialized. Cold shards stream the
       // merged overlay+segment view, which also exercises key order.
       bool routed_ok = true;
       K prev{};
       bool have_prev = false;
-      const size_t scanned = ShardScan(
-          shard.get(), std::numeric_limits<K>::lowest(),
-          std::numeric_limits<K>::max(), [&](const K& key, const P&) {
+      const size_t scanned = shard->Scan(
+          std::numeric_limits<K>::lowest(), std::numeric_limits<K>::max(),
+          [&](const K& key, const P&) {
             if (table->router.Route(key) != i) routed_ok = false;
             if (have_prev && !(prev < key)) routed_ok = false;
             prev = key;
             have_prev = true;
           });
       if (!routed_ok) return false;
-      if (scanned != shard->TierSize()) return false;
+      if (scanned != shard->size()) return false;
       total += scanned;
     }
     return total == size();
@@ -1418,13 +1164,19 @@ class ShardedAlex {
   }
 
  private:
-  /// One shard: the index plus the write gate that lets a rebalance drain
-  /// it. Shards are shared between successive tables (via shared_ptr) and
-  /// die with the last table that references them, two epoch advances
-  /// after that table retired.
+  /// One shard: its contents, resident or cold, plus the write gate that
+  /// lets a rebalance drain it. Shards are shared between successive
+  /// tables (via shared_ptr) and die with the last table that references
+  /// them, two epoch advances after that table retired.
+  ///
+  /// The shard's own data methods (size, Get, Apply, ApplyRun, Scan,
+  /// RangeScan, Aggregate, Contents and the byte accounting) are the only
+  /// place an operation chooses a tier; ShardedAlex routes, gates, logs
+  /// and runs topology without knowing which tier serves the op.
   struct Shard {
     Shard(const core::Config& config, util::EpochManager* epoch)
         : index(config, epoch) {}
+    // The resident tree; empty while the shard is cold.
     core::ConcurrentAlex<K, P> index;
     // The shard's write-ahead log; null while the WAL is disabled.
     // Written under the exclusive gate (attach/detach), read under the
@@ -1436,21 +1188,20 @@ class ShardedAlex {
     // Set under the exclusive gate, after the replacement table is
     // published: writers that still routed here re-route.
     std::atomic<bool> retired{false};
-    // Committed-insert counter driving the amortized skew check. Shard-
-    // local, so writers to different shards share no cache line.
+    // Committed inserts + erases, driving the amortized skew check.
+    // Shard-local, so writers to different shards share no cache line.
     std::atomic<uint64_t> commit_count{0};
 
     // ---- Cold tier ----
     //
     // A *cold* shard holds its checkpointed contents in one immutable
-    // mmap-backed segment (tier/segment.h) instead of a ConcurrentAlex
-    // (whose tree stays empty), plus a small resident *delta overlay*
-    // for the writes that landed since demotion. Reads consult the
-    // overlay first (a tombstone hides a segment key), then the segment
-    // through the block cache. `segment` is set once when the cold
-    // replacement shard is built and never reassigned, so the lock-free
-    // read path can test cold() with no synchronization beyond the
-    // table load that published the shard.
+    // mmap-backed segment (tier/segment.h) instead of the tree, plus a
+    // small resident *delta overlay* for the writes that landed since
+    // demotion. Reads consult the overlay first (a tombstone hides a
+    // segment key), then the segment through the block cache. `segment`
+    // is set once when the cold replacement shard is built and never
+    // reassigned, so the lock-free read path can test cold() with no
+    // synchronization beyond the table load that published the shard.
     std::shared_ptr<tier::ColdSegment<K, P>> segment;
     struct DeltaEntry {
       P payload{};
@@ -1469,34 +1220,202 @@ class ShardedAlex {
 
     bool cold() const { return segment != nullptr; }
 
-    uint64_t TierSize() const {
+    /// Live key count.
+    uint64_t size() const {
       return cold() ? cold_live.load(std::memory_order_relaxed)
                     : index.size();
     }
 
-    /// Segment read below the overlay: through the block cache when one
-    /// is given (pinned copy + in-block model search), straight off the
-    /// mapping otherwise. A block whose cached load fails (checksum)
-    /// falls back to the raw mapping — the segment was fully verified
-    /// when it was opened.
-    bool SegmentGet(const K& key, P* out, tier::BlockCache* cache) const {
-      if (key < segment->min_key() || segment->max_key() < key) {
-        return false;
-      }
-      if (cache == nullptr) return segment->Get(key, out);
-      const size_t b = segment->BlockOfKey(key);
-      tier::BlockCache::Handle h = cache->GetOrLoad(
-          segment->id(), b, [&](std::vector<uint8_t>* bytes) {
-            return segment->LoadBlock(b, bytes) ==
-                   core::SnapshotStatus::kOk;
-          });
-      if (!h.valid()) return segment->Get(key, out);
-      return tier::ColdSegment<K, P>::SearchBlock(
-          h.data(), segment->BlockKeys(b), key, out);
+    /// Point read; a cold one goes through `cache`.
+    bool Get(const K& key, P* out, tier::BlockCache* cache) const {
+      if (!cold()) return index.Get(key, out);
+      return ColdGet(key, out, cache);
     }
 
-    bool TierGet(const K& key, P* out, tier::BlockCache* cache) const {
-      if (!cold()) return index.Get(key, out);
+    /// Applies one write with the WAL's replay semantics: kInsert is
+    /// insert-if-absent, kErase erases, kUpdate overwrites-if-present
+    /// (`payload` is ignored for kErase). Returns whether it took effect.
+    /// Callers hold the write gate shared and have logged the record, or
+    /// own a shard no table publishes yet (recovery). A cold write
+    /// mutates only the overlay, under its exclusive lock; segment
+    /// membership checks read the raw mapping (no cache pollution).
+    bool Apply(wal::WalRecordType type, const K& key, const P& payload) {
+      if (!cold()) {
+        switch (type) {
+          case wal::WalRecordType::kInsert:
+            return index.Insert(key, payload);
+          case wal::WalRecordType::kErase:
+            return index.Erase(key);
+          case wal::WalRecordType::kUpdate:
+            return index.Update(key, payload);
+          default:
+            return false;
+        }
+      }
+      std::unique_lock<std::shared_mutex> lock(delta_mutex);
+      const auto it = delta.find(key);
+      const bool in_delta = it != delta.end();
+      const bool present =
+          in_delta ? !it->second.tombstone : segment->Contains(key);
+      switch (type) {
+        case wal::WalRecordType::kInsert:  // fresh key or tombstone revival
+          if (present) return false;
+          cold_live.fetch_add(1, std::memory_order_relaxed);
+          break;
+        case wal::WalRecordType::kUpdate:  // shadows a segment key
+          if (!present) return false;
+          break;
+        case wal::WalRecordType::kErase:
+          if (!present) return false;
+          cold_live.fetch_sub(1, std::memory_order_relaxed);
+          if (in_delta && !segment->Contains(key)) {
+            delta.erase(it);  // an overlay-only key disappears outright
+          } else {
+            delta[key] = DeltaEntry{P{}, true};  // hide the segment key
+          }
+          return true;
+        default:
+          return false;
+      }
+      delta[key] = DeltaEntry{payload, false};
+      return true;
+    }
+
+    /// Applies one sorted run of same-type writes (`payloads` may be null
+    /// for kErase), filling ok[k] per key; returns how many took effect.
+    /// A resident run takes ConcurrentAlex's batched path: one epoch
+    /// guard and one leaf latch per leaf run.
+    size_t ApplyRun(wal::WalRecordType type, const K* keys,
+                    const P* payloads, size_t n, bool* ok) {
+      if (!cold() && type == wal::WalRecordType::kInsert) {
+        return index.MultiInsert(keys, payloads, n, ok);
+      }
+      if (!cold() && type == wal::WalRecordType::kErase) {
+        return index.MultiErase(keys, n, ok);
+      }
+      size_t count = 0;
+      for (size_t k = 0; k < n; ++k) {
+        ok[k] = Apply(type, keys[k], payloads == nullptr ? P{} : payloads[k]);
+        count += ok[k] ? 1 : 0;
+      }
+      return count;
+    }
+
+    /// Streams [lo, hi] in ascending key order as visit(key, payload);
+    /// returns the records visited.
+    template <typename Visitor>
+    size_t Scan(const K& lo, const K& hi, Visitor&& visit) const {
+      if (!cold()) return index.Scan(lo, hi, visit);
+      return ColdScanUntil(lo, hi, [&](const K& key, const P& payload) {
+        visit(key, payload);
+        return true;
+      });
+    }
+
+    /// Up to `max_results` records from `start` on, into `*out`
+    /// (cleared first).
+    void RangeScan(const K& start, size_t max_results,
+                   std::vector<std::pair<K, P>>* out) const {
+      if (!cold()) {
+        index.RangeScan(start, max_results, out);
+        return;
+      }
+      out->clear();
+      if (max_results == 0) return;
+      ColdScanUntil(start, std::numeric_limits<K>::max(),
+                    [&](const K& key, const P& payload) {
+                      out->emplace_back(key, payload);
+                      return out->size() < max_results;
+                    });
+    }
+
+    /// Aggregate pushdown. A cold shard folds one merged overlay+segment
+    /// stream with the same spec semantics as the resident per-leaf
+    /// kernels (core/concurrent_alex.h AggregateLeafSlots).
+    core::AggResult<K, P> Aggregate(const K& lo, const K& hi,
+                                    const core::AggSpec<P>& spec) const {
+      if (!cold()) return index.Aggregate(lo, hi, spec);
+      core::AggResult<K, P> r;
+      ColdScanUntil(lo, hi, [&](const K& key, const P& payload) {
+        if constexpr (std::is_arithmetic_v<P>) {
+          if (spec.has_payload_filter &&
+              (payload < spec.filter_lo || spec.filter_hi < payload)) {
+            return true;
+          }
+        }
+        ++r.count;
+        if (spec.count_only) return true;
+        if (spec.field == core::AggField::kKeys) {
+          r.keys.Add(key);
+        } else if constexpr (std::is_arithmetic_v<P>) {
+          r.payloads.Add(payload);
+        }
+        return true;
+      });
+      return r;
+    }
+
+    /// Streams the whole shard into sorted key/payload arrays: the input
+    /// of every segment write, tier transition and topology child. Callers
+    /// keep the shard write-quiescent (exclusive gate, or a shard not yet
+    /// published).
+    void Contents(std::vector<K>* keys, std::vector<P>* payloads) const {
+      keys->reserve(size());
+      payloads->reserve(size());
+      Scan(std::numeric_limits<K>::lowest(), std::numeric_limits<K>::max(),
+           [&](const K& key, const P& payload) {
+             keys->push_back(key);
+             payloads->push_back(payload);
+           });
+    }
+
+    /// Resident index footprint. A cold shard's is the segment's fence
+    /// model + per-block checksums; its mapped data blocks live on disk
+    /// (and transiently in the block cache, accounted by its own stats).
+    size_t IndexBytes() const {
+      return cold() ? segment->MetaSizeBytes() : index.IndexSizeBytes();
+    }
+
+    /// Resident data footprint; a cold shard's is its overlay.
+    size_t DataBytes() const {
+      return cold() ? DeltaEntries() * (sizeof(K) + sizeof(P))
+                    : index.DataSizeBytes();
+    }
+
+    /// Segment file bytes; 0 for a resident shard.
+    uint64_t ColdBytes() const {
+      return cold() ? segment->file_bytes() : 0;
+    }
+
+    /// Marks the shard retired, once the replacement table is published
+    /// and with the exclusive gate held: writers still routed here
+    /// re-route. Also drops the segment's cached blocks; readers still
+    /// inside the shard may load a few back, which then age out.
+    void Retire(tier::BlockCache* cache) {
+      retired.store(true, std::memory_order_seq_cst);
+      if (cold()) cache->EraseSegment(segment->cache_id());
+    }
+
+    /// True when the shard is cold and its segment file lives at `prefix`
+    /// (the demotion or compaction that built it committed it there).
+    bool SegmentAt(const std::string& prefix) const {
+      return cold() &&
+             segment->path() == tier::SegmentPath(prefix, segment->id());
+    }
+
+    /// Overlay entries; always 0 for a resident shard.
+    size_t DeltaEntries() const {
+      std::shared_lock<std::shared_mutex> lock(delta_mutex);
+      return delta.size();
+    }
+
+   private:
+    /// Cold point read: the overlay first (a tombstone hides a segment
+    /// key), then the segment through `cache` (pinned copy + in-block
+    /// model search). A block whose cached load fails (checksum) falls
+    /// back to the raw mapping — the segment was fully verified when it
+    /// was opened. Kept out of Get so the resident path stays small.
+    bool ColdGet(const K& key, P* out, tier::BlockCache* cache) const {
       {
         std::shared_lock<std::shared_mutex> lock(delta_mutex);
         const auto it = delta.find(key);
@@ -1506,66 +1425,18 @@ class ShardedAlex {
           return true;
         }
       }
-      return SegmentGet(key, out, cache);
-    }
-
-    bool TierContains(const K& key, tier::BlockCache* cache) const {
-      P ignored;
-      return TierGet(key, &ignored, cache);
-    }
-
-    // Cold-shard writes mutate only the overlay, under its exclusive
-    // lock; callers hold the shard's write_gate shared and have already
-    // logged the record, exactly like the resident path. Segment
-    // membership checks read the raw mapping (no cache pollution).
-
-    bool TierInsert(const K& key, const P& payload) {
-      std::unique_lock<std::shared_mutex> lock(delta_mutex);
-      const auto it = delta.find(key);
-      if (it != delta.end()) {
-        if (!it->second.tombstone) return false;  // duplicate
-        it->second.payload = payload;
-        it->second.tombstone = false;  // revive an erased segment key
-        cold_live.fetch_add(1, std::memory_order_relaxed);
-        return true;
+      if (key < segment->min_key() || segment->max_key() < key) {
+        return false;
       }
-      if (segment->Contains(key)) return false;
-      delta.emplace(key, DeltaEntry{payload, false});
-      cold_live.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-
-    bool TierErase(const K& key) {
-      std::unique_lock<std::shared_mutex> lock(delta_mutex);
-      const auto it = delta.find(key);
-      if (it != delta.end()) {
-        if (it->second.tombstone) return false;  // already erased
-        if (segment->Contains(key)) {
-          it->second.tombstone = true;  // keep hiding the segment key
-        } else {
-          delta.erase(it);
-        }
-        cold_live.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-      }
-      if (!segment->Contains(key)) return false;
-      delta.emplace(key, DeltaEntry{P{}, true});
-      cold_live.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-
-    bool TierUpdate(const K& key, const P& payload) {
-      std::unique_lock<std::shared_mutex> lock(delta_mutex);
-      const auto it = delta.find(key);
-      if (it != delta.end()) {
-        if (it->second.tombstone) return false;
-        it->second.payload = payload;
-        return true;
-      }
-      if (!segment->Contains(key)) return false;
-      // Overwrite-if-present of a segment-resident key: shadow it.
-      delta.emplace(key, DeltaEntry{payload, false});
-      return true;
+      const size_t b = segment->BlockOfKey(key);
+      tier::BlockCache::Handle h = cache->GetOrLoad(
+          segment->cache_id(), b, [&](std::vector<uint8_t>* bytes) {
+            return segment->LoadBlock(b, bytes) ==
+                   core::SnapshotStatus::kOk;
+          });
+      if (!h.valid()) return segment->Get(key, out);
+      return tier::ColdSegment<K, P>::SearchBlock(
+          h.data(), segment->BlockKeys(b), key, out);
     }
 
     /// Merged scan of a cold shard over [lo, hi]: the overlay slice is
@@ -1574,7 +1445,7 @@ class ShardedAlex {
     /// merge-joined with the segment in ascending key order. `visit`
     /// returns false to stop early. Returns the records visited.
     template <typename Visitor>
-    size_t TierScanUntil(const K& lo, const K& hi, Visitor&& visit) const {
+    size_t ColdScanUntil(const K& lo, const K& hi, Visitor&& visit) const {
       std::vector<std::pair<K, DeltaEntry>> overlay;
       {
         std::shared_lock<std::shared_mutex> lock(delta_mutex);
@@ -1622,16 +1493,6 @@ class ShardedAlex {
       }
       return count;
     }
-
-    bool DeltaClean() const {
-      std::shared_lock<std::shared_mutex> lock(delta_mutex);
-      return delta.empty();
-    }
-
-    size_t DeltaEntries() const {
-      std::shared_lock<std::shared_mutex> lock(delta_mutex);
-      return delta.size();
-    }
   };
 
   /// An immutable routing table: published with one store, read under an
@@ -1643,102 +1504,29 @@ class ShardedAlex {
 
   static size_t TotalKeys(const Table* table) {
     size_t total = 0;
-    for (const auto& shard : table->shards) {
-      total += shard->TierSize();
-    }
+    for (const auto& shard : table->shards) total += shard->size();
     return total;
   }
 
-  /// Streaming scan of one shard, resident or cold, visitor returning
-  /// void (the cross-shard Scan shape).
-  template <typename Visitor>
-  static size_t ShardScan(const Shard* shard, K lo, K hi,
-                          Visitor&& visit) {
-    if (!shard->cold()) return shard->index.Scan(lo, hi, visit);
-    return shard->TierScanUntil(lo, hi, [&](const K& key, const P& p) {
-      visit(key, p);
-      return true;
-    });
-  }
-
-  /// Streams a whole shard, resident or cold, into sorted key/payload
-  /// arrays: the input of every segment write and tier-transition bulk
-  /// load. Callers keep the shard write-quiescent (exclusive gate, or a
-  /// shard not yet published).
-  static void ShardContents(const Shard* shard, std::vector<K>* keys,
-                            std::vector<P>* payloads) {
-    keys->reserve(shard->TierSize());
-    payloads->reserve(shard->TierSize());
-    ShardScan(shard, std::numeric_limits<K>::lowest(),
-              std::numeric_limits<K>::max(),
-              [&](const K& key, const P& payload) {
-                keys->push_back(key);
-                payloads->push_back(payload);
-              });
-  }
-
-  /// Aggregate pushdown for a cold shard: one merged overlay+segment
-  /// stream folded with the same spec semantics as the resident
-  /// per-leaf kernels (core/concurrent_alex.h AggregateLeafSlots).
-  static core::AggResult<K, P> TierAggregate(const Shard* shard, K lo,
-                                             K hi,
-                                             const core::AggSpec<P>& spec) {
-    core::AggResult<K, P> r;
-    shard->TierScanUntil(lo, hi, [&](const K& key, const P& payload) {
-      if constexpr (std::is_arithmetic_v<P>) {
-        if (spec.has_payload_filter &&
-            (payload < spec.filter_lo || spec.filter_hi < payload)) {
-          return true;
-        }
-      }
-      ++r.count;
-      if (spec.count_only) return true;
-      if (spec.field == core::AggField::kKeys) {
-        r.keys.Add(key);
-      } else if constexpr (std::is_arithmetic_v<P>) {
-        r.payloads.Add(payload);
-      }
-      return true;
-    });
-    return r;
-  }
-
-  core::AggResult<K, P> AggregateShard(const Shard* shard, K lo, K hi,
-                                       const core::AggSpec<P>& spec) const {
-    return shard->cold() ? TierAggregate(shard, lo, hi, spec)
-                         : shard->index.Aggregate(lo, hi, spec);
+  static uint64_t ColdBytesOf(const Table* table) {
+    uint64_t bytes = 0;
+    for (const auto& shard : table->shards) bytes += shard->ColdBytes();
+    return bytes;
   }
 
   // ---- WAL plumbing ----
 
-  /// Logs one write (no-op while the WAL is off). Called with the
-  /// shard's gate held shared, which is what orders it against
-  /// checkpoints: a checkpoint's exclusive gate waits out the whole
-  /// log+apply pair. False = the record could not be committed; the
-  /// caller must fail the operation (fail closed, never apply an
-  /// unlogged write).
-  bool LogWrite(Shard* shard, wal::WalRecordType type, const K& key,
-                const P* payload) {
+  /// Logs one run of `n` same-type writes as one WAL group-commit batch
+  /// (no-op while the WAL is off). Called with the shard's gate held
+  /// shared, which is what orders it against checkpoints: a checkpoint's
+  /// exclusive gate waits out the whole log+apply pair. False = the run
+  /// could not be committed; the caller must fail all of it (fail
+  /// closed, never apply an unlogged write).
+  bool LogBatch(Shard* shard, wal::WalRecordType type, const K* keys,
+                const P* payloads, size_t n) {
     if (shard->log == nullptr) return true;
     // The log itself feeds the op-context's wal_wait_ns from the commit
     // wait it already measures — no extra clock reads here.
-    const wal::WalStatus status = shard->log->Log(type, key, payload);
-    if (status == wal::WalStatus::kOk) return true;
-    wal::WalStatus expected = wal::WalStatus::kOk;
-    last_wal_error_.compare_exchange_strong(expected, status,
-                                            std::memory_order_relaxed);
-    ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll,
-                   shard->log->wal_id(), shard->log->last_lsn(),
-                   static_cast<int>(status), 0);
-    return false;
-  }
-
-  /// Batched LogWrite: the whole shard run group-commits as one WAL
-  /// batch (ShardLog::LogBatch). Same fail-closed contract as LogWrite,
-  /// applied to the run as a unit.
-  bool LogWriteBatch(Shard* shard, wal::WalRecordType type, const K* keys,
-                     const P* payloads, size_t n) {
-    if (shard->log == nullptr) return true;
     const wal::WalStatus status =
         shard->log->LogBatch(type, keys, payloads, n);
     if (status == wal::WalStatus::kOk) return true;
@@ -1749,6 +1537,118 @@ class ShardedAlex {
                    shard->log->wal_id(), shard->log->last_lsn(),
                    static_cast<int>(status), 0);
     return false;
+  }
+
+  // ---- Write path ----
+
+  /// The one routed point write: route → gate → re-route if retired →
+  /// traffic → log → Apply → post-commit topology check.
+  bool Write(obs::OpType op, wal::WalRecordType type, K key,
+             const P& payload) {
+    obs::ScopedOpTimer op_timer(op);
+    util::EpochManager::Guard guard(epoch_);
+    while (true) {
+      Table* table = table_.load(std::memory_order_seq_cst);
+      const size_t idx = table->router.Route(key);
+      op_timer.set_shard(static_cast<uint32_t>(idx));
+      Shard* shard = table->shards[idx].get();
+      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
+                                 "shard.write_gate_contended",
+                                 "shard.write_gate_wait_ns");
+      if (shard->retired.load(std::memory_order_seq_cst)) {
+        continue;  // raced a topology transaction or bulk load: re-route
+      }
+      shard->traffic.fetch_add(1, std::memory_order_relaxed);
+      // Log-before-apply: records replay with Apply's semantics, so a
+      // write that fails below is a no-op on replay too.
+      if (!LogBatch(shard, type, &key,
+                    type == wal::WalRecordType::kErase ? nullptr : &payload,
+                    1)) {
+        return false;
+      }
+      const bool applied = shard->Apply(type, key, payload);
+      gate.unlock();
+      AfterCommit(table, shard, type, key, applied ? 1 : 0);
+      return applied;
+    }
+  }
+
+  /// The batched write: sorts the batch once (an index permutation, so
+  /// the caller's arrays stay in caller order), then routes, gates, logs
+  /// and applies one shard run at a time, like Write does one key.
+  /// `payloads` is null for kErase; `ok` (when non-null) receives the
+  /// per-key results in caller order.
+  size_t MultiWrite(obs::OpType op, wal::WalRecordType type, const K* keys,
+                    const P* payloads, size_t n, bool* ok) {
+    if (n == 0) return 0;
+    obs::ScopedOpTimer op_timer(op);
+    std::vector<size_t> order;
+    std::vector<K> sorted_keys;
+    SortBatch(keys, n, &order, &sorted_keys);
+    std::vector<P> sorted_payloads;
+    if (payloads != nullptr) {
+      sorted_payloads.resize(n);
+      for (size_t k = 0; k < n; ++k) sorted_payloads[k] = payloads[order[k]];
+    }
+    const std::unique_ptr<bool[]> run_ok(new bool[n]());
+    size_t count = 0;
+    util::EpochManager::Guard guard(epoch_);
+    size_t i = 0;
+    while (i < n) {
+      Table* table = table_.load(std::memory_order_seq_cst);
+      const size_t idx = table->router.Route(sorted_keys[i]);
+      Shard* shard = table->shards[idx].get();
+      const size_t j = RunEnd(table, idx, sorted_keys, i);
+      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
+                                 "shard.write_gate_contended",
+                                 "shard.write_gate_wait_ns");
+      if (shard->retired.load(std::memory_order_seq_cst)) {
+        continue;  // raced a topology transaction: re-route from key i
+      }
+      const size_t len = j - i;
+      shard->traffic.fetch_add(len, std::memory_order_relaxed);
+      const P* run_payloads =
+          payloads == nullptr ? nullptr : sorted_payloads.data() + i;
+      if (!LogBatch(shard, type, sorted_keys.data() + i, run_payloads,
+                    len)) {
+        i = j;  // fail the run closed; later runs surface the same error
+        continue;
+      }
+      const size_t applied = shard->ApplyRun(
+          type, sorted_keys.data() + i, run_payloads, len, run_ok.get() + i);
+      gate.unlock();
+      count += applied;
+      AfterCommit(table, shard, type, sorted_keys[j - 1], applied);
+      i = j;
+    }
+    if (ok != nullptr) {
+      for (size_t k = 0; k < n; ++k) ok[order[k]] = run_ok[k];
+    }
+    return count;
+  }
+
+  /// Post-commit topology check after `applied` inserts or erases landed
+  /// in `shard` (gate already released). The amortized tick fires when
+  /// the shard's commit counter crosses a multiple of kSkewCheckInterval
+  /// — derived from the shard's own counter, so exactly one committer
+  /// observes each crossing however commits interleave, and a batch
+  /// increment cannot jump past it. Cold shards never trigger a split or
+  /// merge: tiering owns their lifecycle.
+  void AfterCommit(Table* table, Shard* shard, wal::WalRecordType type,
+                   const K& hint_key, size_t applied) {
+    if (applied == 0 || type == wal::WalRecordType::kUpdate ||
+        shard->cold()) {
+      return;
+    }
+    const uint64_t before =
+        shard->commit_count.fetch_add(applied, std::memory_order_relaxed);
+    const bool tick = before / kSkewCheckInterval !=
+                      (before + applied) / kSkewCheckInterval;
+    if (type == wal::WalRecordType::kInsert) {
+      MaybeSplit(table, shard, hint_key, tick);
+    } else {
+      MaybeMerge(hint_key, tick);
+    }
   }
 
   // ---- Batch plumbing ----
@@ -1780,15 +1680,6 @@ class ShardedAlex {
     size_t j = i + 1;
     while (j < n && sorted_keys[j] < next_lo) ++j;
     return j;
-  }
-
-  /// True when (before, before + delta] contains a multiple of
-  /// kSkewCheckInterval — the batch analogue of the scalar path's
-  /// `commit % kSkewCheckInterval == 0` tick, which a batched counter
-  /// increment could otherwise jump past.
-  static bool CrossedSkewInterval(uint64_t before, uint64_t delta) {
-    return before / kSkewCheckInterval !=
-           (before + delta) / kSkewCheckInterval;
   }
 
   /// Opens one fresh log (new wal id, seq 1, LSN 0) per shard and
@@ -1866,10 +1757,9 @@ class ShardedAlex {
   /// Rebuilds the table with the manifest's exact boundary array, each
   /// shard recovered independently: its segment plus every log lineage
   /// rooted at its checkpoint anchor, replayed in ascending wal-id order
-  /// into a delta overlay over the segment (the cold-shard form;
-  /// TierInsert/TierErase/TierUpdate are ApplyWalRecord's semantics over
-  /// the overlay). Shards the manifest
-  /// tags resident are then bulk-loaded from the merged stream. A
+  /// into a delta overlay over the segment (the cold-shard form, which
+  /// Shard::Apply writes with the WAL's replay semantics). Shards the
+  /// manifest tags resident are then bulk-loaded from the merged stream. A
   /// topology child's records are range-filtered back to the manifest
   /// shards its parents anchor (a merge child spans several; each key's
   /// full history threads through logs of ascending id, so the filtered
@@ -1961,19 +1851,7 @@ class ShardedAlex {
             ++stats.records_skipped;
             continue;
           }
-          switch (rec.type) {
-            case wal::WalRecordType::kInsert:
-              shard->TierInsert(rec.key, rec.payload);
-              break;
-            case wal::WalRecordType::kUpdate:
-              shard->TierUpdate(rec.key, rec.payload);
-              break;
-            case wal::WalRecordType::kErase:
-              shard->TierErase(rec.key);
-              break;
-            default:
-              break;
-          }
+          shard->Apply(rec.type, rec.key, rec.payload);
           ++stats.records_replayed;
         }
       }
@@ -1983,7 +1861,7 @@ class ShardedAlex {
       }
       std::vector<K> keys;
       std::vector<P> payloads;
-      ShardContents(shard.get(), &keys, &payloads);
+      shard->Contents(&keys, &payloads);
       auto resident =
           std::make_shared<Shard>(options_.shard_config, &epoch_);
       resident->index.BulkLoad(keys.data(), payloads.data(), keys.size());
@@ -2031,9 +1909,7 @@ class ShardedAlex {
     for (size_t i = 0; i < table->shards.size(); ++i) {
       Shard* shard = table->shards[i].get();
       uint64_t segment_id = 0;
-      if (shard->cold() && shard->DeltaClean() &&
-          shard->segment->path() ==
-              tier::SegmentPath(prefix, shard->segment->id())) {
+      if (shard->SegmentAt(prefix) && shard->DeltaEntries() == 0) {
         // Clean overlay, segment already durable at this prefix (the
         // demotion/compaction that built it committed it): reference it
         // as-is — the checkpoint writes zero bytes for this shard.
@@ -2047,7 +1923,7 @@ class ShardedAlex {
         segment_id = next_segment_id_++;
         std::vector<K> keys;
         std::vector<P> payloads;
-        ShardContents(shard, &keys, &payloads);
+        shard->Contents(&keys, &payloads);
         const std::string path = tier::SegmentPath(prefix, segment_id);
         const core::SnapshotStatus status = tier::WriteSegmentFile<K, P>(
             path, keys.data(), payloads.data(), keys.size(),
@@ -2057,7 +1933,7 @@ class ShardedAlex {
         // WAL segments it supersedes are deleted below).
         if (!wal::SyncPath(path)) return core::SnapshotStatus::kIoError;
       }
-      manifest.shard_keys.push_back(shard->TierSize());
+      manifest.shard_keys.push_back(shard->size());
       manifest.tier_tags.push_back(shard->cold() ? internal::kTierCold
                                                  : internal::kTierResident);
       manifest.segment_ids.push_back(segment_id);
@@ -2170,14 +2046,6 @@ class ShardedAlex {
         64, options_.tier_block_bytes / (sizeof(K) + sizeof(P)));
   }
 
-  void UpdateColdBytesGauge(const Table* table) const {
-    [[maybe_unused]] uint64_t bytes = 0;
-    for (const auto& shard : table->shards) {
-      if (shard->cold()) bytes += shard->segment->file_bytes();
-    }
-    ALEX_OBS_GAUGE_SET("tier.cold_bytes", static_cast<double>(bytes));
-  }
-
   /// Writes `n` records as segment `id` at `prefix`: staged under a
   /// .tmp name, fsynced, renamed into place, directory-fsynced — the
   /// same commit discipline as the manifest. On success opens the
@@ -2215,6 +2083,41 @@ class ShardedAlex {
     return core::SnapshotStatus::kOk;
   }
 
+  /// A fresh table of `n` strictly-increasing records partitioned evenly
+  /// across (at most) options.num_shards resident shards.
+  Table* Partition(const K* keys, const P* payloads, size_t n) const {
+    const size_t shards = std::max<size_t>(
+        1, std::min(options_.num_shards, std::max<size_t>(n, 1)));
+    auto* table = new Table();
+    table->router = ShardRouter<K>::FitFromSortedKeys(keys, n, shards);
+    table->shards.reserve(shards);
+    for (size_t j = 0; j < shards; ++j) {
+      const size_t lo = j * n / shards;
+      const size_t hi = (j + 1) * n / shards;
+      auto shard = std::make_shared<Shard>(options_.shard_config, &epoch_);
+      shard->index.BulkLoad(keys + lo, payloads + lo, hi - lo);
+      table->shards.push_back(std::move(shard));
+    }
+    return table;
+  }
+
+  /// Publishes `next` in place of the whole table (bulk load, load):
+  /// drains every old shard's in-flight writers, retires it so stragglers
+  /// re-route into `next`, and seals its log — once every gate has
+  /// cycled, no further commit can land in the old table. The old table
+  /// then retires through EBR.
+  void ReplaceTable(Table* next) {
+    Table* old = table_.exchange(next, std::memory_order_seq_cst);
+    util::EpochManager::Guard guard(epoch_);
+    for (const auto& shard : old->shards) {
+      std::unique_lock<std::shared_mutex> gate(shard->write_gate);
+      shard->Retire(&block_cache_);
+      if (shard->log != nullptr) shard->log->Seal();
+    }
+    epoch_.Retire(old);
+    epoch_.TryReclaim();
+  }
+
   /// Publishes a copy of the current table with shard `idx` replaced,
   /// then retires the victim. The victim's log MOVES to the replacement
   /// (not sealed): the logical shard continues, so its LSN stream must
@@ -2231,12 +2134,13 @@ class ShardedAlex {
     next->shards = table->shards;
     next->shards[idx] = std::move(replacement);
     table_.store(next, std::memory_order_seq_cst);
-    victim->retired.store(true, std::memory_order_seq_cst);
+    victim->Retire(&block_cache_);
     victim->log.reset();
     gate->unlock();
     epoch_.Retire(table);
     epoch_.TryReclaim();
-    UpdateColdBytesGauge(next);
+    ALEX_OBS_GAUGE_SET("tier.cold_bytes",
+                       static_cast<double>(ColdBytesOf(next)));
   }
 
   core::SnapshotStatus DemoteShardLocked(size_t idx) {
@@ -2255,9 +2159,8 @@ class ShardedAlex {
     if (idx >= table->shards.size()) {
       return core::SnapshotStatus::kIoError;
     }
-    const Shard* victim = table->shards[idx].get();
-    if (!victim->cold() || victim->DeltaClean()) {
-      return core::SnapshotStatus::kOk;
+    if (table->shards[idx]->DeltaEntries() == 0) {
+      return core::SnapshotStatus::kOk;  // resident, or a clean overlay
     }
     return SealColdLocked(table, idx, obs::EventType::kTierCompaction);
   }
@@ -2274,20 +2177,17 @@ class ShardedAlex {
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
     std::vector<K> keys;
     std::vector<P> payloads;
-    ShardContents(victim, &keys, &payloads);
+    victim->Contents(&keys, &payloads);
     const uint64_t seg_id = next_segment_id_++;
     std::shared_ptr<tier::ColdSegment<K, P>> segment;
     const core::SnapshotStatus status =
         WriteAndOpenSegment(prefix, seg_id, keys.data(), payloads.data(),
                             keys.size(), &segment);
     if (status != core::SnapshotStatus::kOk) return status;
-    const std::shared_ptr<tier::ColdSegment<K, P>> old_segment =
-        victim->segment;
     auto cold = std::make_shared<Shard>(options_.shard_config, &epoch_);
     cold->segment = std::move(segment);
     cold->cold_live.store(keys.size(), std::memory_order_relaxed);
     ReplaceShard(table, idx, std::move(cold), &gate);
-    if (old_segment != nullptr) block_cache_.EraseSegment(old_segment->id());
     if (event == obs::EventType::kTierDemotion) {
       demotions_.fetch_add(1, std::memory_order_relaxed);
       ALEX_OBS_COUNTER_INC("tier.demotions");
@@ -2312,16 +2212,15 @@ class ShardedAlex {
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
     std::vector<K> keys;
     std::vector<P> payloads;
-    ShardContents(victim, &keys, &payloads);
+    victim->Contents(&keys, &payloads);
     const uint64_t old_segment = victim->segment->id();
     auto resident =
         std::make_shared<Shard>(options_.shard_config, &epoch_);
     resident->index.BulkLoad(keys.data(), payloads.data(), keys.size());
-    ReplaceShard(table, idx, std::move(resident), &gate);
     // The segment file is NOT unlinked here: the committed manifest may
     // still reference it (a crash before the next checkpoint must be
     // able to reopen it). The next checkpoint's sweep collects it.
-    block_cache_.EraseSegment(old_segment);
+    ReplaceShard(table, idx, std::move(resident), &gate);
     promotions_.fetch_add(1, std::memory_order_relaxed);
     ALEX_OBS_COUNTER_INC("tier.promotions");
     ALEX_OBS_EVENT(obs::EventType::kTierPromotion,
@@ -2339,11 +2238,7 @@ class ShardedAlex {
                           std::vector<uint64_t> keep,
                           const Table* table) const {
     for (const auto& shard : table->shards) {
-      if (shard->cold() &&
-          shard->segment->path() ==
-              tier::SegmentPath(prefix, shard->segment->id())) {
-        keep.push_back(shard->segment->id());
-      }
+      if (shard->SegmentAt(prefix)) keep.push_back(shard->segment->id());
     }
     std::string dir, base;
     wal::SplitPrefixPath(prefix, &dir, &base);
@@ -2373,7 +2268,7 @@ class ShardedAlex {
            options_.rebalance_skew * mean;
   }
 
-  /// The inverse of the skew check: two adjacent cold shards whose
+  /// The inverse of the skew check: two adjacent small shards whose
   /// combined size is still under the merge floor fold into one.
   bool ShouldMerge(size_t a_keys, size_t b_keys) const {
     return options_.merge_threshold_keys > 0 &&
@@ -2382,12 +2277,9 @@ class ShardedAlex {
 
   /// Post-commit split trigger. The absolute bound costs one load of the
   /// just-written shard's own size; the relative skew check must read
-  /// every shard's size, so it runs only when `tick` is set — scalar
-  /// commits set it on every kSkewCheckInterval-th commit into the shard,
-  /// batched commits when the run crossed an interval boundary (both
-  /// derived from the shard's own counter, so the trigger is
-  /// deterministic under any interleaving) — the write hot path performs
-  /// no cross-shard reads.
+  /// every shard's size, so it runs only when `tick` is set (AfterCommit:
+  /// the shard's commit counter crossed a multiple of the interval) — the
+  /// write hot path performs no cross-shard reads.
   static constexpr uint64_t kSkewCheckInterval = 1024;
 
   /// Records per chunk handed from a parallel-scan worker to the
@@ -2396,7 +2288,7 @@ class ShardedAlex {
   static constexpr size_t kScanChunkRecords = 1024;
 
   void MaybeSplit(Table* table, Shard* shard, K hint_key, bool tick) {
-    const size_t shard_keys = shard->index.size();
+    const size_t shard_keys = shard->size();
     if (shard_keys < options_.min_rebalance_keys) return;
     const bool over_absolute = options_.max_shard_keys > 0 &&
                                shard_keys > options_.max_shard_keys;
@@ -2409,7 +2301,7 @@ class ShardedAlex {
     size_t total = 0;
     size_t largest = 0;
     for (const auto& s : table->shards) {
-      const size_t keys = s->TierSize();
+      const size_t keys = s->size();
       total += keys;
       largest = std::max(largest, keys);
     }
@@ -2430,7 +2322,7 @@ class ShardedAlex {
     const size_t idx = current->router.Route(hint_key);
     // Re-check under the lock: a rival may already have split this
     // range, or erases may have deflated it.
-    if (!ShouldSplit(current->shards[idx]->index.size(),
+    if (!ShouldSplit(current->shards[idx]->size(),
                      TotalKeys(current), current->shards.size())) {
       return;
     }
@@ -2459,25 +2351,15 @@ class ShardedAlex {
     } else if (idx + 1 == current->shards.size()) {
       lo = idx - 1;
     } else {
-      lo = current->shards[idx - 1]->TierSize() <=
-                   current->shards[idx + 1]->TierSize()
+      lo = current->shards[idx - 1]->size() <=
+                   current->shards[idx + 1]->size()
                ? idx - 1
                : idx;
     }
-    if (!ShouldMerge(current->shards[lo]->TierSize(),
-                     current->shards[lo + 1]->TierSize())) {
+    if (!ShouldMerge(current->shards[lo]->size(),
+                     current->shards[lo + 1]->size())) {
       return;
     }
-    // Topology transactions stream their victims' ConcurrentAlex trees;
-    // promote a cold victim first (a merge victim is tiny by
-    // definition, so this is cheap and rare).
-    for (size_t i = lo; i < lo + 2; ++i) {
-      if (current->shards[i]->cold() &&
-          PromoteShardLocked(i) != core::SnapshotStatus::kOk) {
-        return;
-      }
-    }
-    current = table_.load(std::memory_order_seq_cst);
     ExecuteTopologyTxn(TopologyOp::kMerge, current, lo, lo + 2, 1);
   }
 
@@ -2505,12 +2387,6 @@ class ShardedAlex {
                           size_t hi, size_t ways) {
     assert(lo < hi && hi <= table->shards.size());
     assert(ways >= 1);
-    // Victims must be resident: the build step streams their trees, and
-    // a cold shard's log/segment hand-off is the tier transitions' job.
-    // Callers promote first (MaybeMerge) or simply skip cold shards.
-    for (size_t i = lo; i < hi; ++i) {
-      if (table->shards[i]->cold()) return false;
-    }
     // Drain: victims' write gates exclusive, ascending — in-flight
     // writers finish, new ones wait here or re-route after publish.
     std::vector<std::unique_lock<std::shared_mutex>> gates;
@@ -2537,7 +2413,7 @@ class ShardedAlex {
     // the stream starts; the cut key observed when the stream crosses a
     // child boundary becomes that child's split key.
     size_t n = 0;
-    for (size_t i = lo; i < hi; ++i) n += table->shards[i]->index.size();
+    for (size_t i = lo; i < hi; ++i) n += table->shards[i]->size();
     // A split needs at least one key per child to cut its split keys
     // from; a merge (one child) works even on empty victims.
     if (ways > 1 && n < ways) return false;  // abort; gates release
@@ -2557,7 +2433,7 @@ class ShardedAlex {
     size_t next_cut = ways > 1 ? n / ways : n;
     size_t streamed = 0;
     for (size_t i = lo; i < hi; ++i) {
-      table->shards[i]->index.Scan(
+      table->shards[i]->Scan(
           std::numeric_limits<K>::lowest(), std::numeric_limits<K>::max(),
           [&](const K& key, const P& payload) {
             if (streamed == next_cut && child_idx + 1 < ways) {
@@ -2620,7 +2496,7 @@ class ShardedAlex {
     size_t logged = 0;
     for (size_t i = lo; i < hi; ++i) {
       Shard* victim = table->shards[i].get();
-      victim->retired.store(true, std::memory_order_seq_cst);
+      victim->Retire(&block_cache_);
       if (victim->log != nullptr) {
         assert(victim->log->last_lsn() == drained_lsns[logged] &&
                "a record landed in a drained victim before its seal");
@@ -2656,6 +2532,8 @@ class ShardedAlex {
         break;
     }
     topology_epoch_.fetch_add(1, std::memory_order_relaxed);
+    ALEX_OBS_GAUGE_SET("tier.cold_bytes",
+                       static_cast<double>(ColdBytesOf(next)));
     // The old table (and, once no newer table shares them, its replaced
     // shards) is freed only after every reader that could hold it
     // unpins. The gates release on scope exit, after the seal.

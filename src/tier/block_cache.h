@@ -151,10 +151,12 @@ class BlockCache {
     return Handle(this, s, entry);
   }
 
-  /// Drops every unpinned cached block of `segment_id` (promotion and
-  /// compaction retire the segment's blocks eagerly; any still-pinned or
-  /// in-flight entries age out through the LRU — their stale segment id
-  /// can never be requested again).
+  /// Drops every unpinned cached block of `segment_id` (retiring a cold
+  /// shard drops its segment's blocks eagerly; any still-pinned or
+  /// in-flight entries age out through the LRU). Callers key the cache
+  /// by ColdSegment::cache_id(), which no later mapping reuses, so a
+  /// stale block can never be requested again — an on-disk segment id
+  /// could be, by a segment of the same number at another prefix.
   void EraseSegment(uint64_t segment_id) {
     for (CacheShard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mutex);

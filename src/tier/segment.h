@@ -49,6 +49,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -78,6 +79,12 @@ inline T LoadAt(const uint8_t* p) {
   T v;
   std::memcpy(&v, p, sizeof(T));
   return v;
+}
+
+/// Next ColdSegment::cache_id(): one counter for the whole process.
+inline uint64_t NextSegmentCacheId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace internal
@@ -252,6 +259,7 @@ class ColdSegment {
     fence_model_ =
         model::LinearModel(header.fence_slope, header.fence_intercept);
     id_ = id;
+    cache_id_ = internal::NextSegmentCacheId();
     path_ = path;
     // Random point reads dominate the cold tier; tell the kernel not to
     // read ahead. Best-effort: a hint, not a correctness requirement.
@@ -269,6 +277,10 @@ class ColdSegment {
   }
 
   uint64_t id() const { return id_; }
+  /// Process-unique id of this open mapping, the key of its blocks in a
+  /// BlockCache. The on-disk id() cannot be that key: checkpoints at
+  /// different prefixes number their segments alike.
+  uint64_t cache_id() const { return cache_id_; }
   const std::string& path() const { return path_; }
   uint64_t num_keys() const { return header_.num_keys; }
   uint64_t num_blocks() const { return header_.num_blocks; }
@@ -491,6 +503,7 @@ class ColdSegment {
   K min_key_{};
   K max_key_{};
   uint64_t id_ = 0;
+  uint64_t cache_id_ = 0;
   std::string path_;
 };
 

@@ -127,21 +127,7 @@ class ShardLog {
   /// first error sticky: once the log hit an I/O error no later append
   /// can claim durability.
   WalStatus Log(WalRecordType type, const K& key, const P* payload) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const size_t bytes = WalRecordBytes<K, P>(type);
-    std::unique_lock<std::mutex> lock(mu_);
-    if (sealed_) return WalStatus::kSealed;
-    if (io_error_) return WalStatus::kIoError;
-    uint8_t* out = ReserveLocked(bytes);
-    if (out == nullptr) return WalStatus::kIoError;
-    const uint64_t lsn = ++last_lsn_;
-    EncodeWalRecord<K, P>(out, lsn, type, key, payload);
-    const WalStatus status = CommitLocked(lock, lsn);
-    lock.unlock();
-    CountAppend(bytes, 1);
-    if (status != WalStatus::kOk) return status;
-    RecordCommitWait(t0);
-    return WalStatus::kOk;
+    return LogBatch(type, &key, payload, 1);
   }
 
   /// Appends `n` same-type records with consecutive LSNs in one

@@ -5,9 +5,10 @@
 // segments, checkpoint + recovery with tier preservation, the files a
 // checkpoint leaves behind, manifest v5 round-trip and the v4
 // kBadVersion refusal, crash-injection stray-segment sweeping, the
-// compaction-shrinks-replay acceptance criterion, the traffic-driven
-// tiering policy, and a TSan target reading cold shards during
-// concurrent tier transitions.
+// compaction-shrinks-replay acceptance criterion, block-cache isolation
+// across LoadFrom, topology transactions (rebalance, merge) over cold
+// victims, the traffic-driven tiering policy, and TSan targets reading
+// cold shards during concurrent tier transitions and rebalances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -419,6 +420,48 @@ TEST(TieredAlexTest, CheckpointPreservesTierAcrossLoad) {
   Cleanup(prefix);
 }
 
+TEST(TieredAlexTest, LoadFromNeverServesAnotherIndexsCachedBlocks) {
+  // Index B's checkpoint holds its shard 1 cold as segment id 1.
+  const std::string prefix_a = TempPrefix("tier-cache-a");
+  const std::string prefix_b = TempPrefix("tier-cache-b");
+  constexpr int64_t kN = 4000;
+  std::vector<int64_t> keys(kN), payloads(kN);
+  std::map<int64_t, int64_t> oracle_b;
+  for (int64_t i = 0; i < kN; ++i) {
+    keys[i] = i * 3;
+    payloads[i] = -keys[i];
+    oracle_b[keys[i]] = payloads[i];
+  }
+  {
+    Sharded b(TierOpts(2, prefix_b));
+    b.BulkLoad(keys.data(), payloads.data(), keys.size());
+    ASSERT_EQ(b.DemoteShard(1), SnapshotStatus::kOk);
+    ASSERT_EQ(b.SaveTo(prefix_b), SnapshotStatus::kOk);
+  }
+
+  // Index A demotes the same range to its own segment id 1 (another
+  // prefix, other payloads) and warms the block cache with it.
+  Sharded a(TierOpts(2, prefix_a));
+  BulkLoadStride3(&a, kN);
+  ASSERT_EQ(a.DemoteShard(1), SnapshotStatus::kOk);
+  int64_t got = 0;
+  for (const int64_t k : keys) ASSERT_TRUE(a.Get(k, &got));
+  ASSERT_GT(a.block_cache().bytes(), 0u);
+
+  // After loading B's checkpoint, every read serves B's segment: the
+  // cache must not hand back A's blocks for the equal on-disk id.
+  ASSERT_EQ(a.LoadFrom(prefix_b), SnapshotStatus::kOk);
+  ASSERT_TRUE(a.IsShardCold(1));
+  size_t wrong = 0;
+  for (const int64_t k : keys) {
+    if (!a.Get(k, &got) || got != -k) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0u);
+  ExpectMatchesOracle(a, oracle_b);
+  Cleanup(prefix_a);
+  Cleanup(prefix_b);
+}
+
 TEST(TieredAlexTest, RecoveryReplaysColdShardWalTail) {
   const std::string prefix = TempPrefix("tier-replay");
   Sharded index(TierOpts(2, prefix));
@@ -759,6 +802,79 @@ TEST(TieredAlexTest, CorruptOrMissingSegmentIsRejectedDistinctly) {
   Cleanup(prefix);
 }
 
+// ---- Topology over cold shards ----
+
+TEST(TieredAlexTest, TopologyTransactionsTakeColdVictims) {
+  const std::string prefix = TempPrefix("tier-topology");
+  Sharded index(TierOpts(4, prefix));
+  auto oracle = BulkLoadStride3(&index, 8000);
+  ASSERT_EQ(index.EnableWal(prefix), wal::WalStatus::kOk);
+  ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
+  ASSERT_EQ(index.DemoteShard(2), SnapshotStatus::kOk);
+  const std::vector<int64_t> bounds = index.ShardBoundaries();
+  ASSERT_EQ(bounds.size(), 3u);
+
+  // Overlay state in both cold victims: an insert, a tombstone and an
+  // update shadowing a segment key.
+  const int64_t in1 = (bounds[0] / 3 + 1) * 3;  // a loaded key of shard 1
+  const int64_t in2 = (bounds[1] / 3 + 1) * 3;  // ... and of shard 2
+  ASSERT_TRUE(index.Insert(in1 + 1, -1));
+  oracle[in1 + 1] = -1;
+  ASSERT_TRUE(index.Erase(in1));
+  oracle.erase(in1);
+  ASSERT_TRUE(index.Update(in2, 42));
+  oracle[in2] = 42;
+  ExpectMatchesOracle(index, oracle);  // also warms the block cache
+  ASSERT_GT(index.block_cache().bytes(), 0u);
+
+  // A rebalance across both cold shards commits; its children are
+  // resident, and retiring the victims dropped their cached blocks.
+  const uint64_t promotions = index.promotion_count();
+  ASSERT_TRUE(index.Rebalance(in1, in2));
+  EXPECT_EQ(index.num_shards(), 4u);
+  EXPECT_EQ(index.cold_shard_count(), 0u);
+  EXPECT_EQ(index.ColdBytes(), 0u);
+  EXPECT_EQ(index.block_cache().bytes(), 0u);
+  EXPECT_EQ(index.promotion_count(), promotions);
+  ExpectMatchesOracle(index, oracle);
+
+  // A logged write into a child survives recovery with no checkpoint
+  // since the anchor: the victims' sealed logs and the children's
+  // lineage replay over the anchor's segments.
+  ASSERT_TRUE(index.Insert(in1 + 2, -2));
+  oracle[in1 + 2] = -2;
+  {
+    Sharded recovered(TierOpts(4, prefix));
+    ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
+    ExpectMatchesOracle(recovered, oracle);
+  }
+  Cleanup(prefix);
+}
+
+TEST(TieredAlexTest, MergeWithColdCoVictimCommitsWithoutPromotion) {
+  const std::string prefix = TempPrefix("tier-merge");
+  ShardedOptions options = TierOpts(4, prefix);
+  options.merge_threshold_keys = 2500;  // shards 0 + 1 hold 2000 keys
+  Sharded index(options);
+  auto oracle = BulkLoadStride3(&index, 4000);
+  ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
+
+  // Churn gap keys of resident shard 0 until its 1024th commit, an
+  // erase, runs the merge check; shard 1 (cold) is its only neighbor.
+  const int64_t gap = 1;
+  ASSERT_EQ(index.ShardOf(gap), 0u);
+  for (int i = 0; i < 512; ++i) {
+    ASSERT_TRUE(index.Insert(gap, 0));
+    ASSERT_TRUE(index.Erase(gap));
+  }
+  EXPECT_EQ(index.merge_count(), 1u);
+  EXPECT_EQ(index.promotion_count(), 0u);
+  EXPECT_EQ(index.num_shards(), 3u);
+  EXPECT_EQ(index.cold_shard_count(), 0u);
+  ExpectMatchesOracle(index, oracle);
+  Cleanup(prefix);
+}
+
 // ---- Tiering policy ----
 
 TEST(TieredAlexTest, TieringTickDemotesIdleShardsAndPromotesHotOnes) {
@@ -892,6 +1008,93 @@ TEST(TieredAlexTest, ColdReadsDuringConcurrentTierTransitions) {
   EXPECT_GT(reads.load(), 0u);
   EXPECT_TRUE(index.CheckInvariants());
   // Every bulk-loaded record survived the churn.
+  for (int64_t i = 0; i < kN; ++i) {
+    int64_t got = 0;
+    ASSERT_TRUE(index.Get(keys[i], &got));
+    ASSERT_EQ(got, payloads[i]);
+  }
+  Cleanup(prefix);
+}
+
+TEST(TieredAlexTest, ReadersDuringRebalanceOfColdShards) {
+  const std::string prefix = TempPrefix("tier-topology-race");
+  Sharded index(TierOpts(4, prefix));
+  constexpr int64_t kN = 4000;
+  std::vector<int64_t> keys(kN), payloads(kN);
+  for (int64_t i = 0; i < kN; ++i) {
+    keys[i] = i * 3;
+    payloads[i] = i * 6 + 1;
+  }
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+  ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
+  ASSERT_EQ(index.DemoteShard(2), SnapshotStatus::kOk);
+  // The demoted range: every key of shards 1 and 2. Rebalances re-cut
+  // its inner boundary but never its ends.
+  const std::vector<int64_t> bounds = index.ShardBoundaries();
+  const int64_t first = bounds[0] / 3 + (bounds[0] % 3 != 0 ? 1 : 0);
+  const int64_t last = (bounds[2] - 1) / 3;  // key indices [first, last]
+  const int64_t span = last - first + 1;
+  // Preloaded keys in [keys[i], keys[i] + 300]: records never change.
+  auto expect_in_window = [&](int64_t i) {
+    return static_cast<uint64_t>(std::min<int64_t>(101, kN - i));
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      std::mt19937_64 rng(200 + t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const int64_t i = first + static_cast<int64_t>(rng() % span);
+        int64_t got = 0;
+        ASSERT_TRUE(index.Get(keys[i], &got)) << "key " << keys[i];
+        ASSERT_EQ(got, payloads[i]);
+        switch (rng() % 4) {
+          case 0: {
+            int64_t batch[8];
+            int64_t out[8];
+            bool found[8];
+            for (int64_t& k : batch) k = keys[first + rng() % span];
+            ASSERT_EQ(index.MultiGet(batch, 8, out, found), 8u);
+            break;
+          }
+          case 1: {
+            uint64_t seen = 0;
+            index.Scan(keys[i], keys[i] + 300,
+                       [&](const int64_t&, const int64_t&) { ++seen; });
+            ASSERT_EQ(seen, expect_in_window(i));
+            break;
+          }
+          case 2: {
+            AggSpec<int64_t> spec;
+            spec.count_only = true;
+            ASSERT_EQ(index.Aggregate(keys[i], keys[i] + 300, spec).count,
+                      expect_in_window(i));
+            break;
+          }
+          default:
+            break;
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  // Rebalance the demoted range, then demote its children again, until
+  // at least 20 transactions took cold victims.
+  size_t txns = 0;
+  for (int attempt = 0; txns < 20 && attempt < 1000; ++attempt) {
+    if (!index.Rebalance(keys[first], keys[last])) continue;
+    ++txns;
+    ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
+    ASSERT_EQ(index.DemoteShard(2), SnapshotStatus::kOk);
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GE(txns, 20u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_TRUE(index.CheckInvariants());
   for (int64_t i = 0; i < kN; ++i) {
     int64_t got = 0;
     ASSERT_TRUE(index.Get(keys[i], &got));
