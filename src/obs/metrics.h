@@ -664,8 +664,8 @@ class MetricsRegistry {
         {"tier.cache_hits", "Cold-tier block cache hits"},
         {"tier.cache_misses", "Cold-tier block cache misses"},
         {"tier.cache_evictions", "Cold-tier blocks evicted from the cache"},
-        {"tier.cache_pinned_bytes",
-         "Cold-tier cache bytes pinned by in-flight readers"},
+        {"tier.block_verify_failures",
+         "Cold-tier block reads whose block failed its checksum"},
         {"tier.demotions", "Resident shards demoted to cold segments"},
         {"tier.promotions", "Cold segments promoted back to resident"},
         {"tier.compactions",

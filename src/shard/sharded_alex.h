@@ -194,8 +194,9 @@ struct ShardedOptions {
   /// scans sequentially on the calling thread.
   size_t scan_threads = 4;
   // ---- Cold tier (src/tier/) ----
-  /// Block-cache capacity in bytes for cold-segment reads (see
-  /// tier/block_cache.h). Size it to the hot portion of the cold tier.
+  /// Block-cache capacity in bytes for cold-segment reads: the table
+  /// of verified blocks (tier/block_cache.h) gets one slot per block's
+  /// worth. Size it to the hot portion of the cold tier.
   size_t tier_cache_bytes = 16u << 20;
   /// Target cold-segment block size in bytes; the per-block key count is
   /// derived as max(64, tier_block_bytes / sizeof(record)).
@@ -229,7 +230,9 @@ template <typename K, typename P>
 class ShardedAlex {
  public:
   explicit ShardedAlex(const ShardedOptions& options = ShardedOptions())
-      : options_(options), block_cache_(options.tier_cache_bytes) {
+      : options_(options),
+        block_cache_(options.tier_cache_bytes,
+                     KeysPerBlock() * (sizeof(K) + sizeof(P))) {
     auto* table = new Table();
     table->shards.push_back(
         std::make_shared<Shard>(options_.shard_config, &epoch_));
@@ -617,8 +620,9 @@ class ShardedAlex {
   // A shard is either *resident* (a ConcurrentAlex, the default) or
   // *cold*: its contents sealed into one checksummed, mmap-backed,
   // read-only segment (tier/segment.h) plus a small resident delta
-  // overlay for post-demotion writes. Cold reads route through a
-  // sharded-LRU block cache (tier/block_cache.h). Demotion, promotion
+  // overlay for post-demotion writes. Cold reads search the mapping in
+  // place, checksumming a block the first time the verified-block table
+  // (tier/block_cache.h) sees it. Demotion, promotion
   // and compaction replace the one victim shard in a copied table —
   // same publish/retire protocol as a topology transaction, but the
   // shard's WAL log *moves* to the replacement instead of being sealed:
@@ -1198,7 +1202,7 @@ class ShardedAlex {
     // mmap-backed segment (tier/segment.h) instead of the tree, plus a
     // small resident *delta overlay* for the writes that landed since
     // demotion. Reads consult the overlay first (a tombstone hides a
-    // segment key), then the segment through the block cache. `segment`
+    // segment key), then the segment mapping in place. `segment`
     // is set once when the cold replacement shard is built and never
     // reassigned, so the lock-free read path can test cold() with no
     // synchronization beyond the table load that published the shard.
@@ -1371,7 +1375,7 @@ class ShardedAlex {
 
     /// Resident index footprint. A cold shard's is the segment's fence
     /// model + per-block checksums; its mapped data blocks live on disk
-    /// (and transiently in the block cache, accounted by its own stats).
+    /// and in the kernel's page cache, never in a user-space copy.
     size_t IndexBytes() const {
       return cold() ? segment->MetaSizeBytes() : index.IndexSizeBytes();
     }
@@ -1389,8 +1393,8 @@ class ShardedAlex {
 
     /// Marks the shard retired, once the replacement table is published
     /// and with the exclusive gate held: writers still routed here
-    /// re-route. Also drops the segment's cached blocks; readers still
-    /// inside the shard may load a few back, which then age out.
+    /// re-route. Also forgets the segment's verified blocks; readers
+    /// still inside the shard may verify a few again, which then age out.
     void Retire(tier::BlockCache* cache) {
       retired.store(true, std::memory_order_seq_cst);
       if (cold()) cache->EraseSegment(segment->cache_id());
@@ -1411,10 +1415,14 @@ class ShardedAlex {
 
    private:
     /// Cold point read: the overlay first (a tombstone hides a segment
-    /// key), then the segment through `cache` (pinned copy + in-block
-    /// model search). A block whose cached load fails (checksum) falls
-    /// back to the raw mapping — the segment was fully verified when it
-    /// was opened. Kept out of Get so the resident path stays small.
+    /// key), then an in-block search of the segment mapping in place.
+    /// The block is checksummed before `cache` first vouches for it. A
+    /// block that fails (a demoted or compacted segment is never fully
+    /// audited, only LoadFrom's are) is counted in
+    /// tier.block_verify_failures, never enters the cache, and is still
+    /// searched as it is: Get has no error channel, and recovery's audit
+    /// reports the segment kSegmentCorrupt. Kept out of Get so the
+    /// resident path stays small.
     bool ColdGet(const K& key, P* out, tier::BlockCache* cache) const {
       {
         std::shared_lock<std::shared_mutex> lock(delta_mutex);
@@ -1429,14 +1437,11 @@ class ShardedAlex {
         return false;
       }
       const size_t b = segment->BlockOfKey(key);
-      tier::BlockCache::Handle h = cache->GetOrLoad(
-          segment->cache_id(), b, [&](std::vector<uint8_t>* bytes) {
-            return segment->LoadBlock(b, bytes) ==
-                   core::SnapshotStatus::kOk;
-          });
-      if (!h.valid()) return segment->Get(key, out);
+      cache->Verified(segment->cache_id(), b, [&] {
+        return segment->VerifyBlock(b) == core::SnapshotStatus::kOk;
+      });
       return tier::ColdSegment<K, P>::SearchBlock(
-          h.data(), segment->BlockKeys(b), key, out);
+          segment->BlockData(b), segment->BlockKeys(b), key, out);
     }
 
     /// Merged scan of a cold shard over [lo, hi]: the overlay slice is
@@ -2213,7 +2218,7 @@ class ShardedAlex {
     std::vector<K> keys;
     std::vector<P> payloads;
     victim->Contents(&keys, &payloads);
-    const uint64_t old_segment = victim->segment->id();
+    [[maybe_unused]] const uint64_t old_segment = victim->segment->id();
     auto resident =
         std::make_shared<Shard>(options_.shard_config, &epoch_);
     resident->index.BulkLoad(keys.data(), payloads.data(), keys.size());
@@ -2543,8 +2548,8 @@ class ShardedAlex {
   }
 
   ShardedOptions options_;
-  // Cold-tier block cache; mutable because the lock-free read path
-  // (const) pins blocks through it.
+  // Cold-tier verified-block table; mutable because the lock-free read
+  // path (const) enters blocks into it.
   mutable tier::BlockCache block_cache_;
   mutable util::EpochManager epoch_;
   // Serializes table replacement (rebalance, bulk load, save/load). Never

@@ -18,9 +18,10 @@
 // The header and the two metadata arrays are read once at Open and kept
 // resident (they are the "index" of the segment: ~16 bytes per block).
 // Block data is mmap'd PROT_READ with MADV_RANDOM — the kernel pages cold
-// blocks in on demand and the block cache (tier/block_cache.h) keeps the
-// hot ones pinned in user space, so a segment's DRAM cost is its metadata
-// plus whatever the cache holds.
+// blocks in on demand and every read searches the mapping in place; the
+// block cache (tier/block_cache.h) only remembers which blocks already
+// passed their checksum, so a segment's DRAM cost is its metadata plus
+// whatever pages of it the kernel keeps.
 //
 // One writer serves three producers: checkpointing any shard (resident or
 // cold), demoting a resident shard, and compacting a cold shard's delta
@@ -34,7 +35,8 @@
 // own.
 //
 // Integrity: every block carries its own util::Checksum64 digest
-// (verified on every cache miss load and by VerifyAllBlocks at recovery),
+// (verified in place by VerifyBlock before a block enters the block cache,
+// and by VerifyAllBlocks at recovery),
 // the two metadata arrays are covered by one meta_checksum over their
 // contiguous bytes, and the header by header_checksum. Any mismatch
 // surfaces as core::SnapshotStatus::kSegmentCorrupt — distinct from
@@ -212,10 +214,9 @@ core::SnapshotStatus WriteSegmentFile(const std::string& path,
 
 /// An open, validated, mmap'd cold segment. Immutable after Open; all
 /// read methods are const and safe from any thread (the mapping is
-/// PROT_READ and the resident metadata never changes). Reads that go
-/// through a block cache verify the block checksum once per load; the
-/// `cache == nullptr` paths read the mapping directly (recovery and
-/// invariant checks, where VerifyAllBlocks has already run).
+/// PROT_READ and the resident metadata never changes). Every method reads
+/// the mapping in place; checking a block's checksum is VerifyBlock's
+/// job, which the shard layer runs before a block enters its cache.
 template <typename K, typename P>
 class ColdSegment {
  public:
@@ -317,35 +318,32 @@ class ColdSegment {
     return BlockKeys(b) * (sizeof(K) + sizeof(P));
   }
 
-  /// Copies block `b` into `*out` and verifies its checksum. This is the
-  /// block cache's loader; kSegmentCorrupt on a mismatch.
-  core::SnapshotStatus LoadBlock(size_t b,
-                                 std::vector<uint8_t>* out) const {
-    const size_t bytes = BlockBytes(b);
-    out->resize(bytes);
-    std::memcpy(out->data(), base_ + BlockOffset(b), bytes);
-    const uint64_t checksum = util::Checksum64(out->data(), bytes, 0);
-    return checksum == checksums_[b] ? core::SnapshotStatus::kOk
-                                     : core::SnapshotStatus::kSegmentCorrupt;
+  /// Block `b`'s bytes in the mapping: BlockKeys(b) keys, then as many
+  /// payloads (the layout SearchBlock reads).
+  const uint8_t* BlockData(size_t b) const { return base_ + BlockOffset(b); }
+
+  /// Re-checksums block `b` in place; kSegmentCorrupt on a mismatch.
+  core::SnapshotStatus VerifyBlock(size_t b) const {
+    return util::Checksum64(BlockData(b), BlockBytes(b), 0) == checksums_[b]
+               ? core::SnapshotStatus::kOk
+               : core::SnapshotStatus::kSegmentCorrupt;
   }
 
   /// Full-audit pass: every block re-checksummed (recovery calls this
   /// before trusting a segment the manifest references).
   core::SnapshotStatus VerifyAllBlocks() const {
-    std::vector<uint8_t> block;
     for (size_t b = 0; b < header_.num_blocks; ++b) {
-      const core::SnapshotStatus status = LoadBlock(b, &block);
+      const core::SnapshotStatus status = VerifyBlock(b);
       if (status != core::SnapshotStatus::kOk) return status;
     }
     return core::SnapshotStatus::kOk;
   }
 
-  /// Point lookup against the raw mapping (no cache, no checksum —
-  /// recovery/invariant paths where VerifyAllBlocks already ran).
+  /// Point lookup against the raw mapping, unverified.
   bool Get(const K& key, P* out) const {
     if (key < min_key_ || max_key_ < key) return false;
     const size_t b = BlockOfKey(key);
-    return SearchBlock(base_ + BlockOffset(b), BlockKeys(b), key, out);
+    return SearchBlock(BlockData(b), BlockKeys(b), key, out);
   }
 
   bool Contains(const K& key) const {
@@ -364,7 +362,7 @@ class ColdSegment {
     const size_t first = lo < min_key_ ? 0 : BlockOfKey(lo);
     for (size_t b = first; b < header_.num_blocks; ++b) {
       if (hi < fence_[b]) break;
-      const uint8_t* block = base_ + BlockOffset(b);
+      const uint8_t* block = BlockData(b);
       const size_t m = BlockKeys(b);
       for (size_t i = 0; i < m; ++i) {
         const K key = internal::LoadAt<K>(block + i * sizeof(K));
@@ -379,8 +377,8 @@ class ColdSegment {
     return count;
   }
 
-  /// Binary search of one block image (cache buffer or raw mapping).
-  /// Exposed so the shard layer can search a cache-pinned block copy.
+  /// Binary search of one block image (BlockData). Exposed so the shard
+  /// layer can search a block it has verified.
   static bool SearchBlock(const uint8_t* block, size_t m, const K& key,
                           P* out) {
     size_t lo = 0, hi = m;

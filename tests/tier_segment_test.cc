@@ -3,21 +3,23 @@
 // lookup with its binary-search fallback, every Validate rejection path
 // (byte flips must surface as the distinct kSegmentCorrupt status, a
 // previous format version as kBadVersion), segment file-name parsing for the
-// checkpoint sweep, raw-mapping Get/ScanUntil, and the sharded-LRU block
-// cache (hit/miss/eviction accounting, singleflight miss loading, pinned
-// entries surviving eviction pressure, EraseSegment).
+// checkpoint sweep, raw-mapping Get/ScanUntil, in-place block
+// verification, and the verified-block table (hit/miss/eviction/bytes
+// accounting, re-verification after eviction, a working set that fits
+// keeping its hits, failed verifies never entering, EraseSegment, and
+// readers racing EraseSegment under TSan).
 #include "tier/block_cache.h"
 #include "tier/segment.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -247,12 +249,11 @@ TEST(TierSegment, BlockByteFlipIsSegmentCorrupt) {
   Segment seg;
   // Open never touches block data, so it still succeeds...
   ASSERT_EQ(seg.Open(path, 1), SnapshotStatus::kOk);
-  // ...but the audit and the cache-loader path both reject the block.
+  // ...but the audit and the per-block verify both reject the block.
   EXPECT_EQ(seg.VerifyAllBlocks(), SnapshotStatus::kSegmentCorrupt);
-  std::vector<uint8_t> block;
-  EXPECT_EQ(seg.LoadBlock(seg.num_blocks() - 1, &block),
+  EXPECT_EQ(seg.VerifyBlock(seg.num_blocks() - 1),
             SnapshotStatus::kSegmentCorrupt);
-  EXPECT_EQ(seg.LoadBlock(0, &block), SnapshotStatus::kOk);
+  EXPECT_EQ(seg.VerifyBlock(0), SnapshotStatus::kOk);
   std::remove(path.c_str());
 }
 
@@ -379,166 +380,208 @@ TEST(TierSegment, SegmentPathAndParse) {
       ParseSegmentFileName("store.shard-0001", "store", &id, &is_tmp));
 }
 
-// ---- Block cache ----
+// ---- Verified-block table ----
 
-// A loader that counts invocations and serves from an in-memory pattern.
-struct CountingLoader {
-  std::atomic<uint64_t> calls{0};
+constexpr size_t kBlockBytes = 256;
+
+// A verify callback that counts its calls per block and passes unless
+// told to fail.
+struct CountingVerify {
+  uint64_t calls = 0;
+  std::vector<uint64_t> per_block = std::vector<uint64_t>(64, 0);
   bool fail = false;
-  size_t bytes = 256;
 
-  auto For(uint64_t segment, uint64_t block) {
-    return [this, segment, block](std::vector<uint8_t>* out) {
-      calls.fetch_add(1);
-      if (fail) return false;
-      out->assign(bytes, static_cast<uint8_t>(segment * 31 + block));
-      return true;
-    };
+  bool Read(BlockCache* cache, uint64_t segment, uint64_t block) {
+    return cache->Verified(segment, block, [&] {
+      ++calls;
+      ++per_block[block];
+      return !fail;
+    });
   }
 };
 
-TEST(BlockCache, HitMissAndStats) {
-  BlockCache cache(1 << 20);
-  CountingLoader loader;
-  {
-    BlockCache::Handle h = cache.GetOrLoad(1, 0, loader.For(1, 0));
-    ASSERT_TRUE(h.valid());
-    EXPECT_EQ(h.size(), 256u);
-    EXPECT_EQ(h.data()[0], static_cast<uint8_t>(31));
-    EXPECT_EQ(cache.pinned_bytes(), 256u);
-  }
-  EXPECT_EQ(cache.pinned_bytes(), 0u);
-  EXPECT_EQ(cache.misses(), 1u);
+TEST(BlockCache, HitMissEvictionAndBytes) {
+  BlockCache cache(8 * kBlockBytes, kBlockBytes);  // one set of 8 ways
+  CountingVerify verify;
+  for (uint64_t b = 0; b < 8; ++b) ASSERT_TRUE(verify.Read(&cache, 1, b));
+  EXPECT_EQ(cache.misses(), 8u);
   EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.bytes(), 8 * kBlockBytes);
+  for (uint64_t b = 0; b < 8; ++b) ASSERT_TRUE(verify.Read(&cache, 1, b));
+  EXPECT_EQ(cache.hits(), 8u);
+  EXPECT_EQ(verify.calls, 8u);  // hits never verify
+  EXPECT_EQ(cache.evictions(), 0u);
 
-  BlockCache::Handle h = cache.GetOrLoad(1, 0, loader.For(1, 0));
-  ASSERT_TRUE(h.valid());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(loader.calls.load(), 1u);  // served from cache, not reloaded
-  EXPECT_EQ(cache.bytes(), 256u);
+  ASSERT_TRUE(verify.Read(&cache, 1, 8));  // full set: one tag goes
+  EXPECT_EQ(cache.misses(), 9u);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.bytes(), 8 * kBlockBytes);
 }
 
-TEST(BlockCache, FailedLoadReturnsInvalidHandle) {
-  BlockCache cache(1 << 20);
-  CountingLoader loader;
-  loader.fail = true;
-  BlockCache::Handle h = cache.GetOrLoad(1, 0, loader.For(1, 0));
-  EXPECT_FALSE(h.valid());
+TEST(BlockCache, CapacityZeroVerifiesEveryRead) {
+  // Below one whole set (8 slots) the table holds nothing.
+  for (const size_t capacity :
+       {size_t{0}, kBlockBytes - 1, 8 * kBlockBytes - 1}) {
+    BlockCache cache(capacity, kBlockBytes);
+    CountingVerify verify;
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(verify.Read(&cache, 1, 0));
+    EXPECT_EQ(verify.calls, 3u);
+    EXPECT_EQ(cache.misses(), 3u);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(cache.bytes(), 0u);
+  }
+}
+
+TEST(BlockCache, EvictedBlockIsVerifiedAgain) {
+  BlockCache cache(8 * kBlockBytes, kBlockBytes);  // one set of 8 ways
+  CountingVerify verify;
+  for (uint64_t b = 0; b < 8; ++b) ASSERT_TRUE(verify.Read(&cache, 1, b));
+  ASSERT_TRUE(verify.Read(&cache, 1, 8));  // evicts one of blocks 0..7
+  ASSERT_EQ(cache.evictions(), 1u);
+  // Re-reading 0..7 hits until it reaches the evicted block, which is
+  // verified again.
+  uint64_t b = 0;
+  while (b < 8 && verify.Read(&cache, 1, b) && verify.per_block[b] == 1) ++b;
+  ASSERT_LT(b, 8u);
+  EXPECT_EQ(verify.per_block[b], 2u);
+  EXPECT_EQ(verify.calls, 10u);
+  EXPECT_EQ(cache.hits(), b);
+}
+
+TEST(BlockCache, AWorkingSetThatFitsKeepsItsHits) {
+  // 8 sets of 8 ways. Consecutive blocks of a segment take consecutive
+  // sets, so 64 blocks of one segment, or 24 + 24 of two, all fit.
+  for (const uint64_t per_segment : {uint64_t{64}, uint64_t{24}}) {
+    BlockCache cache(64 * kBlockBytes, kBlockBytes);
+    CountingVerify verify;
+    const uint64_t segments = per_segment == 64 ? 1 : 2;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (uint64_t s = 1; s <= segments; ++s) {
+        for (uint64_t b = 0; b < per_segment; ++b) {
+          ASSERT_TRUE(verify.Read(&cache, s, b));
+        }
+      }
+    }
+    EXPECT_EQ(verify.calls, segments * per_segment);
+    EXPECT_EQ(cache.hits(), segments * per_segment);
+    EXPECT_EQ(cache.evictions(), 0u);
+  }
+}
+
+TEST(BlockCache, EraseSegmentFreesOnlyItsSlots) {
+  BlockCache cache(64 * kBlockBytes, kBlockBytes);
+  CountingVerify verify;
+  for (uint64_t b = 0; b < 8; ++b) {
+    verify.Read(&cache, 1, b);
+    verify.Read(&cache, 2, b);
+  }
+  EXPECT_EQ(cache.bytes(), 16 * kBlockBytes);
+  cache.EraseSegment(1);
+  EXPECT_EQ(cache.bytes(), 8 * kBlockBytes);
+  // Segment 2 is untouched: all hits, no verifies; segment 1 verifies.
+  const uint64_t calls_before = verify.calls;
+  for (uint64_t b = 0; b < 8; ++b) ASSERT_TRUE(verify.Read(&cache, 2, b));
+  EXPECT_EQ(verify.calls, calls_before);
+  for (uint64_t b = 0; b < 8; ++b) ASSERT_TRUE(verify.Read(&cache, 1, b));
+  EXPECT_EQ(verify.calls, calls_before + 8);
+}
+
+TEST(BlockCache, FailedVerifyLeavesNoEntry) {
+  BlockCache cache(64 * kBlockBytes, kBlockBytes);
+  CountingVerify verify;
+  verify.fail = true;
+  EXPECT_FALSE(verify.Read(&cache, 1, 0));
+  EXPECT_FALSE(verify.Read(&cache, 1, 0));  // not remembered: verified again
+  EXPECT_EQ(verify.calls, 2u);
+  EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
 
-  // The placeholder was erased: a retry with a working loader succeeds.
-  loader.fail = false;
-  h = cache.GetOrLoad(1, 0, loader.For(1, 0));
-  EXPECT_TRUE(h.valid());
+  verify.fail = false;
+  EXPECT_TRUE(verify.Read(&cache, 1, 0));
+  EXPECT_TRUE(verify.Read(&cache, 1, 0));
+  EXPECT_EQ(verify.calls, 3u);
+  EXPECT_EQ(cache.hits(), 1u);
 }
 
-TEST(BlockCache, EvictsUnpinnedUnderPressure) {
-  // Tiny cache: total 2KB over 8 shards = 256B/shard; 256B blocks mean
-  // each shard holds at most one unpinned block.
-  BlockCache cache(2048);
-  CountingLoader loader;
-  for (uint64_t b = 0; b < 64; ++b) {
-    BlockCache::Handle h = cache.GetOrLoad(1, b, loader.For(1, b));
-    ASSERT_TRUE(h.valid());
-  }
-  EXPECT_GT(cache.evictions(), 0u);
-  EXPECT_LE(cache.bytes(), 2048u);
-  EXPECT_EQ(cache.pinned_bytes(), 0u);
-}
-
-TEST(BlockCache, PinnedEntriesSurviveEvictionPressure) {
-  BlockCache cache(2048);
-  CountingLoader loader;
-  BlockCache::Handle pinned = cache.GetOrLoad(1, 0, loader.For(1, 0));
-  ASSERT_TRUE(pinned.valid());
-  for (uint64_t b = 1; b < 64; ++b) {
-    BlockCache::Handle h = cache.GetOrLoad(1, b, loader.For(1, b));
-    ASSERT_TRUE(h.valid());
-  }
-  // The pinned block is still readable and was never reloaded.
-  EXPECT_EQ(pinned.data()[0], static_cast<uint8_t>(31));
-  const uint64_t calls_before = loader.calls.load();
-  BlockCache::Handle again = cache.GetOrLoad(1, 0, loader.For(1, 0));
-  ASSERT_TRUE(again.valid());
-  EXPECT_EQ(loader.calls.load(), calls_before);  // hit on the pinned entry
-  EXPECT_EQ(again.data(), pinned.data());
-}
-
-TEST(BlockCache, EraseSegmentDropsItsBlocks) {
-  BlockCache cache(1 << 20);
-  CountingLoader loader;
-  for (uint64_t b = 0; b < 8; ++b) {
-    cache.GetOrLoad(1, b, loader.For(1, b));
-    cache.GetOrLoad(2, b, loader.For(2, b));
-  }
-  const size_t both = cache.bytes();
-  cache.EraseSegment(1);
-  EXPECT_EQ(cache.bytes(), both / 2);
-  // Segment 2 is untouched: all hits, no loader calls.
-  const uint64_t calls_before = loader.calls.load();
-  for (uint64_t b = 0; b < 8; ++b) {
-    BlockCache::Handle h = cache.GetOrLoad(2, b, loader.For(2, b));
-    ASSERT_TRUE(h.valid());
-  }
-  EXPECT_EQ(loader.calls.load(), calls_before);
-}
-
-TEST(BlockCache, SingleflightLoadsOnce) {
-  BlockCache cache(1 << 20);
-  std::atomic<uint64_t> loads{0};
-  std::atomic<bool> go{false};
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::atomic<int> valid{0};
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      while (!go.load()) std::this_thread::yield();
-      BlockCache::Handle h =
-          cache.GetOrLoad(9, 3, [&](std::vector<uint8_t>* out) {
-            loads.fetch_add(1);
-            // Widen the race window so waiters really wait.
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            out->assign(128, 0xAB);
-            return true;
-          });
-      if (h.valid() && h.size() == 128 && h.data()[0] == 0xAB) {
-        valid.fetch_add(1);
-      }
-    });
-  }
-  go.store(true);
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(loads.load(), 1u);
-  EXPECT_EQ(valid.load(), kThreads);
-  EXPECT_EQ(cache.hits() + cache.misses(), static_cast<uint64_t>(kThreads));
-}
-
-TEST(BlockCache, SegmentLoaderIntegration) {
-  // The real wiring: cache loader = ColdSegment::LoadBlock, reader =
-  // SearchBlock over the pinned buffer.
+TEST(BlockCache, SegmentVerifyIntegration) {
+  // The real wiring: verify = ColdSegment::VerifyBlock, reader =
+  // SearchBlock over the block in the mapping.
   const std::string path = TempPath("seg_cache");
   const SortedRun run = MakeRun(1000);
   ASSERT_EQ(WriteRun(path, run, 64), SnapshotStatus::kOk);
   Segment seg;
   ASSERT_EQ(seg.Open(path, 5), SnapshotStatus::kOk);
 
-  BlockCache cache(1 << 20);
+  BlockCache cache(1 << 20, 64 * 16);
   for (size_t i = 0; i < run.keys.size(); i += 17) {
     const int64_t key = run.keys[i];
     const size_t b = seg.BlockOfKey(key);
-    BlockCache::Handle h =
-        cache.GetOrLoad(seg.id(), b, [&](std::vector<uint8_t>* out) {
-          return seg.LoadBlock(b, out) == SnapshotStatus::kOk;
-        });
-    ASSERT_TRUE(h.valid());
+    ASSERT_TRUE(cache.Verified(seg.cache_id(), b, [&] {
+      return seg.VerifyBlock(b) == SnapshotStatus::kOk;
+    }));
     int64_t payload = 0;
-    ASSERT_TRUE(Segment::SearchBlock(h.data(), seg.BlockKeys(b), key,
-                                     &payload));
+    ASSERT_TRUE(Segment::SearchBlock(seg.BlockData(b), seg.BlockKeys(b),
+                                     key, &payload));
     EXPECT_EQ(payload, run.payloads[i]);
   }
   EXPECT_GT(cache.hits(), 0u);  // 17-stride revisits blocks of 64 keys
+  EXPECT_EQ(cache.misses(), seg.num_blocks());
   std::remove(path.c_str());
+}
+
+// TSan target: readers verify and search two segments through a table
+// that holds 1/8 of their blocks, so every read races installs and
+// evictions, while another thread keeps erasing both segments.
+TEST(BlockCache, ReadersRaceEraseSegment) {
+  const SortedRun run = MakeRun(4096);
+  const std::string paths[2] = {TempPath("seg_race_a"),
+                                TempPath("seg_race_b")};
+  Segment segs[2];
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(WriteRun(paths[i], run, 64), SnapshotStatus::kOk);
+    ASSERT_EQ(segs[i].Open(paths[i], 1), SnapshotStatus::kOk);
+  }
+  const size_t total_blocks = 2 * segs[0].num_blocks();
+  BlockCache cache(total_blocks / 8 * 64 * 16, 64 * 16);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      std::mt19937_64 rng(t);
+      for (int i = 0; i < 20000; ++i) {
+        const Segment& seg = segs[rng() % 2];
+        const size_t k = rng() % run.keys.size();
+        const size_t b = seg.BlockOfKey(run.keys[k]);
+        const bool ok = cache.Verified(seg.cache_id(), b, [&] {
+          return seg.VerifyBlock(b) == SnapshotStatus::kOk;
+        });
+        int64_t payload = 0;
+        if (!ok ||
+            !Segment::SearchBlock(seg.BlockData(b), seg.BlockKeys(b),
+                                  run.keys[k], &payload) ||
+            payload != run.payloads[k]) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::thread eraser([&] {
+    while (!stop.load()) {
+      cache.EraseSegment(segs[0].cache_id());
+      cache.EraseSegment(segs[1].cache_id());
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : readers) t.join();
+  stop.store(true);
+  eraser.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 4u * 20000u);
+  EXPECT_LE(cache.bytes(), total_blocks / 8 * 64 * 16);
+  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 }  // namespace

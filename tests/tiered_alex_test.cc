@@ -6,9 +6,13 @@
 // checkpoint leaves behind, manifest v5 round-trip and the v4
 // kBadVersion refusal, crash-injection stray-segment sweeping, the
 // compaction-shrinks-replay acceptance criterion, block-cache isolation
-// across LoadFrom, topology transactions (rebalance, merge) over cold
-// victims, the traffic-driven tiering policy, and TSan targets reading
-// cold shards during concurrent tier transitions and rebalances.
+// across LoadFrom, corrupt cold blocks counted and never cached,
+// topology transactions (rebalance, merge) over cold victims, the
+// traffic-driven tiering policy, and TSan targets reading cold shards
+// during concurrent tier transitions and rebalances.
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "core/serialization.h"
+#include "obs/metrics.h"
 #include "shard/manifest.h"
 #include "shard/sharded_alex.h"
 #include "test_files.h"
@@ -801,6 +806,73 @@ TEST(TieredAlexTest, CorruptOrMissingSegmentIsRejectedDistinctly) {
   }
   Cleanup(prefix);
 }
+
+#if !defined(ALEX_DISABLE_OBS)
+// A demoted segment is never audited as a whole, so a block that rots
+// after demotion is caught by the in-place verify of the read that
+// first touches it: counted, never cached, verified again next time.
+TEST(TieredAlexTest, CorruptColdBlockIsCountedAndNeverCached) {
+  const std::string prefix = TempPrefix("tier-verify-fail");
+  Cleanup(prefix);
+  Sharded index(TierOpts(2, prefix));
+  BulkLoadStride3(&index, 2000);  // shard 1: keys 3000..5997
+  ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
+  std::string dir, base;
+  wal::SplitPrefixPath(prefix, &dir, &base);
+  std::string seg_path;
+  for (const std::string& name : FilesAt(prefix)) {
+    if (name.find(".seg-") != std::string::npos) seg_path = dir + "/" + name;
+  }
+  ASSERT_FALSE(seg_path.empty());
+
+  // Flip a byte of the last payload of block 0 through the file; the
+  // index's MAP_SHARED mapping sees the write.
+  tier::ColdSegment<int64_t, int64_t> seg;
+  ASSERT_EQ(seg.Open(seg_path, 0), SnapshotStatus::kOk);
+  const size_t kpb = seg.keys_per_block();
+  ASSERT_GT(seg.num_blocks(), 1u);
+  const off_t offset = static_cast<off_t>(
+      sizeof(tier::SegmentHeader) +
+      seg.num_blocks() * (sizeof(uint64_t) + sizeof(int64_t)) +
+      kpb * sizeof(int64_t) + (kpb - 1) * sizeof(int64_t));
+  {
+    const int fd = ::open(seg_path.c_str(), O_RDWR);
+    ASSERT_GE(fd, 0);
+    uint8_t byte = 0;
+    ASSERT_EQ(::pread(fd, &byte, 1, offset), 1);
+    byte ^= 0x40;
+    ASSERT_EQ(::pwrite(fd, &byte, 1, offset), 1);
+    ::close(fd);
+  }
+  ASSERT_EQ(seg.VerifyBlock(0), SnapshotStatus::kSegmentCorrupt);
+
+  obs::SetEnabled(true);
+  obs::Counter* failures = obs::MetricsRegistry::Global().GetCounter(
+      "tier.block_verify_failures");
+  const uint64_t failures_before = failures->Load();
+  // Block 0's first key: its own payload is intact, so Get still
+  // answers it (Get has no error channel).
+  for (int i = 0; i < 2; ++i) {
+    int64_t got = 0;
+    ASSERT_TRUE(index.Get(3000, &got));
+    EXPECT_EQ(got, 6001);
+  }
+  EXPECT_EQ(failures->Load() - failures_before, 2u);
+  EXPECT_EQ(index.block_cache().hits(), 0u);
+  EXPECT_EQ(index.block_cache().bytes(), 0u);
+
+  // An intact block of the same segment enters once, then hits.
+  for (int i = 0; i < 2; ++i) {
+    int64_t got = 0;
+    ASSERT_TRUE(index.Get(3000 + 3 * static_cast<int64_t>(kpb), &got));
+  }
+  EXPECT_EQ(failures->Load() - failures_before, 2u);
+  EXPECT_EQ(index.block_cache().hits(), 1u);
+  EXPECT_GT(index.block_cache().bytes(), 0u);
+  obs::SetEnabled(false);
+  Cleanup(prefix);
+}
+#endif  // !ALEX_DISABLE_OBS
 
 // ---- Topology over cold shards ----
 
