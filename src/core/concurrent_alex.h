@@ -76,7 +76,6 @@
 #include "core/config.h"
 #include "core/data_node.h"
 #include "core/node.h"
-#include "core/serialization.h"
 #include "obs/inspect.h"
 #include "obs/metrics.h"
 #include "util/epoch.h"
@@ -590,35 +589,6 @@ class ConcurrentAlex {
       leaf = next;
     }
     return result;
-  }
-
-  /// Writes a snapshot of the live tree to `path` (core/serialization.h
-  /// format). Safe to call with concurrent operations in flight: the
-  /// collection walks the leaf chain under an epoch guard with each leaf's
-  /// shared latch (re-descending when it races a split, exactly like
-  /// RangeScan), so every leaf's contribution is a consistent slice and
-  /// every key committed before the call is captured. Writes concurrent
-  /// with the walk land read-committed: a fully consistent point-in-time
-  /// image additionally requires the caller to quiesce writers, which is
-  /// what the shard layer's SaveTo does via its per-shard write gates.
-  SnapshotStatus SaveToFile(const std::string& path) const {
-    std::vector<std::pair<K, P>> pairs;
-    RangeScan(std::numeric_limits<K>::lowest(),
-              std::numeric_limits<size_t>::max(), &pairs);
-    return WriteSnapshotFile(path, pairs);
-  }
-
-  /// Replaces the contents from a snapshot file via BulkLoad (concurrent
-  /// operations linearize around the swap, as for BulkLoad). On any
-  /// non-kOk status the index is left untouched.
-  SnapshotStatus LoadFromFile(const std::string& path) {
-    std::vector<K> keys;
-    std::vector<P> payloads;
-    const SnapshotStatus status = ReadSnapshotFile<K, P>(path, &keys,
-                                                         &payloads);
-    if (status != SnapshotStatus::kOk) return status;
-    BulkLoad(keys.data(), payloads.data(), keys.size());
-    return SnapshotStatus::kOk;
   }
 
   size_t size() const { return index_.size(); }

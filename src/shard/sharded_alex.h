@@ -200,7 +200,7 @@ struct ShardedOptions {
   size_t tier_cache_bytes = 16u << 20;
   /// Target cold-segment block size in bytes; the per-block key count is
   /// derived as max(64, tier_block_bytes / sizeof(record)).
-  size_t tier_block_bytes = 4096;
+  size_t tier_block_bytes = tier::kDefaultBlockBytes;
   /// Directory/prefix where demotion writes its segment files. Empty
   /// defers to the WAL prefix; demotion fails when neither is set.
   std::string tier_prefix;
@@ -873,7 +873,8 @@ class ShardedAlex {
   /// lacks yields kMissingShard; a segment whose key count disagrees
   /// with the manifest, or whose keys fall outside the shard's boundary
   /// range (a swapped or foreign file), yields kManifestMismatch; a
-  /// flipped block byte yields kSegmentCorrupt; an unreplayable log
+  /// flipped block byte yields kSegmentCorrupt and a segment whose keys
+  /// are out of order kUnsortedKeys; an unreplayable log
   /// yields kWalReplayFailed with the distinct wal::WalStatus (and, on
   /// success, replay counts) in `*report`. A torn final record is
   /// tolerated: replay truncates it away and loses at most that one
@@ -928,8 +929,10 @@ class ShardedAlex {
       const std::string path =
           tier::SegmentPath(prefix, manifest.segment_ids[i]);
       auto segment = std::make_shared<tier::ColdSegment<K, P>>();
+      // The full audit pays one data pass, so a flipped block byte or an
+      // out-of-order run surfaces now, not on some future read.
       const core::SnapshotStatus status =
-          segment->Open(path, manifest.segment_ids[i]);
+          tier::OpenAudited(segment.get(), path, manifest.segment_ids[i]);
       // Only a file that is actually gone is "missing"; one that exists
       // but cannot be opened or mapped stays kIoError.
       if (status == core::SnapshotStatus::kIoError &&
@@ -937,12 +940,6 @@ class ShardedAlex {
         return core::SnapshotStatus::kMissingShard;
       }
       if (status != core::SnapshotStatus::kOk) return status;
-      // Open validates structure + metadata checksums; recovery also
-      // pays one full data pass so a flipped block byte surfaces now,
-      // not on some future read.
-      if (segment->VerifyAllBlocks() != core::SnapshotStatus::kOk) {
-        return core::SnapshotStatus::kSegmentCorrupt;
-      }
       if (segment->num_keys() != manifest.shard_keys[i]) {
         return core::SnapshotStatus::kManifestMismatch;
       }
@@ -2047,8 +2044,7 @@ class ShardedAlex {
 
   /// Keys per cold-segment block, from the configured byte target.
   size_t KeysPerBlock() const {
-    return std::max<size_t>(
-        64, options_.tier_block_bytes / (sizeof(K) + sizeof(P)));
+    return tier::KeysPerBlock<K, P>(options_.tier_block_bytes);
   }
 
   /// Writes `n` records as segment `id` at `prefix`: staged under a

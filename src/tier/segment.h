@@ -23,11 +23,12 @@
 // passed their checksum, so a segment's DRAM cost is its metadata plus
 // whatever pages of it the kernel keeps.
 //
-// One writer serves three producers: checkpointing any shard (resident or
-// cold), demoting a resident shard, and compacting a cold shard's delta
-// overlay — all stream sorted (key, payload) runs through
-// WriteSegmentFile, so the three paths cannot diverge in format. The
-// segment is the only durable form of a shard.
+// One writer serves four producers: checkpointing any shard (resident or
+// cold), demoting a resident shard, compacting a cold shard's delta
+// overlay, and saving a whole index (SaveIndex, the paper's §7 sorted run)
+// — all stream sorted (key, payload) runs through WriteSegmentFile, so the
+// four paths cannot diverge in format. The segment is the only durable
+// form of a shard and of a saved index.
 //
 // An empty shard is an empty segment: num_keys == 0, num_blocks == 0, the
 // file just the header. Its key range is the inverted [max(), lowest()],
@@ -36,13 +37,15 @@
 //
 // Integrity: every block carries its own util::Checksum64 digest
 // (verified in place by VerifyBlock before a block enters the block cache,
-// and by VerifyAllBlocks at recovery),
+// and by VerifyAllBlocks at recovery and index load),
 // the two metadata arrays are covered by one meta_checksum over their
 // contiguous bytes, and the header by header_checksum. Any mismatch
 // surfaces as core::SnapshotStatus::kSegmentCorrupt — distinct from
 // kTruncated/kBadMagic so a flipped byte is never mistaken for a torn or
 // foreign file. The version is checked before the header checksum, so a
-// file of an older format version reads as kBadVersion.
+// file of an older format version reads as kBadVersion. The full audit
+// (OpenAudited) also checks key order, which no checksum can vouch for:
+// a buggy or foreign writer's out-of-order run is kUnsortedKeys.
 #pragma once
 
 #include <fcntl.h>
@@ -57,6 +60,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/serialization.h"
@@ -112,6 +116,16 @@ static_assert(sizeof(SegmentHeader) == 88, "segment header must be packed");
 inline uint64_t SegmentHeaderChecksum(const SegmentHeader& header) {
   return util::Checksum64(
       &header, sizeof(header) - sizeof(header.header_checksum), 0);
+}
+
+/// Block size of a saved index, and the default of the shard layer's
+/// ShardedOptions::tier_block_bytes.
+inline constexpr size_t kDefaultBlockBytes = 4096;
+
+/// Keys per block for a `block_bytes` target: whole records, at least 64.
+template <typename K, typename P>
+constexpr size_t KeysPerBlock(size_t block_bytes) {
+  return std::max<size_t>(64, block_bytes / (sizeof(K) + sizeof(P)));
 }
 
 /// Path of segment `id` at `prefix` (beside the manifest / WAL files).
@@ -329,12 +343,25 @@ class ColdSegment {
                : core::SnapshotStatus::kSegmentCorrupt;
   }
 
-  /// Full-audit pass: every block re-checksummed (recovery calls this
-  /// before trusting a segment the manifest references).
+  /// Full-audit pass (OpenAudited): every block re-checksummed, and its
+  /// keys strictly increasing from fence[b] to below fence[b+1] — the
+  /// order Get, ScanUntil and BulkLoad rely on; kUnsortedKeys otherwise.
+  /// The order check stays out of VerifyBlock, which runs on cold reads.
   core::SnapshotStatus VerifyAllBlocks() const {
     for (size_t b = 0; b < header_.num_blocks; ++b) {
       const core::SnapshotStatus status = VerifyBlock(b);
       if (status != core::SnapshotStatus::kOk) return status;
+      const uint8_t* block = BlockData(b);
+      K prev = internal::LoadAt<K>(block);
+      if (prev != fence_[b]) return core::SnapshotStatus::kUnsortedKeys;
+      for (size_t i = 1; i < BlockKeys(b); ++i) {
+        const K key = internal::LoadAt<K>(block + i * sizeof(K));
+        if (!(prev < key)) return core::SnapshotStatus::kUnsortedKeys;
+        prev = key;
+      }
+      if (b + 1 < header_.num_blocks && !(prev < fence_[b + 1])) {
+        return core::SnapshotStatus::kUnsortedKeys;
+      }
     }
     return core::SnapshotStatus::kOk;
   }
@@ -433,9 +460,8 @@ class ColdSegment {
     if (header.keys_per_block == 0) {
       return core::SnapshotStatus::kTruncated;
     }
-    // Division-first overflow guards (the serialization.h idiom): bound
-    // the counts by what the file could possibly hold before any
-    // multiplication.
+    // Division-first overflow guards: bound the counts by what the file
+    // could possibly hold before any multiplication.
     const uint64_t record = sizeof(K) + sizeof(P);
     if (header.num_keys > file_size / record ||
         header.num_blocks > file_size / (sizeof(uint64_t) + sizeof(K))) {
@@ -504,5 +530,65 @@ class ColdSegment {
   uint64_t cache_id_ = 0;
   std::string path_;
 };
+
+/// The one full reader audit, shared by LoadIndex and
+/// ShardedAlex::LoadFrom: Open's structural and metadata checks, then
+/// VerifyAllBlocks' block checksums and key order.
+template <typename K, typename P>
+core::SnapshotStatus OpenAudited(ColdSegment<K, P>* segment,
+                                 const std::string& path, uint64_t id) {
+  const core::SnapshotStatus status = segment->Open(path, id);
+  return status == core::SnapshotStatus::kOk ? segment->VerifyAllBlocks()
+                                             : status;
+}
+
+/// Saves `index` (an Alex or a ConcurrentAlex) to `path` as one segment of
+/// kDefaultBlockBytes blocks. Models and node structure are not saved:
+/// LoadIndex bulk-loads the pairs, retraining models under the loader's
+/// Config, so a saved index is portable across configs. On a
+/// ConcurrentAlex with writers in flight the run is read-committed
+/// (RangeScan's contract); a point-in-time image needs quiesced writers,
+/// which is what ShardedAlex::SaveTo does with its write gates.
+template <template <typename, typename> class Index, typename K,
+          typename P>
+core::SnapshotStatus SaveIndex(const Index<K, P>& index,
+                               const std::string& path) {
+  std::vector<std::pair<K, P>> pairs;
+  index.RangeScan(std::numeric_limits<K>::lowest(),
+                  std::numeric_limits<size_t>::max(), &pairs);
+  std::vector<K> keys(pairs.size());
+  std::vector<P> payloads(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    keys[i] = pairs[i].first;
+    payloads[i] = pairs[i].second;
+  }
+  return WriteSegmentFile(path, keys.data(), payloads.data(), keys.size(),
+                          KeysPerBlock<K, P>(kDefaultBlockBytes));
+}
+
+/// Replaces `index`'s contents with the segment at `path` via BulkLoad
+/// (on a ConcurrentAlex, concurrent operations linearize around the
+/// swap). The segment passes OpenAudited first, so on any non-kOk status
+/// the index is left untouched.
+template <template <typename, typename> class Index, typename K,
+          typename P>
+core::SnapshotStatus LoadIndex(Index<K, P>* index, const std::string& path) {
+  ColdSegment<K, P> segment;
+  const core::SnapshotStatus status = OpenAudited(&segment, path, 0);
+  if (status != core::SnapshotStatus::kOk) return status;
+  std::vector<K> keys;
+  std::vector<P> payloads;
+  keys.reserve(segment.num_keys());
+  payloads.reserve(segment.num_keys());
+  segment.ScanUntil(std::numeric_limits<K>::lowest(),
+                    std::numeric_limits<K>::max(),
+                    [&](const K& key, const P& payload) {
+                      keys.push_back(key);
+                      payloads.push_back(payload);
+                      return true;
+                    });
+  index->BulkLoad(keys.data(), payloads.data(), keys.size());
+  return core::SnapshotStatus::kOk;
+}
 
 }  // namespace alex::tier

@@ -1,7 +1,6 @@
 // The one checksum of every on-disk format: segment blocks, metadata and
 // headers (tier/segment.h), WAL records and segment headers
-// (wal/wal_format.h), the shard manifest (shard/manifest.h) and index
-// snapshots (core/serialization.h).
+// (wal/wal_format.h), and the shard manifest (shard/manifest.h).
 //
 // It is XXH64 (https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md)
 // in portable C++17: four independent 64-bit lanes consume 32-byte

@@ -337,7 +337,7 @@ inline bool ParseWalSegmentName(const std::string& name,
 }
 
 /// fsyncs an existing file (or directory) by path. A checkpoint must
-/// make its snapshot files and manifest — and the directory entry of the
+/// make its segment files and manifest — and the directory entry of the
 /// manifest rename — durable *before* deleting the fdatasync-durable WAL
 /// segments they supersede, or a power loss would downgrade acknowledged
 /// writes to page-cache-only.

@@ -1,3 +1,9 @@
+// Index save/load (tier::SaveIndex / tier::LoadIndex): an Alex or a
+// ConcurrentAlex saves as one segment (tier/segment.h) and bulk-loads
+// back under the loader's Config. Round trips (empty, config change,
+// block-boundary sizes, a save during a write storm, writes after a
+// load), every distinct failure status with the index left untouched,
+// and the refusal of files in the retired snapshot layout.
 #include "core/serialization.h"
 
 #include <gtest/gtest.h>
@@ -6,21 +12,44 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/alex.h"
 #include "core/concurrent_alex.h"
+#include "test_files.h"
+#include "tier/segment.h"
 #include "util/random.h"
 
 namespace alex::core {
 namespace {
 
 using AlexInt = Alex<int64_t, int64_t>;
+using test::ReadAll;
+using test::WriteAll;
+using tier::LoadIndex;
+using tier::SaveIndex;
+using tier::SegmentHeader;
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
+}
+
+// Every failed load below runs against an index holding exactly {1 -> 1},
+// which the failure must leave as it was.
+template <typename Index>
+void ExpectUntouched(const Index& index) {
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_NE(index.Find(1), nullptr);
+}
+
+template <typename K, typename P>
+Alex<K, P> OnePair() {
+  Alex<K, P> index;
+  index.Insert(1, 1);
+  return index;
 }
 
 TEST(SerializationTest, RoundTripPreservesAllPairs) {
@@ -30,10 +59,10 @@ TEST(SerializationTest, RoundTripPreservesAllPairs) {
     index.Insert(static_cast<int64_t>(rng.NextUint64(1000000)), i);
   }
   const std::string path = TempPath("roundtrip.alex");
-  ASSERT_TRUE(SaveIndex(index, path));
+  ASSERT_EQ(SaveIndex(index, path), SnapshotStatus::kOk);
 
   AlexInt loaded;
-  ASSERT_TRUE(LoadIndex(&loaded, path));
+  ASSERT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kOk);
   ASSERT_EQ(loaded.size(), index.size());
   ASSERT_TRUE(loaded.CheckInvariants());
   auto a = index.begin();
@@ -52,27 +81,26 @@ TEST(SerializationTest, RoundTripPreservesAllPairs) {
 TEST(SerializationTest, EmptyIndexRoundTrips) {
   AlexInt index;
   const std::string path = TempPath("empty.alex");
-  ASSERT_TRUE(SaveIndex(index, path));
-  AlexInt loaded;
-  loaded.Insert(1, 1);  // overwritten by the load
-  ASSERT_TRUE(LoadIndex(&loaded, path));
+  ASSERT_EQ(SaveIndex(index, path), SnapshotStatus::kOk);
+  AlexInt loaded = OnePair<int64_t, int64_t>();  // overwritten by the load
+  ASSERT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kOk);
   EXPECT_TRUE(loaded.empty());
   std::remove(path.c_str());
 }
 
 TEST(SerializationTest, LoadIntoDifferentConfigRebuildsModels) {
-  // Snapshots are config-portable: a GA-ARMI snapshot loads into a
+  // Saved indexes are config-portable: a GA-ARMI save loads into a
   // PMA-SRMI index, which retrains its own models on bulk load.
   AlexInt ga_index;
   for (int64_t i = 0; i < 5000; ++i) ga_index.Insert(i * 3, i);
   const std::string path = TempPath("crossconfig.alex");
-  ASSERT_TRUE(SaveIndex(ga_index, path));
+  ASSERT_EQ(SaveIndex(ga_index, path), SnapshotStatus::kOk);
 
   Config pma;
   pma.layout = NodeLayout::kPackedMemoryArray;
   pma.rmi_mode = RmiMode::kStatic;
   AlexInt loaded(pma);
-  ASSERT_TRUE(LoadIndex(&loaded, path));
+  ASSERT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kOk);
   EXPECT_EQ(loaded.size(), 5000u);
   EXPECT_TRUE(loaded.CheckInvariants());
   EXPECT_EQ(*loaded.Find(300), 100);
@@ -80,19 +108,24 @@ TEST(SerializationTest, LoadIntoDifferentConfigRebuildsModels) {
 }
 
 TEST(SerializationTest, RejectsMissingFile) {
-  AlexInt index;
-  EXPECT_FALSE(LoadIndex(&index, TempPath("does-not-exist.alex")));
+  AlexInt index = OnePair<int64_t, int64_t>();
+  EXPECT_EQ(LoadIndex(&index, TempPath("does-not-exist.alex")),
+            SnapshotStatus::kIoError);
+  ExpectUntouched(index);
 }
 
 TEST(SerializationTest, RejectsWrongMagic) {
+  // At least a segment header's worth of bytes, so the magic is what
+  // fails rather than the length.
   const std::string path = TempPath("garbage.alex");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  const char junk[64] = "this is not an alex snapshot";
+  const char junk[128] = "this is not an alex segment";
   std::fwrite(junk, 1, sizeof(junk), f);
   std::fclose(f);
-  AlexInt index;
-  EXPECT_FALSE(LoadIndex(&index, path));
+  AlexInt index = OnePair<int64_t, int64_t>();
+  EXPECT_EQ(LoadIndex(&index, path), SnapshotStatus::kBadMagic);
+  ExpectUntouched(index);
   std::remove(path.c_str());
 }
 
@@ -100,79 +133,63 @@ TEST(SerializationTest, RejectsPayloadSizeMismatch) {
   Alex<int64_t, int64_t> wide;
   wide.Insert(1, 1);
   const std::string path = TempPath("mismatch.alex");
-  ASSERT_TRUE(SaveIndex(wide, path));
-  Alex<int64_t, int32_t> narrow;
-  EXPECT_FALSE(LoadIndex(&narrow, path));
+  ASSERT_EQ(SaveIndex(wide, path), SnapshotStatus::kOk);
+  Alex<int64_t, int32_t> narrow = OnePair<int64_t, int32_t>();
+  EXPECT_EQ(LoadIndex(&narrow, path), SnapshotStatus::kPayloadSizeMismatch);
+  ExpectUntouched(narrow);
   std::remove(path.c_str());
 }
 
-// ---- header robustness: every failure mode gets a distinct status ----
+// ---- robustness: every failure mode gets a distinct status ----
 
-// Patches `bytes` at `offset` in an existing file.
-void PatchFile(const std::string& path, long offset, const void* bytes,
-               size_t n) {
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  ASSERT_EQ(std::fwrite(bytes, 1, n, f), n);
-  std::fclose(f);
-}
-
-void TruncateFile(const std::string& path, size_t keep_bytes) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(in, nullptr);
-  std::vector<char> head(keep_bytes);
-  ASSERT_EQ(std::fread(head.data(), 1, keep_bytes, in), keep_bytes);
-  std::fclose(in);
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(out, nullptr);
-  ASSERT_EQ(std::fwrite(head.data(), 1, keep_bytes, out), keep_bytes);
-  std::fclose(out);
-}
-
-std::string WriteSmallSnapshot(const char* name) {
+std::string WriteSmallSave(const char* name) {
   AlexInt index;
   for (int64_t i = 0; i < 5000; ++i) index.Insert(i * 2, i);
   const std::string path = TempPath(name);
-  EXPECT_TRUE(SaveIndex(index, path));
+  EXPECT_EQ(SaveIndex(index, path), SnapshotStatus::kOk);
   return path;
 }
 
 TEST(SerializationRobustnessTest, TruncatedFileIsDetectedNotMisloaded) {
-  const std::string path = WriteSmallSnapshot("truncated.alex");
-  TruncateFile(path, sizeof(SnapshotHeader) + 1234);
-  AlexInt loaded;
-  loaded.Insert(1, 1);
-  EXPECT_EQ(LoadIndexEx(&loaded, path), SnapshotStatus::kTruncated);
-  // The failed load left the index untouched.
-  EXPECT_EQ(loaded.size(), 1u);
-  EXPECT_NE(loaded.Find(1), nullptr);
+  const std::string path = WriteSmallSave("truncated.alex");
+  std::vector<uint8_t> bytes = ReadAll(path);
+  bytes.resize(sizeof(SegmentHeader) + 1234);
+  WriteAll(path, bytes);
+  AlexInt loaded = OnePair<int64_t, int64_t>();
+  EXPECT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kTruncated);
+  ExpectUntouched(loaded);
   std::remove(path.c_str());
 }
 
 TEST(SerializationRobustnessTest, BogusKeyCountCannotOverAllocate) {
-  const std::string path = WriteSmallSnapshot("bogus-count.alex");
-  // A corrupt count in the exabyte range must be rejected against the
-  // actual file size, not trusted by resize().
-  const uint64_t bogus = 1ULL << 60;
-  PatchFile(path, offsetof(SnapshotHeader, num_keys), &bogus,
-            sizeof(bogus));
-  AlexInt loaded;
-  EXPECT_EQ(LoadIndexEx(&loaded, path), SnapshotStatus::kTruncated);
+  // A count in the exabyte range under a header checksum that vouches
+  // for it (a buggy writer, not a flipped byte) must be rejected against
+  // the actual file size, not trusted by an allocation.
+  const std::string path = WriteSmallSave("bogus-count.alex");
+  std::vector<uint8_t> bytes = ReadAll(path);
+  SegmentHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  header.num_keys = 1ULL << 60;
+  header.header_checksum = tier::SegmentHeaderChecksum(header);
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  WriteAll(path, bytes);
+  AlexInt loaded = OnePair<int64_t, int64_t>();
+  EXPECT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kTruncated);
+  ExpectUntouched(loaded);
   std::remove(path.c_str());
 }
 
 TEST(SerializationRobustnessTest, InteriorCorruptionIsDetected) {
-  // Flip one byte in the middle of the key array: counts, first and last
-  // keys all stay plausible, so only the body checksum can catch it.
-  const std::string path = WriteSmallSnapshot("interior-flip.alex");
-  const unsigned char flip = 0xA5;
-  PatchFile(path,
-            static_cast<long>(sizeof(SnapshotHeader) +
-                              2500 * sizeof(int64_t) + 3),
-            &flip, 1);
-  AlexInt loaded;
-  EXPECT_EQ(LoadIndexEx(&loaded, path), SnapshotStatus::kChecksumMismatch);
+  // Flip one byte in the middle of the block data: the header, the
+  // metadata and the key range all stay plausible, so only the block
+  // checksum can catch it.
+  const std::string path = WriteSmallSave("interior-flip.alex");
+  std::vector<uint8_t> bytes = ReadAll(path);
+  bytes[bytes.size() / 2] ^= 0xA5;
+  WriteAll(path, bytes);
+  AlexInt loaded = OnePair<int64_t, int64_t>();
+  EXPECT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kSegmentCorrupt);
+  ExpectUntouched(loaded);
   std::remove(path.c_str());
 }
 
@@ -182,44 +199,64 @@ TEST(SerializationRobustnessTest, UnsortedKeysAreRejected) {
   const int64_t keys[] = {10, 5, 20};
   const int64_t payloads[] = {1, 2, 3};
   const std::string path = TempPath("unsorted.alex");
-  ASSERT_EQ(WriteSnapshotFile(path, keys, payloads, 3),
+  ASSERT_EQ((tier::WriteSegmentFile<int64_t, int64_t>(
+                path, keys, payloads, 3,
+                tier::KeysPerBlock<int64_t, int64_t>(
+                    tier::kDefaultBlockBytes))),
             SnapshotStatus::kOk);
-  AlexInt loaded;
-  EXPECT_EQ(LoadIndexEx(&loaded, path), SnapshotStatus::kUnsortedKeys);
+  AlexInt loaded = OnePair<int64_t, int64_t>();
+  EXPECT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kUnsortedKeys);
+  ExpectUntouched(loaded);
   std::remove(path.c_str());
 }
 
 TEST(SerializationRobustnessTest, WrongVersionIsDistinct) {
-  const std::string path = WriteSmallSnapshot("wrong-version.alex");
-  const uint32_t future = 999;
-  PatchFile(path, offsetof(SnapshotHeader, version), &future,
-            sizeof(future));
-  AlexInt loaded;
-  EXPECT_EQ(LoadIndexEx(&loaded, path), SnapshotStatus::kBadVersion);
+  const std::string path = WriteSmallSave("wrong-version.alex");
+  std::vector<uint8_t> bytes = ReadAll(path);
+  const uint64_t future = 999;
+  std::memcpy(bytes.data() + offsetof(SegmentHeader, version), &future,
+              sizeof(future));
+  WriteAll(path, bytes);
+  AlexInt loaded = OnePair<int64_t, int64_t>();
+  EXPECT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kBadVersion);
+  ExpectUntouched(loaded);
   std::remove(path.c_str());
 }
 
-TEST(SerializationRobustnessTest, PreviousVersionIsBadVersion) {
-  // A v2 snapshot has this layout under the old checksum. The checksum
-  // covers only the two arrays, so re-stamping the version needs no
-  // re-checksum for the version to be the only thing wrong.
-  const std::string path = WriteSmallSnapshot("previous-version.alex");
-  AlexInt loaded;
-  ASSERT_EQ(LoadIndexEx(&loaded, path), SnapshotStatus::kOk);
-  const uint32_t previous = internal::kSnapshotVersion - 1;
-  PatchFile(path, offsetof(SnapshotHeader, version), &previous,
-            sizeof(previous));
-  EXPECT_EQ(LoadIndexEx(&loaded, path), SnapshotStatus::kBadVersion);
+// Files of the retired snapshot layout (a 32-byte header tagged
+// "ALEXSNAP", the key array, the payload array, a trailing checksum) no
+// longer load: one at least a segment header long fails on its magic,
+// a shorter one on its length.
+TEST(SerializationRobustnessTest, OldSnapshotFilesAreRejected) {
+  const auto old_layout = [](uint64_t n) {
+    std::vector<uint8_t> bytes(32 + n * 16 + 8, 0);
+    const uint64_t magic = 0x414C4558534E4150ULL;
+    const uint32_t fields[4] = {3, 8, 8, 0};  // version, |K|, |P|, reserved
+    std::memcpy(bytes.data(), &magic, sizeof(magic));
+    std::memcpy(bytes.data() + 8, fields, sizeof(fields));
+    std::memcpy(bytes.data() + 24, &n, sizeof(n));
+    return bytes;
+  };
+  const std::string path = TempPath("old-snapshot.alex");
+  AlexInt loaded = OnePair<int64_t, int64_t>();
+  WriteAll(path, old_layout(3));  // 88 bytes: exactly a segment header
+  EXPECT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kBadMagic);
+  ExpectUntouched(loaded);
+  WriteAll(path, old_layout(2));  // 72 bytes
+  EXPECT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kTruncated);
+  ExpectUntouched(loaded);
   std::remove(path.c_str());
 }
 
-// The writer checksums each array in kSnapshotChunk-element chunks, every
-// chunk seeded with the previous digest; the reader must hash the same
-// chunks. Sizes straddle the chunk boundary on both sides.
-TEST(SerializationRobustnessTest, ChunkBoundariesRoundTripAndDetectFlips) {
-  constexpr size_t kChunk = internal::kSnapshotChunk;
-  for (const size_t n : {size_t{1}, kChunk - 1, kChunk, kChunk + 1,
-                         3 * kChunk + 5}) {
+// Sizes straddle the block boundary (KeysPerBlock records per block) on
+// both sides, so the short final block is exercised; a flipped byte in
+// that block's keys or payloads fails either tree's load, and restoring
+// it loads again.
+TEST(SerializationRobustnessTest, BlockBoundariesRoundTripAndDetectFlips) {
+  constexpr size_t kBlock =
+      tier::KeysPerBlock<int64_t, int64_t>(tier::kDefaultBlockBytes);
+  for (const size_t n : {size_t{1}, kBlock - 1, kBlock, kBlock + 1,
+                         3 * kBlock + 5}) {
     SCOPED_TRACE(n);
     std::vector<int64_t> keys(n), payloads(n);
     for (size_t i = 0; i < n; ++i) {
@@ -236,10 +273,10 @@ TEST(SerializationRobustnessTest, ChunkBoundariesRoundTripAndDetectFlips) {
 
     AlexInt source;
     source.BulkLoad(keys.data(), payloads.data(), n);
-    const std::string alex_path = TempPath("chunks-alex.alex");
-    ASSERT_TRUE(SaveIndex(source, alex_path));
+    const std::string alex_path = TempPath("blocks-alex.alex");
+    ASSERT_EQ(SaveIndex(source, alex_path), SnapshotStatus::kOk);
     AlexInt loaded;
-    ASSERT_EQ(LoadIndexEx(&loaded, alex_path), SnapshotStatus::kOk);
+    ASSERT_EQ(LoadIndex(&loaded, alex_path), SnapshotStatus::kOk);
     ASSERT_EQ(loaded.size(), n);
     expect_pairs([&](int64_t k, int64_t* v) {
       const int64_t* p = loaded.Find(k);
@@ -249,33 +286,32 @@ TEST(SerializationRobustnessTest, ChunkBoundariesRoundTripAndDetectFlips) {
 
     ConcurrentAlex<int64_t, int64_t> concurrent;
     concurrent.BulkLoad(keys.data(), payloads.data(), n);
-    const std::string concurrent_path = TempPath("chunks-concurrent.alex");
-    ASSERT_EQ(concurrent.SaveToFile(concurrent_path), SnapshotStatus::kOk);
+    const std::string concurrent_path = TempPath("blocks-concurrent.alex");
+    ASSERT_EQ(SaveIndex(concurrent, concurrent_path), SnapshotStatus::kOk);
     ConcurrentAlex<int64_t, int64_t> reloaded;
-    ASSERT_EQ(reloaded.LoadFromFile(concurrent_path), SnapshotStatus::kOk);
+    ASSERT_EQ(LoadIndex(&reloaded, concurrent_path), SnapshotStatus::kOk);
     ASSERT_EQ(reloaded.size(), n);
     expect_pairs([&](int64_t k, int64_t* v) { return reloaded.Get(k, v); });
 
-    // One flipped byte in the last (possibly partial) chunk of either
-    // array is a checksum mismatch; restoring it loads again.
-    const long keys_at = static_cast<long>(sizeof(SnapshotHeader));
-    const long payloads_at =
-        keys_at + static_cast<long>(n * sizeof(int64_t));
-    for (const long array_at : {keys_at, payloads_at}) {
-      const long at =
-          array_at + static_cast<long>((n - 1) * sizeof(int64_t)) + 2;
-      const unsigned char bad = 0xC3;
-      PatchFile(alex_path, at, &bad, 1);
-      EXPECT_EQ(LoadIndexEx(&loaded, alex_path),
-                SnapshotStatus::kChecksumMismatch);
+    // The final block holds its m keys, then its m payloads, and ends
+    // the file.
+    const std::vector<uint8_t> good = ReadAll(alex_path);
+    const size_t m = n % kBlock == 0 ? kBlock : n % kBlock;
+    const size_t last_key = good.size() - m * 8 - 8 + 2;
+    const size_t last_payload = good.size() - 8 + 2;
+    for (const size_t at : {last_key, last_payload}) {
+      std::vector<uint8_t> bad = good;
+      bad[at] ^= 0xC3;
+      WriteAll(alex_path, bad);
+      EXPECT_EQ(LoadIndex(&loaded, alex_path),
+                SnapshotStatus::kSegmentCorrupt);
       ConcurrentAlex<int64_t, int64_t> rejected;
-      EXPECT_EQ(rejected.LoadFromFile(alex_path),
-                SnapshotStatus::kChecksumMismatch);
-      const int64_t original =
-          array_at == keys_at ? keys[n - 1] : payloads[n - 1];
-      const auto good = static_cast<unsigned char>(original >> 16);
-      PatchFile(alex_path, at, &good, 1);
-      EXPECT_EQ(LoadIndexEx(&loaded, alex_path), SnapshotStatus::kOk);
+      rejected.Insert(1, 1);
+      EXPECT_EQ(LoadIndex(&rejected, alex_path),
+                SnapshotStatus::kSegmentCorrupt);
+      EXPECT_EQ(rejected.size(), 1u);
+      WriteAll(alex_path, good);
+      EXPECT_EQ(LoadIndex(&loaded, alex_path), SnapshotStatus::kOk);
     }
     std::remove(alex_path.c_str());
     std::remove(concurrent_path.c_str());
@@ -283,13 +319,14 @@ TEST(SerializationRobustnessTest, ChunkBoundariesRoundTripAndDetectFlips) {
 }
 
 TEST(SerializationRobustnessTest, SizeMismatchesAreDistinct) {
-  const std::string path = WriteSmallSnapshot("sizes.alex");
-  Alex<int64_t, int32_t> narrow_payload;
-  EXPECT_EQ(LoadIndexEx(&narrow_payload, path),
+  const std::string path = WriteSmallSave("sizes.alex");
+  Alex<int64_t, int32_t> narrow_payload = OnePair<int64_t, int32_t>();
+  EXPECT_EQ(LoadIndex(&narrow_payload, path),
             SnapshotStatus::kPayloadSizeMismatch);
-  Alex<int32_t, int64_t> narrow_key;
-  EXPECT_EQ(LoadIndexEx(&narrow_key, path),
-            SnapshotStatus::kKeySizeMismatch);
+  ExpectUntouched(narrow_payload);
+  Alex<int32_t, int64_t> narrow_key = OnePair<int32_t, int64_t>();
+  EXPECT_EQ(LoadIndex(&narrow_key, path), SnapshotStatus::kKeySizeMismatch);
+  ExpectUntouched(narrow_key);
   std::remove(path.c_str());
 }
 
@@ -301,8 +338,7 @@ TEST(SerializationRobustnessTest, StatusNamesAreStable) {
                "missing-shard");
 }
 
-// ---- ConcurrentAlex snapshots (the shard layer's durability building
-// block) ----
+// ---- ConcurrentAlex saves (the same segment, the same loader) ----
 
 TEST(ConcurrentSnapshotTest, RoundTripPreservesAllPairs) {
   core::ConcurrentAlex<int64_t, int64_t> index;
@@ -313,10 +349,10 @@ TEST(ConcurrentSnapshotTest, RoundTripPreservesAllPairs) {
   }
   index.BulkLoad(keys.data(), payloads.data(), keys.size());
   const std::string path = TempPath("concurrent-roundtrip.alex");
-  ASSERT_EQ(index.SaveToFile(path), SnapshotStatus::kOk);
+  ASSERT_EQ(SaveIndex(index, path), SnapshotStatus::kOk);
 
   core::ConcurrentAlex<int64_t, int64_t> loaded;
-  ASSERT_EQ(loaded.LoadFromFile(path), SnapshotStatus::kOk);
+  ASSERT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kOk);
   EXPECT_EQ(loaded.size(), index.size());
   int64_t v = 0;
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -328,21 +364,21 @@ TEST(ConcurrentSnapshotTest, RoundTripPreservesAllPairs) {
 }
 
 TEST(ConcurrentSnapshotTest, SnapshotsLoadIntoSingleThreadedAlex) {
-  // The concurrent writer and the plain loader share one format.
+  // Both trees save and load through the one segment writer and reader.
   core::ConcurrentAlex<int64_t, int64_t> source;
   for (int64_t i = 0; i < 3000; ++i) source.Insert(i * 5, i);
   const std::string path = TempPath("cross-class.alex");
-  ASSERT_EQ(source.SaveToFile(path), SnapshotStatus::kOk);
+  ASSERT_EQ(SaveIndex(source, path), SnapshotStatus::kOk);
   AlexInt loaded;
-  ASSERT_EQ(LoadIndexEx(&loaded, path), SnapshotStatus::kOk);
+  ASSERT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kOk);
   EXPECT_EQ(loaded.size(), 3000u);
   EXPECT_EQ(*loaded.Find(10), 2);
   std::remove(path.c_str());
 }
 
 TEST(ConcurrentSnapshotTest, SaveWithConcurrentWritersIsWellFormed) {
-  // A snapshot taken mid-write-storm must load cleanly and contain every
-  // key committed before the save began (read-committed contract).
+  // A save taken mid-write-storm must load cleanly and contain every key
+  // committed before the save began (read-committed contract).
   core::ConcurrentAlex<int64_t, int64_t> index;
   std::vector<int64_t> keys, payloads;
   constexpr int64_t kPreload = 20000;
@@ -361,13 +397,13 @@ TEST(ConcurrentSnapshotTest, SaveWithConcurrentWritersIsWellFormed) {
     }
   });
   const std::string path = TempPath("concurrent-save.alex");
-  const SnapshotStatus status = index.SaveToFile(path);
+  const SnapshotStatus status = SaveIndex(index, path);
   stop.store(true, std::memory_order_release);
   writer.join();
   ASSERT_EQ(status, SnapshotStatus::kOk);
 
   core::ConcurrentAlex<int64_t, int64_t> loaded;
-  ASSERT_EQ(loaded.LoadFromFile(path), SnapshotStatus::kOk);
+  ASSERT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kOk);
   EXPECT_TRUE(loaded.CheckInvariants());
   int64_t v = 0;
   for (int64_t i = 0; i < kPreload; ++i) {
@@ -381,9 +417,9 @@ TEST(SerializationTest, LoadedIndexAcceptsFurtherWrites) {
   AlexInt index;
   for (int64_t i = 0; i < 1000; ++i) index.Insert(i * 2, i);
   const std::string path = TempPath("writable.alex");
-  ASSERT_TRUE(SaveIndex(index, path));
+  ASSERT_EQ(SaveIndex(index, path), SnapshotStatus::kOk);
   AlexInt loaded;
-  ASSERT_TRUE(LoadIndex(&loaded, path));
+  ASSERT_EQ(LoadIndex(&loaded, path), SnapshotStatus::kOk);
   for (int64_t i = 0; i < 1000; ++i) {
     ASSERT_TRUE(loaded.Insert(i * 2 + 1, -i));
   }

@@ -635,5 +635,48 @@ TEST(ShardedAlexTest, ShardFileCountMismatchIsDetected) {
   Cleanup(prefix);
 }
 
+TEST(ShardedAlexTest, OutOfOrderShardSegmentIsRejected) {
+  // A segment whose checksums, key count and key range all agree with
+  // the manifest, but whose keys are out of order inside a block, must
+  // not reach BulkLoad: the recovery audit reports kUnsortedKeys.
+  Sharded index(Opts(2));
+  std::vector<int64_t> keys(2000), payloads(2000);
+  for (int64_t i = 0; i < 2000; ++i) keys[i] = payloads[i] = i;
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+  const std::string prefix = TempPrefix("sharded-unsorted");
+  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+
+  const std::string path = SegmentOf(prefix, 1);
+  std::vector<int64_t> run_keys, run_payloads;
+  size_t keys_per_block = 0;
+  {
+    tier::ColdSegment<int64_t, int64_t> segment;
+    ASSERT_EQ(segment.Open(path, 0), SnapshotStatus::kOk);
+    keys_per_block = segment.keys_per_block();
+    segment.ScanUntil(std::numeric_limits<int64_t>::lowest(),
+                      std::numeric_limits<int64_t>::max(),
+                      [&](int64_t key, int64_t payload) {
+                        run_keys.push_back(key);
+                        run_payloads.push_back(payload);
+                        return true;
+                      });
+  }
+  ASSERT_GT(run_keys.size(), 3u);
+  std::swap(run_keys[1], run_keys[2]);
+  ASSERT_EQ((tier::WriteSegmentFile<int64_t, int64_t>(
+                path, run_keys.data(), run_payloads.data(), run_keys.size(),
+                keys_per_block)),
+            SnapshotStatus::kOk);
+
+  Sharded loaded(Opts(2));
+  loaded.Insert(42, 42);
+  EXPECT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kUnsortedKeys);
+  // The failed load left the live index untouched.
+  int64_t v = 0;
+  EXPECT_TRUE(loaded.Get(42, &v));
+  EXPECT_EQ(loaded.size(), 1u);
+  Cleanup(prefix);
+}
+
 }  // namespace
 }  // namespace alex::shard

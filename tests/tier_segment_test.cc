@@ -2,7 +2,9 @@
 // write/open round trips (empty segments included), the learned fence
 // lookup with its binary-search fallback, every Validate rejection path
 // (byte flips must surface as the distinct kSegmentCorrupt status, a
-// previous format version as kBadVersion), segment file-name parsing for the
+// previous format version as kBadVersion), the full audit's key-order
+// check and a mutation sweep of every bit and length of a small segment
+// through it, segment file-name parsing for the
 // checkpoint sweep, raw-mapping Get/ScanUntil, in-place block
 // verification, and the verified-block table (hit/miss/eviction/bytes
 // accounting, re-verification after eviction, a working set that fits
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "core/serialization.h"
+#include "test_files.h"
 #include "util/checksum.h"
 
 namespace alex::tier {
@@ -181,23 +184,8 @@ TEST(TierSegment, ScanUntilRangesAndEarlyStop) {
 
 // ---- Corruption and structural rejection ----
 
-std::vector<uint8_t> ReadAll(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  std::vector<uint8_t> bytes(static_cast<size_t>(std::ftell(f)));
-  std::fseek(f, 0, SEEK_SET);
-  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-  return bytes;
-}
-
-void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-}
+using test::ReadAll;
+using test::WriteAll;
 
 TEST(TierSegment, EmptySegmentRoundTrips) {
   const std::string path = TempPath("seg_empty");
@@ -352,6 +340,91 @@ TEST(TierSegment, KeyAndPayloadWidthMismatch) {
   ColdSegment<int64_t, int32_t> narrow_payload;
   EXPECT_EQ(narrow_payload.Open(path, 1),
             SnapshotStatus::kPayloadSizeMismatch);
+  std::remove(path.c_str());
+}
+
+// ---- Key order (the full audit only) ----
+
+// Recomputes the metadata and header checksums after a test edits the
+// fence array, so the edit is the only thing wrong with the file.
+void Restamp(std::vector<uint8_t>* bytes) {
+  SegmentHeader header;
+  std::memcpy(&header, bytes->data(), sizeof(header));
+  header.meta_checksum = util::Checksum64(
+      bytes->data() + sizeof(header),
+      header.num_blocks * (sizeof(uint64_t) + sizeof(int64_t)), 0);
+  header.header_checksum = SegmentHeaderChecksum(header);
+  std::memcpy(bytes->data(), &header, sizeof(header));
+}
+
+TEST(TierSegment, AuditRejectsKeysOutOfOrder) {
+  const std::string path = TempPath("seg_unsorted");
+  const auto write = [&](std::vector<int64_t> keys) {
+    const std::vector<int64_t> payloads(keys.size(), 7);
+    ASSERT_EQ((WriteSegmentFile<int64_t, int64_t>(
+                  path, keys.data(), payloads.data(), keys.size(), 4)),
+              SnapshotStatus::kOk);
+  };
+  Segment seg;
+
+  // Out of order inside each block; the fences {1, 9} are in order, so
+  // Open and every block checksum pass, and only the audit objects.
+  write({1, 5, 3, 7, 9, 11, 10, 20});
+  ASSERT_EQ(seg.Open(path, 1), SnapshotStatus::kOk);
+  EXPECT_EQ(seg.VerifyBlock(0), SnapshotStatus::kOk);
+  EXPECT_EQ(seg.VerifyBlock(1), SnapshotStatus::kOk);
+  EXPECT_EQ(seg.VerifyAllBlocks(), SnapshotStatus::kUnsortedKeys);
+  EXPECT_EQ(OpenAudited(&seg, path, 1), SnapshotStatus::kUnsortedKeys);
+
+  // Each block in order, but block 0 runs past block 1's fence.
+  write({1, 3, 5, 7, 6, 8, 9, 10});
+  EXPECT_EQ(OpenAudited(&seg, path, 1), SnapshotStatus::kUnsortedKeys);
+
+  // Block 1's first key differs from its fence (fences re-stamped so
+  // they stay in order and checksum clean).
+  write({1, 3, 5, 7, 9, 11, 13, 15});
+  EXPECT_EQ(OpenAudited(&seg, path, 1), SnapshotStatus::kOk);
+  std::vector<uint8_t> bytes = ReadAll(path);
+  const int64_t fence = 8;
+  std::memcpy(bytes.data() + sizeof(SegmentHeader) + 2 * sizeof(uint64_t) +
+                  sizeof(int64_t),
+              &fence, sizeof(fence));
+  Restamp(&bytes);
+  WriteAll(path, bytes);
+  ASSERT_EQ(seg.Open(path, 1), SnapshotStatus::kOk);
+  EXPECT_EQ(seg.VerifyAllBlocks(), SnapshotStatus::kUnsortedKeys);
+  std::remove(path.c_str());
+}
+
+// Every byte of a segment is covered by the magic, the version, or the
+// header, metadata or a block checksum, so no single-bit flip and no
+// truncation may pass the full audit (a first slice of fuzzing the
+// on-disk parsers; runs under the sanitizers like every other test).
+TEST(TierSegment, MutationSweepNeverPassesTheAudit) {
+  const std::string path = TempPath("seg_mutation");
+  const SortedRun run = MakeRun(12);  // 3 blocks of 4 keys: 328 bytes
+  ASSERT_EQ(WriteRun(path, run, 4), SnapshotStatus::kOk);
+  const std::vector<uint8_t> good = ReadAll(path);
+  ASSERT_EQ(good.size(),
+            sizeof(SegmentHeader) + 3 * (sizeof(uint64_t) + sizeof(int64_t)) +
+                12 * 2 * sizeof(int64_t));
+  Segment seg;
+  ASSERT_EQ(OpenAudited(&seg, path, 1), SnapshotStatus::kOk);
+
+  for (size_t i = 0; i < good.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> bad = good;
+      bad[i] ^= static_cast<uint8_t>(1u << bit);
+      WriteAll(path, bad);
+      EXPECT_NE(OpenAudited(&seg, path, 1), SnapshotStatus::kOk)
+          << "byte " << i << " bit " << bit;
+    }
+  }
+  for (size_t len = 0; len < good.size(); ++len) {
+    WriteAll(path, std::vector<uint8_t>(good.begin(), good.begin() + len));
+    EXPECT_NE(OpenAudited(&seg, path, 1), SnapshotStatus::kOk)
+        << "length " << len;
+  }
   std::remove(path.c_str());
 }
 
