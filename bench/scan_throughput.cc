@@ -1,5 +1,5 @@
 // Scan/aggregate throughput sweep: selectivity × execution mode × shard
-// fan-out, on ShardedAlex.
+// count, on ShardedAlex.
 //
 // The scan engine's claim is that pushing the predicate/aggregate down to
 // the leaf kernels beats materializing the range and reducing it at the
@@ -17,15 +17,14 @@
 //   pushdown_count  Aggregate with count_only — pure occupancy popcounts
 //
 // The headline line at the end reports pushdown_agg vs materialize at 1%
-// selectivity single-threaded (the acceptance ratio the CI artifact
+// selectivity on one shard (the acceptance ratio the CI artifact
 // tracks; the engine's floor is 2x).
 //
-// Sweeps: selectivity ∈ {0.1%, 1%, 10%} × shards ∈ {1, 8} ×
-// scan_threads ∈ {1, 4}. Latency is recorded per query (p50/p99); a
-// single-core container will show no parallel win, which is why the
-// headline ratio is pinned to the single-threaded cell.
+// Sweeps: selectivity ∈ {0.1%, 1%, 10%} × shards ∈ {1, 8}, each query on
+// one thread (a cross-shard query visits its shards in order on the
+// caller). Latency is recorded per query (p50/p99); the headline ratio is
+// pinned to the single-shard cell.
 //
-// Flags / env:
 // Every mode in a cell replays the same fixed query stream (same seed and
 // count, sized so each cell touches about one index' worth of keys), so
 // the per-mode key checksums must agree — the bench doubles as an
@@ -174,7 +173,6 @@ int main(int argc, char** argv) {
   const size_t n = bench::ScaledKeys(2000000);
   const double selectivities[] = {0.001, 0.01, 0.1};
   const size_t shard_counts[] = {1, 8};
-  const size_t thread_counts[] = {1, 4};
   const Mode modes[] = {Mode::kMaterialize, Mode::kScanVisitor,
                         Mode::kPushdownAgg, Mode::kPushdownCount};
 
@@ -191,86 +189,82 @@ int main(int argc, char** argv) {
   bench::ResultSink sink;
   bench::PrintRule("Scan/aggregate throughput (pushdown vs materialize)");
   std::printf(
-      "| shards | threads | selectivity | mode | queries/s | Mkeys/s | "
-      "p50 us | p99 us |\n");
-  std::printf("|---|---|---|---|---|---|---|---|\n");
+      "| shards | selectivity | mode | queries/s | Mkeys/s | p50 us | "
+      "p99 us |\n");
+  std::printf("|---|---|---|---|---|---|---|\n");
 
-  // Headline cell: 1% selectivity, single shard, single thread.
+  // Headline cell: 1% selectivity, single shard.
   double headline_pushdown = 0.0;
   double headline_materialize = 0.0;
 
   for (const size_t shards : shard_counts) {
-    for (const size_t threads : thread_counts) {
-      shard::ShardedOptions options;
-      options.num_shards = shards;
-      options.scan_threads = threads;
-      Sharded index(options);
-      index.BulkLoad(keys.data(), payloads.data(), n);
-      for (const double selectivity : selectivities) {
-        const K range_width = static_cast<K>(
-            selectivity * static_cast<double>(span));
-        // Every mode runs the same fixed query stream (same seed, same
-        // count) so the checksums are comparable and every cell touches
-        // about one index' worth of keys regardless of selectivity.
-        const double expected_keys =
-            selectivity * static_cast<double>(std::max<size_t>(n, 1));
-        const uint64_t num_queries = std::max<uint64_t>(
-            20, std::min<uint64_t>(
-                    2000, static_cast<uint64_t>(
-                              static_cast<double>(n) /
-                              std::max(expected_keys, 1.0))));
-        uint64_t reference_checksum = 0;
-        for (const Mode mode : modes) {
-          const CellResult cell =
-              RunCell(index, mode, key_min, span, range_width, num_queries,
-                      /*seed=*/42);
-          // materialize / scan_visitor / pushdown_agg sum the same keys
-          // over the same query stream — their checksums must agree.
-          if (mode == Mode::kMaterialize) {
-            reference_checksum = cell.checksum;
-          } else if (mode != Mode::kPushdownCount &&
-                     cell.queries_per_sec > 0.0 &&
-                     cell.checksum != reference_checksum) {
-            std::fprintf(stderr,
-                         "checksum mismatch: %s vs materialize "
-                         "(%llu != %llu)\n",
-                         ModeName(mode),
-                         static_cast<unsigned long long>(cell.checksum),
-                         static_cast<unsigned long long>(reference_checksum));
-            return 1;
-          }
-          if (shards == 1 && threads == 1 && selectivity == 0.01) {
-            if (mode == Mode::kPushdownAgg) {
-              headline_pushdown = cell.keys_per_sec;
-            } else if (mode == Mode::kMaterialize) {
-              headline_materialize = cell.keys_per_sec;
-            }
-          }
-          std::printf("| %zu | %zu | %.1f%% | %s | %.0f | %s | %.1f | %.1f |\n",
-                      shards, threads, selectivity * 100.0, ModeName(mode),
-                      cell.queries_per_sec,
-                      bench::Mops(cell.keys_per_sec).c_str(),
-                      static_cast<double>(cell.p50_ns) / 1000.0,
-                      static_cast<double>(cell.p99_ns) / 1000.0);
-          sink.Add({{"shards", std::to_string(shards)},
-                    {"scan_threads", std::to_string(threads)},
-                    {"selectivity", bench::ResultSink::Num(selectivity)},
-                    {"mode", ModeName(mode)},
-                    {"queries_per_sec",
-                     bench::ResultSink::Num(cell.queries_per_sec)},
-                    {"keys_per_sec",
-                     bench::ResultSink::Num(cell.keys_per_sec)},
-                    {"p50_ns", std::to_string(cell.p50_ns)},
-                    {"p99_ns", std::to_string(cell.p99_ns)}});
+    shard::ShardedOptions options;
+    options.num_shards = shards;
+    Sharded index(options);
+    index.BulkLoad(keys.data(), payloads.data(), n);
+    for (const double selectivity : selectivities) {
+      const K range_width = static_cast<K>(
+          selectivity * static_cast<double>(span));
+      // Every mode runs the same fixed query stream (same seed, same
+      // count) so the checksums are comparable and every cell touches
+      // about one index' worth of keys regardless of selectivity.
+      const double expected_keys =
+          selectivity * static_cast<double>(std::max<size_t>(n, 1));
+      const uint64_t num_queries = std::max<uint64_t>(
+          20, std::min<uint64_t>(
+                  2000, static_cast<uint64_t>(
+                            static_cast<double>(n) /
+                            std::max(expected_keys, 1.0))));
+      uint64_t reference_checksum = 0;
+      for (const Mode mode : modes) {
+        const CellResult cell =
+            RunCell(index, mode, key_min, span, range_width, num_queries,
+                    /*seed=*/42);
+        // materialize / scan_visitor / pushdown_agg sum the same keys
+        // over the same query stream — their checksums must agree.
+        if (mode == Mode::kMaterialize) {
+          reference_checksum = cell.checksum;
+        } else if (mode != Mode::kPushdownCount &&
+                   cell.queries_per_sec > 0.0 &&
+                   cell.checksum != reference_checksum) {
+          std::fprintf(stderr,
+                       "checksum mismatch: %s vs materialize "
+                       "(%llu != %llu)\n",
+                       ModeName(mode),
+                       static_cast<unsigned long long>(cell.checksum),
+                       static_cast<unsigned long long>(reference_checksum));
+          return 1;
         }
+        if (shards == 1 && selectivity == 0.01) {
+          if (mode == Mode::kPushdownAgg) {
+            headline_pushdown = cell.keys_per_sec;
+          } else if (mode == Mode::kMaterialize) {
+            headline_materialize = cell.keys_per_sec;
+          }
+        }
+        std::printf("| %zu | %.1f%% | %s | %.0f | %s | %.1f | %.1f |\n",
+                    shards, selectivity * 100.0, ModeName(mode),
+                    cell.queries_per_sec,
+                    bench::Mops(cell.keys_per_sec).c_str(),
+                    static_cast<double>(cell.p50_ns) / 1000.0,
+                    static_cast<double>(cell.p99_ns) / 1000.0);
+        sink.Add({{"shards", std::to_string(shards)},
+                  {"selectivity", bench::ResultSink::Num(selectivity)},
+                  {"mode", ModeName(mode)},
+                  {"queries_per_sec",
+                   bench::ResultSink::Num(cell.queries_per_sec)},
+                  {"keys_per_sec",
+                   bench::ResultSink::Num(cell.keys_per_sec)},
+                  {"p50_ns", std::to_string(cell.p50_ns)},
+                  {"p99_ns", std::to_string(cell.p99_ns)}});
       }
     }
   }
 
   if (headline_materialize > 0.0) {
     std::printf(
-        "\npushdown_agg vs materialize at 1%% selectivity, 1 shard, "
-        "1 thread: %.2fx (floor: 2x)\n",
+        "\npushdown_agg vs materialize at 1%% selectivity, 1 shard: "
+        "%.2fx (floor: 2x)\n",
         headline_pushdown / headline_materialize);
   }
   sink.Flush();

@@ -74,9 +74,10 @@
 //     (and with it the victim shard) is freed only two epoch advances
 //     after retirement.
 //
-//   Scans.   A cross-shard RangeScan pins one table and stitches
-//     per-shard scans in key order; shards are disjoint ascending ranges,
-//     so concatenation is already sorted. Same read-committed contract as
+//   Scans.   A cross-shard RangeScan, Scan or Aggregate pins one table
+//     and visits the overlapping shards in ascending order on the calling
+//     thread; shards are disjoint ascending ranges, so concatenation is
+//     already sorted. Same read-committed contract as
 //     ConcurrentAlex::RangeScan.
 //
 //   Durability.   A shard has one durable form, resident or cold:
@@ -133,7 +134,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -157,7 +157,6 @@
 #include "tier/block_cache.h"
 #include "tier/segment.h"
 #include "util/epoch.h"
-#include "util/parallel.h"
 #include "wal/log_reader.h"
 #include "wal/log_writer.h"
 #include "wal/wal_format.h"
@@ -188,11 +187,6 @@ struct ShardedOptions {
   /// Recovery thread-pool width for the per-shard replay (clamped to
   /// the shard count and the hardware concurrency).
   size_t recovery_threads = 8;
-  /// Fan-out width for cross-shard Scan/Aggregate (clamped to the number
-  /// of shards the range overlaps, but deliberately *not* to the hardware
-  /// concurrency — size it to the cores you want scans to use). <= 1 runs
-  /// scans sequentially on the calling thread.
-  size_t scan_threads = 4;
   // ---- Cold tier (src/tier/) ----
   /// Block-cache capacity in bytes for cold-segment reads: the table
   /// of verified blocks (tier/block_cache.h) gets one slot per block's
@@ -446,100 +440,39 @@ class ShardedAlex {
   }
 
   /// Cross-shard streaming scan of [lo, hi], visiting every record in
-  /// ascending key order as visit(key, payload) on the *calling* thread.
-  /// One routing table is pinned for the whole scan. With
-  /// options.scan_threads <= 1 (or a single overlapping shard) each
-  /// shard's ConcurrentAlex::Scan streams straight into the visitor —
-  /// zero buffering. Otherwise worker threads scan the overlapping shards
-  /// concurrently into per-shard chunk queues and the caller drains the
-  /// queues in shard order (the shards are disjoint ascending key ranges,
-  /// so ordered concatenation of the streams is the k-way merge); the
-  /// visitor is still never invoked concurrently. Read-committed per
-  /// leaf, like RangeScan. Returns the number of records visited.
+  /// ascending key order as visit(key, payload) on the calling thread.
+  /// One routing table is pinned for the whole scan; each overlapping
+  /// shard's ConcurrentAlex::Scan streams straight into the visitor in
+  /// shard order (the shards are disjoint ascending key ranges, so the
+  /// concatenation is sorted) with zero buffering. Nothing is spawned:
+  /// per-call worker threads cost more than a short range scan itself,
+  /// and under a closed-loop client per core they only queue for a core.
+  /// Read-committed per leaf, like RangeScan. Returns the number of
+  /// records visited.
   template <typename Visitor>
   size_t Scan(K lo, K hi, Visitor&& visit) const {
     if (hi < lo) return 0;
     obs::ScopedOpTimer op_timer(obs::OpType::kScan);
     util::EpochManager::Guard guard(epoch_);
     Table* table = table_.load(std::memory_order_seq_cst);
-    const size_t first = table->router.Route(lo);
     const size_t last = table->router.Route(hi);
-    const size_t n = last - first + 1;
-    const size_t workers = std::min(options_.scan_threads, n);
-    if (workers <= 1) {
-      size_t total = 0;
-      for (size_t s = first; s <= last; ++s) {
-        total += table->shards[s]->Scan(lo, hi, visit);
-      }
-      return total;
-    }
-    // Parallel mode: shard i's results flow through queue i as chunks of
-    // kScanChunkRecords pairs. Workers claim shards in ascending order
-    // (util::ParallelFor's cursor guarantees shard i is claimed before
-    // shard j > i), so the consumer draining queue 0, 1, ... in order can
-    // never deadlock behind an unclaimed earlier shard. The caller's
-    // epoch guard pins the table for the workers; each worker's shard
-    // scan pins its own guard for the leaf walk.
-    struct ChunkQueue {
-      std::mutex mutex;
-      std::condition_variable ready;
-      std::deque<std::vector<std::pair<K, P>>> chunks;
-      bool done = false;
-    };
-    std::vector<ChunkQueue> queues(n);
-    std::thread pump([&] {
-      util::ParallelFor(n, workers, [&](size_t i) {
-        ChunkQueue& q = queues[i];
-        std::vector<std::pair<K, P>> chunk;
-        chunk.reserve(kScanChunkRecords);
-        table->shards[first + i]->Scan(
-            lo, hi, [&](const K& key, const P& payload) {
-              chunk.emplace_back(key, payload);
-              if (chunk.size() >= kScanChunkRecords) {
-                {
-                  std::lock_guard<std::mutex> lock(q.mutex);
-                  q.chunks.push_back(std::move(chunk));
-                }
-                q.ready.notify_one();
-                chunk = std::vector<std::pair<K, P>>();
-                chunk.reserve(kScanChunkRecords);
-              }
-            });
-        {
-          std::lock_guard<std::mutex> lock(q.mutex);
-          if (!chunk.empty()) q.chunks.push_back(std::move(chunk));
-          q.done = true;
-        }
-        q.ready.notify_one();
-      });
-    });
     size_t total = 0;
-    for (size_t i = 0; i < n; ++i) {
-      ChunkQueue& q = queues[i];
-      while (true) {
-        std::vector<std::pair<K, P>> chunk;
-        {
-          std::unique_lock<std::mutex> lock(q.mutex);
-          q.ready.wait(lock, [&] { return !q.chunks.empty() || q.done; });
-          if (q.chunks.empty()) break;  // done and drained
-          chunk = std::move(q.chunks.front());
-          q.chunks.pop_front();
-        }
-        for (const auto& [key, payload] : chunk) visit(key, payload);
-        total += chunk.size();
-      }
+    for (size_t s = table->router.Route(lo); s <= last; ++s) {
+      total += table->shards[s]->Scan(lo, hi, visit);
     }
-    pump.join();
     return total;
   }
 
   /// Cross-shard aggregate with full pushdown: the spec travels below the
   /// router into each overlapping shard, where per-leaf SIMD kernels fold
   /// count/sum/min/max without materializing a single record; the partial
-  /// aggregates come back up and merge at the router in ascending shard
-  /// order (so double sums are deterministic). The overlapping shard run
-  /// fans out on options.scan_threads workers; the routing table pinned
-  /// at entry serves the whole call. Read-committed per leaf, like Scan.
+  /// aggregates merge at the router in ascending shard order (so double
+  /// sums are deterministic). The shards are visited one after another on
+  /// the calling thread under the routing table pinned at entry. A caller
+  /// that wants one huge aggregate spread over cores can split [lo, hi]
+  /// into disjoint ascending subranges, aggregate each on its own thread
+  /// and Merge the partials in range order. Read-committed per leaf, like
+  /// Scan.
   core::AggResult<K, P> Aggregate(K lo, K hi,
                                   const core::AggSpec<P>& spec = {}) const {
     core::AggResult<K, P> result;
@@ -547,15 +480,10 @@ class ShardedAlex {
     obs::ScopedOpTimer op_timer(obs::OpType::kAggregate);
     util::EpochManager::Guard guard(epoch_);
     Table* table = table_.load(std::memory_order_seq_cst);
-    const size_t first = table->router.Route(lo);
     const size_t last = table->router.Route(hi);
-    const size_t n = last - first + 1;
-    if (n == 1) return table->shards[first]->Aggregate(lo, hi, spec);
-    std::vector<core::AggResult<K, P>> partials(n);
-    util::ParallelFor(n, std::min(options_.scan_threads, n), [&](size_t i) {
-      partials[i] = table->shards[first + i]->Aggregate(lo, hi, spec);
-    });
-    for (const auto& partial : partials) result.Merge(partial);
+    for (size_t s = table->router.Route(lo); s <= last; ++s) {
+      result.Merge(table->shards[s]->Aggregate(lo, hi, spec));
+    }
     return result;
   }
 
@@ -1744,16 +1672,32 @@ class ShardedAlex {
 
   /// Runs fn(i) for i in [0, n) on a small thread pool (the per-shard
   /// recovery replay is embarrassingly parallel: distinct shards build
-  /// distinct state). The pool itself lives in util::ParallelFor — the
-  /// same pool the scan engine fans out on — with recovery's width policy
-  /// applied here: recovery_threads, clamped to the hardware concurrency
-  /// (replay is CPU-bound; oversubscription only adds contention).
+  /// distinct state). Width: recovery_threads, clamped to the shard count
+  /// and the hardware concurrency (replay is CPU-bound; oversubscription
+  /// only adds contention). Workers claim shards off an atomic cursor; a
+  /// width of 1 runs inline with no spawns. The caller's epoch guard keeps
+  /// whatever it pinned alive for the workers. fn must not throw.
   template <typename Fn>
   void ParallelOverShards(size_t n, Fn&& fn) const {
-    size_t workers = std::max<size_t>(1, options_.recovery_threads);
+    size_t workers = std::min(n, options_.recovery_threads);
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw > 0) workers = std::min<size_t>(workers, hw);
-    util::ParallelFor(n, workers, std::forward<Fn>(fn));
+    if (workers <= 1) {
+      for (size_t i = 0; i < n; ++i) fn(i);
+      return;
+    }
+    std::atomic<size_t> cursor{0};
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (size_t w = 0; w < workers; ++w) {
+      pool.emplace_back([&cursor, n, &fn] {
+        for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < n;
+             i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+          fn(i);
+        }
+      });
+    }
+    for (auto& t : pool) t.join();
   }
 
   /// Rebuilds the table with the manifest's exact boundary array, each
@@ -2282,11 +2226,6 @@ class ShardedAlex {
   /// the shard's commit counter crossed a multiple of the interval) — the
   /// write hot path performs no cross-shard reads.
   static constexpr uint64_t kSkewCheckInterval = 1024;
-
-  /// Records per chunk handed from a parallel-scan worker to the
-  /// consuming caller. Large enough to amortize the queue mutex, small
-  /// enough to keep the ordered merge streaming.
-  static constexpr size_t kScanChunkRecords = 1024;
 
   void MaybeSplit(Table* table, Shard* shard, K hint_key, bool tick) {
     const size_t shard_keys = shard->size();

@@ -1,11 +1,11 @@
 // Tests for the scan/aggregate engine: the masked SIMD kernels in
 // src/util/simd_scan.h (naive-reference oracle plus direct scalar-vs-AVX2
 // byte-identity checks), the epoch-guarded ConcurrentAlex::Scan/Aggregate
-// walks against a shadow std::map, the cross-shard parallel
-// ShardedAlex::Scan/Aggregate (ordered streaming + partial merges) under
-// forced topology churn, and a TSan-targeted torture test that scans
-// continuously while writers split leaves and shards
-// (ContinuousScansDuringTopologyChurn).
+// walks against a shadow std::map, the cross-shard
+// ShardedAlex::Scan/Aggregate (ordered streaming + partial merges on the
+// calling thread) under forced topology churn, and a TSan-targeted
+// torture test that scans continuously while writers split leaves and
+// shards (ContinuousScansDuringTopologyChurn).
 //
 // Determinism contract under test: every kernel result must be
 // byte-identical across the scalar and AVX2 paths, so the whole suite is
@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <thread>
@@ -420,20 +421,19 @@ TEST(ConcurrentScanAggregateTest, DoubleKeysAggregateExactly) {
   EXPECT_EQ(agg.keys.sum, 29950.0);
 }
 
-// ---- ShardedAlex Scan/Aggregate: ordered parallel streaming ----
+// ---- ShardedAlex Scan/Aggregate: ordered cross-shard streaming ----
 
 using Sharded = shard::ShardedAlex<int64_t, int64_t>;
 
-shard::ShardedOptions ChurnOptions(size_t scan_threads) {
+shard::ShardedOptions ChurnOptions() {
   shard::ShardedOptions options;
   options.num_shards = 6;
   options.max_shard_keys = 4096;  // force splits during the test
-  options.scan_threads = scan_threads;
   return options;
 }
 
-void RunShardedOracle(size_t scan_threads) {
-  Sharded index(ChurnOptions(scan_threads));
+TEST(ShardedScanAggregateTest, MatchesMapOracle) {
+  Sharded index(ChurnOptions());
   std::map<int64_t, int64_t> oracle;
   util::Xoshiro256 rng(31);
   std::vector<int64_t> keys, payloads;
@@ -461,44 +461,57 @@ void RunShardedOracle(size_t scan_threads) {
     int64_t hi = lo + static_cast<int64_t>(rng.NextUint64(90000));
     CheckAgainstOracle(index, oracle, lo, hi);
   }
-  // Full range crosses every shard; ordering across shard boundaries is
-  // the k-way-merge contract under test.
+  // A short range straddling each boundary the churn left behind: the
+  // hand-off from one shard's stream to the next is the contract under
+  // test, including boundaries inside the erased band.
+  const std::vector<int64_t> bounds = index.ShardBoundaries();
+  ASSERT_GT(bounds.size(), 1u);
+  for (const int64_t b : bounds) {
+    CheckAgainstOracle(index, oracle, b - 64, b + 64);
+  }
+  // Full range crosses every shard.
   CheckAgainstOracle(index, oracle, std::numeric_limits<int64_t>::min(),
                      std::numeric_limits<int64_t>::max());
 }
 
-TEST(ShardedScanAggregateTest, MatchesMapOracleSequential) {
-  RunShardedOracle(1);
+// Threads in this process, or 0 where /proc/self/task is unreadable.
+size_t ProcessThreadCount() {
+  std::error_code ec;
+  size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return ec ? 0 : n;
 }
 
-TEST(ShardedScanAggregateTest, MatchesMapOracleParallel) {
-  RunShardedOracle(3);
-}
-
-TEST(ShardedScanAggregateTest, ParallelAndSequentialAgreeExactly) {
-  // Same data, two scan_threads settings: Scan streams and Aggregate
-  // merges must be byte-identical (ascending-order merge contract).
+TEST(ShardedScanAggregateTest, CrossShardVisitorRunsOnCallingThread) {
+  Sharded index(ChurnOptions());
   std::vector<int64_t> keys, payloads;
   for (int64_t i = 0; i < 50000; ++i) {
-    keys.push_back(i * 3 + (i % 7));
-    payloads.push_back(i % 1000);
+    keys.push_back(i * 3);
+    payloads.push_back(i);
   }
-  Sharded seq(ChurnOptions(1));
-  Sharded par(ChurnOptions(4));
-  seq.BulkLoad(keys.data(), payloads.data(), keys.size());
-  par.BulkLoad(keys.data(), payloads.data(), keys.size());
-  std::vector<std::pair<int64_t, int64_t>> a, b;
-  seq.Scan(1000, 140000,
-           [&](const int64_t& k, const int64_t& p) { a.emplace_back(k, p); });
-  par.Scan(1000, 140000,
-           [&](const int64_t& k, const int64_t& p) { b.emplace_back(k, p); });
-  ASSERT_EQ(a, b);
-  const auto agg_a = seq.Aggregate(1000, 140000);
-  const auto agg_b = par.Aggregate(1000, 140000);
-  EXPECT_EQ(agg_a.count, agg_b.count);
-  EXPECT_EQ(agg_a.keys.sum, agg_b.keys.sum);
-  EXPECT_EQ(agg_a.keys.min, agg_b.keys.min);
-  EXPECT_EQ(agg_a.keys.max, agg_b.keys.max);
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+  ASSERT_GT(index.num_shards(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  const size_t threads_before = ProcessThreadCount();
+  size_t threads_during = 0;
+  size_t off_thread = 0;
+  const size_t visited =
+      index.Scan(std::numeric_limits<int64_t>::min(),
+                 std::numeric_limits<int64_t>::max(),
+                 [&](const int64_t&, const int64_t&) {
+                   if (std::this_thread::get_id() != caller) ++off_thread;
+                   // Sampled at the first record, while a helper thread
+                   // started by the call would still be streaming.
+                   if (threads_during == 0) {
+                     threads_during = ProcessThreadCount();
+                   }
+                 });
+  EXPECT_EQ(visited, keys.size());
+  EXPECT_EQ(off_thread, 0u);
+  EXPECT_EQ(threads_during, threads_before) << "Scan spawned threads";
 }
 
 // ---- Torture: continuous scans during leaf splits and topology txns ----
@@ -512,7 +525,6 @@ TEST(ShardedScanAggregateTest, ContinuousScansDuringTopologyChurn) {
   options.num_shards = 4;
   options.max_shard_keys = 8192;    // splits fire during the run
   options.merge_threshold_keys = 0;
-  options.scan_threads = 2;
   Sharded index(options);
   // Stable preload: keys [0, 40000) * 4, payload = key. Writers only add
   // keys >= kWriterBase, so the preloaded band must always be visible in
