@@ -179,15 +179,6 @@ class Pma : public GappedStorage<K, P> {
     while ((1ULL << height_) < num_segments_) ++height_;
   }
 
-  size_t CountOccupied(size_t lo, size_t hi) const {
-    size_t n = 0;
-    for (size_t i = this->bitmap_.NextSet(lo); i < hi;
-         i = this->bitmap_.NextSet(i + 1)) {
-      ++n;
-    }
-    return n;
-  }
-
   // Opens a slot for `key` inside segment `seg` by shifting elements
   // toward a free slot *within the segment*. `occ` is the global boundary
   // slot (first occupied key >= `key`, or capacity() for append). Returns
@@ -243,7 +234,8 @@ class Pma : public GappedStorage<K, P> {
     while (true) {
       const size_t lo = first_seg * segment_size_;
       const size_t hi = lo + window_segs * segment_size_;
-      const size_t count = CountOccupied(lo, hi) + 1;  // + incoming key
+      // + 1 for the incoming key.
+      const size_t count = this->bitmap_.PopCountRange(lo, hi) + 1;
       const double density = static_cast<double>(count) /
                              static_cast<double>(hi - lo);
       if (density <= MaxDensityAtLevel(level)) {
@@ -263,7 +255,8 @@ class Pma : public GappedStorage<K, P> {
   void EnforceDensityAfterInsert(size_t pos) {
     const size_t seg = pos / segment_size_;
     const size_t seg_lo = seg * segment_size_;
-    const size_t seg_count = CountOccupied(seg_lo, seg_lo + segment_size_);
+    const size_t seg_count =
+        this->bitmap_.PopCountRange(seg_lo, seg_lo + segment_size_);
     const double seg_density = static_cast<double>(seg_count) /
                                static_cast<double>(segment_size_);
     if (seg_density <= MaxDensityAtLevel(0)) return;
@@ -273,7 +266,7 @@ class Pma : public GappedStorage<K, P> {
       const size_t first_seg = (seg / window_segs) * window_segs;
       const size_t lo = first_seg * segment_size_;
       const size_t hi = lo + window_segs * segment_size_;
-      const size_t count = CountOccupied(lo, hi);
+      const size_t count = this->bitmap_.PopCountRange(lo, hi);
       const double density =
           static_cast<double>(count) / static_cast<double>(hi - lo);
       if (density <= MaxDensityAtLevel(level)) {
@@ -292,12 +285,12 @@ class Pma : public GappedStorage<K, P> {
   void RedistributeUniform(size_t lo, size_t hi) {
     std::vector<K> keys;
     std::vector<P> payloads;
-    for (size_t i = this->bitmap_.NextSet(lo); i < hi;
-         i = this->bitmap_.NextSet(i + 1)) {
+    this->bitmap_.ForEachSet(lo, hi, [&](size_t i) {
       keys.push_back(this->keys_[i]);
       payloads.push_back(this->payloads_[i]);
-      this->bitmap_.Clear(i);
-    }
+      return true;
+    });
+    for (size_t i = lo; i < hi; ++i) this->bitmap_.Clear(i);
     const size_t n = keys.size();
     const size_t span = hi - lo;
     const double step =

@@ -24,10 +24,10 @@
 #include <vector>
 
 #include "models/linear_model.h"
+#include "util/aggregate.h"
 #include "util/bitmap.h"
 #include "util/prefetch.h"
 #include "util/search.h"
-#include "util/simd_scan.h"
 
 namespace alex::container {
 
@@ -231,16 +231,16 @@ class GappedStorage {
 
   /// Appends up to `max_results` (key, payload) pairs starting at the
   /// first occupied slot >= `slot` to `out`. Returns the number appended.
-  /// This is the range-scan hot path (§5.2.3): one tight loop over the
-  /// bitmap, no per-element dispatch.
+  /// This is the range-scan hot path (§5.2.3): one walk over the bitmap
+  /// words, no per-element dispatch.
   size_t ScanFrom(size_t slot, size_t max_results,
                   std::vector<std::pair<K, P>>* out) const {
+    if (max_results == 0) return 0;
     size_t got = 0;
-    for (size_t i = bitmap_.NextSet(slot);
-         i < capacity() && got < max_results; i = bitmap_.NextSet(i + 1)) {
+    bitmap_.ForEachSet(slot, capacity(), [&](size_t i) {
       out->emplace_back(keys_[i], payloads_[i]);
-      ++got;
-    }
+      return ++got < max_results;
+    });
     return got;
   }
 
@@ -249,13 +249,12 @@ class GappedStorage {
   /// number of slots visited. The scan engine's per-leaf streaming path.
   template <typename Visitor>
   size_t VisitSlots(size_t slot_lo, size_t slot_hi, Visitor&& visit) const {
-    if (slot_hi > capacity()) slot_hi = capacity();
     size_t got = 0;
-    for (size_t i = bitmap_.NextSet(slot_lo); i < slot_hi;
-         i = bitmap_.NextSet(i + 1)) {
+    bitmap_.ForEachSet(slot_lo, slot_hi, [&](size_t i) {
       visit(keys_[i], payloads_[i]);
       ++got;
-    }
+      return true;
+    });
     return got;
   }
 
@@ -265,31 +264,26 @@ class GappedStorage {
   }
 
   /// Fused count/sum/min/max of the *keys* in occupied slots
-  /// [slot_lo, slot_hi) (util/simd_scan.h kernels; gap slots are masked
-  /// out by the occupancy bitmap, so gap-fill copies never contribute).
+  /// [slot_lo, slot_hi) (util/aggregate.h; gap slots are masked out by
+  /// the occupancy bitmap, so gap-fill copies never contribute).
   util::AggState<K> AggregateKeySlots(size_t slot_lo, size_t slot_hi) const {
-    if (slot_hi > capacity()) slot_hi = capacity();
-    return util::MaskedAggregate(keys_.data(), bitmap_.words(), slot_lo,
-                                 slot_hi);
+    return util::MaskedAggregate(keys_.data(), bitmap_, slot_lo, slot_hi);
   }
 
   /// Fused count/sum/min/max of the *payloads* in occupied slots
   /// [slot_lo, slot_hi). Only instantiated for arithmetic payload types.
   util::AggState<P> AggregatePayloadSlots(size_t slot_lo,
                                           size_t slot_hi) const {
-    if (slot_hi > capacity()) slot_hi = capacity();
-    return util::MaskedAggregate(payloads_.data(), bitmap_.words(), slot_lo,
-                                 slot_hi);
+    return util::MaskedAggregate(payloads_.data(), bitmap_, slot_lo, slot_hi);
   }
 
   /// Number of occupied slots in [slot_lo, slot_hi) whose payload lies in
-  /// [payload_lo, payload_hi] — SIMD predicate pushdown. Only instantiated
-  /// for arithmetic payload types.
+  /// [payload_lo, payload_hi] — predicate pushdown. Only instantiated for
+  /// arithmetic payload types.
   uint64_t CountPayloadSlotsBetween(size_t slot_lo, size_t slot_hi,
                                     P payload_lo, P payload_hi) const {
-    if (slot_hi > capacity()) slot_hi = capacity();
-    return util::MaskedCountBetween(payloads_.data(), bitmap_.words(),
-                                    slot_lo, slot_hi, payload_lo, payload_hi);
+    return util::MaskedCountBetween(payloads_.data(), bitmap_, slot_lo,
+                                    slot_hi, payload_lo, payload_hi);
   }
 
   /// Copies all (key, payload) pairs in slot order into `keys`/`payloads`.
@@ -298,10 +292,11 @@ class GappedStorage {
     payloads->clear();
     keys->reserve(num_keys_);
     payloads->reserve(num_keys_);
-    for (size_t i = FirstOccupied(); i < capacity(); i = NextOccupied(i)) {
+    bitmap_.ForEachSet(0, capacity(), [&](size_t i) {
       keys->push_back(keys_[i]);
       payloads->push_back(payloads_[i]);
-    }
+      return true;
+    });
   }
 
   /// Verifies internal invariants (occupied keys strictly increasing, gap

@@ -78,9 +78,9 @@
 #include "core/node.h"
 #include "obs/inspect.h"
 #include "obs/metrics.h"
+#include "util/aggregate.h"
 #include "util/epoch.h"
 #include "util/prefetch.h"
-#include "util/simd_scan.h"
 
 namespace alex::core {
 
@@ -92,11 +92,10 @@ enum class AggField : uint8_t {
 
 /// Pushed-down aggregate description. The engine always computes the
 /// fused count/sum/min/max of the selected field in one pass; `count_only`
-/// skips the value kernels when the caller just wants cardinality.
-/// The optional payload filter restricts the aggregate to records whose
-/// payload lies in [filter_lo, filter_hi] (arithmetic payloads only) —
-/// count-only filtered queries run on the SIMD predicate kernel, filtered
-/// value aggregation falls back to a per-slot loop.
+/// skips the value fold when the caller just wants cardinality (a popcount
+/// of the occupancy bitmap). The optional payload filter restricts the
+/// aggregate to records whose payload lies in [filter_lo, filter_hi]
+/// (arithmetic payloads only).
 template <typename P>
 struct AggSpec {
   AggField field = AggField::kKeys;
@@ -551,11 +550,10 @@ class ConcurrentAlex {
     return total;
   }
 
-  /// Pushed-down aggregate over [lo, hi]: count/sum/min/max computed
-  /// inside each leaf by the SIMD kernels of util/simd_scan.h (dense
-  /// bitmap words processed 4 slots per step with no per-slot branching),
-  /// merged across leaves in key order. No record is ever copied out.
-  /// Same walk and consistency contract as Scan.
+  /// Pushed-down aggregate over [lo, hi]: count/sum/min/max folded inside
+  /// each leaf over its occupied slots (util/aggregate.h, one walk of the
+  /// occupancy bitmap), merged across leaves in key order. No record is
+  /// ever copied out. Same walk and consistency contract as Scan.
   AggResult<K, P> Aggregate(K lo, K hi, const AggSpec<P>& spec = {}) const {
     AggResult<K, P> result;
     if (hi < lo) return result;
@@ -736,11 +734,12 @@ class ConcurrentAlex {
   }
 
   /// Folds the occupied slots [slot_lo, slot_hi) of one latched live leaf
-  /// into `out` per `spec`. Unfiltered aggregates take the fused SIMD
-  /// kernels; a filtered count takes the SIMD predicate kernel; filtered
-  /// value aggregation folds per slot (the filter decides record by
-  /// record). With non-arithmetic payloads, payload aggregation degrades
-  /// to a pure count and filters are unsupported.
+  /// into `out` per `spec`. An unfiltered count is a popcount; every
+  /// other aggregate folds the occupied slots in ascending order (a
+  /// filtered count counts the slots whose payload passes the filter, a
+  /// filtered value aggregate folds only those). With non-arithmetic
+  /// payloads, payload aggregation degrades to a pure count and filters
+  /// are unsupported.
   static void AggregateLeafSlots(const DataNodeT& leaf, size_t slot_lo,
                                  size_t slot_hi, const AggSpec<P>& spec,
                                  AggResult<K, P>* out) {

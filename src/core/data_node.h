@@ -81,12 +81,13 @@ class DataNode : public Node {
     return Visit([&](const auto& s) {
       const size_t cap = s.capacity();
       size_t max_err = 0;
-      for (size_t i = s.FirstOccupied(); i < cap; i = s.NextOccupied(i)) {
+      s.bitmap().ForEachSet(0, cap, [&](size_t i) {
         const size_t pred =
             model_.Predict(static_cast<double>(s.key_at(i)), cap);
         const size_t err = pred > i ? pred - i : i - pred;
         if (err > max_err) max_err = err;
-      }
+        return true;
+      });
       return max_err;
     });
   }
@@ -394,7 +395,7 @@ class DataNode : public Node {
   }
 
   /// Fused count/sum/min/max over the keys in [slot_lo, slot_hi)
-  /// (SIMD-dispatched, see util/simd_scan.h).
+  /// (see util/aggregate.h).
   util::AggState<K> AggregateKeySlots(size_t slot_lo, size_t slot_hi) const {
     return Visit([&](const auto& s) {
       return s.AggregateKeySlots(slot_lo, slot_hi);

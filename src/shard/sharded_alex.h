@@ -464,7 +464,7 @@ class ShardedAlex {
   }
 
   /// Cross-shard aggregate with full pushdown: the spec travels below the
-  /// router into each overlapping shard, where per-leaf SIMD kernels fold
+  /// router into each overlapping shard, where each leaf folds
   /// count/sum/min/max without materializing a single record; the partial
   /// aggregates merge at the router in ascending shard order (so double
   /// sums are deterministic). The shards are visited one after another on
@@ -1260,7 +1260,7 @@ class ShardedAlex {
 
     /// Aggregate pushdown. A cold shard folds one merged overlay+segment
     /// stream with the same spec semantics as the resident per-leaf
-    /// kernels (core/concurrent_alex.h AggregateLeafSlots).
+    /// folds (core/concurrent_alex.h AggregateLeafSlots).
     core::AggResult<K, P> Aggregate(const K& lo, const K& hi,
                                     const core::AggSpec<P>& spec) const {
       if (!cold()) return index.Aggregate(lo, hi, spec);

@@ -136,9 +136,33 @@ class Bitmap {
     return total;
   }
 
+  /// Calls visit(i) for each set bit i in [lo, hi) in ascending order,
+  /// stopping early when visit returns false. This is the one
+  /// occupied-slot walk (§5.2.3): each word is masked to the range once,
+  /// then its set bits are taken by count-trailing-zeros and
+  /// clear-lowest-bit, so gaps cost nothing per slot.
+  template <typename Visitor>
+  void ForEachSet(size_t lo, size_t hi, Visitor&& visit) const {
+    if (hi > size_) hi = size_;
+    if (lo >= hi) return;
+    const size_t w_hi = (hi - 1) >> 6;
+    size_t w = lo >> 6;
+    uint64_t word = words_[w] & (~0ULL << (lo & 63));
+    while (true) {
+      if (w == w_hi) word &= ~0ULL >> (63 - ((hi - 1) & 63));
+      const size_t base = w << 6;
+      for (; word != 0; word &= word - 1) {
+        if (!visit(base + static_cast<size_t>(__builtin_ctzll(word)))) return;
+      }
+      if (++w > w_hi) return;
+      word = words_[w];
+    }
+  }
+
   /// Raw 64-bit occupancy words (bit i of word w = slot w*64 + i). Exposed
-  /// for the masked SIMD scan kernels in util/simd_scan.h, which consume
-  /// whole words to find dense runs. Bits at or past size() are zero.
+  /// so a probe can prefetch the word of a slot without the owner's latch
+  /// (container::GappedStorage::PrefetchSlot). Bits at or past size() are
+  /// zero.
   const uint64_t* words() const { return words_.data(); }
 
  private:

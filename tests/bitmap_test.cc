@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "util/random.h"
 
@@ -140,6 +141,77 @@ TEST(BitmapTest, RandomizedAgainstReferenceSet) {
     }
     EXPECT_EQ(bm.PrevSet(from), expected_prev) << "from=" << from;
   }
+}
+
+// NextSet oracle for ForEachSet: the set bits in [lo, hi), ascending.
+std::vector<size_t> SetBitsByNextSet(const Bitmap& bm, size_t lo, size_t hi) {
+  std::vector<size_t> out;
+  if (hi > bm.size()) hi = bm.size();
+  for (size_t i = bm.NextSet(lo); i < hi; i = bm.NextSet(i + 1)) {
+    out.push_back(i);
+  }
+  return out;
+}
+
+std::vector<size_t> SetBitsByForEachSet(const Bitmap& bm, size_t lo,
+                                        size_t hi) {
+  std::vector<size_t> out;
+  bm.ForEachSet(lo, hi, [&](size_t i) {
+    out.push_back(i);
+    return true;
+  });
+  return out;
+}
+
+TEST(BitmapTest, ForEachSetMatchesNextSetOnRandomBitmaps) {
+  Xoshiro256 rng(7);
+  // Sizes on, just under and just over word multiples, and odd ones.
+  for (const size_t n : {1u, 63u, 64u, 65u, 127u, 128u, 129u, 700u, 1000u}) {
+    for (int round = 0; round < 20; ++round) {
+      Bitmap bm(n);
+      // Fill levels from empty to full, so all-clear and all-set words
+      // both occur.
+      const uint64_t fill = rng.NextUint64(5);  // x/4 of the bits
+      for (size_t i = 0; i < n; ++i) {
+        if (rng.NextUint64(4) < fill) bm.Set(i);
+      }
+      // Every word edge and its neighbours, plus random bounds.
+      std::vector<size_t> edges = {0, n, n + 5};
+      for (size_t e = 64; e <= n + 64; e += 64) {
+        for (const size_t d : {e - 1, e, e + 1}) edges.push_back(d);
+      }
+      for (int r = 0; r < 8; ++r) edges.push_back(rng.NextUint64(n + 1));
+      for (const size_t lo : edges) {
+        for (const size_t hi : edges) {
+          ASSERT_EQ(SetBitsByForEachSet(bm, lo, hi),
+                    SetBitsByNextSet(bm, lo, hi))
+              << "n=" << n << " lo=" << lo << " hi=" << hi;
+        }
+      }
+    }
+  }
+}
+
+TEST(BitmapTest, ForEachSetEmptyRangeVisitsNothing) {
+  Bitmap bm(200);
+  for (size_t i = 0; i < 200; ++i) bm.Set(i);
+  EXPECT_TRUE(SetBitsByForEachSet(bm, 64, 64).empty());
+  EXPECT_TRUE(SetBitsByForEachSet(bm, 100, 50).empty());  // hi < lo
+  EXPECT_TRUE(SetBitsByForEachSet(bm, 200, 300).empty());  // past size
+  EXPECT_TRUE(SetBitsByForEachSet(Bitmap(), 0, 10).empty());
+}
+
+TEST(BitmapTest, ForEachSetStopsMidWord) {
+  Bitmap bm(256);
+  for (size_t i = 64; i < 128; ++i) bm.Set(i);  // one full word
+  bm.Set(200);
+  std::vector<size_t> seen;
+  bm.ForEachSet(0, 256, [&](size_t i) {
+    seen.push_back(i);
+    return i < 70;  // stop after slot 70, inside the full word
+  });
+  const std::vector<size_t> want = {64, 65, 66, 67, 68, 69, 70};
+  EXPECT_EQ(seen, want);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "models/linear_model.h"
@@ -269,6 +271,76 @@ TEST(GappedArrayTest, DoubleKeysWork) {
   EXPECT_TRUE(ga.CheckInvariants());
   EXPECT_LT(ga.FindSlot(-1.5, 0), ga.capacity());
   EXPECT_EQ(ga.FindSlot(0.0, 0), ga.capacity());
+}
+
+// A 320-slot array whose bitmap words are, in order: sparse (every third
+// slot), fully dense, fully empty, sparse again (odd slots) and dense up
+// to its last slot. The identity model puts key k at slot k.
+void BuildMixedWordArray(GappedArray<int64_t, int>* ga,
+                         std::vector<int64_t>* keys) {
+  keys->clear();
+  for (int64_t k = 0; k < 64; k += 3) keys->push_back(k);
+  for (int64_t k = 64; k < 128; ++k) keys->push_back(k);
+  for (int64_t k = 193; k < 256; k += 2) keys->push_back(k);
+  for (int64_t k = 256; k < 320; ++k) keys->push_back(k);
+  std::vector<int> payloads(keys->size());
+  for (size_t i = 0; i < keys->size(); ++i) {
+    payloads[i] = static_cast<int>((*keys)[i]) * 10;
+  }
+  ga->BuildFromSorted(keys->data(), payloads.data(), keys->size(), 320,
+                      LinearModel(1.0, 0.0));
+}
+
+TEST(GappedArrayTest, ScanFromStopsAtMaxResultsMidWord) {
+  GappedArray<int64_t, int> ga;
+  std::vector<int64_t> keys;
+  BuildMixedWordArray(&ga, &keys);
+  ASSERT_EQ(ga.bitmap().words()[1], ~0ULL);
+  // From slot 66 ten results end at slot 75, inside the dense word.
+  std::vector<std::pair<int64_t, int>> out = {{-1, -1}};  // appended to
+  EXPECT_EQ(ga.ScanFrom(66, 10, &out), 10u);
+  ASSERT_EQ(out.size(), 11u);
+  for (size_t i = 1; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].first, static_cast<int64_t>(65 + i));
+    EXPECT_EQ(out[i].second, out[i].first * 10);
+  }
+  // A sparse word: the stop falls between two set bits.
+  out.clear();
+  EXPECT_EQ(ga.ScanFrom(1, 3, &out), 3u);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out.back().first, 9);
+  out.clear();
+  EXPECT_EQ(ga.ScanFrom(0, 0, &out), 0u);
+  EXPECT_TRUE(out.empty());
+  // Unbounded: everything from the start slot on, in order.
+  EXPECT_EQ(ga.ScanFrom(0, SIZE_MAX, &out), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(out[i].first, keys[i]);
+}
+
+TEST(GappedArrayTest, VisitSlotsCrossesEmptyAndDenseWords) {
+  GappedArray<int64_t, int> ga;
+  std::vector<int64_t> keys;
+  BuildMixedWordArray(&ga, &keys);
+  ASSERT_EQ(ga.bitmap().words()[1], ~0ULL);
+  ASSERT_EQ(ga.bitmap().words()[2], 0u);
+  for (const auto& [lo, hi] : std::vector<std::pair<size_t, size_t>>{
+           {5, 300}, {64, 192}, {100, 200}, {0, 320}, {128, 192}}) {
+    std::vector<int64_t> want;
+    for (const int64_t k : keys) {
+      if (static_cast<size_t>(k) >= lo && static_cast<size_t>(k) < hi) {
+        want.push_back(k);
+      }
+    }
+    std::vector<int64_t> got;
+    EXPECT_EQ(ga.VisitSlots(lo, hi,
+                            [&](int64_t k, int p) {
+                              EXPECT_EQ(p, k * 10);
+                              got.push_back(k);
+                            }),
+              want.size());
+    EXPECT_EQ(got, want) << "lo=" << lo << " hi=" << hi;
+    EXPECT_EQ(ga.CountSlots(lo, hi), want.size());
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the observability layer (src/obs/metrics.h): metric
 // primitives (striped counters, gauges, atomic histograms), the slow-op
-// trace ring, the registry with its JSON / Prometheus exports, the scoped
-// timers, and the SIMD dispatch counters.
+// trace ring, the registry with its JSON / Prometheus exports, and the
+// scoped timers.
 //
 // The registry and the enable flag are process-global, so every test
 // starts from a known state (flag off, all metrics zero, default slow-op

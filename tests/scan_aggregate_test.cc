@@ -1,15 +1,14 @@
-// Tests for the scan/aggregate engine: the masked SIMD kernels in
-// src/util/simd_scan.h (naive-reference oracle plus direct scalar-vs-AVX2
-// byte-identity checks), the epoch-guarded ConcurrentAlex::Scan/Aggregate
-// walks against a shadow std::map, the cross-shard
-// ShardedAlex::Scan/Aggregate (ordered streaming + partial merges on the
-// calling thread) under forced topology churn, and a TSan-targeted
-// torture test that scans continuously while writers split leaves and
-// shards (ContinuousScansDuringTopologyChurn).
+// Tests for the scan/aggregate engine: the pushed-down folds in
+// src/util/aggregate.h against a naive per-bit reference, the
+// epoch-guarded ConcurrentAlex::Scan/Aggregate walks against a shadow
+// std::map, the cross-shard ShardedAlex::Scan/Aggregate (ordered
+// streaming + partial merges on the calling thread) under forced topology
+// churn, and a TSan-targeted torture test that scans continuously while
+// writers split leaves and shards (ContinuousScansDuringTopologyChurn).
 //
-// Determinism contract under test: every kernel result must be
-// byte-identical across the scalar and AVX2 paths, so the whole suite is
-// re-run by CI with ALEX_FORCE_SCALAR_SEARCH=1 and -DALEX_DISABLE_SIMD=ON.
+// Determinism contract under test: the folds add values in ascending slot
+// order, exactly as the naive reference does, so even full-precision
+// double sums must match it bit for bit.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,15 +18,16 @@
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/concurrent_alex.h"
 #include "shard/sharded_alex.h"
+#include "util/aggregate.h"
 #include "util/bitmap.h"
 #include "util/random.h"
-#include "util/simd_scan.h"
 
 namespace alex {
 namespace {
@@ -35,9 +35,7 @@ namespace {
 // ---- Kernel oracle: naive per-bit reference ----
 
 /// Naive reference for MaskedAggregate: walks [lo, hi) bit by bit in index
-/// order. Sums in a single accumulator, so for floating-point inputs the
-/// caller must use exactly-representable values (small integers) to compare
-/// exactly against the lane-striped kernel sum.
+/// order, summing in a single accumulator.
 template <typename T>
 util::AggState<T> NaiveAggregate(const std::vector<T>& data,
                                  const util::Bitmap& bitmap, size_t lo,
@@ -62,8 +60,8 @@ uint64_t NaiveCountBetween(const std::vector<T>& data,
   return count;
 }
 
-/// Builds a bitmap mixing dense runs (whole words set, so the kernels take
-/// the unmasked vector fast path) with sparse per-bit regions.
+/// Builds a bitmap mixing dense runs (whole words set), sparse per-bit
+/// regions and holes (whole words clear).
 util::Bitmap RandomBitmap(size_t size, util::Xoshiro256& rng) {
   util::Bitmap bitmap(size);
   size_t i = 0;
@@ -111,7 +109,7 @@ void RunKernelOracle(Gen gen_value, uint64_t seed) {
       size_t hi = rng.NextUint64(size + 1);
       if (hi < lo) std::swap(lo, hi);
       const auto got =
-          util::MaskedAggregate(data.data(), bitmap.words(), lo, hi);
+          util::MaskedAggregate(data.data(), bitmap, lo, hi);
       const auto want = NaiveAggregate(data, bitmap, lo, hi);
       ExpectAggEq(got, want, "MaskedAggregate");
       ASSERT_EQ(got.count, bitmap.PopCountRange(lo, hi));
@@ -119,14 +117,14 @@ void RunKernelOracle(Gen gen_value, uint64_t seed) {
       T vlo = gen_value(rng);
       T vhi = gen_value(rng);
       if (vhi < vlo) std::swap(vlo, vhi);
-      EXPECT_EQ(util::MaskedCountBetween(data.data(), bitmap.words(), lo, hi,
+      EXPECT_EQ(util::MaskedCountBetween(data.data(), bitmap, lo, hi,
                                          vlo, vhi),
                 NaiveCountBetween(data, bitmap, lo, hi, vlo, vhi));
     }
   }
 }
 
-TEST(SimdScanKernelTest, AggregateMatchesNaiveInt64) {
+TEST(AggregateFoldTest, AggregateMatchesNaiveInt64) {
   RunKernelOracle<int64_t>(
       [](util::Xoshiro256& rng) {
         return static_cast<int64_t>(rng.NextUint64(2000000)) - 1000000;
@@ -134,14 +132,14 @@ TEST(SimdScanKernelTest, AggregateMatchesNaiveInt64) {
       1);
 }
 
-TEST(SimdScanKernelTest, AggregateMatchesNaiveUint64) {
-  // Include values with the sign bit set to exercise the biased compares.
+TEST(AggregateFoldTest, AggregateMatchesNaiveUint64) {
+  // Include values with the sign bit set: they must compare as unsigned.
   RunKernelOracle<uint64_t>([](util::Xoshiro256& rng) { return rng(); }, 2);
 }
 
-TEST(SimdScanKernelTest, AggregateMatchesNaiveDouble) {
-  // Exactly representable values (integer halves) so the naive sequential
-  // sum equals the lane-striped kernel sum bit for bit.
+TEST(AggregateFoldTest, AggregateMatchesNaiveDouble) {
+  // Integer halves: sums stay exact, so the oracle also checks counts of
+  // equal values at the predicate's closed edges.
   RunKernelOracle<double>(
       [](util::Xoshiro256& rng) {
         return (static_cast<double>(rng.NextUint64(200000)) - 100000.0) * 0.5;
@@ -149,14 +147,14 @@ TEST(SimdScanKernelTest, AggregateMatchesNaiveDouble) {
       3);
 }
 
-TEST(SimdScanKernelTest, Int64SumWrapsModulo64Bits) {
-  // Integer sums accumulate modulo 2^64 (matching the vector adder);
-  // overflow must be well-defined, not UB.
+TEST(AggregateFoldTest, Int64SumWrapsModulo64Bits) {
+  // Integer sums accumulate modulo 2^64; overflow must be well-defined,
+  // not UB.
   std::vector<int64_t> data(256, std::numeric_limits<int64_t>::max());
   util::Bitmap bitmap(data.size());
   for (size_t i = 0; i < data.size(); ++i) bitmap.Set(i);
   const auto got =
-      util::MaskedAggregate(data.data(), bitmap.words(), 0, data.size());
+      util::MaskedAggregate(data.data(), bitmap, 0, data.size());
   uint64_t want = 0;
   for (size_t i = 0; i < data.size(); ++i) {
     want += static_cast<uint64_t>(data[i]);
@@ -165,84 +163,47 @@ TEST(SimdScanKernelTest, Int64SumWrapsModulo64Bits) {
   EXPECT_EQ(got.count, data.size());
 }
 
-TEST(SimdScanKernelTest, EmptyRangeAndEmptyBitmap) {
+TEST(AggregateFoldTest, EmptyRangeAndEmptyBitmap) {
   std::vector<int64_t> data(128, 7);
   util::Bitmap empty(data.size());
   const auto none =
-      util::MaskedAggregate(data.data(), empty.words(), 0, data.size());
+      util::MaskedAggregate(data.data(), empty, 0, data.size());
   EXPECT_EQ(none.count, 0u);
   EXPECT_EQ(none.sum, 0u);
   util::Bitmap full(data.size());
   for (size_t i = 0; i < data.size(); ++i) full.Set(i);
-  EXPECT_EQ(util::MaskedAggregate(data.data(), full.words(), 64, 64).count,
+  EXPECT_EQ(util::MaskedAggregate(data.data(), full, 64, 64).count,
             0u);
-  EXPECT_EQ(util::MaskedCountBetween(data.data(), full.words(), 32, 32,
+  EXPECT_EQ(util::MaskedCountBetween(data.data(), full, 32, 32,
                                      int64_t{0}, int64_t{100}),
             0u);
 }
 
-// ---- Scalar vs AVX2 byte identity (direct, full-precision inputs) ----
-
-#if ALEX_SIMD_X86
-
-template <typename T, typename Gen>
-void RunByteIdentity(Gen gen_value, uint64_t seed) {
-  if (!__builtin_cpu_supports("avx2")) {
-    GTEST_SKIP() << "host CPU lacks AVX2";
-  }
-  util::Xoshiro256 rng(seed);
+TEST(AggregateFoldTest, FullPrecisionDoubleSumIsExact) {
+  // Full-precision doubles: every rounding of the running sum shows, so
+  // the fold must add in ascending slot order, exactly as the reference.
+  util::Xoshiro256 rng(13);
   for (int round = 0; round < 30; ++round) {
     const size_t size = 1 + rng.NextUint64(2000);
-    std::vector<T> data(size);
-    for (auto& v : data) v = gen_value(rng);
+    std::vector<double> data(size);
+    for (auto& v : data) v = rng.NextDouble(-1e12, 1e12) + rng.NextDouble();
     const util::Bitmap bitmap = RandomBitmap(size, rng);
     for (int probe = 0; probe < 6; ++probe) {
       size_t lo = rng.NextUint64(size + 1);
       size_t hi = rng.NextUint64(size + 1);
       if (hi < lo) std::swap(lo, hi);
-      const auto vec = util::simd_scan_internal::MaskedAggregateAvx2(
-          data.data(), bitmap.words(), lo, hi);
-      const auto ref = util::simd_scan_internal::MaskedAggregateScalar(
-          data.data(), bitmap.words(), lo, hi);
-      ASSERT_EQ(vec.count, ref.count);
-      // memcmp: bit-for-bit identity, including the sign of zero and the
-      // exact rounding of every intermediate double add.
-      EXPECT_EQ(std::memcmp(&vec.sum, &ref.sum, sizeof(vec.sum)), 0);
-      if (ref.count > 0) {
-        EXPECT_EQ(std::memcmp(&vec.min, &ref.min, sizeof(vec.min)), 0);
-        EXPECT_EQ(std::memcmp(&vec.max, &ref.max, sizeof(vec.max)), 0);
+      const auto got = util::MaskedAggregate(data.data(), bitmap, lo, hi);
+      const auto want = NaiveAggregate(data, bitmap, lo, hi);
+      ASSERT_EQ(got.count, want.count);
+      // memcmp: bit-for-bit identity, including the sign of zero.
+      EXPECT_EQ(std::memcmp(&got.sum, &want.sum, sizeof(got.sum)), 0);
+      if (want.count > 0) {
+        EXPECT_EQ(got.min, want.min);
+        EXPECT_EQ(got.max, want.max);
       }
-      T vlo = gen_value(rng);
-      T vhi = gen_value(rng);
-      if (vhi < vlo) std::swap(vlo, vhi);
-      EXPECT_EQ(util::simd_scan_internal::MaskedCountBetweenAvx2(
-                    data.data(), bitmap.words(), lo, hi, vlo, vhi),
-                util::simd_scan_internal::MaskedCountBetweenScalar(
-                    data.data(), bitmap.words(), lo, hi, vlo, vhi));
     }
   }
 }
-
-TEST(SimdScanKernelTest, Avx2ByteIdenticalToScalarInt64) {
-  RunByteIdentity<int64_t>(
-      [](util::Xoshiro256& rng) { return static_cast<int64_t>(rng()); }, 11);
-}
-
-TEST(SimdScanKernelTest, Avx2ByteIdenticalToScalarUint64) {
-  RunByteIdentity<uint64_t>([](util::Xoshiro256& rng) { return rng(); }, 12);
-}
-
-TEST(SimdScanKernelTest, Avx2ByteIdenticalToScalarDouble) {
-  // Full-precision doubles: the mirrored 4-lane striping must make the
-  // vector sum reduce in exactly the scalar order.
-  RunByteIdentity<double>(
-      [](util::Xoshiro256& rng) {
-        return rng.NextDouble(-1e12, 1e12) + rng.NextDouble();
-      },
-      13);
-}
-
-#endif  // ALEX_SIMD_X86
 
 // ---- ConcurrentAlex Scan/Aggregate vs std::map oracle ----
 
@@ -299,7 +260,7 @@ void CheckAgainstOracle(const Index& index,
     EXPECT_EQ(keys_agg.keys.max, key_max);
   }
 
-  // count_only skips the value kernels but must agree on cardinality.
+  // count_only skips the value fold but must agree on cardinality.
   AggSpec<int64_t> count_spec;
   count_spec.count_only = true;
   EXPECT_EQ(index.Aggregate(lo, hi, count_spec).count, count);
@@ -315,7 +276,7 @@ void CheckAgainstOracle(const Index& index,
     EXPECT_EQ(pay_agg.payloads.max, pay_max);
   }
 
-  // Payload-filtered count (SIMD predicate kernel path).
+  // Payload-filtered count (predicate count fold).
   AggSpec<int64_t> filt_spec;
   filt_spec.count_only = true;
   filt_spec.has_payload_filter = true;
@@ -323,7 +284,7 @@ void CheckAgainstOracle(const Index& index,
   filt_spec.filter_hi = filter_hi;
   EXPECT_EQ(index.Aggregate(lo, hi, filt_spec).count, filtered);
 
-  // Filtered value aggregation (per-slot fallback path).
+  // Filtered value aggregation (a fold over the slots that pass).
   AggSpec<int64_t> filt_val_spec = filt_spec;
   filt_val_spec.count_only = false;
   EXPECT_EQ(index.Aggregate(lo, hi, filt_val_spec).count, filtered);
@@ -338,7 +299,7 @@ void RunOracleForLayout(NodeLayout layout) {
 
   // Duplicate-heavy key space (multiples of 3 in a narrow band) so erases
   // leave gap-fill copies of real keys next to live slots — the bitmap
-  // masking must hide them from every kernel.
+  // walk must hide them from every scan and fold.
   std::vector<int64_t> keys, payloads;
   for (int64_t i = 0; i < 20000; ++i) {
     keys.push_back(i * 3);
@@ -382,6 +343,79 @@ TEST(ConcurrentScanAggregateTest, MatchesMapOracleGappedArray) {
 
 TEST(ConcurrentScanAggregateTest, MatchesMapOraclePackedMemoryArray) {
   RunOracleForLayout(NodeLayout::kPackedMemoryArray);
+}
+
+/// Occupancy of each 64-slot word of `leaf`: 'E' when all clear, 'D' when
+/// all 64 slots are set, 's' otherwise.
+template <typename Leaf>
+std::string WordKinds(const Leaf& leaf) {
+  std::string kinds((leaf.capacity() + 63) / 64, 'E');
+  std::vector<size_t> set(kinds.size(), 0);
+  for (size_t i = leaf.FirstOccupiedSlot(); i < leaf.capacity();
+       i = leaf.NextOccupiedSlot(i)) {
+    ++set[i / 64];
+  }
+  for (size_t w = 0; w < kinds.size(); ++w) {
+    if (set[w] == 64) kinds[w] = 'D';
+    else if (set[w] > 0) kinds[w] = 's';
+  }
+  return kinds;
+}
+
+TEST(ConcurrentScanAggregateTest, ScanCrossesEmptyAndDenseBitmapWords) {
+  // A sparse run, a run of consecutive keys, then another sparse run, all
+  // in one leaf: its linear model packs the consecutive keys into full
+  // bitmap words and leaves whole words empty before them.
+  std::vector<int64_t> keys, payloads;
+  for (int64_t k = 0; k < 100; ++k) keys.push_back(-2000000 + k * 1000);
+  for (int64_t k = 0; k < 300; ++k) keys.push_back(k);
+  for (int64_t k = 0; k < 300; ++k) keys.push_back(1000000 + k * 1000);
+  std::map<int64_t, int64_t> oracle;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    payloads.push_back(static_cast<int64_t>(i % 201) - 100);
+    oracle[keys[i]] = payloads.back();
+  }
+  for (const NodeLayout layout :
+       {NodeLayout::kGappedArray, NodeLayout::kPackedMemoryArray}) {
+    Config config;
+    config.layout = layout;
+    // Bulk loading is deterministic: a core::Alex loaded with the same
+    // keys shows the leaf layout the ConcurrentAlex below gets.
+    core::Alex<int64_t, int64_t> shape(config);
+    shape.BulkLoad(keys.data(), payloads.data(), keys.size());
+    std::string kinds;
+    size_t leaves = 0;
+    shape.ForEachLeaf([&](const auto& leaf) {
+      kinds = WordKinds(leaf);
+      ++leaves;
+    });
+    ASSERT_EQ(leaves, 1u);
+    const size_t empty = kinds.find('E', kinds.find_first_not_of('E'));
+    ASSERT_NE(empty, std::string::npos) << kinds;
+    ASSERT_NE(kinds.find_first_not_of('E', empty), std::string::npos)
+        << kinds;  // the empty word lies between occupied ones
+    ASSERT_NE(kinds.find('D', empty), std::string::npos) << kinds;
+
+    core::ConcurrentAlex<int64_t, int64_t> index(config);
+    index.BulkLoad(keys.data(), payloads.data(), keys.size());
+    CheckAgainstOracle(index, oracle, std::numeric_limits<int64_t>::min(),
+                       std::numeric_limits<int64_t>::max());
+    CheckAgainstOracle(index, oracle, -1950000, 150);   // into the dense run
+    CheckAgainstOracle(index, oracle, -1500500, 1100000);
+    CheckAgainstOracle(index, oracle, 37, 1000000);     // out of it
+
+    // RangeScan that stops inside the dense run, and one that runs out.
+    std::vector<std::pair<int64_t, int64_t>> out;
+    ASSERT_EQ(index.RangeScan(-1000, 137, &out), 137u);
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i].first, static_cast<int64_t>(i));
+      EXPECT_EQ(out[i].second, oracle.at(out[i].first));
+    }
+    ASSERT_EQ(index.RangeScan(std::numeric_limits<int64_t>::min(),
+                              keys.size() + 5, &out),
+              keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(out[i].first, keys[i]);
+  }
 }
 
 TEST(ConcurrentScanAggregateTest, EmptyIndexAndInvertedRange) {
