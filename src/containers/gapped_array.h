@@ -13,7 +13,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <vector>
 
 #include "containers/storage_common.h"
 #include "models/linear_model.h"
@@ -36,19 +35,15 @@ class GappedArray : public GappedStorage<K, P> {
   /// to predict positions in [0, capacity).
   void BuildFromSorted(const K* keys, const P* payloads, size_t n,
                        size_t capacity, const model::LinearModel& model) {
-    this->ResetStorage(capacity);
-    std::vector<size_t> positions;
-    ComputeModelPlacement(keys, n, model, capacity, &positions);
-    this->PlaceSorted(keys, payloads, n, positions);
+    this->BuildSorted(keys, payloads, n, capacity,
+                      ModelSlots(keys, model, capacity));
   }
 
   /// Bulk-builds with evenly spaced keys (cold start: no model yet).
   void BuildFromSortedUniform(const K* keys, const P* payloads, size_t n,
                               size_t capacity) {
-    this->ResetStorage(capacity);
-    std::vector<size_t> positions;
-    ComputeUniformPlacement(n, capacity, &positions);
-    this->PlaceSorted(keys, payloads, n, positions);
+    this->BuildSorted(keys, payloads, n, capacity,
+                      UniformSlots(0, capacity, n));
   }
 
   /// Inserts `key` near `predicted` (Alg. 1 without the density check,

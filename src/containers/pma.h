@@ -69,20 +69,19 @@ class Pma : public GappedStorage<K, P> {
   void BuildFromSorted(const K* keys, const P* payloads, size_t n,
                        size_t min_capacity,
                        const model::LinearModel& model) {
-    Reset(min_capacity < n ? n : min_capacity);
-    std::vector<size_t> positions;
-    ComputeModelPlacement(keys, n, model, this->capacity(), &positions);
-    this->PlaceSorted(keys, payloads, n, positions);
+    const size_t cap = RoundCapacity(min_capacity < n ? n : min_capacity);
+    this->BuildSorted(keys, payloads, n, cap,
+                      ModelSlots(keys, model, cap));
+    ConfigureSegments(cap);
   }
 
   /// Bulk-builds with uniformly spaced keys — classic PMA layout; used for
   /// cold starts and as the ablation baseline for model-based placement.
   void BuildFromSortedUniform(const K* keys, const P* payloads, size_t n,
                               size_t min_capacity) {
-    Reset(min_capacity < n ? n : min_capacity);
-    std::vector<size_t> positions;
-    ComputeUniformPlacement(n, this->capacity(), &positions);
-    this->PlaceSorted(keys, payloads, n, positions);
+    const size_t cap = RoundCapacity(min_capacity < n ? n : min_capacity);
+    this->BuildSorted(keys, payloads, n, cap, UniformSlots(0, cap, n));
+    ConfigureSegments(cap);
   }
 
   /// Attempts to insert `key` near `predicted` (Alg. 2, InsertPMA).
@@ -280,8 +279,10 @@ class Pma : public GappedStorage<K, P> {
     // the owning data node will expand.
   }
 
-  // Uniformly redistributes all occupied elements within [lo, hi) and
-  // restores gap fills for the window.
+  // Uniformly redistributes the occupied elements within [lo, hi) in one
+  // windowed placement pass. Gaps left of the window still hold its first
+  // key, which does not move; gaps after its last key take the first key
+  // at or after `hi`, or the window's last key when none exists.
   void RedistributeUniform(size_t lo, size_t hi) {
     std::vector<K> keys;
     std::vector<P> payloads;
@@ -290,26 +291,15 @@ class Pma : public GappedStorage<K, P> {
       payloads.push_back(this->payloads_[i]);
       return true;
     });
-    for (size_t i = lo; i < hi; ++i) this->bitmap_.Clear(i);
     const size_t n = keys.size();
-    const size_t span = hi - lo;
-    const double step =
-        n == 0 ? 0.0 : static_cast<double>(span) / static_cast<double>(n);
-    size_t prev = 0;
-    for (size_t i = 0; i < n; ++i) {
-      size_t pos = lo + static_cast<size_t>(step * static_cast<double>(i));
-      if (i > 0 && pos <= prev) pos = prev + 1;
-      if (pos >= hi) pos = hi - 1;
-      // Monotonic fixup against the right edge.
-      const size_t allowed = hi - (n - i);
-      if (pos > allowed) pos = allowed;
-      this->keys_[pos] = keys[i];
-      this->payloads_[pos] = payloads[i];
-      this->bitmap_.Set(pos);
-      prev = pos;
-    }
+    if (n == 0) return;
+    for (size_t i = lo; i < hi; ++i) this->bitmap_.Clear(i);
+    const size_t right = this->bitmap_.NextSet(hi);
+    const K tail_fill = right < this->capacity() ? this->keys_[right]
+                                                 : keys.back();
+    this->PlaceSorted(lo, hi, keys.data(), payloads.data(), n,
+                      UniformSlots(lo, hi - lo, n), tail_fill);
     this->num_shifts_ += n;
-    this->RefillAllGaps();
   }
 
   PmaDensityBounds bounds_;

@@ -9,7 +9,10 @@
 //     exponential search works unmodified (paper §3.3.1), and
 //   * bulk placement is *model-based*: each key goes to the slot its linear
 //     model predicts, colliding keys go to the first gap to the right
-//     (paper Alg. 3, ModelBasedInsert).
+//     (paper Alg. 3, ModelBasedInsert). PlaceSorted does this in one
+//     forward pass that also writes the gap fills, so a build touches each
+//     slot once; UniformSlots spaces keys evenly instead (cold start, PMA
+//     rebalances).
 //
 // The layouts differ only in their *insert* policy (shift toward the
 // nearest gap vs. PMA density-bound rebalancing), which lives in the
@@ -31,67 +34,25 @@
 
 namespace alex::container {
 
-/// Computes strictly-increasing placement slots for `n` sorted keys in an
-/// array of `capacity >= n` slots, honouring the model's predictions as
-/// closely as possible.
-///
-/// Implements the collision rule of Alg. 3 ("If the model tries to insert
-/// multiple elements into the same position, every element after the first
-/// will instead be inserted into the first gap to the right") plus a
-/// right-edge fixup: if the model would push keys past the end of the
-/// array, the tail of the placement is compacted against the right edge.
-template <typename K>
-void ComputeModelPlacement(const K* keys, size_t n,
-                           const model::LinearModel& model, size_t capacity,
-                           std::vector<size_t>* positions) {
-  assert(capacity >= n);
-  positions->resize(n);
-  if (n == 0) return;
-  size_t prev = 0;
-  bool first = true;
-  for (size_t i = 0; i < n; ++i) {
-    size_t pos = model.Predict(static_cast<double>(keys[i]), capacity);
-    if (!first && pos <= prev) pos = prev + 1;  // first gap to the right
-    if (pos >= capacity) pos = capacity - 1;
-    (*positions)[i] = pos;
-    prev = pos;
-    first = false;
-  }
-  // Right-edge fixup: slot i may be at most capacity - (n - i) so that all
-  // later keys still fit. A single right-to-left pass restores strict
-  // monotonicity within capacity.
-  for (size_t i = n; i-- > 0;) {
-    const size_t allowed = capacity - (n - i);
-    if ((*positions)[i] > allowed) (*positions)[i] = allowed;
-    if (i + 1 < n && (*positions)[i] >= (*positions)[i + 1]) {
-      (*positions)[i] = (*positions)[i + 1] - 1;
-    }
-  }
+/// Placement slot of sorted key i when `n` keys spread evenly over `span`
+/// slots from `lo`: lo + floor(i * span / n). Used when no model is
+/// available ("cold start", paper §3.3.3) and by PMA rebalances.
+inline auto UniformSlots(size_t lo, size_t span, size_t n) {
+  const double step =
+      n == 0 ? 0.0 : static_cast<double>(span) / static_cast<double>(n);
+  return [lo, step](size_t i) {
+    return lo + static_cast<size_t>(step * static_cast<double>(i));
+  };
 }
 
-/// Uniform (evenly spaced) placement used when no model is available
-/// ("cold start", paper §3.3.3) and by classic PMA redistribution.
-inline void ComputeUniformPlacement(size_t n, size_t capacity,
-                                    std::vector<size_t>* positions) {
-  assert(capacity >= n);
-  positions->resize(n);
-  if (n == 0) return;
-  const double step = static_cast<double>(capacity) / static_cast<double>(n);
-  size_t prev = 0;
-  for (size_t i = 0; i < n; ++i) {
-    size_t pos = static_cast<size_t>(step * static_cast<double>(i));
-    if (i > 0 && pos <= prev) pos = prev + 1;
-    if (pos >= capacity) pos = capacity - 1;
-    (*positions)[i] = pos;
-    prev = pos;
-  }
-  for (size_t i = n; i-- > 0;) {
-    const size_t allowed = capacity - (n - i);
-    if ((*positions)[i] > allowed) (*positions)[i] = allowed;
-    if (i + 1 < n && (*positions)[i] >= (*positions)[i + 1]) {
-      (*positions)[i] = (*positions)[i + 1] - 1;
-    }
-  }
+/// Placement slot of sorted key i: the slot a model scaled to `capacity`
+/// predicts for keys[i] (paper Alg. 3).
+template <typename K>
+auto ModelSlots(const K* keys, const model::LinearModel& model,
+                size_t capacity) {
+  return [keys, model, capacity](size_t i) {
+    return model.Predict(static_cast<double>(keys[i]), capacity);
+  };
 }
 
 /// Base class holding the gapped, bitmap-tracked key/payload arrays and all
@@ -264,10 +225,22 @@ class GappedStorage {
   }
 
   /// Fused count/sum/min/max of the *keys* in occupied slots
-  /// [slot_lo, slot_hi) (util/aggregate.h; gap slots are masked out by
-  /// the occupancy bitmap, so gap-fill copies never contribute).
+  /// [slot_lo, slot_hi); gap slots are masked out by the occupancy bitmap,
+  /// so gap-fill copies never contribute. Occupied keys ascend, so min and
+  /// max are the first and last of them and the fold is count and sum.
   util::AggState<K> AggregateKeySlots(size_t slot_lo, size_t slot_hi) const {
-    return util::MaskedAggregate(keys_.data(), bitmap_, slot_lo, slot_hi);
+    util::AggState<K> out;
+    if (slot_hi > capacity()) slot_hi = capacity();
+    const size_t first = bitmap_.NextSet(slot_lo);
+    if (first >= slot_hi) return out;
+    out.min = keys_[first];
+    out.max = keys_[bitmap_.PrevSet(slot_hi - 1)];
+    bitmap_.ForEachSet(first, slot_hi, [&](size_t i) {
+      out.sum += static_cast<util::AggSumT<K>>(keys_[i]);
+      ++out.count;
+      return true;
+    });
+    return out;
   }
 
   /// Fused count/sum/min/max of the *payloads* in occupied slots
@@ -284,6 +257,26 @@ class GappedStorage {
                                     P payload_lo, P payload_hi) const {
     return util::MaskedCountBetween(payloads_.data(), bitmap_, slot_lo,
                                     slot_hi, payload_lo, payload_hi);
+  }
+
+  /// Hands the arrays to `keys`/`payloads` with the pairs packed to their
+  /// front in key order, so they hold exactly the num_keys() pairs, and
+  /// returns that count. The storage is left with no slots: its owner
+  /// rebuilds it from the pairs (expansion, contraction) or retires it
+  /// (split).
+  size_t TakeSorted(std::vector<K>* keys, std::vector<P>* payloads) {
+    size_t n = 0;
+    bitmap_.ForEachSet(0, capacity(), [&](size_t i) {
+      keys_[n] = keys_[i];
+      payloads_[n++] = payloads_[i];
+      return true;
+    });
+    keys_.resize(n);
+    payloads_.resize(n);
+    keys->swap(keys_);
+    payloads->swap(payloads_);
+    ResetStorage(0);
+    return n;
   }
 
   /// Copies all (key, payload) pairs in slot order into `keys`/`payloads`.
@@ -354,39 +347,51 @@ class GappedStorage {
     probe_capacity_.store(capacity, std::memory_order_relaxed);
   }
 
-  /// Places `n` sorted keys at the given strictly-increasing `positions`
-  /// and fills gaps per the invariant.
-  void PlaceSorted(const K* keys, const P* payloads, size_t n,
-                   const std::vector<size_t>& positions) {
-    for (size_t i = 0; i < n; ++i) {
-      const size_t pos = positions[i];
-      keys_[pos] = keys[i];
-      payloads_[pos] = payloads[i];
-      bitmap_.Set(pos);
-    }
+  /// Reallocates to `capacity` slots and fills them with `n` sorted pairs
+  /// placed at `slot_of` (ModelSlots or UniformSlots).
+  template <typename SlotOf>
+  void BuildSorted(const K* keys, const P* payloads, size_t n,
+                   size_t capacity, const SlotOf& slot_of) {
+    ResetStorage(capacity);
+    PlaceSorted(0, capacity, keys, payloads, n, slot_of,
+                n == 0 ? K{} : keys[n - 1]);
     num_keys_ = n;
-    RefillAllGaps();
   }
 
-  /// Rewrites every gap with its closest-right key (last key for trailing
-  /// gaps). O(capacity); used after bulk placement and rebalances.
-  void RefillAllGaps() {
-    if (num_keys_ == 0) return;
-    K fill{};
-    bool have_fill = false;
-    for (size_t i = capacity(); i-- > 0;) {
-      if (bitmap_.Get(i)) {
-        fill = keys_[i];
-        have_fill = true;
-      } else if (have_fill) {
-        keys_[i] = fill;
+  /// Places `n` sorted pairs into the slots [lo, hi), all of them gaps, in
+  /// one forward pass (paper Alg. 3, ModelBasedInsert). Pair i takes
+  /// slot_of(i), or the first slot right of pair i - 1 when the model puts
+  /// it there or further left, clamped to hi - (n - i) so the pairs after
+  /// it still fit. The gaps a pair skips take its key; the gaps after the
+  /// last pair take `tail_fill`. Leaves num_keys_ to the caller.
+  template <typename SlotOf>
+  void PlaceSorted(size_t lo, size_t hi, const K* keys, const P* payloads,
+                   size_t n, const SlotOf& slot_of, K tail_fill) {
+    assert(n <= hi - lo);
+    // Slots are written in ascending order, so a slot written past `pos`
+    // is rewritten by a later pair or by the tail fill. That lets the fill
+    // of [next, pos] store a fixed block first: skip lengths vary from key
+    // to key, and a loop bounded by `pos` alone mispredicts its exit on
+    // most keys.
+    constexpr size_t kFillBlock = 8;
+    K* const slots = keys_.data();
+    size_t next = lo;  // first slot pair i may take
+    for (size_t i = 0; i < n; ++i) {
+      size_t pos = slot_of(i);
+      if (pos < next) pos = next;
+      if (pos > hi - (n - i)) pos = hi - (n - i);
+      const K key = keys[i];
+      size_t s = next;
+      if (next + kFillBlock <= hi) {
+        for (size_t b = 0; b < kFillBlock; ++b) slots[next + b] = key;
+        s = next + kFillBlock;
       }
+      for (; s <= pos; ++s) slots[s] = key;
+      payloads_[pos] = payloads[i];
+      bitmap_.Set(pos);
+      next = pos + 1;
     }
-    // Trailing gaps (after the last occupied slot) hold the last key.
-    const size_t last = bitmap_.PrevSet(capacity() - 1);
-    if (last < capacity()) {
-      for (size_t i = last + 1; i < capacity(); ++i) keys_[i] = keys_[last];
-    }
+    for (; next < hi; ++next) slots[next] = tail_fill;
   }
 
   /// Writes `key` into free slot `pos` and repairs gap fills in the gap run

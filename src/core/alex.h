@@ -39,6 +39,39 @@ namespace alex::core {
 template <typename K, typename P>
 class ConcurrentAlex;
 
+/// First index in sorted keys[lo, hi) whose bucket under `model` (one of
+/// `partitions`) is >= `bucket`, or hi. A binary search: the model is
+/// non-decreasing in the key, as inner-node routing already requires.
+template <typename K>
+size_t PartitionBound(const model::LinearModel& model, const K* keys,
+                      size_t lo, size_t hi, size_t bucket,
+                      size_t partitions) {
+  return static_cast<size_t>(
+      std::partition_point(keys + lo, keys + hi,
+                           [&](const K& key) {
+                             return model.Predict(static_cast<double>(key),
+                                                  partitions) < bucket;
+                           }) -
+      keys);
+}
+
+/// Partition boundary indices for sorted keys[lo, hi) under `model` with
+/// `partitions` buckets: bounds[j] is the first index whose predicted
+/// bucket is >= j (bounds[0] = lo, bounds[partitions] = hi), found with
+/// O(partitions · log n) predictions.
+template <typename K>
+void PartitionBoundaries(const model::LinearModel& model, const K* keys,
+                         size_t lo, size_t hi, size_t partitions,
+                         std::vector<size_t>* bounds) {
+  bounds->resize(partitions + 1);
+  (*bounds)[0] = lo;
+  for (size_t j = 1; j < partitions; ++j) {
+    (*bounds)[j] =
+        PartitionBound(model, keys, (*bounds)[j - 1], hi, j, partitions);
+  }
+  (*bounds)[partitions] = hi;
+}
+
 /// The ALEX index. `K` is any arithmetic type; `P` is any copyable
 /// payload. Model predictions cast keys to double, so integer keys beyond
 /// 2^53 lose precision in the *prediction* only — search and equality
@@ -362,7 +395,11 @@ class Alex {
   }
 
  private:
-  DataNodeT* NewLeaf() { return new DataNodeT(*config_, stats_.get()); }
+  /// A leaf built directly from `n` sorted keys (empty by default).
+  DataNodeT* NewLeaf(const K* keys = nullptr, const P* payloads = nullptr,
+                     size_t n = 0) {
+    return new DataNodeT(*config_, stats_.get(), keys, payloads, n);
+  }
 
   // Single-threaded root access: relaxed, compiles to a plain load/store.
   // The root is atomic so the concurrent wrapper can swap whole trees and
@@ -384,7 +421,9 @@ class Alex {
     } else {
       built = BuildAdaptive(keys, payloads, 0, n, /*depth=*/0, &leaves);
     }
-    LinkLeaves(leaves, nullptr, nullptr);
+    LinkLeaves(
+        leaves.size(), [&](size_t j) { return leaves[j]; }, nullptr,
+        nullptr);
     return built;
   }
 
@@ -437,8 +476,7 @@ class Alex {
       num_leaves = n / config_->srmi_keys_per_model;
     }
     if (num_leaves <= 1) {
-      DataNodeT* leaf = NewLeaf();
-      leaf->BulkLoad(keys, payloads, n);
+      DataNodeT* leaf = NewLeaf(keys, payloads, n);
       leaves->push_back(leaf);
       return leaf;
     }
@@ -448,9 +486,8 @@ class Alex {
     std::vector<size_t> bounds;
     PartitionBoundaries(root->model(), keys, 0, n, num_leaves, &bounds);
     for (size_t j = 0; j < num_leaves; ++j) {
-      DataNodeT* leaf = NewLeaf();
-      leaf->BulkLoad(keys + bounds[j], payloads + bounds[j],
-                     bounds[j + 1] - bounds[j]);
+      DataNodeT* leaf = NewLeaf(keys + bounds[j], payloads + bounds[j],
+                                bounds[j + 1] - bounds[j]);
       root->SetChild(j, leaf);
       leaves->push_back(leaf);
     }
@@ -465,8 +502,7 @@ class Alex {
     const size_t n = hi - lo;
     if (n <= config_->max_data_node_keys ||
         depth >= config_->max_rmi_depth) {
-      DataNodeT* leaf = NewLeaf();
-      leaf->BulkLoad(keys + lo, payloads + lo, n);
+      DataNodeT* leaf = NewLeaf(keys + lo, payloads + lo, n);
       leaves->push_back(leaf);
       return leaf;
     }
@@ -488,8 +524,7 @@ class Alex {
       if (bounds[j + 1] > bounds[j]) ++non_empty;
     }
     if (non_empty <= 1) {
-      DataNodeT* leaf = NewLeaf();
-      leaf->BulkLoad(keys + lo, payloads + lo, n);
+      DataNodeT* leaf = NewLeaf(keys + lo, payloads + lo, n);
       leaves->push_back(leaf);
       return leaf;
     }
@@ -516,36 +551,13 @@ class Alex {
         accumulated += bounds[j2 + 1] - bounds[j2];
         ++j2;
       }
-      DataNodeT* leaf = NewLeaf();
-      leaf->BulkLoad(keys + bounds[j], payloads + bounds[j], accumulated);
+      DataNodeT* leaf =
+          NewLeaf(keys + bounds[j], payloads + bounds[j], accumulated);
       leaves->push_back(leaf);
       for (size_t jj = j; jj < j2; ++jj) inner->SetChild(jj, leaf);
       j = j2;
     }
     return inner;
-  }
-
-  // Computes partition boundary indices for sorted keys[lo, hi) under
-  // `model` with `partitions` buckets: bounds[j] is the first index whose
-  // predicted bucket is >= j; bounds has partitions + 1 entries.
-  static void PartitionBoundaries(const model::LinearModel& model,
-                                  const K* keys, size_t lo, size_t hi,
-                                  size_t partitions,
-                                  std::vector<size_t>* bounds) {
-    bounds->assign(partitions + 1, hi);
-    (*bounds)[0] = lo;
-    size_t current = 0;
-    for (size_t i = lo; i < hi; ++i) {
-      const size_t bucket =
-          model.Predict(static_cast<double>(keys[i]), partitions);
-      while (current < bucket) {
-        (*bounds)[++current] = i;
-      }
-    }
-    while (current < partitions) {
-      (*bounds)[++current] = hi;
-    }
-    (*bounds)[0] = lo;  // predictions below bucket 0 clamp to 0
   }
 
   // ---- Node splitting on inserts (§3.4.2) ----
@@ -557,43 +569,50 @@ class Alex {
   /// the leaf held is owned by the leaf).
   struct SplitSubtree {
     InnerNode* inner = nullptr;
-    std::vector<DataNodeT*> children;
     K hint_key{};
+
+    size_t fanout() const { return inner->num_children(); }
+    DataNodeT* child(size_t j) const {
+      return static_cast<DataNodeT*>(inner->child(j));
+    }
   };
 
   // Builds the replacement subtree for a full `leaf` — the leaf's model
   // becomes an inner node model (§3.4.2: "The corresponding leaf level
   // model in RMI now becomes an inner level model"), data is distributed
   // to children by that model, and each child trains its own — without
-  // touching sibling links, parent slots, or the victim itself. Shared
-  // between the single-threaded split below and the lock-scoped
-  // concurrent split (ConcurrentAlex). Returns false when the key
-  // distribution cannot be partitioned (caller falls back to expansion).
+  // touching sibling links or parent slots. Shared between the
+  // single-threaded split below and the lock-scoped concurrent split
+  // (ConcurrentAlex). The leaf's pairs move into the children, and the
+  // caller retires the emptied leaf. Returns false, with the leaf
+  // reloaded from its own keys, when the key distribution cannot be
+  // partitioned (caller falls back to expansion).
   bool BuildSplitSubtree(DataNodeT* leaf, SplitSubtree* out) {
     std::vector<K> keys;
     std::vector<P> payloads;
-    leaf->ExtractAll(&keys, &payloads);
-    const size_t n = keys.size();
+    const size_t n = leaf->TakeSorted(&keys, &payloads);
     const size_t fanout = std::max<size_t>(2, config_->split_fanout);
     const model::LinearModel model =
         model::TrainCdfModel(keys.data(), n, fanout);
-    std::vector<size_t> bounds;
-    PartitionBoundaries(model, keys.data(), 0, n, fanout, &bounds);
-    size_t non_empty = 0;
-    for (size_t j = 0; j < fanout; ++j) {
-      if (bounds[j + 1] > bounds[j]) ++non_empty;
+    // The model is non-decreasing, so every key falls in one bucket
+    // exactly when the first and the last key do: no progress possible.
+    if (n == 0 || model.Predict(static_cast<double>(keys.front()), fanout) ==
+                      model.Predict(static_cast<double>(keys.back()), fanout)) {
+      leaf->BulkLoad(keys.data(), payloads.data(), n);
+      return false;
     }
-    if (non_empty <= 1) return false;  // no progress possible
     auto* inner = new InnerNode();
     inner->set_model(model);
     inner->ResetChildren(fanout);
-    out->children.assign(fanout, nullptr);
+    size_t begin = 0;
     for (size_t j = 0; j < fanout; ++j) {
-      DataNodeT* child = NewLeaf();
-      child->BulkLoad(keys.data() + bounds[j], payloads.data() + bounds[j],
-                      bounds[j + 1] - bounds[j]);
-      inner->SetChild(j, child);
-      out->children[j] = child;
+      const size_t end = j + 1 == fanout
+                             ? n
+                             : PartitionBound(model, keys.data(), begin, n,
+                                              j + 1, fanout);
+      inner->SetChild(j, NewLeaf(keys.data() + begin,
+                                 payloads.data() + begin, end - begin));
+      begin = end;
     }
     out->inner = inner;
     out->hint_key = keys.front();
@@ -606,7 +625,9 @@ class Alex {
   bool SplitLeaf(DataNodeT* leaf, InnerNode* parent) {
     SplitSubtree split;
     if (!BuildSplitSubtree(leaf, &split)) return false;
-    LinkLeaves(split.children, leaf->prev_leaf(), leaf->next_leaf());
+    LinkLeaves(
+        split.fanout(), [&](size_t j) { return split.child(j); },
+        leaf->prev_leaf(), leaf->next_leaf());
     if (parent == nullptr) {
       SetRoot(split.inner);
     } else {
@@ -619,12 +640,14 @@ class Alex {
     return true;
   }
 
-  // Chains `leaves` left-to-right and splices the chain between `before`
-  // and `after`.
-  void LinkLeaves(const std::vector<DataNodeT*>& leaves, DataNodeT* before,
-                  DataNodeT* after) {
+  // Chains the `count` leaves leaf_at(0..count) left-to-right and splices
+  // the chain between `before` and `after`.
+  template <typename LeafAt>
+  static void LinkLeaves(size_t count, LeafAt&& leaf_at, DataNodeT* before,
+                         DataNodeT* after) {
     DataNodeT* prev = before;
-    for (DataNodeT* leaf : leaves) {
+    for (size_t j = 0; j < count; ++j) {
+      DataNodeT* leaf = leaf_at(j);
       leaf->set_prev_leaf(prev);
       if (prev != nullptr) prev->set_next_leaf(leaf);
       prev = leaf;

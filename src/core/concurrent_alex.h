@@ -919,7 +919,6 @@ class ConcurrentAlex {
     // uses; only the publication protocol differs below.
     typename Alex<K, P>::SplitSubtree split;
     if (!index_.BuildSplitSubtree(leaf, &split)) return false;
-    const std::vector<DataNodeT*>& children = split.children;
     // Splice the children into the sibling chain. All splices serialize
     // on the chain mutex, so a live leaf's links always describe the live
     // chain; the victim keeps its outgoing links, and scanners that reach
@@ -928,17 +927,17 @@ class ConcurrentAlex {
       std::lock_guard<std::mutex> chain(chain_mutex_);
       DataNodeT* before = leaf->prev_leaf();
       DataNodeT* after = leaf->next_leaf();
-      const size_t fanout = children.size();
+      const size_t fanout = split.fanout();
       for (size_t j = 0; j < fanout; ++j) {
-        children[j]->set_prev_leaf(j == 0 ? before : children[j - 1]);
-        children[j]->set_next_leaf(j + 1 < fanout ? children[j + 1]
-                                                  : after);
+        split.child(j)->set_prev_leaf(j == 0 ? before : split.child(j - 1));
+        split.child(j)->set_next_leaf(j + 1 < fanout ? split.child(j + 1)
+                                                     : after);
       }
       // These two stores make the children reachable from live leaves;
       // they are seq_cst so a scanner that follows them sees the fully
       // linked chain.
-      if (before != nullptr) before->publish_next_leaf(children.front());
-      if (after != nullptr) after->publish_prev_leaf(children.back());
+      if (before != nullptr) before->publish_next_leaf(split.child(0));
+      if (after != nullptr) after->publish_prev_leaf(split.child(fanout - 1));
     }
     // Retire-then-publish: a reader that still reaches the old leaf
     // latches it and finds the flag; one that reads the new slot value

@@ -5,6 +5,13 @@
 //     rescaled to the array capacity (Alg. 3), and
 //   * sibling links so range scans stream across leaves (§5.2.3).
 //
+// Every build of the array (bulk load, split child, expansion,
+// contraction) goes through one Rebuild: train the model on the sorted
+// keys, then place them model-based (Alg. 3) in one forward pass that
+// also writes the gap fills (container::GappedStorage::PlaceSorted). An
+// expansion or contraction packs the node's own old arrays into that
+// sorted input, so no pair is copied into a fresh buffer first.
+//
 // Lookups predict a slot with the model and correct it with exponential
 // search outward from the prediction (§3.2). The node stores no error
 // bound: model-based inserts keep the error small, so exponential search
@@ -49,7 +56,10 @@ class DataNode : public Node {
   using PmaT = container::Pma<K, P>;
   using StorageBase = container::GappedStorage<K, P>;
 
-  DataNode(const Config& config, Stats* stats)
+  /// Builds the node directly from `n` sorted, distinct keys (empty by
+  /// default), as BulkLoad does.
+  DataNode(const Config& config, Stats* stats, const K* keys = nullptr,
+           const P* payloads = nullptr, size_t n = 0)
       : Node(/*is_leaf=*/true), config_(&config), stats_(stats) {
     if (config.layout == NodeLayout::kPackedMemoryArray) {
       storage_.template emplace<PmaT>(config.pma_bounds);
@@ -57,7 +67,7 @@ class DataNode : public Node {
     storage_base_ = Visit([](const auto& s) -> const StorageBase* {
       return &s;
     });
-    BulkLoad(nullptr, nullptr, 0);
+    BulkLoad(keys, payloads, n);
   }
 
   ~DataNode() override = default;
@@ -167,42 +177,12 @@ class DataNode : public Node {
   /// c·n (c = expansion factor), trains the model when the node is warm
   /// enough, and places keys model-based (Alg. 3).
   void BulkLoad(const K* keys, const P* payloads, size_t n) {
-    RetireStorageCounters();
-    const double c = config_->ExpansionFactor();
     size_t capacity = static_cast<size_t>(
-        static_cast<double>(n) * c + 0.5);
+        static_cast<double>(n) * config_->ExpansionFactor() + 0.5);
     if (capacity < config_->min_node_capacity) {
       capacity = config_->min_node_capacity;
     }
-    if (capacity < n + 1) capacity = n + 1;  // always keep one gap
-    has_model_ = n >= config_->min_model_keys;
-    if (has_model_) {
-      model_ = model::TrainCdfModel(keys, n, capacity);
-    } else {
-      model_ = model::LinearModel();
-    }
-    const bool model_place = has_model_ && config_->model_based_placement;
-    if (auto* ga = std::get_if<GappedArrayT>(&storage_)) {
-      if (model_place) {
-        ga->BuildFromSorted(keys, payloads, n, capacity, model_);
-      } else {
-        ga->BuildFromSortedUniform(keys, payloads, n, capacity);
-      }
-    } else {
-      auto& pma = std::get<PmaT>(storage_);
-      // PMA capacities are powers of two; rescale the model to the actual
-      // capacity chosen.
-      const size_t pma_capacity = PmaT::RoundCapacity(capacity);
-      if (has_model_) {
-        model_ = model::TrainCdfModel(keys, n, pma_capacity);
-      }
-      if (model_place) {
-        pma.BuildFromSorted(keys, payloads, n, pma_capacity, model_);
-      } else {
-        pma.BuildFromSortedUniform(keys, payloads, n, pma_capacity);
-      }
-    }
-    PublishProbeModel();
+    Rebuild(keys, payloads, n, capacity);
   }
 
   /// Predicted slot for `key` — the model's prediction, or the array
@@ -320,9 +300,6 @@ class DataNode : public Node {
   /// Expands the array and re-inserts model-based (Alg. 3, Expand).
   /// GA grows by 1/d; PMA doubles.
   void Expand() {
-    std::vector<K> keys;
-    std::vector<P> payloads;
-    ExtractAll(&keys, &payloads);
     size_t new_capacity;
     if (std::holds_alternative<GappedArrayT>(storage_)) {
       new_capacity = static_cast<size_t>(
@@ -331,7 +308,10 @@ class DataNode : public Node {
     } else {
       new_capacity = capacity() * 2;
     }
-    RebuildWithCapacity(keys, payloads, new_capacity);
+    std::vector<K> keys;
+    std::vector<P> payloads;
+    const size_t n = TakeSorted(&keys, &payloads);
+    Rebuild(keys.data(), payloads.data(), n, new_capacity);
     if (stats_ != nullptr) ++stats_->num_expansions;
   }
 
@@ -421,12 +401,12 @@ class DataNode : public Node {
     });
   }
 
-  /// Copies out all pairs in sorted order.
-  void ExtractAll(std::vector<K>* keys, std::vector<P>* payloads) const {
-    Visit([&](const auto& s) {
-      s.ExtractAll(keys, payloads);
-      return 0;
-    });
+  /// Hands the node's pairs out in key order, packed into its own old
+  /// arrays (container::GappedStorage::TakeSorted), and returns their
+  /// count. The node is left with no slots until the next BulkLoad.
+  size_t TakeSorted(std::vector<K>* keys, std::vector<P>* payloads) {
+    RetireStorageCounters();
+    return Visit([&](auto& s) { return s.TakeSorted(keys, payloads); });
   }
 
   /// Index-size contribution: the model (2 doubles) + node metadata
@@ -487,43 +467,33 @@ class DataNode : public Node {
     }
     std::vector<K> keys;
     std::vector<P> payloads;
-    ExtractAll(&keys, &payloads);
-    BulkLoad(keys.data(), payloads.data(), keys.size());
+    const size_t n = TakeSorted(&keys, &payloads);
+    BulkLoad(keys.data(), payloads.data(), n);
     if (stats_ != nullptr) ++stats_->num_contractions;
   }
 
-  void RebuildWithCapacity(const std::vector<K>& keys,
-                           const std::vector<P>& payloads,
-                           size_t new_capacity) {
+  /// The one build of the array: `new_capacity` slots (at least n + 1,
+  /// rounded up to a power of two for a PMA), the model retrained on the
+  /// keys and scaled to them, and the keys placed model-based — or evenly
+  /// spaced while the node is too small for a model (§3.3.3).
+  void Rebuild(const K* keys, const P* payloads, size_t n,
+               size_t new_capacity) {
     RetireStorageCounters();
-    const size_t n = keys.size();
-    if (new_capacity < n + 1) new_capacity = n + 1;
-    has_model_ = n >= config_->min_model_keys;
-    const bool model_place = has_model_ && config_->model_based_placement;
-    if (auto* ga = std::get_if<GappedArrayT>(&storage_)) {
-      // Alg. 3: retrain on the keys, scaled to the expanded array, then
-      // model-based insert.
-      model_ = has_model_
-                   ? model::TrainCdfModel(keys.data(), n, new_capacity)
-                   : model::LinearModel();
-      if (model_place) {
-        ga->BuildFromSorted(keys.data(), payloads.data(), n, new_capacity,
-                            model_);
-      } else {
-        ga->BuildFromSortedUniform(keys.data(), payloads.data(), n,
-                                   new_capacity);
-      }
-    } else {
-      auto& pma = std::get<PmaT>(storage_);
-      const size_t cap = PmaT::RoundCapacity(new_capacity);
-      model_ = has_model_ ? model::TrainCdfModel(keys.data(), n, cap)
-                          : model::LinearModel();
-      if (model_place) {
-        pma.BuildFromSorted(keys.data(), payloads.data(), n, cap, model_);
-      } else {
-        pma.BuildFromSortedUniform(keys.data(), payloads.data(), n, cap);
-      }
+    if (new_capacity < n + 1) new_capacity = n + 1;  // always keep one gap
+    if (std::holds_alternative<PmaT>(storage_)) {
+      new_capacity = PmaT::RoundCapacity(new_capacity);
     }
+    has_model_ = n >= config_->min_model_keys;
+    model_ = has_model_ ? model::TrainCdfModel(keys, n, new_capacity)
+                        : model::LinearModel();
+    const bool model_place = has_model_ && config_->model_based_placement;
+    Visit([&](auto& s) {
+      if (model_place) {
+        s.BuildFromSorted(keys, payloads, n, new_capacity, model_);
+      } else {
+        s.BuildFromSortedUniform(keys, payloads, n, new_capacity);
+      }
+    });
     PublishProbeModel();
   }
 

@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/concurrent_alex.h"
 #include "util/random.h"
 
 namespace alex::core {
@@ -539,6 +543,147 @@ TEST(DataNodeTest, MaxModelErrorIsExactThroughChurn) {
                                                  : size_t{0};
         ASSERT_EQ(node.MaxModelError(), expected) << "op " << op;
       }
+    }
+  }
+}
+
+// ---------- partition bounds and leaf splits (§3.4) ----------
+
+/// The linear scan PartitionBoundaries replaced, kept as its oracle: one
+/// prediction per key.
+std::vector<size_t> LinearScanBoundaries(const model::LinearModel& model,
+                                         const std::vector<int64_t>& keys,
+                                         size_t lo, size_t hi,
+                                         size_t partitions) {
+  std::vector<size_t> bounds(partitions + 1, hi);
+  bounds[0] = lo;
+  size_t current = 0;
+  for (size_t i = lo; i < hi; ++i) {
+    const size_t bucket =
+        model.Predict(static_cast<double>(keys[i]), partitions);
+    while (current < bucket) bounds[++current] = i;
+  }
+  while (current < partitions) bounds[++current] = hi;
+  bounds[0] = lo;
+  return bounds;
+}
+
+TEST(PartitionBoundsTest, BinarySearchMatchesLinearScan) {
+  util::Xoshiro256 rng(77);
+  size_t one_bucket_cases = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = 1 + rng.NextUint64(3000);
+    std::set<int64_t> distinct;
+    const uint64_t spread = 1 + rng.NextUint64(1ULL << 40);
+    while (distinct.size() < n) {
+      distinct.insert(static_cast<int64_t>(rng.NextUint64(spread)) -
+                      static_cast<int64_t>(spread / 2));
+    }
+    const std::vector<int64_t> keys(distinct.begin(), distinct.end());
+    const size_t partitions = 2 + rng.NextUint64(64);
+    const size_t lo = rng.NextUint64(n);
+    const size_t hi = lo + rng.NextUint64(n - lo + 1);
+    const model::LinearModel trained =
+        model::TrainCdfModel(keys.data() + lo, hi - lo, partitions);
+    const double mid = static_cast<double>(keys[n / 2]);
+    const model::LinearModel models[] = {
+        trained,
+        // Slope 0: every key lands in one bucket.
+        model::LinearModel(0.0, static_cast<double>(partitions) / 2),
+        model::LinearModel(0.0, -5.0),
+        model::LinearModel(0.0, static_cast<double>(partitions) + 5),
+        // Past both ends: the steep model sends the low keys below bucket
+        // 0 and the high keys above the last bucket.
+        model::LinearModel(trained.slope() * 4,
+                           static_cast<double>(partitions) / 2 -
+                               trained.slope() * 4 * mid),
+        model::LinearModel(trained.slope(),
+                           trained.intercept() + 3.0 * partitions),
+        model::LinearModel(trained.slope(),
+                           trained.intercept() - 3.0 * partitions),
+    };
+    for (const auto& m : models) {
+      std::vector<size_t> bounds;
+      PartitionBoundaries(m, keys.data(), lo, hi, partitions, &bounds);
+      ASSERT_EQ(bounds, LinearScanBoundaries(m, keys, lo, hi, partitions))
+          << "trial " << trial << " slope " << m.slope();
+      size_t non_empty = 0;
+      for (size_t j = 0; j < partitions; ++j) {
+        non_empty += bounds[j + 1] > bounds[j];
+      }
+      if (m.slope() == 0.0 && hi > lo) {
+        EXPECT_EQ(non_empty, 1u);
+        ++one_bucket_cases;
+      }
+    }
+  }
+  EXPECT_GT(one_bucket_cases, 0u);
+}
+
+TEST(LeafSplitTest, DegenerateModelRefusesSplitAndKeepsKeys) {
+  // Keys near the int64 extremes collapse the split model's variance in
+  // double precision, so every key predicts one bucket: the split must
+  // leave the leaf whole and the insert must still land.
+  Config config;
+  config.max_data_node_keys = 64;
+  AlexInt index(config);
+  std::map<int64_t, int64_t> reference;
+  const int64_t base = std::numeric_limits<int64_t>::max() - 1000;
+  for (int64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(index.Insert(base + i * 3, i));
+    reference.emplace(base + i * 3, i);
+  }
+  EXPECT_EQ(index.stats().num_splits, 0u);
+  EXPECT_GT(index.size(), config.max_data_node_keys);
+  ASSERT_TRUE(index.CheckInvariants());
+  for (const auto& [k, v] : reference) {
+    const int64_t* found = index.Find(k);
+    ASSERT_NE(found, nullptr) << k;
+    ASSERT_EQ(*found, v);
+  }
+}
+
+TEST(LeafSplitTest, ConcurrentInsertsSplitManyLeavesAndMatchMapOracle) {
+  // Four writers insert disjoint key streams into small leaves, so the
+  // tree grows by hundreds of leaf splits, each built from the victim's
+  // own arrays; afterwards every key must be found with its payload.
+  for (const NodeLayout layout :
+       {NodeLayout::kGappedArray, NodeLayout::kPackedMemoryArray}) {
+    SCOPED_TRACE(static_cast<int>(layout));
+    Config config;
+    config.layout = layout;
+    config.max_data_node_keys = 64;
+    ConcurrentAlex<int64_t, int64_t> index(config);
+    const auto initial = SortedKeys(2000, 97);
+    const auto initial_payloads = Payloads(initial.size());
+    index.BulkLoad(initial.data(), initial_payloads.data(), initial.size());
+    constexpr int kWriters = 4;
+    std::vector<std::vector<int64_t>> streams(kWriters);
+    std::map<int64_t, int64_t> reference;
+    for (size_t i = 0; i < initial.size(); ++i) {
+      reference.emplace(initial[i], initial_payloads[i]);
+    }
+    util::Xoshiro256 rng(4242 + static_cast<uint64_t>(layout));
+    while (reference.size() < initial.size() + 12000) {
+      const int64_t key = static_cast<int64_t>(rng.NextUint64(400000));
+      if (reference.emplace(key, key * 2 + 1).second) {
+        streams[static_cast<size_t>(key) % kWriters].push_back(key);
+      }
+    }
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&index, &streams, w] {
+        for (const int64_t key : streams[w]) index.Insert(key, key * 2 + 1);
+      });
+    }
+    for (auto& t : writers) t.join();
+    EXPECT_GE(index.GetStats().num_splits, 100u);
+    ASSERT_TRUE(index.CheckInvariants());
+    ASSERT_EQ(index.size(), reference.size());
+    for (const auto& [k, v] : reference) {
+      int64_t got = 0;
+      ASSERT_TRUE(index.Get(k, &got)) << k;
+      ASSERT_EQ(got, v) << k;
     }
   }
 }

@@ -5,11 +5,17 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "containers/pma.h"
+#include "core/config.h"
 #include "models/linear_model.h"
+#include "util/bitmap.h"
 #include "util/random.h"
 
 namespace alex::container {
@@ -212,7 +218,7 @@ TEST(GappedArrayTest, BuildAtFullCapacityNoGaps) {
 
 TEST(GappedArrayTest, SkewedModelPlacementStaysWithinBounds) {
   // A model that predicts everything at the far right exercises the
-  // right-edge fixup in ComputeModelPlacement.
+  // right-edge clamp of GappedStorage::PlaceSorted.
   const auto keys = MakeSortedKeys(20);
   const auto payloads = MakePayloads(20);
   GappedArray<int64_t, int> ga;
@@ -341,6 +347,216 @@ TEST(GappedArrayTest, VisitSlotsCrossesEmptyAndDenseWords) {
     EXPECT_EQ(got, want) << "lo=" << lo << " hi=" << hi;
     EXPECT_EQ(ga.CountSlots(lo, hi), want.size());
   }
+}
+
+// ---- Placement oracle ----
+//
+// The two-pass placement that GappedStorage::PlaceSorted replaced, kept
+// here only as the reference for its layout: the slots first (a forward
+// collision pass, then a backward right-edge fixup), then the pairs, then
+// a backward pass that rewrites every gap with its closest-right key
+// (trailing gaps with the last key).
+
+void ComputeModelPlacement(const int64_t* keys, size_t n,
+                           const LinearModel& model, size_t capacity,
+                           std::vector<size_t>* positions) {
+  positions->resize(n);
+  if (n == 0) return;
+  size_t prev = 0;
+  for (size_t i = 0; i < n; ++i) {
+    size_t pos = model.Predict(static_cast<double>(keys[i]), capacity);
+    if (i > 0 && pos <= prev) pos = prev + 1;
+    if (pos >= capacity) pos = capacity - 1;
+    (*positions)[i] = pos;
+    prev = pos;
+  }
+  for (size_t i = n; i-- > 0;) {
+    const size_t allowed = capacity - (n - i);
+    if ((*positions)[i] > allowed) (*positions)[i] = allowed;
+    if (i + 1 < n && (*positions)[i] >= (*positions)[i + 1]) {
+      (*positions)[i] = (*positions)[i + 1] - 1;
+    }
+  }
+}
+
+void ComputeUniformPlacement(size_t n, size_t capacity,
+                             std::vector<size_t>* positions) {
+  positions->resize(n);
+  if (n == 0) return;
+  const double step = static_cast<double>(capacity) / static_cast<double>(n);
+  size_t prev = 0;
+  for (size_t i = 0; i < n; ++i) {
+    size_t pos = static_cast<size_t>(step * static_cast<double>(i));
+    if (i > 0 && pos <= prev) pos = prev + 1;
+    if (pos >= capacity) pos = capacity - 1;
+    (*positions)[i] = pos;
+    prev = pos;
+  }
+  for (size_t i = n; i-- > 0;) {
+    const size_t allowed = capacity - (n - i);
+    if ((*positions)[i] > allowed) (*positions)[i] = allowed;
+    if (i + 1 < n && (*positions)[i] >= (*positions)[i + 1]) {
+      (*positions)[i] = (*positions)[i + 1] - 1;
+    }
+  }
+}
+
+struct Layout {
+  std::vector<int64_t> keys;
+  std::vector<int> payloads;
+  util::Bitmap bitmap;
+};
+
+void RefillAllGaps(Layout* layout, size_t num_keys) {
+  if (num_keys == 0) return;
+  const size_t capacity = layout->keys.size();
+  int64_t fill = 0;
+  bool have_fill = false;
+  for (size_t i = capacity; i-- > 0;) {
+    if (layout->bitmap.Get(i)) {
+      fill = layout->keys[i];
+      have_fill = true;
+    } else if (have_fill) {
+      layout->keys[i] = fill;
+    }
+  }
+  const size_t last = layout->bitmap.PrevSet(capacity - 1);
+  for (size_t i = last + 1; i < capacity; ++i) {
+    layout->keys[i] = layout->keys[last];
+  }
+}
+
+Layout TwoPassLayout(const std::vector<int64_t>& keys,
+                     const std::vector<int>& payloads, size_t capacity,
+                     const std::vector<size_t>& positions) {
+  Layout layout{std::vector<int64_t>(capacity), std::vector<int>(capacity),
+                util::Bitmap(capacity)};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    layout.keys[positions[i]] = keys[i];
+    layout.payloads[positions[i]] = payloads[i];
+    layout.bitmap.Set(positions[i]);
+  }
+  RefillAllGaps(&layout, keys.size());
+  return layout;
+}
+
+// Byte-for-byte comparison of a built leaf array against the reference.
+void ExpectSameLayout(const GappedStorage<int64_t, int>& built,
+                      const Layout& ref, const std::string& what) {
+  const size_t capacity = ref.keys.size();
+  ASSERT_EQ(built.capacity(), capacity) << what;
+  EXPECT_EQ(std::memcmp(&built.key_at(0), ref.keys.data(),
+                        capacity * sizeof(int64_t)),
+            0)
+      << what;
+  EXPECT_EQ(std::memcmp(&built.payload_at(0), ref.payloads.data(),
+                        capacity * sizeof(int)),
+            0)
+      << what;
+  EXPECT_EQ(std::memcmp(built.bitmap().words(), ref.bitmap.words(),
+                        ref.bitmap.SizeBytes()),
+            0)
+      << what;
+  EXPECT_TRUE(built.CheckInvariants()) << what;
+}
+
+// `n` distinct sorted keys with lognormal-like gaps, so a linear model
+// both under- and overshoots inside one array.
+std::vector<int64_t> SkewedSortedKeys(size_t n, uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::set<int64_t> keys;
+  while (keys.size() < n) {
+    const uint64_t magnitude = rng.NextUint64(40);
+    keys.insert(static_cast<int64_t>(rng.NextUint64(1ULL << 10) << magnitude) -
+                (int64_t{1} << 30));
+  }
+  return {keys.begin(), keys.end()};
+}
+
+TEST(PlacementOracleTest, OnePassMatchesTwoPassLayout) {
+  const size_t m = core::Config().min_model_keys;
+  size_t cases = 0;
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, m - 1, m, m + 1,
+                         size_t{1024}, size_t{5000}}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto keys = SkewedSortedKeys(n, seed * 1000 + n);
+      std::vector<int> payloads(n);
+      for (size_t i = 0; i < n; ++i) payloads[i] = static_cast<int>(i) + 1;
+      for (const size_t capacity :
+           {n + 1, n + n / 2 + 1, 2 * n + 7, size_t{16} + n}) {
+        const LinearModel trained =
+            TrainCdfModel(keys.data(), n, capacity);
+        LinearModel steep = trained;
+        steep.ExpandBy(1.7);
+        LinearModel right = trained;
+        right.ShiftBy(-static_cast<double>(capacity) / 3.0);
+        LinearModel left = trained;
+        left.ShiftBy(static_cast<double>(capacity) / 3.0);
+        for (const LinearModel& model : {trained, steep, right, left}) {
+          const std::string what = "n=" + std::to_string(n) + " cap=" +
+                                   std::to_string(capacity) +
+                                   " seed=" + std::to_string(seed) +
+                                   " slope=" + std::to_string(model.slope());
+          std::vector<size_t> positions;
+          ComputeModelPlacement(keys.data(), n, model, capacity, &positions);
+          GappedArray<int64_t, int> ga;
+          ga.BuildFromSorted(keys.data(), payloads.data(), n, capacity,
+                             model);
+          ExpectSameLayout(ga, TwoPassLayout(keys, payloads, capacity,
+                                             positions),
+                           "GA model " + what);
+          // A PMA rounds its capacity to a power of two; place under the
+          // same model against the rounded size.
+          Pma<int64_t, int> pma;
+          pma.BuildFromSorted(keys.data(), payloads.data(), n, capacity,
+                              model);
+          ComputeModelPlacement(keys.data(), n, model, pma.capacity(),
+                                &positions);
+          ExpectSameLayout(pma, TwoPassLayout(keys, payloads,
+                                              pma.capacity(), positions),
+                           "PMA model " + what);
+          ++cases;
+        }
+        std::vector<size_t> positions;
+        ComputeUniformPlacement(n, capacity, &positions);
+        GappedArray<int64_t, int> ga;
+        ga.BuildFromSortedUniform(keys.data(), payloads.data(), n, capacity);
+        ExpectSameLayout(ga, TwoPassLayout(keys, payloads, capacity,
+                                           positions),
+                         "GA uniform n=" + std::to_string(n));
+        Pma<int64_t, int> pma;
+        pma.BuildFromSortedUniform(keys.data(), payloads.data(), n,
+                                   capacity);
+        ComputeUniformPlacement(n, pma.capacity(), &positions);
+        ExpectSameLayout(pma, TwoPassLayout(keys, payloads, pma.capacity(),
+                                            positions),
+                         "PMA uniform n=" + std::to_string(n));
+      }
+    }
+  }
+  EXPECT_EQ(cases, 8u * 3u * 4u * 4u);
+}
+
+TEST(PlacementOracleTest, BadModelsHitBothEdgeClamps) {
+  // Precondition of the oracle test above: its scaled and shifted models
+  // really do push keys past both ends of the array, so the left clamp
+  // (previous slot + 1) and the right clamp (capacity - (n - i)) fire.
+  const size_t n = 1024;
+  const size_t capacity = n + 1;
+  const auto keys = SkewedSortedKeys(n, 7);
+  LinearModel steep = TrainCdfModel(keys.data(), n, capacity);
+  steep.ExpandBy(1.7);
+  size_t past_right = 0;
+  size_t collisions = 0;
+  size_t prev = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t pred = steep.Predict(static_cast<double>(keys[i]), capacity);
+    if (pred > capacity - (n - i)) ++past_right;
+    if (i > 0 && pred <= prev) ++collisions;
+    prev = pred;
+  }
+  EXPECT_GT(past_right, 0u);
+  EXPECT_GT(collisions, 0u);
 }
 
 }  // namespace

@@ -217,6 +217,72 @@ TEST(PmaTest, RandomizedMirrorOfStdMap) {
   }
 }
 
+TEST(PmaTest, WindowedRebalancesKeepInvariantsUnderInsertHeavyChurn) {
+  // Clustered inserts fill segments and force window rebalances, which
+  // re-place only their window; erases of the current maximum leave
+  // trailing gaps holding remnants above the last key. Invariants must
+  // hold after every insert, so after every rebalance, and the contents
+  // must mirror a std::map throughout.
+  util::Xoshiro256 rng(2024);
+  PmaInt pma;
+  pma.Reset(2048);
+  std::map<int64_t, int> reference;
+  const size_t budget = static_cast<size_t>(
+      pma.bounds().root_max * static_cast<double>(pma.capacity()));
+  const int64_t key_range = 20000;
+  size_t rebalances = 0;
+  for (int iter = 0; iter < 6000; ++iter) {
+    const uint64_t op = rng.NextUint64(10);
+    if (op < 8 && reference.size() + 1 < budget) {
+      // Keys cluster in a few hot ranges; the prediction is the slot a
+      // uniform model would give.
+      const int64_t center =
+          static_cast<int64_t>(rng.NextUint64(4)) * key_range / 4;
+      const int64_t key =
+          center + static_cast<int64_t>(rng.NextUint64(key_range / 16));
+      const size_t pred = static_cast<size_t>(key) * pma.capacity() /
+                          static_cast<size_t>(key_range);
+      const uint64_t shifts_before = pma.num_shifts();
+      const auto status = pma.Insert(key, iter, pred);
+      const bool expected = reference.emplace(key, iter).second;
+      ASSERT_EQ(status == Status::kOk, expected) << "iter " << iter;
+      if (pma.num_shifts() - shifts_before >= pma.segment_size()) {
+        ++rebalances;
+      }
+      ASSERT_TRUE(pma.CheckInvariants()) << "iter " << iter;
+    } else if (!reference.empty()) {
+      // Erase the maximum half of the time, a random key otherwise.
+      auto it = reference.end();
+      --it;
+      if (op == 9) {
+        it = reference.lower_bound(
+            static_cast<int64_t>(rng.NextUint64(key_range)));
+        if (it == reference.end()) continue;
+      }
+      ASSERT_TRUE(pma.Erase(it->first, 0)) << "iter " << iter;
+      reference.erase(it);
+      ASSERT_TRUE(pma.CheckInvariants()) << "iter " << iter;
+    }
+  }
+  EXPECT_GT(rebalances, 10u);
+  ASSERT_EQ(pma.num_keys(), reference.size());
+  for (const auto& [k, v] : reference) {
+    const size_t slot = pma.FindSlot(k, 0);
+    ASSERT_LT(slot, pma.capacity()) << k;
+    ASSERT_EQ(pma.payload_at(slot), v) << k;
+  }
+  std::vector<int64_t> keys;
+  std::vector<int> payloads;
+  pma.ExtractAll(&keys, &payloads);
+  ASSERT_EQ(keys.size(), reference.size());
+  size_t i = 0;
+  for (const auto& [k, v] : reference) {
+    ASSERT_EQ(keys[i], k);
+    ASSERT_EQ(payloads[i], v);
+    ++i;
+  }
+}
+
 TEST(PmaTest, ShiftsPerInsertBoundedUnderRandomInserts) {
   // Sanity check on the O(log^2 n) claim: average shifts per insert for
   // random inserts should be far below segment-size * height.
