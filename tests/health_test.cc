@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/inspect.h"
@@ -342,6 +343,187 @@ TEST_F(HealthTest, TierCacheMissEdgesAgainstEwmaBaseline) {
   Inject();
   EXPECT_EQ(LevelOf(HealthDetector::kTierCacheMiss), HealthLevel::kOk);
   EXPECT_EQ(EdgesFor(HealthDetector::kTierCacheMiss).size(), 3u);
+}
+
+// Golden output: one fixed synthetic sequence takes every detector
+// through warn and critical and back to ok (plus the gated, below-minimum
+// windows of each rule), and the report JSON after every sample and the
+// journaled edges must match, byte for byte, what the rules produced when
+// each was its own hand-written function.
+TEST_F(HealthTest, GoldenReportsAndEdgesForAFixedSequence) {
+  util::Log2Histogram wal;
+  auto commits = [&](uint64_t value_ns, int count) {
+    for (int i = 0; i < count; ++i) wal.Record(value_ns);
+    cursor_.wal_commit_count = wal.Count();
+    cursor_.wal_commit_sum_ns = wal.Sum();
+    cursor_.wal_commit_max_ns = wal.Max();
+    for (int b = 0; b < util::Log2Histogram::kNumBuckets; ++b) {
+      cursor_.wal_commit_buckets[b] = wal.count(b);
+    }
+  };
+  auto gate = [&](uint64_t contended, uint64_t mean_ns) {
+    cursor_.gate_contended += contended;
+    cursor_.gate_wait_count += contended;
+    cursor_.gate_wait_sum_ns += contended * mean_ns;
+  };
+  auto tier = [&](uint64_t hits, uint64_t misses) {
+    cursor_.tier_cache_hits += hits;
+    cursor_.tier_cache_misses += misses;
+  };
+  auto traffic = [&](uint64_t hot, size_t cold_shards, uint64_t cold) {
+    cursor_.shard_ops[0] += hot;
+    for (size_t s = 1; s <= cold_shards; ++s) cursor_.shard_ops[s] += cold;
+    cursor_.total_ops += hot + cold_shards * cold;
+  };
+  std::vector<std::string> got;
+  auto sample = [&] {
+    Inject();
+    got.push_back(monitor_->ReportJson());
+  };
+
+  sample();  // s0: the first sample judges nothing
+  cursor_.epoch_advance_stalls += 4;  // s1: warn everywhere it can
+  cursor_.epoch_retired_unreclaimed = 10;
+  gate(8, 2'000'000);
+  cursor_.size_skew_x100 = 500;
+  cursor_.slow_ops_captured += 20;
+  commits(1'000'000, 32);  // seeds the WAL baseline
+  tier(980, 20);           // seeds the tier baseline
+  traffic(100, 3, 100);
+  sample();
+  cursor_.epoch_advance_stalls += 16;  // s2: critical
+  cursor_.epoch_retired_unreclaimed = 4096;
+  gate(8, 20'000'000);
+  cursor_.size_skew_x100 = 2000;
+  cursor_.slow_ops_captured += 70;
+  commits(1'000'000, 32);
+  tier(980, 20);
+  sample();
+  cursor_.epoch_advances += 1;  // s3: stall clears, backlog critical
+  cursor_.epoch_advance_stalls += 20;
+  cursor_.epoch_retired_unreclaimed = 65536;
+  gate(8, 1'000);
+  cursor_.size_skew_x100 = 100;
+  traffic(4000, 7, 10);  // traffic skew ~7.9x: warn
+  commits(8'000'000, 32);
+  tier(900, 100);
+  sample();
+  cursor_.epoch_retired_unreclaimed = 0;  // s4
+  gate(2, 50'000'000);     // too few contended waits to judge
+  traffic(100000, 20, 1);  // traffic skew ~21x: critical
+  commits(100'000'000, 32);
+  tier(500, 500);
+  sample();
+  cursor_.epoch_advance_stalls += 30;  // s5: no backlog, so no stall
+  traffic(500, 7, 500);
+  cursor_.size_skew_x100 = 110;
+  commits(1'000'000, 32);
+  tier(995, 5);
+  sample();
+  cursor_.slow_ops_captured += 16;  // s6: below every minimum window
+  cursor_.epoch_retired_unreclaimed = 4095;
+  commits(50'000'000, 8);
+  tier(0, 10);
+  traffic(200, 1, 0);
+  sample();
+  next_ts_ns_ -= 500'000'000;  // s7: a half-second window
+  cursor_.slow_ops_captured += 64;
+  traffic(1000, 7, 1000);
+  commits(2'000'000, 16);
+  tier(60, 4);
+  sample();
+  cursor_.size_skew_x100 = 400;  // s8: exactly at the warn bar
+  sample();
+
+  const std::vector<std::string> golden = {
+      "{\"level\": \"ok\", \"samples\": 1, \"ts_ns\": 1000000000, \"window_ns\": 0, \"ops_per_sec\": 0.000000, \"wal_commits_per_sec\": 0.000000"
+      ", \"verdicts\": [{\"detector\": \"epoch_stall\", \"level\": \"ok\", \"metric\": \"epoch.advance_stalls\", \"observed\": 0.000000, \"threshold\": 0.000000}"
+      ", {\"detector\": \"retired_growth\", \"level\": \"ok\", \"metric\": \"epoch.retired_unreclaimed\", \"observed\": 0.000000, \"threshold\": 0.000000}"
+      ", {\"detector\": \"wal_commit_wait\", \"level\": \"ok\", \"metric\": \"wal.commit_wait_ns\", \"observed\": 0.000000, \"threshold\": 0.000000}"
+      ", {\"detector\": \"write_gate_wait\", \"level\": \"ok\", \"metric\": \"shard.write_gate_wait_ns\", \"observed\": 0.000000, \"threshold\": 0.000000}"
+      ", {\"detector\": \"shard_skew\", \"level\": \"ok\", \"metric\": \"shard.size_skew_x100\", \"observed\": 0.000000, \"threshold\": 0.000000}"
+      ", {\"detector\": \"slow_op_burst\", \"level\": \"ok\", \"metric\": \"slow_ops.captured\", \"observed\": 0.000000, \"threshold\": 0.000000}"
+      ", {\"detector\": \"tier_cache_miss\", \"level\": \"ok\", \"metric\": \"tier.cache_misses\", \"observed\": 0.000000, \"threshold\": 0.000000}]}",
+      "{\"level\": \"warn\", \"samples\": 2, \"ts_ns\": 2000000000, \"window_ns\": 1000000000, \"ops_per_sec\": 400.000000, \"wal_commits_per_sec\": 32.000000"
+      ", \"verdicts\": [{\"detector\": \"epoch_stall\", \"level\": \"warn\", \"metric\": \"epoch.advance_stalls\", \"observed\": 4.000000, \"threshold\": 4.000000}"
+      ", {\"detector\": \"retired_growth\", \"level\": \"ok\", \"metric\": \"epoch.retired_unreclaimed\", \"observed\": 10.000000, \"threshold\": 4096.000000}"
+      ", {\"detector\": \"wal_commit_wait\", \"level\": \"ok\", \"metric\": \"wal.commit_wait_ns\", \"observed\": 1000000.000000, \"threshold\": 4000000.000000}"
+      ", {\"detector\": \"write_gate_wait\", \"level\": \"warn\", \"metric\": \"shard.write_gate_wait_ns\", \"observed\": 2000000.000000, \"threshold\": 1000000.000000}"
+      ", {\"detector\": \"shard_skew\", \"level\": \"warn\", \"metric\": \"shard.size_skew_x100\", \"observed\": 500.000000, \"threshold\": 400.000000}"
+      ", {\"detector\": \"slow_op_burst\", \"level\": \"warn\", \"metric\": \"slow_ops.captured\", \"observed\": 20.000000, \"threshold\": 16.000000}"
+      ", {\"detector\": \"tier_cache_miss\", \"level\": \"ok\", \"metric\": \"tier.cache_misses\", \"observed\": 0.020000, \"threshold\": 0.080000}]}",
+      "{\"level\": \"critical\", \"samples\": 3, \"ts_ns\": 3000000000, \"window_ns\": 1000000000, \"ops_per_sec\": 0.000000, \"wal_commits_per_sec\": 32.000000"
+      ", \"verdicts\": [{\"detector\": \"epoch_stall\", \"level\": \"critical\", \"metric\": \"epoch.advance_stalls\", \"observed\": 16.000000, \"threshold\": 4.000000}"
+      ", {\"detector\": \"retired_growth\", \"level\": \"warn\", \"metric\": \"epoch.retired_unreclaimed\", \"observed\": 4096.000000, \"threshold\": 4096.000000}"
+      ", {\"detector\": \"wal_commit_wait\", \"level\": \"ok\", \"metric\": \"wal.commit_wait_ns\", \"observed\": 1000000.000000, \"threshold\": 4000000.000000}"
+      ", {\"detector\": \"write_gate_wait\", \"level\": \"critical\", \"metric\": \"shard.write_gate_wait_ns\", \"observed\": 20000000.000000, \"threshold\": 1000000.000000}"
+      ", {\"detector\": \"shard_skew\", \"level\": \"critical\", \"metric\": \"shard.size_skew_x100\", \"observed\": 2000.000000, \"threshold\": 400.000000}"
+      ", {\"detector\": \"slow_op_burst\", \"level\": \"critical\", \"metric\": \"slow_ops.captured\", \"observed\": 70.000000, \"threshold\": 16.000000}"
+      ", {\"detector\": \"tier_cache_miss\", \"level\": \"ok\", \"metric\": \"tier.cache_misses\", \"observed\": 0.020000, \"threshold\": 0.080000}]}",
+      "{\"level\": \"critical\", \"samples\": 4, \"ts_ns\": 4000000000, \"window_ns\": 1000000000, \"ops_per_sec\": 4070.000000, \"wal_commits_per_sec\": 32.000000"
+      ", \"verdicts\": [{\"detector\": \"epoch_stall\", \"level\": \"ok\", \"metric\": \"epoch.advance_stalls\", \"observed\": 20.000000, \"threshold\": 4.000000}"
+      ", {\"detector\": \"retired_growth\", \"level\": \"critical\", \"metric\": \"epoch.retired_unreclaimed\", \"observed\": 65536.000000, \"threshold\": 4096.000000}"
+      ", {\"detector\": \"wal_commit_wait\", \"level\": \"warn\", \"metric\": \"wal.commit_wait_ns\", \"observed\": 8000000.000000, \"threshold\": 4000000.000000}"
+      ", {\"detector\": \"write_gate_wait\", \"level\": \"ok\", \"metric\": \"shard.write_gate_wait_ns\", \"observed\": 1000.000000, \"threshold\": 1000000.000000}"
+      ", {\"detector\": \"shard_skew\", \"level\": \"warn\", \"metric\": \"op.shard_traffic_skew_x100\", \"observed\": 786.000000, \"threshold\": 400.000000}"
+      ", {\"detector\": \"slow_op_burst\", \"level\": \"ok\", \"metric\": \"slow_ops.captured\", \"observed\": 0.000000, \"threshold\": 16.000000}"
+      ", {\"detector\": \"tier_cache_miss\", \"level\": \"warn\", \"metric\": \"tier.cache_misses\", \"observed\": 0.100000, \"threshold\": 0.080000}]}",
+      "{\"level\": \"critical\", \"samples\": 5, \"ts_ns\": 5000000000, \"window_ns\": 1000000000, \"ops_per_sec\": 100020.000000, \"wal_commits_per_sec\": 32.000000"
+      ", \"verdicts\": [{\"detector\": \"epoch_stall\", \"level\": \"ok\", \"metric\": \"epoch.advance_stalls\", \"observed\": 0.000000, \"threshold\": 4.000000}"
+      ", {\"detector\": \"retired_growth\", \"level\": \"ok\", \"metric\": \"epoch.retired_unreclaimed\", \"observed\": 0.000000, \"threshold\": 4096.000000}"
+      ", {\"detector\": \"wal_commit_wait\", \"level\": \"critical\", \"metric\": \"wal.commit_wait_ns\", \"observed\": 100000000.000000, \"threshold\": 4000000.000000}"
+      ", {\"detector\": \"write_gate_wait\", \"level\": \"ok\", \"metric\": \"shard.write_gate_wait_ns\", \"observed\": 0.000000, \"threshold\": 1000000.000000}"
+      ", {\"detector\": \"shard_skew\", \"level\": \"critical\", \"metric\": \"op.shard_traffic_skew_x100\", \"observed\": 2099.000000, \"threshold\": 400.000000}"
+      ", {\"detector\": \"slow_op_burst\", \"level\": \"ok\", \"metric\": \"slow_ops.captured\", \"observed\": 0.000000, \"threshold\": 16.000000}"
+      ", {\"detector\": \"tier_cache_miss\", \"level\": \"critical\", \"metric\": \"tier.cache_misses\", \"observed\": 0.500000, \"threshold\": 0.080000}]}",
+      "{\"level\": \"ok\", \"samples\": 6, \"ts_ns\": 6000000000, \"window_ns\": 1000000000, \"ops_per_sec\": 4000.000000, \"wal_commits_per_sec\": 32.000000"
+      ", \"verdicts\": [{\"detector\": \"epoch_stall\", \"level\": \"ok\", \"metric\": \"epoch.advance_stalls\", \"observed\": 30.000000, \"threshold\": 4.000000}"
+      ", {\"detector\": \"retired_growth\", \"level\": \"ok\", \"metric\": \"epoch.retired_unreclaimed\", \"observed\": 0.000000, \"threshold\": 4096.000000}"
+      ", {\"detector\": \"wal_commit_wait\", \"level\": \"ok\", \"metric\": \"wal.commit_wait_ns\", \"observed\": 1040384.000000, \"threshold\": 4040384.000000}"
+      ", {\"detector\": \"write_gate_wait\", \"level\": \"ok\", \"metric\": \"shard.write_gate_wait_ns\", \"observed\": 0.000000, \"threshold\": 1000000.000000}"
+      ", {\"detector\": \"shard_skew\", \"level\": \"ok\", \"metric\": \"shard.size_skew_x100\", \"observed\": 110.000000, \"threshold\": 400.000000}"
+      ", {\"detector\": \"slow_op_burst\", \"level\": \"ok\", \"metric\": \"slow_ops.captured\", \"observed\": 0.000000, \"threshold\": 16.000000}"
+      ", {\"detector\": \"tier_cache_miss\", \"level\": \"ok\", \"metric\": \"tier.cache_misses\", \"observed\": 0.005000, \"threshold\": 0.065000}]}",
+      "{\"level\": \"warn\", \"samples\": 7, \"ts_ns\": 7000000000, \"window_ns\": 1000000000, \"ops_per_sec\": 200.000000, \"wal_commits_per_sec\": 8.000000"
+      ", \"verdicts\": [{\"detector\": \"epoch_stall\", \"level\": \"ok\", \"metric\": \"epoch.advance_stalls\", \"observed\": 0.000000, \"threshold\": 4.000000}"
+      ", {\"detector\": \"retired_growth\", \"level\": \"ok\", \"metric\": \"epoch.retired_unreclaimed\", \"observed\": 4095.000000, \"threshold\": 4096.000000}"
+      ", {\"detector\": \"wal_commit_wait\", \"level\": \"ok\", \"metric\": \"wal.commit_wait_ns\", \"observed\": 0.000000, \"threshold\": 4040384.000000}"
+      ", {\"detector\": \"write_gate_wait\", \"level\": \"ok\", \"metric\": \"shard.write_gate_wait_ns\", \"observed\": 0.000000, \"threshold\": 1000000.000000}"
+      ", {\"detector\": \"shard_skew\", \"level\": \"ok\", \"metric\": \"shard.size_skew_x100\", \"observed\": 110.000000, \"threshold\": 400.000000}"
+      ", {\"detector\": \"slow_op_burst\", \"level\": \"warn\", \"metric\": \"slow_ops.captured\", \"observed\": 16.000000, \"threshold\": 16.000000}"
+      ", {\"detector\": \"tier_cache_miss\", \"level\": \"ok\", \"metric\": \"tier.cache_misses\", \"observed\": 0.000000, \"threshold\": 0.065000}]}",
+      "{\"level\": \"critical\", \"samples\": 8, \"ts_ns\": 7500000000, \"window_ns\": 500000000, \"ops_per_sec\": 16000.000000, \"wal_commits_per_sec\": 32.000000"
+      ", \"verdicts\": [{\"detector\": \"epoch_stall\", \"level\": \"ok\", \"metric\": \"epoch.advance_stalls\", \"observed\": 0.000000, \"threshold\": 4.000000}"
+      ", {\"detector\": \"retired_growth\", \"level\": \"ok\", \"metric\": \"epoch.retired_unreclaimed\", \"observed\": 4095.000000, \"threshold\": 4096.000000}"
+      ", {\"detector\": \"wal_commit_wait\", \"level\": \"ok\", \"metric\": \"wal.commit_wait_ns\", \"observed\": 2064384.000000, \"threshold\": 5094672.000000}"
+      ", {\"detector\": \"write_gate_wait\", \"level\": \"ok\", \"metric\": \"shard.write_gate_wait_ns\", \"observed\": 0.000000, \"threshold\": 1000000.000000}"
+      ", {\"detector\": \"shard_skew\", \"level\": \"ok\", \"metric\": \"shard.size_skew_x100\", \"observed\": 110.000000, \"threshold\": 400.000000}"
+      ", {\"detector\": \"slow_op_burst\", \"level\": \"critical\", \"metric\": \"slow_ops.captured\", \"observed\": 64.000000, \"threshold\": 16.000000}"
+      ", {\"detector\": \"tier_cache_miss\", \"level\": \"ok\", \"metric\": \"tier.cache_misses\", \"observed\": 0.062500, \"threshold\": 0.111250}]}",
+      "{\"level\": \"warn\", \"samples\": 9, \"ts_ns\": 8500000000, \"window_ns\": 1000000000, \"ops_per_sec\": 0.000000, \"wal_commits_per_sec\": 0.000000"
+      ", \"verdicts\": [{\"detector\": \"epoch_stall\", \"level\": \"ok\", \"metric\": \"epoch.advance_stalls\", \"observed\": 0.000000, \"threshold\": 4.000000}"
+      ", {\"detector\": \"retired_growth\", \"level\": \"ok\", \"metric\": \"epoch.retired_unreclaimed\", \"observed\": 4095.000000, \"threshold\": 4096.000000}"
+      ", {\"detector\": \"wal_commit_wait\", \"level\": \"ok\", \"metric\": \"wal.commit_wait_ns\", \"observed\": 0.000000, \"threshold\": 5094672.000000}"
+      ", {\"detector\": \"write_gate_wait\", \"level\": \"ok\", \"metric\": \"shard.write_gate_wait_ns\", \"observed\": 0.000000, \"threshold\": 1000000.000000}"
+      ", {\"detector\": \"shard_skew\", \"level\": \"warn\", \"metric\": \"shard.size_skew_x100\", \"observed\": 400.000000, \"threshold\": 400.000000}"
+      ", {\"detector\": \"slow_op_burst\", \"level\": \"ok\", \"metric\": \"slow_ops.captured\", \"observed\": 0.000000, \"threshold\": 16.000000}"
+      ", {\"detector\": \"tier_cache_miss\", \"level\": \"ok\", \"metric\": \"tier.cache_misses\", \"observed\": 0.000000, \"threshold\": 0.111250}]}",
+  };
+  ASSERT_EQ(got.size(), golden.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], golden[i]) << "sample " << i;
+  }
+
+  std::vector<std::pair<int64_t, int64_t>> edges;
+  for (const JournalEvent& e : GlobalJournal().Snapshot()) {
+    if (e.type == EventType::kHealthTransition) edges.emplace_back(e.a, e.b);
+  }
+  const std::vector<std::pair<int64_t, int64_t>> golden_edges = {
+      {0, 1}, {3, 1}, {4, 1}, {5, 1}, {0, 258}, {1, 1}, {3, 258}, {4, 258},
+      {5, 258}, {0, 512}, {1, 258}, {2, 1}, {3, 512}, {4, 513}, {5, 512},
+      {6, 1}, {1, 512}, {2, 258}, {4, 258}, {6, 258}, {2, 512}, {4, 512},
+      {6, 512}, {5, 1}, {5, 258}, {4, 1}, {5, 512}};
+  EXPECT_EQ(edges, golden_edges);
 }
 
 TEST_F(HealthTest, ReportJsonCarriesLevelsAndVerdicts) {
