@@ -1,36 +1,32 @@
-// Health watchdog: a sampler thread, a metrics time-series ring, and
-// rule-based detectors that turn raw telemetry into verdicts.
+// Health watchdog: a sampler thread, a metrics time-series ring, and a
+// table of rules that turn raw telemetry into verdicts.
 //
-// PR 8's metrics layer can tell an operator *what* the numbers are; it
-// cannot notice that epoch reclamation has silently stalled, that WAL
+// The metrics layer (obs/metrics.h) can tell an operator *what* the
+// numbers are; it cannot notice that epoch reclamation has silently stalled, that WAL
 // group commit has regressed 10x, or that one shard has taken all the
 // traffic. This header closes that loop:
 //
-//   - SampledMetrics is one fixed-shape snapshot of the health-relevant
-//     registry state (epoch counters, WAL commit-wait histogram buckets,
-//     write-gate waits, per-shard op counts, slow-op ring capture
-//     count).
-//   - SampleRing publishes snapshots through the same seqlock idiom as
-//     SlowOpRing, generalized to a word-array payload: the writer marks
-//     the slot odd, stores sizeof(SampledMetrics)/8 relaxed words, and
-//     marks it even; readers copy and re-check. Readers never block the
-//     sampler and never observe a torn snapshot.
-//   - Detectors evaluate over *deltas* between consecutive samples (the
+//   - SampledMetrics is one fixed-shape snapshot of the rules' inputs
+//     (epoch counters, WAL commit-wait histogram buckets, write-gate
+//     waits, per-shard op counts, slow-op ring capture count, block-cache
+//     hits and misses). The monitor keeps the newest 64 in a SeqRing
+//     (obs/seq_ring.h).
+//   - kRules holds one row per detector: the metric it names, how its
+//     observed value is read from a window, and its warn/critical values.
+//     Rules evaluate over *deltas* between consecutive samples (the
 //     incremental-evaluation idiom from modular Datalog materialisation:
 //     never re-derive from absolute counters what the previous sample
-//     already paid for). Each produces a HealthVerdict (level, offending
-//     metric, observed vs threshold); the merged HealthReport's level is
-//     the max across detectors.
+//     already paid for). One loop judges every row into a HealthVerdict
+//     (level, offending metric, observed vs threshold); the merged
+//     HealthReport's level is the max across detectors.
 //   - Every per-detector level change appends one kHealthTransition event
 //     to the journal (obs/journal.h), so "when did this start" has an
 //     answer with a timestamp and the neighbouring structural events.
 //
-// The WAL commit-wait detector is the only stateful one beyond last-sample
-// deltas: it maintains an EWMA baseline of the *windowed* p99 (computed by
-// folding per-sample bucket-count deltas back into a Log2Histogram) and
-// fires on regression relative to that baseline. The baseline only
-// absorbs windows judged healthy — a sustained regression keeps firing
-// instead of teaching the baseline that slow is normal.
+// Two rules (WAL commit-wait p99, block-cache miss ratio) are judged
+// against an EWMA baseline instead of absolute values. The baseline
+// only absorbs windows judged healthy — a sustained regression keeps
+// firing instead of teaching the baseline that slow is normal.
 //
 // Threading: one mutex serializes EvaluateSample (sampler thread, manual
 // SampleNow, and synthetic-injection tests); the ring and report are
@@ -47,7 +43,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -55,6 +50,7 @@
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/seq_ring.h"
 #include "util/histogram.h"
 
 namespace alex::obs {
@@ -62,19 +58,14 @@ namespace alex::obs {
 // ---------------------------------------------------------------------------
 // The time-series sample.
 
-/// One snapshot of the health-relevant registry state. Trivially copyable
-/// and 8-byte-word-shaped by construction so SampleRing can publish it as
-/// an array of relaxed atomic words.
+/// One snapshot of the registry state the rules read.
 struct SampledMetrics {
   uint64_t ts_ns = 0;
 
   // Epoch-based reclamation.
-  uint64_t epoch_retired = 0;
-  uint64_t epoch_freed = 0;
   uint64_t epoch_advances = 0;
   uint64_t epoch_advance_stalls = 0;
   int64_t epoch_retired_unreclaimed = 0;  // gauge
-  int64_t epoch_global = 0;               // gauge
 
   // WAL group commit: cumulative count/sum/max plus the full cumulative
   // bucket vector, so a *windowed* latency distribution falls out of
@@ -101,80 +92,6 @@ struct SampledMetrics {
   // Cold-tier block cache (tier/block_cache.h).
   uint64_t tier_cache_hits = 0;
   uint64_t tier_cache_misses = 0;
-};
-
-static_assert(std::is_trivially_copyable<SampledMetrics>::value,
-              "SampleRing publishes SampledMetrics as raw words");
-static_assert(sizeof(SampledMetrics) % sizeof(uint64_t) == 0,
-              "SampledMetrics must be a whole number of 64-bit words");
-
-/// Fixed-size time-series ring for SampledMetrics: the SlowOpRing seqlock
-/// protocol generalized to a word-array payload. Single writer (the
-/// monitor serializes Push under its mutex); any number of lock-free
-/// readers.
-class SampleRing {
- public:
-  static constexpr size_t kCapacity = 64;  // power of two
-  static constexpr size_t kWords = sizeof(SampledMetrics) / sizeof(uint64_t);
-
-  /// Total samples ever pushed (the ring keeps the newest kCapacity).
-  uint64_t pushed() const { return next_.load(std::memory_order_relaxed); }
-
-  void Push(const SampledMetrics& sample) {
-    uint64_t words[kWords];
-    std::memcpy(words, &sample, sizeof(sample));
-    const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-    Slot& s = slots_[ticket & (kCapacity - 1)];
-    s.seq.store(2 * ticket + 1, std::memory_order_release);
-    for (size_t w = 0; w < kWords; ++w) {
-      s.words[w].store(words[w], std::memory_order_relaxed);
-    }
-    s.seq.store(2 * ticket + 2, std::memory_order_release);
-  }
-
-  /// Stable samples, oldest first.
-  std::vector<SampledMetrics> Snapshot() const {
-    struct Keyed {
-      uint64_t ticket;
-      SampledMetrics sample;
-    };
-    std::vector<Keyed> keyed;
-    keyed.reserve(kCapacity);
-    for (const Slot& s : slots_) {
-      const uint64_t seq = s.seq.load(std::memory_order_acquire);
-      if (seq == 0 || (seq & 1) != 0) continue;  // empty or being written
-      uint64_t words[kWords];
-      for (size_t w = 0; w < kWords; ++w) {
-        words[w] = s.words[w].load(std::memory_order_relaxed);
-      }
-      if (s.seq.load(std::memory_order_acquire) != seq) continue;  // reused
-      Keyed k;
-      k.ticket = seq / 2 - 1;
-      std::memcpy(&k.sample, words, sizeof(k.sample));
-      keyed.push_back(k);
-    }
-    std::sort(keyed.begin(), keyed.end(),
-              [](const Keyed& a, const Keyed& b) { return a.ticket < b.ticket; });
-    std::vector<SampledMetrics> out;
-    out.reserve(keyed.size());
-    for (const Keyed& k : keyed) out.push_back(k.sample);
-    return out;
-  }
-
-  /// Test-only; must not race Push().
-  void Reset() {
-    next_.store(0, std::memory_order_relaxed);
-    for (Slot& s : slots_) s.seq.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};
-    std::array<std::atomic<uint64_t>, kWords> words{};
-  };
-
-  std::atomic<uint64_t> next_{0};
-  std::array<Slot, kCapacity> slots_{};
 };
 
 // ---------------------------------------------------------------------------
@@ -260,63 +177,156 @@ struct HealthReport {
 };
 
 // ---------------------------------------------------------------------------
-// Options.
+// The rule table.
 
-/// Detector thresholds and sampler cadence. Defaults are deliberately
-/// conservative multiples of healthy steady-state behaviour; every field
-/// is plain data so tests can drive rules across their edges directly.
-struct HealthOptions {
-  /// Sampler cadence. ALEX_OBS_SAMPLE_MS overrides via FromEnv().
-  uint64_t sample_interval_ms = 100;
+/// What a rule reads from one window: the observed value, whether the
+/// window qualifies to be judged at all, and the metric to name when it
+/// is not the rule's own.
+struct Observation {
+  double value = 0.0;
+  bool judged = true;
+  const char* metric = nullptr;
+};
 
-  // kEpochStall: fires only when a window saw reclamation *attempts* stall
-  // with zero successful advances while a backlog exists.
-  uint64_t epoch_stall_warn = 4;
-  uint64_t epoch_stall_critical = 16;
+/// One detector as data. An absolute rule warns at `observed >= warn`
+/// and goes critical at `observed >= critical`. A baselined rule
+/// multiplies its baseline by `warn`/`critical` instead, never going
+/// below `floor`; the first judged window seeds that baseline and is Ok.
+struct HealthRule {
+  HealthDetector detector;
+  const char* metric;
+  Observation (*observe)(const SampledMetrics& prev,
+                         const SampledMetrics& cur);
+  double warn;
+  double critical;
+  bool baselined;
+  double floor;
+};
 
-  // kRetiredGrowth: absolute retired-but-unreclaimed backlog.
-  int64_t retired_warn = 4096;
-  int64_t retired_critical = 65536;
+/// EWMA weight of the newest Ok window in a baselined rule's baseline.
+constexpr double kBaselineAlpha = 0.25;
 
-  // kWalCommitWait: windowed p99 vs EWMA baseline. The floor keeps noise
-  // in sub-100us commit waits from ever firing the rule.
-  double wal_p99_warn_factor = 4.0;
-  double wal_p99_critical_factor = 16.0;
-  uint64_t wal_p99_floor_ns = 100'000;
-  uint64_t wal_min_window_commits = 16;
-  double wal_baseline_alpha = 0.25;  // EWMA weight of the newest Ok window
+namespace rules {
 
-  // kWriteGateWait: mean wait of *contended* gate acquisitions.
-  uint64_t gate_wait_warn_ns = 1'000'000;
-  uint64_t gate_wait_critical_ns = 10'000'000;
-  uint64_t gate_min_contended = 4;
+inline uint64_t Delta(uint64_t cur, uint64_t prev) {
+  return cur >= prev ? cur - prev : 0;  // tolerate test-only resets
+}
 
-  // kShardSkew: size skew from the gauge (largest/mean x100, matching the
-  // rebalancer's trigger shape) and traffic skew from per-shard op deltas.
-  int64_t skew_warn_x100 = 400;
-  int64_t skew_critical_x100 = 1600;
-  uint64_t traffic_min_window_ops = 256;
+/// Stalled reclamation attempts. A stall only matters when nothing
+/// advanced and a backlog exists: a window with both stalls and advances
+/// is ordinary contention.
+inline Observation EpochStalls(const SampledMetrics& prev,
+                               const SampledMetrics& cur) {
+  return {static_cast<double>(
+              Delta(cur.epoch_advance_stalls, prev.epoch_advance_stalls)),
+          Delta(cur.epoch_advances, prev.epoch_advances) == 0 &&
+              cur.epoch_retired_unreclaimed > 0};
+}
 
-  // kSlowOpBurst: ring captures per window.
-  uint64_t slow_op_warn = 16;
-  uint64_t slow_op_critical = 64;
+/// The retired-but-unreclaimed backlog.
+inline Observation RetiredBacklog(const SampledMetrics&,
+                                  const SampledMetrics& cur) {
+  return {static_cast<double>(cur.epoch_retired_unreclaimed)};
+}
 
-  // kTierCacheMiss: windowed cold-tier miss ratio vs EWMA baseline (the
-  // kWalCommitWait shape applied to a rate instead of a latency). The
-  // floor keeps a cold cache's first touches from firing the rule.
-  double tier_miss_warn_factor = 4.0;
-  double tier_miss_critical_factor = 16.0;
-  double tier_miss_floor = 0.02;
-  uint64_t tier_min_window_lookups = 64;
-  double tier_baseline_alpha = 0.25;
-
-  static HealthOptions FromEnv() {
-    HealthOptions opt;
-    opt.sample_interval_ms =
-        std::max<uint64_t>(1, EnvOverrideU64("ALEX_OBS_SAMPLE_MS",
-                                             opt.sample_interval_ms));
-    return opt;
+/// The window's commit-wait p99, rebuilt from bucket deltas (>= 16
+/// commits). The cumulative max is the only max available; Quantile
+/// clamps against it, which can only under-report the windowed p99 —
+/// never inflate.
+inline Observation WalCommitP99(const SampledMetrics& prev,
+                                const SampledMetrics& cur) {
+  if (Delta(cur.wal_commit_count, prev.wal_commit_count) < 16) {
+    return {0.0, false};
   }
+  uint64_t bucket_delta[util::Log2Histogram::kNumBuckets];
+  for (int b = 0; b < util::Log2Histogram::kNumBuckets; ++b) {
+    bucket_delta[b] =
+        Delta(cur.wal_commit_buckets[b], prev.wal_commit_buckets[b]);
+  }
+  util::Log2Histogram window;
+  window.AddFolded(bucket_delta, util::Log2Histogram::kNumBuckets,
+                   Delta(cur.wal_commit_sum_ns, prev.wal_commit_sum_ns),
+                   cur.wal_commit_max_ns);
+  return {static_cast<double>(window.Quantile(0.99))};
+}
+
+/// Mean wait of contended write-gate acquisitions (>= 4 per window).
+inline Observation GateWaitMean(const SampledMetrics& prev,
+                                const SampledMetrics& cur) {
+  const uint64_t waits = Delta(cur.gate_wait_count, prev.gate_wait_count);
+  if (Delta(cur.gate_contended, prev.gate_contended) < 4 || waits == 0) {
+    return {0.0, false};
+  }
+  return {static_cast<double>(
+              Delta(cur.gate_wait_sum_ns, prev.gate_wait_sum_ns)) /
+          static_cast<double>(waits)};
+}
+
+/// The worse of size skew (the rebalancer's own gauge, largest/mean
+/// x100) and traffic skew: per-shard op deltas over >= 2 active shards
+/// and >= 256 ops, the overflow slot excluded (it mixes cross-shard ops
+/// from every shard).
+inline Observation ShardSkew(const SampledMetrics& prev,
+                             const SampledMetrics& cur) {
+  Observation size{static_cast<double>(cur.size_skew_x100)};
+  uint64_t window_ops = 0, max_ops = 0;
+  size_t active = 0;
+  for (size_t slot = 0; slot < MetricsRegistry::kMaxTrackedShards; ++slot) {
+    const uint64_t d = Delta(cur.shard_ops[slot], prev.shard_ops[slot]);
+    if (d > 0) {
+      ++active;
+      window_ops += d;
+      max_ops = std::max(max_ops, d);
+    }
+  }
+  if (active < 2 || window_ops < 256) return size;
+  const double mean =
+      static_cast<double>(window_ops) / static_cast<double>(active);
+  const int64_t traffic_x100 =
+      static_cast<int64_t>(100.0 * static_cast<double>(max_ops) / mean);
+  if (traffic_x100 <= cur.size_skew_x100) return size;
+  return {static_cast<double>(traffic_x100), true,
+          "op.shard_traffic_skew_x100"};
+}
+
+/// Slow ops the ring captured in the window.
+inline Observation SlowOpBurst(const SampledMetrics& prev,
+                               const SampledMetrics& cur) {
+  return {static_cast<double>(
+      Delta(cur.slow_ops_captured, prev.slow_ops_captured))};
+}
+
+/// The window's block-cache miss ratio (>= 64 lookups).
+inline Observation TierMissRatio(const SampledMetrics& prev,
+                                 const SampledMetrics& cur) {
+  const uint64_t misses =
+      Delta(cur.tier_cache_misses, prev.tier_cache_misses);
+  const uint64_t lookups =
+      Delta(cur.tier_cache_hits, prev.tier_cache_hits) + misses;
+  if (lookups < 64) return {0.0, false};
+  return {static_cast<double>(misses) / static_cast<double>(lookups)};
+}
+
+}  // namespace rules
+
+/// Every detector, in HealthDetector order. The WAL floor keeps noise in
+/// sub-100us commit waits from ever firing; the tier floor keeps a cold
+/// cache's first touches from firing.
+inline constexpr HealthRule kRules[kNumHealthDetectors] = {
+    {HealthDetector::kEpochStall, "epoch.advance_stalls", rules::EpochStalls,
+     4, 16, false, 0},
+    {HealthDetector::kRetiredGrowth, "epoch.retired_unreclaimed",
+     rules::RetiredBacklog, 4096, 65536, false, 0},
+    {HealthDetector::kWalCommitWait, "wal.commit_wait_ns",
+     rules::WalCommitP99, 4, 16, true, 100'000},
+    {HealthDetector::kWriteGateWait, "shard.write_gate_wait_ns",
+     rules::GateWaitMean, 1'000'000, 10'000'000, false, 0},
+    {HealthDetector::kShardSkew, "shard.size_skew_x100", rules::ShardSkew,
+     400, 1600, false, 0},
+    {HealthDetector::kSlowOpBurst, "slow_ops.captured", rules::SlowOpBurst,
+     16, 64, false, 0},
+    {HealthDetector::kTierCacheMiss, "tier.cache_misses",
+     rules::TierMissRatio, 4, 16, true, 0.02},
 };
 
 // ---------------------------------------------------------------------------
@@ -324,26 +334,28 @@ struct HealthOptions {
 
 class HealthMonitor {
  public:
+  static constexpr uint64_t kDefaultIntervalMs = 100;
+  using Ring = SeqRing<SampledMetrics, 64>;
+
   /// The process-wide monitor, deliberately leaked like the registry.
   static HealthMonitor& Global() {
-    static HealthMonitor* global = new HealthMonitor(HealthOptions::FromEnv());
+    static HealthMonitor* global = new HealthMonitor();
     return *global;
   }
 
-  explicit HealthMonitor(HealthOptions options = HealthOptions::FromEnv())
-      : options_(options),
-        interval_ms_(options.sample_interval_ms),
+  /// Samples every kDefaultIntervalMs unless ALEX_OBS_SAMPLE_MS overrides
+  /// it (clamped to at least 1).
+  HealthMonitor()
+      : interval_ms_(std::max<uint64_t>(
+            1, EnvOverrideU64("ALEX_OBS_SAMPLE_MS", kDefaultIntervalMs))),
         registry_(&MetricsRegistry::Global()) {
     // Resolve every watched metric once; registration is idempotent and
     // the pointers are valid forever, so Collect() never takes the
     // registry mutex.
-    epoch_retired_ = registry_->GetCounter("epoch.retired");
-    epoch_freed_ = registry_->GetCounter("epoch.freed");
     epoch_advances_ = registry_->GetCounter("epoch.advances");
     epoch_advance_stalls_ = registry_->GetCounter("epoch.advance_stalls");
     epoch_retired_unreclaimed_ =
         registry_->GetGauge("epoch.retired_unreclaimed");
-    epoch_global_ = registry_->GetGauge("epoch.global_epoch");
     wal_commit_wait_ = registry_->GetHistogram("wal.commit_wait_ns");
     gate_contended_ = registry_->GetCounter("shard.write_gate_contended");
     gate_wait_ = registry_->GetHistogram("shard.write_gate_wait_ns");
@@ -356,14 +368,6 @@ class HealthMonitor {
   ~HealthMonitor() { Stop(); }
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
-
-  const HealthOptions& options() const { return options_; }
-  void set_options(const HealthOptions& options) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    options_ = options;
-    interval_ms_.store(options.sample_interval_ms,
-                       std::memory_order_relaxed);
-  }
 
   /// Runtime cadence setter; the running sampler picks it up on its next
   /// tick.
@@ -379,13 +383,13 @@ class HealthMonitor {
   /// not sample and so do not count).
   uint64_t samples() const { return samples_.load(std::memory_order_relaxed); }
 
-  const SampleRing& ring() const { return ring_; }
+  const Ring& ring() const { return ring_; }
 
   /// Collects one snapshot from the live registry and evaluates it.
   void SampleNow() { EvaluateSample(Collect()); }
 
   /// Evaluates one sample against the previous one: pushes it into the
-  /// time-series ring, runs every detector over the deltas, publishes the
+  /// time-series ring, judges every rule over the deltas, publishes the
   /// merged report, and journals one kHealthTransition event per detector
   /// whose level changed. Public so tests can inject synthetic samples
   /// and drive each rule across its edges deterministically.
@@ -396,59 +400,39 @@ class HealthMonitor {
     HealthReport report;
     report.samples = samples_.load(std::memory_order_relaxed) + 1;
     report.ts_ns = sample.ts_ns;
-
     if (have_last_) {
-      const SampledMetrics& prev = last_;
       report.window_ns =
-          sample.ts_ns > prev.ts_ns ? sample.ts_ns - prev.ts_ns : 0;
-      const double window_s =
-          report.window_ns > 0 ? static_cast<double>(report.window_ns) / 1e9
-                               : 0.0;
-      const uint64_t d_ops = Delta(sample.total_ops, prev.total_ops);
-      const uint64_t d_commits =
-          Delta(sample.wal_commit_count, prev.wal_commit_count);
+          sample.ts_ns > last_.ts_ns ? sample.ts_ns - last_.ts_ns : 0;
+      const double window_s = static_cast<double>(report.window_ns) / 1e9;
       if (window_s > 0) {
-        report.ops_per_sec = static_cast<double>(d_ops) / window_s;
-        report.wal_commits_per_sec = static_cast<double>(d_commits) / window_s;
+        report.ops_per_sec =
+            static_cast<double>(rules::Delta(sample.total_ops,
+                                             last_.total_ops)) /
+            window_s;
+        report.wal_commits_per_sec =
+            static_cast<double>(rules::Delta(sample.wal_commit_count,
+                                             last_.wal_commit_count)) /
+            window_s;
       }
-      report.verdicts[0] = JudgeEpochStall(prev, sample);
-      report.verdicts[1] = JudgeRetiredGrowth(sample);
-      report.verdicts[2] = JudgeWalCommitWait(prev, sample);
-      report.verdicts[3] = JudgeWriteGateWait(prev, sample);
-      report.verdicts[4] = JudgeShardSkew(prev, sample);
-      report.verdicts[5] = JudgeSlowOpBurst(prev, sample);
-      report.verdicts[6] = JudgeTierCacheMiss(prev, sample);
-    } else {
-      // First sample: no window to judge; all detectors report Ok with
-      // their identities filled in.
-      for (size_t i = 0; i < kNumHealthDetectors; ++i) {
-        report.verdicts[i].detector = static_cast<HealthDetector>(i);
-      }
-      report.verdicts[0].metric = "epoch.advance_stalls";
-      report.verdicts[1].metric = "epoch.retired_unreclaimed";
-      report.verdicts[2].metric = "wal.commit_wait_ns";
-      report.verdicts[3].metric = "shard.write_gate_wait_ns";
-      report.verdicts[4].metric = "shard.size_skew_x100";
-      report.verdicts[5].metric = "slow_ops.captured";
-      report.verdicts[6].metric = "tier.cache_misses";
     }
 
-    for (const HealthVerdict& v : report.verdicts) {
-      report.level = std::max(report.level, v.level);
-    }
-
-    // Journal exactly one transition event per detector edge.
     for (size_t i = 0; i < kNumHealthDetectors; ++i) {
-      const HealthLevel prev_level = levels_[i];
-      const HealthLevel new_level = report.verdicts[i].level;
-      if (new_level != prev_level) {
+      HealthVerdict& v = report.verdicts[i];
+      if (have_last_) {
+        v = Judge(i, last_, sample);
+      } else {  // first sample: no window to judge, Ok with identities
+        v.detector = kRules[i].detector;
+        v.metric = kRules[i].metric;
+      }
+      report.level = std::max(report.level, v.level);
+      if (v.level != levels_[i]) {  // journal exactly one event per edge
         GlobalJournal().Append(
             EventType::kHealthTransition, kShardAll, /*wal_id=*/0, /*lsn=*/0,
             /*a=*/static_cast<int64_t>(i),
-            /*b=*/static_cast<int64_t>(prev_level) * 256 +
-                static_cast<int64_t>(new_level));
+            /*b=*/static_cast<int64_t>(levels_[i]) * 256 +
+                static_cast<int64_t>(v.level));
         transitions_->Increment();
-        levels_[i] = new_level;
+        levels_[i] = v.level;
       }
     }
 
@@ -506,8 +490,7 @@ class HealthMonitor {
     have_last_ = false;
     last_ = SampledMetrics{};
     samples_.store(0, std::memory_order_relaxed);
-    wal_baseline_p99_ns_ = 0.0;
-    tier_miss_baseline_ = 0.0;
+    baselines_.fill(0.0);
     levels_.fill(HealthLevel::kOk);
     std::lock_guard<std::mutex> rlock(report_mutex_);
     report_ = HealthReport{};
@@ -517,12 +500,9 @@ class HealthMonitor {
   SampledMetrics Collect() const {
     SampledMetrics s;
     s.ts_ns = TicksToNs(NowTicks());
-    s.epoch_retired = epoch_retired_->Load();
-    s.epoch_freed = epoch_freed_->Load();
     s.epoch_advances = epoch_advances_->Load();
     s.epoch_advance_stalls = epoch_advance_stalls_->Load();
     s.epoch_retired_unreclaimed = epoch_retired_unreclaimed_->Load();
-    s.epoch_global = epoch_global_->Load();
     const util::Log2Histogram wal = wal_commit_wait_->Snapshot();
     s.wal_commit_count = wal.Count();
     s.wal_commit_sum_ns = wal.Sum();
@@ -546,218 +526,34 @@ class HealthMonitor {
   }
 
  private:
-  static uint64_t Delta(uint64_t cur, uint64_t prev) {
-    return cur >= prev ? cur - prev : 0;  // tolerate test-only resets
-  }
-
-  static HealthVerdict Verdict(HealthDetector d, HealthLevel level,
-                               const char* metric, double observed,
-                               double threshold) {
+  /// Rule i's verdict on the window prev -> cur. A baselined rule's
+  /// baseline is seeded by its first judged window and learns only from
+  /// windows judged Ok, so a sustained regression keeps firing.
+  HealthVerdict Judge(size_t i, const SampledMetrics& prev,
+                      const SampledMetrics& cur) {
+    const HealthRule& rule = kRules[i];
+    const Observation o = rule.observe(prev, cur);
+    double& baseline = baselines_[i];
+    auto bar = [&](double x) {
+      return rule.baselined ? std::max(rule.floor, baseline * x) : x;
+    };
     HealthVerdict v;
-    v.detector = d;
-    v.level = level;
-    v.metric = metric;
-    v.observed = observed;
-    v.threshold = threshold;
+    v.detector = rule.detector;
+    v.metric = o.metric != nullptr ? o.metric : rule.metric;
+    v.observed = o.value;
+    if (o.judged && rule.baselined && baseline <= 0.0) {
+      baseline = o.value;  // nothing to regress from yet
+    } else if (o.judged) {
+      v.level = o.value >= bar(rule.critical) ? HealthLevel::kCritical
+                : o.value >= bar(rule.warn)   ? HealthLevel::kWarn
+                                              : HealthLevel::kOk;
+      if (rule.baselined && v.level == HealthLevel::kOk) {
+        baseline =
+            (1.0 - kBaselineAlpha) * baseline + kBaselineAlpha * o.value;
+      }
+    }
+    v.threshold = bar(rule.warn);
     return v;
-  }
-
-  HealthVerdict JudgeEpochStall(const SampledMetrics& prev,
-                                const SampledMetrics& cur) const {
-    const uint64_t stalls =
-        Delta(cur.epoch_advance_stalls, prev.epoch_advance_stalls);
-    const uint64_t advances = Delta(cur.epoch_advances, prev.epoch_advances);
-    HealthLevel level = HealthLevel::kOk;
-    // A stall only matters when nothing advanced and a backlog exists: a
-    // window with both stalls and advances is ordinary contention.
-    if (advances == 0 && cur.epoch_retired_unreclaimed > 0) {
-      if (stalls >= options_.epoch_stall_critical) {
-        level = HealthLevel::kCritical;
-      } else if (stalls >= options_.epoch_stall_warn) {
-        level = HealthLevel::kWarn;
-      }
-    }
-    return Verdict(HealthDetector::kEpochStall, level, "epoch.advance_stalls",
-                   static_cast<double>(stalls),
-                   static_cast<double>(options_.epoch_stall_warn));
-  }
-
-  HealthVerdict JudgeRetiredGrowth(const SampledMetrics& cur) const {
-    const int64_t backlog = cur.epoch_retired_unreclaimed;
-    HealthLevel level = HealthLevel::kOk;
-    if (backlog >= options_.retired_critical) {
-      level = HealthLevel::kCritical;
-    } else if (backlog >= options_.retired_warn) {
-      level = HealthLevel::kWarn;
-    }
-    return Verdict(HealthDetector::kRetiredGrowth, level,
-                   "epoch.retired_unreclaimed", static_cast<double>(backlog),
-                   static_cast<double>(options_.retired_warn));
-  }
-
-  HealthVerdict JudgeWalCommitWait(const SampledMetrics& prev,
-                                   const SampledMetrics& cur) {
-    const uint64_t commits =
-        Delta(cur.wal_commit_count, prev.wal_commit_count);
-    HealthLevel level = HealthLevel::kOk;
-    double p99 = 0.0;
-    double warn_at = std::max(
-        static_cast<double>(options_.wal_p99_floor_ns),
-        wal_baseline_p99_ns_ * options_.wal_p99_warn_factor);
-    if (commits >= options_.wal_min_window_commits) {
-      // Reconstruct the window's distribution from bucket deltas. The
-      // cumulative max is the only max available; Quantile clamps against
-      // it, which can only under-report the windowed p99 — never inflate.
-      uint64_t bucket_delta[util::Log2Histogram::kNumBuckets];
-      for (int b = 0; b < util::Log2Histogram::kNumBuckets; ++b) {
-        bucket_delta[b] =
-            Delta(cur.wal_commit_buckets[b], prev.wal_commit_buckets[b]);
-      }
-      util::Log2Histogram window;
-      window.AddFolded(bucket_delta, util::Log2Histogram::kNumBuckets,
-                       Delta(cur.wal_commit_sum_ns, prev.wal_commit_sum_ns),
-                       cur.wal_commit_max_ns);
-      p99 = static_cast<double>(window.Quantile(0.99));
-      if (wal_baseline_p99_ns_ <= 0.0) {
-        // First qualifying window seeds the baseline and is Ok by
-        // definition: there is nothing to regress from yet.
-        wal_baseline_p99_ns_ = p99;
-      } else {
-        const double crit_at = std::max(
-            static_cast<double>(options_.wal_p99_floor_ns),
-            wal_baseline_p99_ns_ * options_.wal_p99_critical_factor);
-        if (p99 >= crit_at) {
-          level = HealthLevel::kCritical;
-        } else if (p99 >= warn_at) {
-          level = HealthLevel::kWarn;
-        } else {
-          // Only healthy windows teach the baseline, so a sustained
-          // regression keeps firing instead of becoming the new normal.
-          wal_baseline_p99_ns_ =
-              (1.0 - options_.wal_baseline_alpha) * wal_baseline_p99_ns_ +
-              options_.wal_baseline_alpha * p99;
-        }
-      }
-      warn_at = std::max(static_cast<double>(options_.wal_p99_floor_ns),
-                         wal_baseline_p99_ns_ * options_.wal_p99_warn_factor);
-    }
-    return Verdict(HealthDetector::kWalCommitWait, level, "wal.commit_wait_ns",
-                   p99, warn_at);
-  }
-
-  HealthVerdict JudgeWriteGateWait(const SampledMetrics& prev,
-                                   const SampledMetrics& cur) const {
-    const uint64_t contended = Delta(cur.gate_contended, prev.gate_contended);
-    const uint64_t waits = Delta(cur.gate_wait_count, prev.gate_wait_count);
-    const uint64_t wait_ns =
-        Delta(cur.gate_wait_sum_ns, prev.gate_wait_sum_ns);
-    HealthLevel level = HealthLevel::kOk;
-    double mean_ns = 0.0;
-    if (contended >= options_.gate_min_contended && waits > 0) {
-      mean_ns = static_cast<double>(wait_ns) / static_cast<double>(waits);
-      if (mean_ns >= static_cast<double>(options_.gate_wait_critical_ns)) {
-        level = HealthLevel::kCritical;
-      } else if (mean_ns >= static_cast<double>(options_.gate_wait_warn_ns)) {
-        level = HealthLevel::kWarn;
-      }
-    }
-    return Verdict(HealthDetector::kWriteGateWait, level,
-                   "shard.write_gate_wait_ns", mean_ns,
-                   static_cast<double>(options_.gate_wait_warn_ns));
-  }
-
-  HealthVerdict JudgeShardSkew(const SampledMetrics& prev,
-                               const SampledMetrics& cur) const {
-    // Size skew: the rebalancer's own gauge (largest/mean x100).
-    int64_t worst_x100 = cur.size_skew_x100;
-    const char* metric = "shard.size_skew_x100";
-    // Traffic skew: per-shard op deltas over the window, overflow slot
-    // excluded (it mixes cross-shard ops from every shard).
-    uint64_t window_ops = 0, max_ops = 0;
-    size_t active = 0;
-    for (size_t slot = 0; slot < MetricsRegistry::kMaxTrackedShards; ++slot) {
-      const uint64_t d = Delta(cur.shard_ops[slot], prev.shard_ops[slot]);
-      if (d > 0) {
-        ++active;
-        window_ops += d;
-        max_ops = std::max(max_ops, d);
-      }
-    }
-    if (active >= 2 && window_ops >= options_.traffic_min_window_ops) {
-      const double mean =
-          static_cast<double>(window_ops) / static_cast<double>(active);
-      const int64_t traffic_x100 =
-          static_cast<int64_t>(100.0 * static_cast<double>(max_ops) / mean);
-      if (traffic_x100 > worst_x100) {
-        worst_x100 = traffic_x100;
-        metric = "op.shard_traffic_skew_x100";
-      }
-    }
-    HealthLevel level = HealthLevel::kOk;
-    if (worst_x100 >= options_.skew_critical_x100) {
-      level = HealthLevel::kCritical;
-    } else if (worst_x100 >= options_.skew_warn_x100) {
-      level = HealthLevel::kWarn;
-    }
-    return Verdict(HealthDetector::kShardSkew, level, metric,
-                   static_cast<double>(worst_x100),
-                   static_cast<double>(options_.skew_warn_x100));
-  }
-
-  HealthVerdict JudgeSlowOpBurst(const SampledMetrics& prev,
-                                 const SampledMetrics& cur) const {
-    const uint64_t burst =
-        Delta(cur.slow_ops_captured, prev.slow_ops_captured);
-    HealthLevel level = HealthLevel::kOk;
-    if (burst >= options_.slow_op_critical) {
-      level = HealthLevel::kCritical;
-    } else if (burst >= options_.slow_op_warn) {
-      level = HealthLevel::kWarn;
-    }
-    return Verdict(HealthDetector::kSlowOpBurst, level, "slow_ops.captured",
-                   static_cast<double>(burst),
-                   static_cast<double>(options_.slow_op_warn));
-  }
-
-  HealthVerdict JudgeTierCacheMiss(const SampledMetrics& prev,
-                                   const SampledMetrics& cur) {
-    const uint64_t hits = Delta(cur.tier_cache_hits, prev.tier_cache_hits);
-    const uint64_t misses =
-        Delta(cur.tier_cache_misses, prev.tier_cache_misses);
-    const uint64_t lookups = hits + misses;
-    HealthLevel level = HealthLevel::kOk;
-    double ratio = 0.0;
-    double warn_at =
-        std::max(options_.tier_miss_floor,
-                 tier_miss_baseline_ * options_.tier_miss_warn_factor);
-    if (lookups >= options_.tier_min_window_lookups) {
-      ratio = static_cast<double>(misses) / static_cast<double>(lookups);
-      if (tier_miss_baseline_ <= 0.0) {
-        // First qualifying window seeds the baseline and is Ok by
-        // definition, exactly like the WAL commit-wait rule.
-        tier_miss_baseline_ = ratio;
-      } else {
-        const double crit_at = std::max(
-            options_.tier_miss_floor,
-            tier_miss_baseline_ * options_.tier_miss_critical_factor);
-        if (ratio >= crit_at) {
-          level = HealthLevel::kCritical;
-        } else if (ratio >= warn_at) {
-          level = HealthLevel::kWarn;
-        } else {
-          // Only healthy windows teach the baseline: a working set that
-          // outgrew the cache keeps firing instead of normalizing.
-          tier_miss_baseline_ =
-              (1.0 - options_.tier_baseline_alpha) * tier_miss_baseline_ +
-              options_.tier_baseline_alpha * ratio;
-        }
-      }
-      warn_at =
-          std::max(options_.tier_miss_floor,
-                   tier_miss_baseline_ * options_.tier_miss_warn_factor);
-    }
-    return Verdict(HealthDetector::kTierCacheMiss, level,
-                   "tier.cache_misses", ratio, warn_at);
   }
 
   void SamplerLoop() {
@@ -777,17 +573,13 @@ class HealthMonitor {
     }
   }
 
-  HealthOptions options_;  // mutated only under mutex_
   std::atomic<uint64_t> interval_ms_;
   MetricsRegistry* const registry_;
 
   // Watched metrics, resolved once.
-  Counter* epoch_retired_ = nullptr;
-  Counter* epoch_freed_ = nullptr;
   Counter* epoch_advances_ = nullptr;
   Counter* epoch_advance_stalls_ = nullptr;
   Gauge* epoch_retired_unreclaimed_ = nullptr;
-  Gauge* epoch_global_ = nullptr;
   Histogram* wal_commit_wait_ = nullptr;
   Counter* gate_contended_ = nullptr;
   Histogram* gate_wait_ = nullptr;
@@ -798,11 +590,10 @@ class HealthMonitor {
 
   // Evaluation state, under mutex_.
   std::mutex mutex_;
-  SampleRing ring_;
+  Ring ring_;
   SampledMetrics last_{};
   bool have_last_ = false;
-  double wal_baseline_p99_ns_ = 0.0;
-  double tier_miss_baseline_ = 0.0;
+  std::array<double, kNumHealthDetectors> baselines_{};  // baselined rules
   std::array<HealthLevel, kNumHealthDetectors> levels_{};
   std::atomic<uint64_t> samples_{0};
 

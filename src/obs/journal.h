@@ -11,14 +11,11 @@
 // type-specific integer arguments instead of a message string (the schema
 // per type is documented on EventType).
 //
-// Storage is an append-only ring of kCapacity slots reusing the seqlock
-// idiom of SlowOpRing: writers claim a slot with one fetch_add and publish
-// through a per-slot sequence word (odd while writing, even when
-// published); Snapshot() skips slots it catches mid-write and drops
-// records a racing wrap overwrote — never a torn read. Events are rare
-// (they sit on structural seams, not the op hot path), so the optional
-// file sink — one JSON line per event, appended under a mutex — costs
-// nothing that matters.
+// Storage is a SeqRing of the newest kCapacity events (obs/seq_ring.h
+// states what a snapshot guarantees). Events are rare (they sit on
+// structural seams, not the op hot path), so the optional file sink — one
+// JSON line per event, appended under a mutex — costs nothing that
+// matters.
 //
 // Instrumentation sites go through ALEX_OBS_EVENT, which follows the
 // metrics macros' contract: one predicted branch when the runtime flag is
@@ -27,8 +24,6 @@
 // explicit request, so it needs no flag gate.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -37,6 +32,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/seq_ring.h"
 
 namespace alex::obs {
 
@@ -138,59 +134,29 @@ class EventJournal {
   EventJournal& operator=(const EventJournal&) = delete;
 
   /// Total events ever appended (the ring keeps the newest kCapacity).
-  uint64_t recorded() const { return next_.load(std::memory_order_relaxed); }
+  uint64_t recorded() const { return ring_.pushed(); }
 
   void Append(EventType type, uint32_t shard, uint64_t wal_id, uint64_t lsn,
               int64_t a, int64_t b) {
-    const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t ts_ns = TicksToNs(NowTicks());
-    Slot& s = slots_[ticket & (kCapacity - 1)];
-    s.seq.store(2 * ticket + 1, std::memory_order_release);
-    s.ts_ns.store(ts_ns, std::memory_order_relaxed);
-    s.type.store(static_cast<uint64_t>(type), std::memory_order_relaxed);
-    s.shard.store(shard, std::memory_order_relaxed);
-    s.wal_id.store(wal_id, std::memory_order_relaxed);
-    s.lsn.store(lsn, std::memory_order_relaxed);
-    s.a.store(a, std::memory_order_relaxed);
-    s.b.store(b, std::memory_order_relaxed);
-    s.seq.store(2 * ticket + 2, std::memory_order_release);
-    if (sink_armed_.load(std::memory_order_acquire)) {
-      JournalEvent e;
-      e.ticket = ticket;
-      e.ts_ns = ts_ns;
-      e.type = type;
-      e.shard = shard;
-      e.wal_id = wal_id;
-      e.lsn = lsn;
-      e.a = a;
-      e.b = b;
-      WriteSinkLine(e);
-    }
+    JournalEvent e;
+    e.ts_ns = TicksToNs(NowTicks());
+    e.type = type;
+    e.shard = shard;
+    e.wal_id = wal_id;
+    e.lsn = lsn;
+    e.a = a;
+    e.b = b;
+    e.ticket = ring_.Push(e);
+    if (sink_armed_.load(std::memory_order_acquire)) WriteSinkLine(e);
   }
 
   /// Stable records, oldest first.
   std::vector<JournalEvent> Snapshot() const {
     std::vector<JournalEvent> out;
-    out.reserve(kCapacity);
-    for (const Slot& s : slots_) {
-      const uint64_t seq = s.seq.load(std::memory_order_acquire);
-      if (seq == 0 || (seq & 1) != 0) continue;  // empty or being written
-      JournalEvent e;
-      e.ticket = seq / 2 - 1;
-      e.ts_ns = s.ts_ns.load(std::memory_order_relaxed);
-      e.type = static_cast<EventType>(s.type.load(std::memory_order_relaxed));
-      e.shard = static_cast<uint32_t>(s.shard.load(std::memory_order_relaxed));
-      e.wal_id = s.wal_id.load(std::memory_order_relaxed);
-      e.lsn = s.lsn.load(std::memory_order_relaxed);
-      e.a = s.a.load(std::memory_order_relaxed);
-      e.b = s.b.load(std::memory_order_relaxed);
-      if (s.seq.load(std::memory_order_acquire) != seq) continue;  // reused
-      out.push_back(e);
+    for (const auto& entry : ring_.Snapshot()) {
+      out.push_back(entry.record);
+      out.back().ticket = entry.ticket;
     }
-    std::sort(out.begin(), out.end(),
-              [](const JournalEvent& x, const JournalEvent& y) {
-                return x.ticket < y.ticket;
-              });
     return out;
   }
 
@@ -228,22 +194,9 @@ class EventJournal {
   }
 
   /// Test/bench-only; must not race Append().
-  void Reset() {
-    next_.store(0, std::memory_order_relaxed);
-    for (Slot& s : slots_) s.seq.store(0, std::memory_order_relaxed);
-  }
+  void Reset() { ring_.Reset(); }
 
  private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};
-    std::atomic<uint64_t> ts_ns{0};
-    std::atomic<uint64_t> type{0};
-    std::atomic<uint64_t> shard{0};
-    std::atomic<uint64_t> wal_id{0};
-    std::atomic<uint64_t> lsn{0};
-    std::atomic<int64_t> a{0};
-    std::atomic<int64_t> b{0};
-  };
 
   void WriteSinkLine(const JournalEvent& e) {
     const std::string line = EventToJson(e);
@@ -254,8 +207,7 @@ class EventJournal {
     std::fflush(sink_);  // events are rare; keep the tail crash-readable
   }
 
-  std::atomic<uint64_t> next_{0};
-  std::array<Slot, kCapacity> slots_{};
+  SeqRing<JournalEvent, kCapacity> ring_;
   std::atomic<bool> sink_armed_{false};
   std::mutex sink_mutex_;
   std::FILE* sink_ = nullptr;  // under sink_mutex_

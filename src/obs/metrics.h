@@ -35,13 +35,13 @@
 // records its latency into a per-(op, shard) histogram, and — when the
 // latency exceeds SlowOpRing::threshold_ns() — captures a structured trace
 // record (op, shard, duration, descent retries, leaf splits escalated, WAL
-// commit wait) into a fixed-size lock-free ring. The context fields are
-// accumulated by the inner layers through a thread-local OpContext that the
-// timer resets on construction, which keeps the layers decoupled: the core
-// index bumps "descent retry" without knowing whether a sharded op, a bench
-// loop, or nothing at all is watching. ScopedOpTimer is not reentrant (one
-// live timer per thread); public index operations do not nest, which is the
-// only place it is used.
+// commit wait) into the slow-op ring (a SeqRing, obs/seq_ring.h). The
+// context fields are accumulated by the inner layers through a
+// thread-local OpContext that the timer resets on construction, which
+// keeps the layers decoupled: the core index bumps "descent retry"
+// without knowing whether a sharded op, a bench loop, or nothing at all is
+// watching. ScopedOpTimer is not reentrant (one live timer per thread);
+// public index operations do not nest, which is the only place it is used.
 //
 // Thread-safety: everything here is safe to call concurrently. Reset
 // functions are test/bench-only and must not race writers.
@@ -63,6 +63,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/seq_ring.h"
 #include "util/histogram.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -381,14 +382,11 @@ struct SlowOpRecord {
   uint64_t wal_wait_ns = 0;
 };
 
-/// Fixed-size lock-free trace ring. Writers claim a slot with one
-/// fetch_add and publish through a per-slot sequence word (odd while
-/// writing, even when published); Snapshot() skips slots it catches
-/// mid-write. All record fields are atomics, so a racing overwrite can
-/// produce a *dropped* record but never a torn read.
+/// The slow-op trace: a capture threshold plus a SeqRing of the newest
+/// kCapacity records (obs/seq_ring.h states what a snapshot guarantees).
 class SlowOpRing {
  public:
-  static constexpr size_t kCapacity = 256;  // power of two
+  static constexpr size_t kCapacity = 256;
   static constexpr uint64_t kDefaultThresholdNs = 10'000'000;  // 10 ms
 
   /// The construction-time threshold: kDefaultThresholdNs unless the
@@ -406,73 +404,37 @@ class SlowOpRing {
 
   /// Total records ever captured (not the live count: the ring keeps the
   /// most recent kCapacity).
-  uint64_t captured() const { return next_.load(std::memory_order_relaxed); }
+  uint64_t captured() const { return ring_.pushed(); }
 
   void Push(OpType op, uint32_t shard, uint64_t duration_ns,
             const OpContext& ctx) {
-    const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-    Slot& s = slots_[ticket & (kCapacity - 1)];
-    s.seq.store(2 * ticket + 1, std::memory_order_release);
-    s.ts_ns.store(TicksToNs(NowTicks()), std::memory_order_relaxed);
-    s.op.store(static_cast<uint64_t>(op), std::memory_order_relaxed);
-    s.shard.store(shard, std::memory_order_relaxed);
-    s.duration_ns.store(duration_ns, std::memory_order_relaxed);
-    s.descent_retries.store(ctx.descent_retries, std::memory_order_relaxed);
-    s.leaf_splits.store(ctx.leaf_splits, std::memory_order_relaxed);
-    s.wal_wait_ns.store(ctx.wal_wait_ns, std::memory_order_relaxed);
-    s.seq.store(2 * ticket + 2, std::memory_order_release);
+    SlowOpRecord rec;
+    rec.ts_ns = TicksToNs(NowTicks());
+    rec.op = op;
+    rec.shard = shard;
+    rec.duration_ns = duration_ns;
+    rec.descent_retries = ctx.descent_retries;
+    rec.leaf_splits = ctx.leaf_splits;
+    rec.wal_wait_ns = ctx.wal_wait_ns;
+    ring_.Push(rec);
   }
 
   /// Stable records, oldest first.
   std::vector<SlowOpRecord> Snapshot() const {
     std::vector<SlowOpRecord> out;
-    out.reserve(kCapacity);
-    for (const Slot& s : slots_) {
-      const uint64_t seq = s.seq.load(std::memory_order_acquire);
-      if (seq == 0 || (seq & 1) != 0) continue;  // empty or being written
-      SlowOpRecord rec;
-      rec.ticket = seq / 2 - 1;
-      rec.ts_ns = s.ts_ns.load(std::memory_order_relaxed);
-      rec.op = static_cast<OpType>(s.op.load(std::memory_order_relaxed));
-      rec.shard =
-          static_cast<uint32_t>(s.shard.load(std::memory_order_relaxed));
-      rec.duration_ns = s.duration_ns.load(std::memory_order_relaxed);
-      rec.descent_retries = static_cast<uint32_t>(
-          s.descent_retries.load(std::memory_order_relaxed));
-      rec.leaf_splits =
-          static_cast<uint32_t>(s.leaf_splits.load(std::memory_order_relaxed));
-      rec.wal_wait_ns = s.wal_wait_ns.load(std::memory_order_relaxed);
-      if (s.seq.load(std::memory_order_acquire) != seq) continue;  // reused
-      out.push_back(rec);
+    for (const auto& e : ring_.Snapshot()) {
+      out.push_back(e.record);
+      out.back().ticket = e.ticket;
     }
-    std::sort(out.begin(), out.end(),
-              [](const SlowOpRecord& a, const SlowOpRecord& b) {
-                return a.ticket < b.ticket;
-              });
     return out;
   }
 
   /// Test/bench-only; must not race Push().
-  void Reset() {
-    next_.store(0, std::memory_order_relaxed);
-    for (Slot& s : slots_) s.seq.store(0, std::memory_order_relaxed);
-  }
+  void Reset() { ring_.Reset(); }
 
  private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};
-    std::atomic<uint64_t> ts_ns{0};
-    std::atomic<uint64_t> op{0};
-    std::atomic<uint64_t> shard{0};
-    std::atomic<uint64_t> duration_ns{0};
-    std::atomic<uint64_t> descent_retries{0};
-    std::atomic<uint64_t> leaf_splits{0};
-    std::atomic<uint64_t> wal_wait_ns{0};
-  };
-
-  std::atomic<uint64_t> next_{0};
   std::atomic<uint64_t> threshold_ns_{InitialThresholdNs()};
-  std::array<Slot, kCapacity> slots_{};
+  SeqRing<SlowOpRecord, kCapacity> ring_;
 };
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,21 @@
 // their bytes decode to. Recovery never shrinks a file that ends in
 // zeros: its writer may be alive.
 //
+// The same segment may also have lost a page *inside* its content: after
+// an OS crash or power loss, writeback may have persisted the dirty pages
+// of the mapping in any order, and a page that never reached the disk
+// reads as zeros. Under kAlways every page before the last acknowledged
+// record was synced, so such a page lies past it. In a log's last
+// segment, an all-zero page-aligned page (sysconf(_SC_PAGESIZE) bytes)
+// before the end of its content therefore ends it: the segment reads as
+// if its content ended where the zero run reaching that page begins (the
+// page before a lost one may itself have been persisted before its last
+// records reached it). Every tail rule above then applies unchanged, so
+// an intact record is never dropped; whatever follows is a torn tail
+// whose bytes are reported as dropped. A zero page in any other segment
+// or after a kSeal record, and nonzero garbage anywhere, stay
+// corruption. Such a file is never shrunk either.
+//
 // Replay is layered so the shard layer can reuse the validated pieces:
 // ReadWalLineages groups segments by wal id, chains each group by
 // (seq, start_lsn) so a rotation hole is detected, and returns one
@@ -79,13 +94,32 @@ struct WalSegmentInfo {
   /// preallocated remainder of a segment a writer may still have mapped.
   bool zero_tail = false;
   /// Last segment only: all-zero or shorter than a header (a crash before
-  /// the header was written); it holds nothing and is skipped.
+  /// the header was written), or its header page was lost; it yields no
+  /// records and is skipped.
   bool header_stub = false;
+  /// Last segment only: a lost (all-zero) page inside the content cut the
+  /// intact prefix short; never shrink such a file.
+  bool lost_page = false;
+  /// Torn tail or stub: content bytes past valid_bytes (up to the last
+  /// nonzero byte of a last segment) that were not read.
+  uint64_t dropped_bytes = 0;
   /// Parent wal ids from a kTopology record (merge/rebalance children
   /// list several); empty when the segment holds none — the header's
   /// parent_wal_id is then the whole lineage story.
   std::vector<uint64_t> topology_parents;
 };
+
+/// Offset of the first all-zero, page-aligned page that starts before
+/// `end`, or SIZE_MAX when there is none.
+inline size_t FirstZeroPage(const std::vector<uint8_t>& data, size_t end) {
+  const long page_size = ::sysconf(_SC_PAGESIZE);
+  const size_t page = page_size > 0 ? static_cast<size_t>(page_size) : 4096;
+  for (size_t p = 0; p < end && p + page <= data.size(); p += page) {
+    const uint8_t* b = data.data() + p;
+    if (b[0] == 0 && std::memcmp(b, b + 1, page - 1) == 0) return p;
+  }
+  return SIZE_MAX;
+}
 
 /// Reads and validates one segment. On kOk, `records` holds every intact
 /// record in order (the kSeal marker is reflected in info->sealed, not
@@ -98,7 +132,9 @@ struct WalSegmentInfo {
 /// and the file reads as if it ended where an all-zero remainder begins
 /// at a record boundary (info->zero_tail; never shrink such a file). A
 /// zero remainder after a kSeal record, or in any other segment, stays
-/// corruption with the status the zero bytes decode to.
+/// corruption with the status the zero bytes decode to. A lost page
+/// inside a last segment ends its intact prefix (info->lost_page; see the
+/// file comment).
 template <typename K, typename P>
 WalStatus ReadWalSegment(const std::string& path, WalSegmentInfo* info,
                          std::vector<WalRecord<K, P>>* records,
@@ -120,12 +156,24 @@ WalStatus ReadWalSegment(const std::string& path, WalSegmentInfo* info,
 
   // `end` is where the file's content ends for the tail rules below: one
   // past its last nonzero byte in a last segment, its size otherwise.
+  // With a lost page, `end` is where the zero run reaching it begins, and
+  // `content_end` stays one past the last nonzero byte.
   size_t end = data.size();
+  size_t content_end = end;
   if (last_of_log) {
     while (end > 0 && data[end - 1] == 0) --end;
     info->zero_tail = end < data.size();
-    if (end == 0 || data.size() < sizeof(WalSegmentHeader)) {
-      info->header_stub = true;  // a crash before the header reached it
+    content_end = end;
+    const size_t hole = FirstZeroPage(data, end);
+    if (hole != SIZE_MAX) {
+      info->lost_page = true;
+      end = hole;
+      while (end > 0 && data[end - 1] == 0) --end;
+    }
+    if (end == 0 || data.size() < sizeof(WalSegmentHeader) ||
+        (info->lost_page && end < sizeof(WalSegmentHeader))) {
+      info->header_stub = true;  // the header never reached the disk
+      info->dropped_bytes = content_end;
       return WalStatus::kOk;
     }
   }
@@ -166,6 +214,11 @@ WalStatus ReadWalSegment(const std::string& path, WalSegmentInfo* info,
   uint64_t expected_lsn = header.start_lsn;
   size_t at = sizeof(header);
   info->valid_bytes = at;
+  auto torn = [&] {
+    info->tail_truncated = true;
+    info->dropped_bytes = content_end - std::min(at, content_end);
+    return WalStatus::kOk;
+  };
   // Every record header holds a nonzero LSN, so once `at` reaches `end`
   // only the all-zero remainder is left: the segment ends there.
   while (at < end) {
@@ -173,39 +226,28 @@ WalStatus ReadWalSegment(const std::string& path, WalSegmentInfo* info,
     const bool in_tail_span =
         end - at <= (at == sizeof(header) ? kMaxFirstRecord : kMaxDataRecord);
     if (remaining < sizeof(WalRecordHeader)) {
-      info->tail_truncated = true;  // header itself is torn
-      return WalStatus::kOk;
+      return torn();  // header itself is torn
     }
     WalRecordHeader rec;
     std::memcpy(&rec, data.data() + at, sizeof(rec));
     const size_t legal_len = WalBodyLen<K, P>(rec.type);
     if (legal_len == SIZE_MAX) {
-      if (in_tail_span) {
-        info->tail_truncated = true;
-        return WalStatus::kOk;
-      }
-      return WalStatus::kBadRecordType;
+      return in_tail_span ? torn() : WalStatus::kBadRecordType;
     }
     const bool bad_len = legal_len == kWalVariableBody
                              ? !ValidTopologyBodyLen(rec.body_len)
                              : rec.body_len != legal_len;
     if (bad_len) {
-      if (in_tail_span) {
-        info->tail_truncated = true;
-        return WalStatus::kOk;
-      }
-      return WalStatus::kBadRecordLength;
+      return in_tail_span ? torn() : WalStatus::kBadRecordLength;
     }
     if (sizeof(rec) + rec.body_len > remaining) {
-      info->tail_truncated = true;  // body runs past EOF
-      return WalStatus::kOk;
+      return torn();  // body runs past EOF
     }
     const uint8_t* record = data.data() + at;
     const uint8_t* body = record + sizeof(rec);
     if (rec.checksum != WalRecordChecksum(record, rec.body_len)) {
       if (at + sizeof(rec) + rec.body_len >= end) {
-        info->tail_truncated = true;  // final record, torn mid-write
-        return WalStatus::kOk;
+        return torn();  // final record, torn mid-write
       }
       return WalStatus::kChecksumMismatch;
     }
@@ -240,7 +282,8 @@ WalStatus ReadWalSegment(const std::string& path, WalSegmentInfo* info,
     at += sizeof(rec) + rec.body_len;
     info->valid_bytes = at;
   }
-  return WalStatus::kOk;
+  // Whatever lay past a lost page is a torn tail.
+  return info->lost_page && !info->sealed ? torn() : WalStatus::kOk;
 }
 
 /// Per-shard (or per-lineage) replay accounting, so an operator can see
@@ -268,6 +311,9 @@ struct RecoveryReport {
   size_t records_replayed = 0;
   size_t records_skipped = 0;  ///< at or below their log's checkpoint LSN
   bool tail_truncated = false;
+  /// Bytes of torn tails and stubs left unread (see
+  /// WalSegmentInfo::dropped_bytes), summed over every log.
+  uint64_t tail_bytes_dropped = 0;
   uint64_t max_wal_id = 0;  ///< highest wal id seen on disk
   std::string detail;
   std::vector<ShardReplayStats> shards;
@@ -334,6 +380,7 @@ WalStatus ReadWalLineages(
         rep->detail = files[i].path;
         return rep->status = status;
       }
+      rep->tail_bytes_dropped += info.dropped_bytes;
       if (info.header_stub) {
         rep->tail_truncated = true;
         continue;
@@ -358,9 +405,10 @@ WalStatus ReadWalLineages(
         rep->tail_truncated = true;
         lineage.tail_truncated = true;
         // Best effort: a failure just means the next recovery
-        // re-tolerates the same tail. A file ending in zeros is never
-        // shrunk: a live writer may still have it mapped.
-        if (truncate_torn_tail && !info.zero_tail) {
+        // re-tolerates the same tail. A file ending in zeros or holding
+        // a lost page is never shrunk: a live writer may still have it
+        // mapped.
+        if (truncate_torn_tail && !info.zero_tail && !info.lost_page) {
           (void)::truncate(files[i].path.c_str(),
                            static_cast<off_t>(info.valid_bytes));
         }

@@ -1,5 +1,5 @@
-// Tests for the health watchdog (src/obs/health.h): the SampleRing
-// seqlock, env-var and runtime configuration, every detector driven
+// Tests for the health watchdog (src/obs/health.h): its sample ring,
+// env-var and runtime configuration, every detector driven
 // across its kOk -> kWarn -> kCritical -> kOk edges by synthetic sample
 // injection (with exactly one journal transition event per edge), the two
 // acceptance scenarios — a forced real epoch-reclamation stall and a
@@ -39,11 +39,9 @@ using obs::GlobalJournal;
 using obs::HealthDetector;
 using obs::HealthLevel;
 using obs::HealthMonitor;
-using obs::HealthOptions;
 using obs::HealthReport;
 using obs::JournalEvent;
 using obs::SampledMetrics;
-using obs::SampleRing;
 using Sharded = shard::ShardedAlex<int64_t, int64_t>;
 
 class HealthTest : public ::testing::Test {
@@ -54,7 +52,7 @@ class HealthTest : public ::testing::Test {
     obs::MetricsRegistry::Global().slow_ops().set_threshold_ns(
         obs::SlowOpRing::kDefaultThresholdNs);
     GlobalJournal().Reset();
-    monitor_ = std::make_unique<HealthMonitor>(HealthOptions{});
+    monitor_ = std::make_unique<HealthMonitor>();
     next_ts_ns_ = 1'000'000'000;
     cursor_ = SampledMetrics{};
   }
@@ -111,11 +109,11 @@ std::string TempPath(const char* name) {
 #endif
 
 // ---------------------------------------------------------------------------
-// SampleRing.
+// The sample ring.
 
 TEST_F(HealthTest, SampleRingRoundTripsAndKeepsNewestAcrossWrap) {
-  SampleRing ring;
-  constexpr uint64_t kPushes = SampleRing::kCapacity + 36;
+  HealthMonitor::Ring ring;
+  constexpr uint64_t kPushes = HealthMonitor::Ring::kCapacity + 36;
   for (uint64_t i = 0; i < kPushes; ++i) {
     SampledMetrics s;
     s.ts_ns = i + 1;
@@ -123,27 +121,28 @@ TEST_F(HealthTest, SampleRingRoundTripsAndKeepsNewestAcrossWrap) {
     ring.Push(s);
   }
   EXPECT_EQ(ring.pushed(), kPushes);
-  const std::vector<SampledMetrics> got = ring.Snapshot();
-  ASSERT_EQ(got.size(), SampleRing::kCapacity);
+  const std::vector<HealthMonitor::Ring::Entry> got = ring.Snapshot();
+  ASSERT_EQ(got.size(), HealthMonitor::Ring::kCapacity);
   for (size_t i = 0; i < got.size(); ++i) {
-    const uint64_t expected = kPushes - SampleRing::kCapacity + i;
-    EXPECT_EQ(got[i].ts_ns, expected + 1);
-    EXPECT_EQ(got[i].total_ops, expected * 10);
+    const uint64_t expected = kPushes - HealthMonitor::Ring::kCapacity + i;
+    EXPECT_EQ(got[i].ticket, expected);
+    EXPECT_EQ(got[i].record.ts_ns, expected + 1);
+    EXPECT_EQ(got[i].record.total_ops, expected * 10);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Configuration: env overrides and runtime setters.
 
-TEST_F(HealthTest, SampleIntervalEnvOverrideIsPickedUpByFreshOptions) {
+TEST_F(HealthTest, SampleIntervalEnvOverrideIsPickedUpByFreshMonitors) {
   ASSERT_EQ(::setenv("ALEX_OBS_SAMPLE_MS", "7", 1), 0);
-  EXPECT_EQ(HealthOptions::FromEnv().sample_interval_ms, 7u);
+  EXPECT_EQ(HealthMonitor().interval_ms(), 7u);
   ASSERT_EQ(::setenv("ALEX_OBS_SAMPLE_MS", "0", 1), 0);  // clamped to 1
-  EXPECT_EQ(HealthOptions::FromEnv().sample_interval_ms, 1u);
+  EXPECT_EQ(HealthMonitor().interval_ms(), 1u);
   ASSERT_EQ(::setenv("ALEX_OBS_SAMPLE_MS", "junk", 1), 0);  // ignored
-  EXPECT_EQ(HealthOptions::FromEnv().sample_interval_ms, 100u);
+  EXPECT_EQ(HealthMonitor().interval_ms(), 100u);
   ASSERT_EQ(::unsetenv("ALEX_OBS_SAMPLE_MS"), 0);
-  EXPECT_EQ(HealthOptions::FromEnv().sample_interval_ms, 100u);
+  EXPECT_EQ(HealthMonitor().interval_ms(), 100u);
 }
 
 TEST_F(HealthTest, IntervalIsRuntimeAdjustableAndClamped) {
@@ -151,9 +150,7 @@ TEST_F(HealthTest, IntervalIsRuntimeAdjustableAndClamped) {
   EXPECT_EQ(monitor_->interval_ms(), 5u);
   monitor_->SetIntervalMs(0);
   EXPECT_EQ(monitor_->interval_ms(), 1u);  // floor: the cv needs a period
-  HealthOptions options;
-  options.sample_interval_ms = 42;
-  monitor_->set_options(options);
+  monitor_->SetIntervalMs(42);
   EXPECT_EQ(monitor_->interval_ms(), 42u);
 }
 
@@ -349,7 +346,7 @@ TEST_F(HealthTest, TierCacheMissEdgesAgainstEwmaBaseline) {
 // through warn and critical and back to ok (plus the gated, below-minimum
 // windows of each rule), and the report JSON after every sample and the
 // journaled edges must match, byte for byte, what the rules produced when
-// each was its own hand-written function.
+// each was its own hand-written function rather than a row of kRules.
 TEST_F(HealthTest, GoldenReportsAndEdgesForAFixedSequence) {
   util::Log2Histogram wal;
   auto commits = [&](uint64_t value_ns, int count) {

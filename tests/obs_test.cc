@@ -1,13 +1,14 @@
 // Unit tests for the observability layer (src/obs/metrics.h): metric
-// primitives (striped counters, gauges, atomic histograms), the slow-op
-// trace ring, the registry with its JSON / Prometheus exports, and the
-// scoped timers.
+// primitives (striped counters, gauges, atomic histograms), the record
+// ring (src/obs/seq_ring.h) and the slow-op trace on it, the registry
+// with its JSON / Prometheus exports, and the scoped timers.
 //
 // The registry and the enable flag are process-global, so every test
 // starts from a known state (flag off, all metrics zero, default slow-op
 // threshold) via the fixture. The striped-counter concurrency test is the
 // suite's TSan target: writers hammer one counter from more threads than
-// stripes while readers fold snapshots.
+// stripes while readers fold snapshots; the SeqRing concurrency test is
+// another.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/seq_ring.h"
 
 namespace alex::obs {
 namespace {
@@ -149,6 +152,66 @@ TEST_F(ObsTest, SlowOpRingCapturesOrderedAndWraps) {
   ring.Reset();
   EXPECT_TRUE(ring.Snapshot().empty());
   EXPECT_EQ(ring.captured(), 0u);
+}
+
+// TSan target: four writers push self-checking records while a reader
+// snapshots in a loop. Fewer pushes than slots, so no slot is ever
+// claimed twice and every snapshot must hold only whole records, in
+// strictly increasing ticket order.
+TEST_F(ObsTest, SeqRingSnapshotsOnlyWholeRecordsUnderConcurrentPush) {
+  struct Rec {
+    uint64_t writer;
+    uint64_t seq;
+    uint64_t check;  // writer * 2^32 + seq, mixed
+    uint64_t inverse;  // ~check
+  };
+  constexpr size_t kWriters = 4;
+  constexpr uint64_t kPerWriter = 200;
+  using Ring = SeqRing<Rec, 1024>;
+  static_assert(kWriters * kPerWriter < Ring::kCapacity,
+                "no slot may be written twice");
+  auto mix = [](uint64_t writer, uint64_t seq) {
+    return ((writer << 32) | seq) * 0x9E3779B97F4A7C15ull;
+  };
+  auto whole = [&](const Rec& r) {
+    return r.check == mix(r.writer, r.seq) && r.inverse == ~r.check &&
+           r.writer < kWriters && r.seq < kPerWriter;
+  };
+  Ring ring;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> bad{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const std::vector<Ring::Entry> snap = ring.Snapshot();
+      for (size_t i = 0; i < snap.size(); ++i) {
+        if (!whole(snap[i].record)) bad.fetch_add(1);
+        if (i > 0 && snap[i].ticket <= snap[i - 1].ticket) bad.fetch_add(1);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&ring, &mix, w] {
+      for (uint64_t i = 0; i < kPerWriter; ++i) {
+        const uint64_t check = mix(w, i);
+        ring.Push(Rec{w, i, check, ~check});
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(ring.pushed(), kWriters * kPerWriter);
+  const std::vector<Ring::Entry> final_snap = ring.Snapshot();
+  ASSERT_EQ(final_snap.size(), kWriters * kPerWriter);
+  std::vector<uint64_t> next_seq(kWriters, 0);
+  for (size_t i = 0; i < final_snap.size(); ++i) {
+    EXPECT_EQ(final_snap[i].ticket, i);
+    const Rec& r = final_snap[i].record;
+    ASSERT_TRUE(whole(r));
+    EXPECT_EQ(r.seq, next_seq[r.writer]++);  // one writer's pushes in order
+  }
 }
 
 TEST_F(ObsTest, RegistryPointersAreStableAcrossResetAll) {

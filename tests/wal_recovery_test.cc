@@ -2,12 +2,14 @@
 // the kill-and-recover acceptance scenario, recovery edge cases (empty
 // log, replay idempotence, torn tail, mid-segment corruption, recovery
 // across a shard split), sync-policy coverage, and concurrent writers
-// against the logged write path (a TSan target), and recovery over logs
-// a live writer still has mapped.
+// against the logged write path (a TSan target), recovery over logs
+// a live writer still has mapped, and recovery over a live log that lost
+// a page in a crash.
 #include "shard/sharded_alex.h"
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +23,7 @@
 #include "shard/manifest.h"
 #include "test_files.h"
 #include "wal/log_reader.h"
+#include "wal/log_writer.h"
 #include "wal/wal_format.h"
 
 namespace alex::shard {
@@ -764,6 +767,223 @@ TEST(WalRecoveryTest, RecoveryReadsLogsALiveWriterStillMaps) {
     ExpectDenseContents(again, 2 * kPhase + 500);
     Cleanup(prefix);
   }
+}
+
+// ---- A page of the live log lost in a crash ----
+
+constexpr size_t kRecordBytes = sizeof(wal::WalRecordHeader) + 16;
+
+size_t PageSize() { return static_cast<size_t>(::sysconf(_SC_PAGESIZE)); }
+
+/// Keys the live log of LosePage's index holds: enough for four pages.
+int64_t LiveKeys() {
+  return std::max<int64_t>(2000,
+                           static_cast<int64_t>(4 * PageSize() / kRecordBytes));
+}
+
+/// Keys [0, n) whose records lie wholly before byte `hole` of a root
+/// log's first segment (one record per key, right after its header).
+int64_t KeysBefore(size_t hole) {
+  return static_cast<int64_t>((hole - sizeof(wal::WalSegmentHeader)) /
+                              kRecordBytes);
+}
+
+constexpr int64_t kCheckpointBase = 1'000'000, kCheckpointKeys = 500;
+
+/// A one-shard index checkpoints kCheckpointKeys keys, then logs
+/// LiveKeys() single inserts under `policy`. Bytes [lo, hi) of a copy of
+/// its live segment, taken while the writer runs, are zeroed, and the
+/// copy is written back after the index closes: the pages were lost in a
+/// crash. Returns the segment's path.
+std::string LosePage(const std::string& prefix, SyncPolicy policy,
+                     size_t lo, size_t hi) {
+  Cleanup(prefix);
+  std::string live;
+  std::vector<uint8_t> copy;
+  {
+    Sharded index(Opts(1));
+    std::vector<int64_t> keys, payloads;
+    for (int64_t k = 0; k < kCheckpointKeys; ++k) {
+      keys.push_back(kCheckpointBase + k);
+      payloads.push_back((kCheckpointBase + k) * 7);
+    }
+    index.BulkLoad(keys.data(), payloads.data(), keys.size());
+    EXPECT_EQ(index.EnableWal(prefix, Wal(policy)), WalStatus::kOk);
+    for (int64_t k = 0; k < LiveKeys(); ++k) {
+      EXPECT_TRUE(index.Insert(k, k * 7));
+    }
+    const std::vector<wal::WalSegmentFile> segments =
+        wal::ListWalSegments(prefix);
+    EXPECT_EQ(segments.size(), 1u);
+    live = segments[0].path;
+    copy = test::ReadAll(live);
+  }
+  EXPECT_GE(copy.size(), hi);
+  std::fill(copy.begin() + static_cast<long>(lo),
+            copy.begin() + static_cast<long>(hi), 0);
+  test::WriteAll(live, copy);
+  return live;
+}
+
+/// `index` holds the checkpoint and exactly keys [0, n) of the log.
+void ExpectCheckpointAndKeysBefore(Sharded& index, int64_t n) {
+  ASSERT_EQ(index.size(), static_cast<size_t>(kCheckpointKeys + n));
+  int64_t v = 0;
+  for (int64_t k = 0; k < kCheckpointKeys; ++k) {
+    ASSERT_TRUE(index.Get(kCheckpointBase + k, &v));
+    ASSERT_EQ(v, (kCheckpointBase + k) * 7);
+  }
+  for (int64_t k = 0; k < n; ++k) {
+    ASSERT_TRUE(index.Get(k, &v)) << "key " << k;
+    ASSERT_EQ(v, k * 7);
+  }
+  EXPECT_FALSE(index.Contains(n));
+  EXPECT_TRUE(index.CheckInvariants());
+}
+
+TEST(WalRecoveryTest, LostPageOfLiveLogIsATornTail) {
+  // The third page of the live log is lost; pages after it survived.
+  // Recovery keeps every record before the lost page and the checkpoint,
+  // reports the rest as a dropped torn tail, and never shrinks the file.
+  const size_t page = PageSize();
+  for (const SyncPolicy policy :
+       {SyncPolicy::kNone, SyncPolicy::kBatch, SyncPolicy::kAlways}) {
+    SCOPED_TRACE(wal::ToString(policy));
+    const std::string prefix =
+        TempPrefix("recover-lostpage") + "-" + wal::ToString(policy);
+    const std::string live = LosePage(prefix, policy, 2 * page, 3 * page);
+    const long size = FileSize(live);
+    const int64_t kept = KeysBefore(2 * page);
+    Sharded recovered(Opts(1));
+    wal::RecoveryReport report;
+    ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk)
+        << report.status;
+    EXPECT_TRUE(report.tail_truncated);
+    EXPECT_EQ(report.records_replayed, static_cast<size_t>(kept));
+    // Dropped: the records from the lost page's first overlapper to the
+    // last nonzero byte (the final payload may end in zero bytes).
+    const uint64_t lost_records = static_cast<uint64_t>(LiveKeys() - kept);
+    EXPECT_LE(report.tail_bytes_dropped, lost_records * kRecordBytes);
+    EXPECT_GT(report.tail_bytes_dropped, (lost_records - 1) * kRecordBytes);
+    ExpectCheckpointAndKeysBefore(recovered, kept);
+    EXPECT_EQ(FileSize(live), size);  // never shrunk
+    Cleanup(prefix);
+  }
+}
+
+TEST(WalRecoveryTest, LostPageAtTheFirstRecordKeepsTheCheckpoint) {
+  // The first page holds the segment header and the first records: the
+  // segment reads as a stub and recovery yields the checkpoint alone.
+  const std::string prefix = TempPrefix("recover-lostfirst");
+  LosePage(prefix, SyncPolicy::kBatch, 0, PageSize());
+  Sharded recovered(Opts(1));
+  wal::RecoveryReport report;
+  ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk)
+      << report.status;
+  EXPECT_TRUE(report.tail_truncated);
+  EXPECT_EQ(report.records_replayed, 0u);
+  EXPECT_GT(report.tail_bytes_dropped,
+            static_cast<uint64_t>(LiveKeys() - 1) * kRecordBytes);
+  ExpectCheckpointAndKeysBefore(recovered, 0);
+  Cleanup(prefix);
+}
+
+TEST(WalRecoveryTest, LostPageStartingMidRecord) {
+  const size_t page = PageSize();
+  const std::string prefix = TempPrefix("recover-lostmid");
+  // Page 1 starts inside a record: that record is torn with the page.
+  ASSERT_NE((page - sizeof(wal::WalSegmentHeader)) % kRecordBytes, 0u);
+  LosePage(prefix, SyncPolicy::kBatch, page, 2 * page);
+  {
+    Sharded recovered(Opts(1));
+    ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
+    ExpectCheckpointAndKeysBefore(recovered, KeysBefore(page));
+  }
+  // The page before the lost one was persisted before its last records
+  // reached it, so its tail is zero too: those records are torn as well.
+  const size_t stale = page - 3 * kRecordBytes / 2;
+  LosePage(prefix, SyncPolicy::kBatch, stale, 2 * page);
+  {
+    Sharded recovered(Opts(1));
+    ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
+    ExpectCheckpointAndKeysBefore(recovered, KeysBefore(stale));
+  }
+  Cleanup(prefix);
+}
+
+TEST(WalRecoveryTest, LostPageInANonLastOrSealedSegmentStillFails) {
+  // Only a log's unsealed last segment may have been mapped at the crash:
+  // a zero page in a rotated segment is corruption.
+  const std::string prefix = TempPrefix("recover-lostrotated");
+  Cleanup(prefix);
+  const size_t page = PageSize();
+  const int64_t n = LiveKeys();
+  {
+    wal::ShardLog<int64_t, int64_t> log(prefix, 1, 0, 1, 0,
+                                        Wal(SyncPolicy::kNone));
+    ASSERT_EQ(log.Open(), WalStatus::kOk);
+    for (int64_t k = 0; k < n; ++k) {
+      const int64_t v = k * 7;
+      ASSERT_EQ(log.Log(wal::WalRecordType::kInsert, k, &v), WalStatus::kOk);
+    }
+    ASSERT_EQ(log.Rotate(), WalStatus::kOk);
+    const int64_t v = -1;
+    ASSERT_EQ(log.Log(wal::WalRecordType::kInsert, n, &v), WalStatus::kOk);
+  }
+  const std::string first = wal::WalSegmentPath(prefix, 1, 1);
+  std::vector<uint8_t> bytes = test::ReadAll(first);
+  std::fill(bytes.begin() + static_cast<long>(2 * page),
+            bytes.begin() + static_cast<long>(3 * page), 0);
+  test::WriteAll(first, bytes);
+  std::map<int64_t, int64_t> state;
+  wal::RecoveryReport report;
+  EXPECT_EQ((wal::ReplayWal<int64_t, int64_t>(prefix, {}, &state, &report)),
+            WalStatus::kBadRecordType);
+  EXPECT_EQ(report.detail, first);
+  EXPECT_EQ(test::ReadAll(first), bytes);  // untouched
+  Cleanup(prefix);
+
+  // Nor may a sealed segment: a zero page past its seal (then a nonzero
+  // byte, so the page is inside the content) is corruption too.
+  {
+    wal::ShardLog<int64_t, int64_t> log(prefix, 2, 0, 1, 0,
+                                        Wal(SyncPolicy::kNone));
+    ASSERT_EQ(log.Open(), WalStatus::kOk);
+    const int64_t v = 7;
+    ASSERT_EQ(log.Log(wal::WalRecordType::kInsert, 1, &v), WalStatus::kOk);
+    ASSERT_EQ(log.Seal(), WalStatus::kOk);
+  }
+  const std::string sealed = wal::WalSegmentPath(prefix, 2, 1);
+  bytes = test::ReadAll(sealed);
+  bytes.resize((bytes.size() / page + 2) * page, 0);
+  bytes.push_back(0x5A);
+  test::WriteAll(sealed, bytes);
+  state.clear();
+  EXPECT_EQ((wal::ReplayWal<int64_t, int64_t>(prefix, {}, &state, &report)),
+            WalStatus::kBadRecordType);
+  EXPECT_EQ(report.detail, sealed);
+  Cleanup(prefix);
+}
+
+TEST(WalRecoveryTest, NonzeroGarbagePageInTheLiveLogStillFails) {
+  // Only a whole zero page is a lost page: a page of nonzero garbage in
+  // the same place keeps failing recovery with the status it decodes to.
+  const size_t page = PageSize();
+  const std::string prefix = TempPrefix("recover-garbagepage");
+  const std::string live =
+      LosePage(prefix, SyncPolicy::kBatch, 2 * page, 3 * page);
+  std::vector<uint8_t> bytes = test::ReadAll(live);
+  std::fill(bytes.begin() + static_cast<long>(2 * page),
+            bytes.begin() + static_cast<long>(3 * page), 0xA5);
+  test::WriteAll(live, bytes);
+  Sharded recovered(Opts(1));
+  wal::RecoveryReport report;
+  EXPECT_EQ(recovered.LoadFrom(prefix, &report),
+            SnapshotStatus::kWalReplayFailed);
+  EXPECT_EQ(report.status, WalStatus::kBadRecordType);
+  EXPECT_EQ(report.detail, live);
+  EXPECT_EQ(recovered.size(), 0u);
+  Cleanup(prefix);
 }
 
 }  // namespace
