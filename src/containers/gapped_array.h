@@ -28,21 +28,26 @@ class GappedArray : public GappedStorage<K, P> {
   GappedArray() = default;
 
   /// Discards contents and reallocates `capacity` empty slots.
-  void Reset(size_t capacity) { this->ResetStorage(capacity); }
+  void Reset(size_t capacity) {
+    BuildFromSortedUniform(nullptr, nullptr, 0, capacity);
+  }
 
   /// Bulk-builds from `n` sorted keys using model-based placement
   /// (Alg. 3). `capacity` must be >= n. The model should already be scaled
-  /// to predict positions in [0, capacity).
+  /// to predict positions in [0, capacity); lookups predict with it.
   void BuildFromSorted(const K* keys, const P* payloads, size_t n,
                        size_t capacity, const model::LinearModel& model) {
-    this->BuildSorted(keys, payloads, n, capacity,
+    this->BuildSorted(keys, payloads, n, capacity, &model,
                       ModelSlots(keys, model, capacity));
   }
 
-  /// Bulk-builds with evenly spaced keys (cold start: no model yet).
+  /// Bulk-builds with evenly spaced keys (cold start, or model-based
+  /// placement switched off). Lookups predict with `model` when given,
+  /// else from the midpoint.
   void BuildFromSortedUniform(const K* keys, const P* payloads, size_t n,
-                              size_t capacity) {
-    this->BuildSorted(keys, payloads, n, capacity,
+                              size_t capacity,
+                              const model::LinearModel* model = nullptr) {
+    this->BuildSorted(keys, payloads, n, capacity, model,
                       UniformSlots(0, capacity, n));
   }
 
@@ -56,10 +61,10 @@ class GappedArray : public GappedStorage<K, P> {
     const size_t cap = this->capacity();
     // First occupied slot with a key >= `key` ("CorrectInsertPosition").
     const size_t occ = this->LowerBoundSlot(key, predicted);
-    if (occ < cap && this->keys_[occ] == key) return false;  // duplicate
+    if (occ < cap && this->key_at(occ) == key) return false;  // duplicate
     // First occupied slot strictly left of the insertion boundary.
     const size_t prev_occ =
-        occ == 0 ? cap : this->bitmap_.PrevSet(occ - 1);
+        occ == 0 ? cap : this->bitmap().PrevSet(occ - 1);
     const size_t region_lo = prev_occ == cap ? 0 : prev_occ + 1;
     const size_t region_hi = occ;  // exclusive
     if (region_lo < region_hi) {
@@ -93,38 +98,27 @@ class GappedArray : public GappedStorage<K, P> {
   // after the last key) and places the new element.
   void MakeGapAndPlace(size_t occ, K key, const P& payload) {
     const size_t cap = this->capacity();
+    util::BitmapView bits = this->bitmap();
     const size_t anchor = occ == cap ? cap - 1 : occ;
-    const size_t gap_right =
-        occ == cap ? cap : this->bitmap_.NextClear(occ);
-    const size_t gap_left =
-        anchor == 0 ? cap : this->bitmap_.PrevClear(anchor - 1);
+    const size_t gap_right = occ == cap ? cap : bits.NextClear(occ);
+    const size_t gap_left = anchor == 0 ? cap : bits.PrevClear(anchor - 1);
     const size_t dist_right = gap_right == cap ? cap : gap_right - occ;
     const size_t dist_left = gap_left == cap ? cap : anchor - gap_left;
     assert(gap_right < cap || gap_left < cap);
     if (dist_right <= dist_left) {
       // Shift [occ, gap_right) one slot right; slot `occ` becomes free.
-      const size_t count = gap_right - occ;
-      for (size_t i = gap_right; i > occ; --i) {
-        this->keys_[i] = this->keys_[i - 1];
-        this->payloads_[i] = this->payloads_[i - 1];
-      }
-      this->bitmap_.Set(gap_right);
-      this->bitmap_.Clear(occ);
-      this->num_shifts_ += count;
+      this->ShiftRight(occ, gap_right);
+      bits.Set(gap_right);
+      bits.Clear(occ);
       this->PlaceInGap(occ, key, payload);
     } else {
       // Shift (gap_left, occ) one slot left; slot `occ - 1` becomes free.
       // The vacated gap_left slot receives the key formerly at
       // gap_left + 1, which equals its old gap-fill value, so fills stay
       // consistent.
-      const size_t count = (occ - 1) - gap_left;
-      for (size_t i = gap_left; i + 1 < occ; ++i) {
-        this->keys_[i] = this->keys_[i + 1];
-        this->payloads_[i] = this->payloads_[i + 1];
-      }
-      this->bitmap_.Set(gap_left);
-      this->bitmap_.Clear(occ - 1);
-      this->num_shifts_ += count;
+      this->ShiftLeft(gap_left + 1, occ);
+      bits.Set(gap_left);
+      bits.Clear(occ - 1);
       this->PlaceInGap(occ - 1, key, payload);
     }
   }

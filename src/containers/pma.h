@@ -58,29 +58,32 @@ class Pma : public GappedStorage<K, P> {
   /// two.
   void Reset(size_t min_capacity) {
     const size_t cap = RoundCapacity(min_capacity);
-    this->ResetStorage(cap);
+    this->BuildSorted(nullptr, nullptr, 0, cap, nullptr,
+                      UniformSlots(0, cap, 0));
     ConfigureSegments(cap);
   }
 
   /// Bulk-builds from sorted keys using *model-based* placement — the ALEX
   /// behaviour after every expansion (§3.3.2). Placement may transiently
   /// violate density bounds (fully-packed regions); later inserts repair
-  /// them through rebalances.
+  /// them through rebalances. Lookups predict with `model`.
   void BuildFromSorted(const K* keys, const P* payloads, size_t n,
                        size_t min_capacity,
                        const model::LinearModel& model) {
     const size_t cap = RoundCapacity(min_capacity < n ? n : min_capacity);
-    this->BuildSorted(keys, payloads, n, cap,
+    this->BuildSorted(keys, payloads, n, cap, &model,
                       ModelSlots(keys, model, cap));
     ConfigureSegments(cap);
   }
 
   /// Bulk-builds with uniformly spaced keys — classic PMA layout; used for
   /// cold starts and as the ablation baseline for model-based placement.
+  /// Lookups predict with `model` when given, else from the midpoint.
   void BuildFromSortedUniform(const K* keys, const P* payloads, size_t n,
-                              size_t min_capacity) {
+                              size_t min_capacity,
+                              const model::LinearModel* model = nullptr) {
     const size_t cap = RoundCapacity(min_capacity < n ? n : min_capacity);
-    this->BuildSorted(keys, payloads, n, cap, UniformSlots(0, cap, n));
+    this->BuildSorted(keys, payloads, n, cap, model, UniformSlots(0, cap, n));
     ConfigureSegments(cap);
   }
 
@@ -109,11 +112,11 @@ class Pma : public GappedStorage<K, P> {
     // recomputed after each one; bounded by tree height iterations.
     for (int attempt = 0; attempt < 64; ++attempt) {
       const size_t occ = this->LowerBoundSlot(key, predicted);
-      if (occ < cap && this->keys_[occ] == key) {
+      if (occ < cap && this->key_at(occ) == key) {
         return InsertStatus::kDuplicate;
       }
       const size_t prev_occ =
-          occ == 0 ? cap : this->bitmap_.PrevSet(occ - 1);
+          occ == 0 ? cap : this->bitmap().PrevSet(occ - 1);
       const size_t region_lo = prev_occ == cap ? 0 : prev_occ + 1;
       if (region_lo < occ) {
         // A gap exists at the insertion boundary; take the predicted slot
@@ -187,37 +190,29 @@ class Pma : public GappedStorage<K, P> {
     const size_t seg_lo = seg * segment_size_;
     const size_t seg_hi = seg_lo + segment_size_;
     const size_t cap = this->capacity();
+    util::BitmapView bits = this->bitmap();
     // Nearest free slot within the segment on each side of the boundary.
     const size_t anchor = occ == cap ? cap - 1 : occ;
-    size_t gap_right = this->bitmap_.NextClear(anchor);
+    size_t gap_right = bits.NextClear(anchor);
     if (gap_right >= seg_hi) gap_right = cap;
-    size_t gap_left =
-        anchor == seg_lo ? cap : this->bitmap_.PrevClear(anchor - 1);
+    size_t gap_left = anchor == seg_lo ? cap : bits.PrevClear(anchor - 1);
     if (gap_left != cap && gap_left < seg_lo) gap_left = cap;
     if (gap_right == cap && gap_left == cap) return false;
     const size_t dist_right = gap_right == cap ? cap : gap_right - anchor;
     const size_t dist_left = gap_left == cap ? cap : anchor - gap_left;
     if (occ != cap && dist_right <= dist_left) {
       // Shift [occ, gap_right) right one; insert at occ.
-      for (size_t i = gap_right; i > occ; --i) {
-        this->keys_[i] = this->keys_[i - 1];
-        this->payloads_[i] = this->payloads_[i - 1];
-      }
-      this->bitmap_.Set(gap_right);
-      this->bitmap_.Clear(occ);
-      this->num_shifts_ += gap_right - occ;
+      this->ShiftRight(occ, gap_right);
+      bits.Set(gap_right);
+      bits.Clear(occ);
       this->PlaceInGap(occ, key, payload);
       return true;
     }
     if (gap_left == cap) return false;
     // Shift (gap_left, occ) left one; insert at occ - 1.
-    for (size_t i = gap_left; i + 1 < occ; ++i) {
-      this->keys_[i] = this->keys_[i + 1];
-      this->payloads_[i] = this->payloads_[i + 1];
-    }
-    this->bitmap_.Set(gap_left);
-    this->bitmap_.Clear(occ - 1);
-    this->num_shifts_ += (occ - 1) - gap_left;
+    this->ShiftLeft(gap_left + 1, occ);
+    bits.Set(gap_left);
+    bits.Clear(occ - 1);
     this->PlaceInGap(occ - 1, key, payload);
     return true;
   }
@@ -234,7 +229,7 @@ class Pma : public GappedStorage<K, P> {
       const size_t lo = first_seg * segment_size_;
       const size_t hi = lo + window_segs * segment_size_;
       // + 1 for the incoming key.
-      const size_t count = this->bitmap_.PopCountRange(lo, hi) + 1;
+      const size_t count = this->bitmap().PopCountRange(lo, hi) + 1;
       const double density = static_cast<double>(count) /
                              static_cast<double>(hi - lo);
       if (density <= MaxDensityAtLevel(level)) {
@@ -255,7 +250,7 @@ class Pma : public GappedStorage<K, P> {
     const size_t seg = pos / segment_size_;
     const size_t seg_lo = seg * segment_size_;
     const size_t seg_count =
-        this->bitmap_.PopCountRange(seg_lo, seg_lo + segment_size_);
+        this->bitmap().PopCountRange(seg_lo, seg_lo + segment_size_);
     const double seg_density = static_cast<double>(seg_count) /
                                static_cast<double>(segment_size_);
     if (seg_density <= MaxDensityAtLevel(0)) return;
@@ -265,7 +260,7 @@ class Pma : public GappedStorage<K, P> {
       const size_t first_seg = (seg / window_segs) * window_segs;
       const size_t lo = first_seg * segment_size_;
       const size_t hi = lo + window_segs * segment_size_;
-      const size_t count = this->bitmap_.PopCountRange(lo, hi);
+      const size_t count = this->bitmap().PopCountRange(lo, hi);
       const double density =
           static_cast<double>(count) / static_cast<double>(hi - lo);
       if (density <= MaxDensityAtLevel(level)) {
@@ -280,25 +275,28 @@ class Pma : public GappedStorage<K, P> {
   }
 
   // Uniformly redistributes the occupied elements within [lo, hi) in one
-  // windowed placement pass. Gaps left of the window still hold its first
-  // key, which does not move; gaps after its last key take the first key
-  // at or after `hi`, or the window's last key when none exists.
+  // windowed placement pass over the published block. Gaps left of the
+  // window still hold its first key, which does not move; gaps after its
+  // last key take the first key at or after `hi`, or the window's last key
+  // when none exists.
   void RedistributeUniform(size_t lo, size_t hi) {
+    util::BitmapView bits = this->bitmap();
     std::vector<K> keys;
     std::vector<P> payloads;
-    this->bitmap_.ForEachSet(lo, hi, [&](size_t i) {
-      keys.push_back(this->keys_[i]);
-      payloads.push_back(this->payloads_[i]);
+    bits.ForEachSet(lo, hi, [&](size_t i) {
+      keys.push_back(this->key_at(i));
+      payloads.push_back(this->payload_at(i));
       return true;
     });
     const size_t n = keys.size();
     if (n == 0) return;
-    for (size_t i = lo; i < hi; ++i) this->bitmap_.Clear(i);
-    const size_t right = this->bitmap_.NextSet(hi);
-    const K tail_fill = right < this->capacity() ? this->keys_[right]
-                                                 : keys.back();
-    this->PlaceSorted(lo, hi, keys.data(), payloads.data(), n,
-                      UniformSlots(lo, hi - lo, n), tail_fill);
+    for (size_t i = lo; i < hi; ++i) bits.Clear(i);
+    const size_t right = bits.NextSet(hi);
+    const K tail_fill =
+        right < this->capacity() ? this->key_at(right) : keys.back();
+    this->template PlaceSorted</*kPublished=*/true>(
+        this->blk(), lo, hi, keys.data(), payloads.data(), n,
+        UniformSlots(lo, hi - lo, n), tail_fill);
     this->num_shifts_ += n;
   }
 

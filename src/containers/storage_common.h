@@ -17,22 +17,77 @@
 // The layouts differ only in their *insert* policy (shift toward the
 // nearest gap vs. PMA density-bound rebalancing), which lives in the
 // derived classes.
+//
+// One block per leaf. All of a leaf's storage is one allocation, a
+// LeafBlock: a header holding the leaf's model and capacity, then the
+// occupancy bitmap words, the keys and the payloads. A build (bulk load,
+// expansion, contraction) fills a new block with plain stores and
+// publishes it with one release store of the block pointer, so whoever
+// loads the pointer sees one consistent (model, capacity, arrays) tuple.
+// The header never changes after that. In-place mutations (inserts and
+// their shifts, erases, payload updates, PMA rebalances, TakeSorted)
+// store into the published block's slots with atomic release stores,
+// because an optimistic probe (core/concurrent_alex.h) may be loading the
+// same slots: FindSlotIn<true> is that probe's search, all acquire loads.
+// A replaced block goes to the storage's reclaimer (an epoch manager)
+// when one is set, so no probe that still holds it reads freed memory;
+// without one (single-threaded Alex) it is freed at once.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "models/linear_model.h"
 #include "util/aggregate.h"
 #include "util/bitmap.h"
+#include "util/epoch.h"
 #include "util/prefetch.h"
 #include "util/search.h"
 
 namespace alex::container {
+
+/// True when a T slot can be loaded and stored as one lock-free atomic
+/// access. ConcurrentAlex requires it of its keys and payloads; a
+/// single-threaded Alex may store any copyable payload.
+template <typename T>
+inline constexpr bool kAtomicSlot =
+    std::is_trivially_copyable_v<T> &&
+    (sizeof(T) == 1 || sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8);
+
+/// Stores into a slot of a published block: a release store, so a probe
+/// that loads the new value also sees the version bracket its writer
+/// opened first. A payload type that is not kAtomicSlot never has
+/// concurrent readers and is stored plainly.
+template <typename T>
+inline void StoreSlot(T* slot, const T& value) {
+  if constexpr (kAtomicSlot<T>) {
+    __atomic_store(slot, const_cast<T*>(&value), __ATOMIC_RELEASE);
+  } else {
+    *slot = value;
+  }
+}
+
+/// Loads a slot: an acquire load for an optimistic probe (kSync), which
+/// may race a writer's StoreSlot; a plain load for everyone who excludes
+/// writers.
+template <bool kSync, typename T>
+inline T LoadSlot(const T* slot) {
+  if constexpr (kSync) {
+    static_assert(kAtomicSlot<T>, "optimistic probes need atomic slots");
+    T value;
+    __atomic_load(slot, &value, __ATOMIC_ACQUIRE);
+    return value;
+  } else {
+    return *slot;
+  }
+}
 
 /// Placement slot of sorted key i when `n` keys spread evenly over `span`
 /// slots from `lo`: lo + floor(i * span / n). Used when no model is
@@ -55,15 +110,128 @@ auto ModelSlots(const K* keys, const model::LinearModel& model,
   };
 }
 
-/// Base class holding the gapped, bitmap-tracked key/payload arrays and all
-/// layout-independent operations. `K` must be an arithmetic key type; `P`
-/// is an arbitrary copyable payload.
+/// One leaf's storage in one allocation: this header, then the bitmap
+/// words, the keys and the payloads of `capacity` slots.
+template <typename K, typename P>
+class LeafBlock {
+ public:
+  /// A block of `capacity` slots with every bitmap bit clear. Key and
+  /// payload slots are left unwritten: a build writes every key slot, and
+  /// a gap's payload is never read. Debug builds fill them with a poison
+  /// pattern instead, so a build that skips a key slot shows up in the
+  /// layout tests. `model` (null: none) predicts slots scaled to
+  /// `capacity`.
+  static LeafBlock* Create(size_t capacity, const model::LinearModel* model) {
+    void* raw = ::operator new(AllocBytes(capacity), std::align_val_t{kAlign});
+    auto* block = new (raw) LeafBlock();
+    block->capacity_ = capacity;
+    block->has_model_ = model != nullptr;
+    if (model != nullptr) block->model_ = *model;
+    std::memset(block->words(), 0,
+                util::BitmapView::WordsFor(capacity) * sizeof(uint64_t));
+#ifndef NDEBUG
+    std::memset(static_cast<void*>(block->keys()), 0xA5,
+                capacity * sizeof(K));
+#endif
+    if constexpr (!std::is_trivially_default_constructible_v<P>) {
+      for (size_t i = 0; i < capacity; ++i) new (block->payloads() + i) P();
+    } else {
+#ifndef NDEBUG
+      std::memset(static_cast<void*>(block->payloads()), 0xA5,
+                  capacity * sizeof(P));
+#endif
+    }
+    return block;
+  }
+
+  /// Frees a block from Create (type-erased, so it can be an epoch
+  /// manager's deleter).
+  static void Destroy(void* raw) {
+    auto* block = static_cast<LeafBlock*>(raw);
+    if constexpr (!std::is_trivially_destructible_v<P>) {
+      for (size_t i = 0; i < block->capacity_; ++i) block->payloads()[i].~P();
+    }
+    block->~LeafBlock();
+    ::operator delete(raw, std::align_val_t{kAlign});
+  }
+
+  /// The shared zero-capacity block of a storage that was never built.
+  /// Never freed; its slot accessors point past it and are never read.
+  static LeafBlock* Empty() {
+    static LeafBlock empty;
+    return &empty;
+  }
+
+  size_t capacity() const { return capacity_; }
+  bool has_model() const { return has_model_; }
+  const model::LinearModel& model() const { return model_; }
+
+  /// Predicted slot for `key`: the model's prediction, or the midpoint
+  /// while the leaf has no model (§3.3.3: binary search until warm).
+  size_t PredictSlot(K key) const {
+    return has_model_ ? model_.Predict(static_cast<double>(key), capacity_)
+                      : capacity_ / 2;
+  }
+
+  uint64_t* words() const {
+    return reinterpret_cast<uint64_t*>(At(WordsOffset()));
+  }
+  K* keys() const { return reinterpret_cast<K*>(At(KeysOffset(capacity_))); }
+  P* payloads() const {
+    return reinterpret_cast<P*>(At(PayloadsOffset(capacity_)));
+  }
+  util::BitmapView bitmap() const { return {words(), capacity_}; }
+
+ private:
+  LeafBlock() = default;
+
+  static constexpr size_t RoundUp(size_t n, size_t a) {
+    return (n + a - 1) / a * a;
+  }
+  static constexpr size_t kAlign =
+      alignof(P) > util::kCacheLineBytes ? alignof(P) : util::kCacheLineBytes;
+  static constexpr size_t WordsOffset() {
+    return RoundUp(sizeof(LeafBlock), alignof(uint64_t));
+  }
+  static constexpr size_t KeysOffset(size_t capacity) {
+    return RoundUp(WordsOffset() + util::BitmapView::WordsFor(capacity) * 8,
+                   alignof(K));
+  }
+  static constexpr size_t PayloadsOffset(size_t capacity) {
+    return RoundUp(KeysOffset(capacity) + capacity * sizeof(K), alignof(P));
+  }
+  static constexpr size_t AllocBytes(size_t capacity) {
+    return PayloadsOffset(capacity) + capacity * sizeof(P);
+  }
+  char* At(size_t offset) const {
+    return const_cast<char*>(reinterpret_cast<const char*>(this)) + offset;
+  }
+
+  model::LinearModel model_;
+  size_t capacity_ = 0;
+  bool has_model_ = false;
+};
+
+/// Base class holding one leaf's block and all layout-independent
+/// operations. `K` must be an arithmetic key type; `P` is an arbitrary
+/// copyable payload.
 template <typename K, typename P>
 class GappedStorage {
  public:
-  GappedStorage() = default;
+  using Block = LeafBlock<K, P>;
 
-  size_t capacity() const { return keys_.size(); }
+  GappedStorage() = default;
+  // The owner is being destroyed, so no probe can still reach the block.
+  ~GappedStorage() { Free(blk()); }
+  GappedStorage(const GappedStorage&) = delete;
+  GappedStorage& operator=(const GappedStorage&) = delete;
+
+  /// Where replaced blocks go: an epoch manager that frees each once no
+  /// reader pinned before its replacement remains, or null to free at
+  /// once (no concurrent readers).
+  void set_reclaimer(util::EpochManager* reclaimer) { reclaimer_ = reclaimer; }
+
+  size_t capacity() const { return blk()->capacity(); }
   size_t num_keys() const { return num_keys_; }
   bool empty() const { return num_keys_ == 0; }
 
@@ -75,117 +243,141 @@ class GappedStorage {
                      static_cast<double>(capacity());
   }
 
+  /// The current block, for a caller that holds the owner's latch or is
+  /// its only thread.
+  const Block* block() const { return blk(); }
+
+  /// The current block for a probe that holds no latch: the acquire load
+  /// pairs with the release store that published it.
+  const Block* block_acquire() const {
+    return block_.load(std::memory_order_acquire);
+  }
+
   /// True when slot `i` holds a real key (not a gap-fill copy).
-  bool IsOccupied(size_t i) const { return bitmap_.Get(i); }
+  bool IsOccupied(size_t i) const { return bitmap().Get(i); }
 
-  const K& key_at(size_t i) const { return keys_[i]; }
-  const P& payload_at(size_t i) const { return payloads_[i]; }
-  P& mutable_payload_at(size_t i) { return payloads_[i]; }
+  const K& key_at(size_t i) const { return blk()->keys()[i]; }
+  const P& payload_at(size_t i) const { return blk()->payloads()[i]; }
+  void SetPayload(size_t i, const P& payload) {
+    StoreSlot(blk()->payloads() + i, payload);
+  }
 
-  const util::Bitmap& bitmap() const { return bitmap_; }
+  util::BitmapView bitmap() const { return blk()->bitmap(); }
 
   /// First occupied slot, or capacity() when empty.
-  size_t FirstOccupied() const { return bitmap_.NextSet(0); }
+  size_t FirstOccupied() const { return bitmap().NextSet(0); }
 
   /// Next occupied slot strictly after `i`, or capacity().
-  size_t NextOccupied(size_t i) const { return bitmap_.NextSet(i + 1); }
+  size_t NextOccupied(size_t i) const { return bitmap().NextSet(i + 1); }
 
   /// Total element moves performed by inserts/rebalances since
   /// construction (Figure 8's "shifts per insert" numerator).
   uint64_t num_shifts() const { return num_shifts_; }
 
   /// Heap bytes of the key/payload arrays plus the bitmap — the node's
-  /// contribution to ALEX "data size" (paper §5.1).
+  /// contribution to ALEX "data size" (paper §5.1). The block header is
+  /// the node's model and metadata, which its index size counts.
   size_t DataSizeBytes() const {
-    return keys_.size() * sizeof(K) + payloads_.size() * sizeof(P) +
-           bitmap_.SizeBytes();
+    return capacity() * (sizeof(K) + sizeof(P)) + bitmap().SizeBytes();
   }
+
+  /// Predicted slot for `key` under the current block's model.
+  size_t PredictSlot(K key) const { return blk()->PredictSlot(key); }
 
   /// Smallest occupied slot whose key is >= `key`, searching outward from
   /// `predicted` (exponential search, paper §3.2). Returns capacity() when
   /// every key is < `key`.
   size_t LowerBoundSlot(K key, size_t predicted) const {
+    const Block* b = blk();
     const size_t pos = util::ExponentialSearchLowerBound(
-        keys_.data(), keys_.size(), key, predicted);
-    return bitmap_.NextSet(pos);
+        b->keys(), b->capacity(), key, predicted);
+    return b->bitmap().NextSet(pos);
   }
 
   /// Smallest occupied slot whose key is > `key`.
   size_t UpperBoundSlot(K key, size_t predicted) const {
+    const Block* b = blk();
     const size_t pos = util::ExponentialSearchUpperBound(
-        keys_.data(), keys_.size(), key, predicted);
-    return bitmap_.NextSet(pos);
+        b->keys(), b->capacity(), key, predicted);
+    return b->bitmap().NextSet(pos);
   }
 
   /// Slot of `key` if present, else capacity().
+  size_t FindSlot(K key, size_t predicted) const {
+    return FindSlotIn<false>(blk(), key, predicted);
+  }
+
+  /// Slot of `key` in `block`, or its capacity when absent.
   ///
   /// The direct-hit fast path is the payoff of model-based insertion
   /// (§3.2): when the key sits exactly where the model predicted — the
   /// common case after bulk load (Fig. 7b) — the lookup is O(1) with no
-  /// search at all.
-  size_t FindSlot(K key, size_t predicted) const {
-    if (predicted < capacity() && keys_[predicted] == key &&
-        bitmap_.Get(predicted)) {
+  /// search at all. With kSync every key and bitmap word is read through
+  /// an acquire load, so an optimistic probe may run this against a
+  /// writer; its answer then stands only if the leaf's version did not
+  /// change meanwhile (core::DataNode::TryFind). Every index it reads is
+  /// bounded by the block's own capacity, so a torn read costs a wrong
+  /// answer that validation discards, never an out-of-bounds access.
+  template <bool kSync>
+  static size_t FindSlotIn(const Block* block, K key, size_t predicted) {
+    const size_t cap = block->capacity();
+    const K* keys = block->keys();
+    const util::BitmapView bits = block->bitmap();
+    if (predicted < cap && LoadSlot<kSync>(keys + predicted) == key &&
+        bits.template Get<kSync>(predicted)) {
       return predicted;
     }
-    const size_t slot = LowerBoundSlot(key, predicted);
-    if (slot < capacity() && keys_[slot] == key) return slot;
-    return capacity();
+    const size_t pos = util::ExponentialSearchLowerBoundBy(
+        [keys](size_t i) { return LoadSlot<kSync>(keys + i); }, cap, key,
+        predicted);
+    const size_t slot = bits.template NextSet<kSync>(pos);
+    if (slot < cap && LoadSlot<kSync>(keys + slot) == key) return slot;
+    return cap;
   }
 
-  /// Capacity as last published by ResetStorage; readable without the
-  /// owner's latch (see PrefetchSlot).
-  size_t ProbeCapacity() const {
-    return probe_capacity_.load(std::memory_order_relaxed);
-  }
-
-  /// Software-prefetches the lines a probe at slot `predicted` reads: the
-  /// key, the occupancy-bitmap word and the payload (FindSlot's direct-hit
-  /// check reads all three). MultiGet issues these for every key of a
-  /// group before any of them latches its leaf, so this reads
-  /// only the relaxed mirrors ResetStorage publishes, never the arrays
-  /// themselves: a mirror that a concurrent rebuild made stale costs a
-  /// wasted prefetch, not a wrong answer or a data race.
-  void PrefetchSlot(size_t predicted) const {
-    if (predicted >= ProbeCapacity()) return;
-    util::PrefetchRead(probe_keys_.load(std::memory_order_relaxed),
-                       predicted * sizeof(K));
-    util::PrefetchRead(probe_bitmap_.load(std::memory_order_relaxed),
-                       (predicted >> 6) * sizeof(uint64_t));
-    util::PrefetchRead(probe_payloads_.load(std::memory_order_relaxed),
-                       predicted * sizeof(P));
+  /// Software-prefetches the lines a probe of `key` in `block` reads: the
+  /// predicted slot's key, its bitmap word and its payload.
+  static void PrefetchProbe(const Block* block, K key) {
+    if (block->capacity() == 0) return;
+    const size_t predicted = block->PredictSlot(key);
+    util::PrefetchRead(block->keys(), predicted * sizeof(K));
+    util::PrefetchRead(block->words(), (predicted >> 6) * sizeof(uint64_t));
+    util::PrefetchRead(block->payloads(), predicted * sizeof(P));
   }
 
   /// Removes the key at occupied slot `slot`, restoring the gap-fill
   /// invariant for the slot and any gap run ending at it.
   void EraseAt(size_t slot) {
-    assert(bitmap_.Get(slot));
-    bitmap_.Clear(slot);
+    const size_t cap = capacity();
+    K* const keys = blk()->keys();
+    util::BitmapView bits = bitmap();
+    assert(bits.Get(slot));
+    bits.Clear(slot);
     --num_keys_;
     K fill;
-    const size_t right = bitmap_.NextSet(slot + 1);
-    if (right < capacity()) {
-      fill = keys_[right];
+    const size_t right = bits.NextSet(slot + 1);
+    if (right < cap) {
+      fill = keys[right];
     } else {
       // Erased the last occupied key. Trailing gaps beyond `slot` keep
       // their remnant values — each is >= the erased key >= the new fill,
       // so the array stays non-decreasing without an O(capacity) rewrite.
-      const size_t left = slot == 0 ? capacity() : bitmap_.PrevSet(slot - 1);
-      if (left < capacity()) {
-        fill = keys_[left];
+      const size_t left = slot == 0 ? cap : bits.PrevSet(slot - 1);
+      if (left < cap) {
+        fill = keys[left];
       } else {
         // Node is now empty: K{} has no ordering relation to the
         // remnants, so reset them all (once per node drain).
         fill = K{};
-        for (size_t i = slot + 1; i < capacity(); ++i) keys_[i] = fill;
+        for (size_t i = slot + 1; i < cap; ++i) StoreSlot(keys + i, fill);
       }
     }
     // The cleared slot and the contiguous gap run to its left all pointed
     // at the erased key; repoint them at the new closest-right key.
     size_t i = slot;
     while (true) {
-      keys_[i] = fill;
-      if (i == 0 || bitmap_.Get(i - 1)) break;
+      StoreSlot(keys + i, fill);
+      if (i == 0 || bits.Get(i - 1)) break;
       --i;
     }
   }
@@ -197,9 +389,10 @@ class GappedStorage {
   size_t ScanFrom(size_t slot, size_t max_results,
                   std::vector<std::pair<K, P>>* out) const {
     if (max_results == 0) return 0;
+    const Block* b = blk();
     size_t got = 0;
-    bitmap_.ForEachSet(slot, capacity(), [&](size_t i) {
-      out->emplace_back(keys_[i], payloads_[i]);
+    b->bitmap().ForEachSet(slot, b->capacity(), [&](size_t i) {
+      out->emplace_back(b->keys()[i], b->payloads()[i]);
       return ++got < max_results;
     });
     return got;
@@ -210,9 +403,12 @@ class GappedStorage {
   /// number of slots visited. The scan engine's per-leaf streaming path.
   template <typename Visitor>
   size_t VisitSlots(size_t slot_lo, size_t slot_hi, Visitor&& visit) const {
+    const Block* b = blk();
+    const K* keys = b->keys();
+    const P* payloads = b->payloads();
     size_t got = 0;
-    bitmap_.ForEachSet(slot_lo, slot_hi, [&](size_t i) {
-      visit(keys_[i], payloads_[i]);
+    b->bitmap().ForEachSet(slot_lo, slot_hi, [&](size_t i) {
+      visit(keys[i], payloads[i]);
       ++got;
       return true;
     });
@@ -221,7 +417,7 @@ class GappedStorage {
 
   /// Number of occupied slots in [slot_lo, slot_hi).
   size_t CountSlots(size_t slot_lo, size_t slot_hi) const {
-    return bitmap_.PopCountRange(slot_lo, slot_hi);
+    return bitmap().PopCountRange(slot_lo, slot_hi);
   }
 
   /// Fused count/sum/min/max of the *keys* in occupied slots
@@ -229,14 +425,17 @@ class GappedStorage {
   /// so gap-fill copies never contribute. Occupied keys ascend, so min and
   /// max are the first and last of them and the fold is count and sum.
   util::AggState<K> AggregateKeySlots(size_t slot_lo, size_t slot_hi) const {
+    const Block* b = blk();
+    const K* keys = b->keys();
+    const util::BitmapView bits = b->bitmap();
     util::AggState<K> out;
-    if (slot_hi > capacity()) slot_hi = capacity();
-    const size_t first = bitmap_.NextSet(slot_lo);
+    if (slot_hi > b->capacity()) slot_hi = b->capacity();
+    const size_t first = bits.NextSet(slot_lo);
     if (first >= slot_hi) return out;
-    out.min = keys_[first];
-    out.max = keys_[bitmap_.PrevSet(slot_hi - 1)];
-    bitmap_.ForEachSet(first, slot_hi, [&](size_t i) {
-      out.sum += static_cast<util::AggSumT<K>>(keys_[i]);
+    out.min = keys[first];
+    out.max = keys[bits.PrevSet(slot_hi - 1)];
+    bits.ForEachSet(first, slot_hi, [&](size_t i) {
+      out.sum += static_cast<util::AggSumT<K>>(keys[i]);
       ++out.count;
       return true;
     });
@@ -247,7 +446,8 @@ class GappedStorage {
   /// [slot_lo, slot_hi). Only instantiated for arithmetic payload types.
   util::AggState<P> AggregatePayloadSlots(size_t slot_lo,
                                           size_t slot_hi) const {
-    return util::MaskedAggregate(payloads_.data(), bitmap_, slot_lo, slot_hi);
+    return util::MaskedAggregate(blk()->payloads(), bitmap(), slot_lo,
+                                 slot_hi);
   }
 
   /// Number of occupied slots in [slot_lo, slot_hi) whose payload lies in
@@ -255,28 +455,36 @@ class GappedStorage {
   /// arithmetic payload types.
   uint64_t CountPayloadSlotsBetween(size_t slot_lo, size_t slot_hi,
                                     P payload_lo, P payload_hi) const {
-    return util::MaskedCountBetween(payloads_.data(), bitmap_, slot_lo,
+    return util::MaskedCountBetween(blk()->payloads(), bitmap(), slot_lo,
                                     slot_hi, payload_lo, payload_hi);
   }
 
-  /// Hands the arrays to `keys`/`payloads` with the pairs packed to their
-  /// front in key order, so they hold exactly the num_keys() pairs, and
-  /// returns that count. The storage is left with no slots: its owner
-  /// rebuilds it from the pairs (expansion, contraction) or retires it
-  /// (split).
-  size_t TakeSorted(std::vector<K>* keys, std::vector<P>* payloads) {
+  /// The pairs of a storage, packed in key order (TakeSorted).
+  struct SortedRun {
+    const K* keys;
+    const P* payloads;
+    size_t n;
+  };
+
+  /// Packs the pairs to the front of the block's own arrays in key order
+  /// and returns them; the storage counts no keys or shifts afterwards.
+  /// The block stays in place and keeps the run: the owner rebuilds from
+  /// it (expansion, contraction — the rebuild then retires the block) or
+  /// is itself retired with it (a split's victim).
+  SortedRun TakeSorted() {
+    Block* b = blk();
+    K* const keys = b->keys();
+    P* const payloads = b->payloads();
     size_t n = 0;
-    bitmap_.ForEachSet(0, capacity(), [&](size_t i) {
-      keys_[n] = keys_[i];
-      payloads_[n++] = payloads_[i];
+    b->bitmap().ForEachSet(0, b->capacity(), [&](size_t i) {
+      StoreSlot(keys + n, keys[i]);
+      StoreSlot(payloads + n, payloads[i]);
+      ++n;
       return true;
     });
-    keys_.resize(n);
-    payloads_.resize(n);
-    keys->swap(keys_);
-    payloads->swap(payloads_);
-    ResetStorage(0);
-    return n;
+    num_keys_ = 0;
+    num_shifts_ = 0;
+    return {keys, payloads, n};
   }
 
   /// Copies all (key, payload) pairs in slot order into `keys`/`payloads`.
@@ -285,9 +493,10 @@ class GappedStorage {
     payloads->clear();
     keys->reserve(num_keys_);
     payloads->reserve(num_keys_);
-    bitmap_.ForEachSet(0, capacity(), [&](size_t i) {
-      keys->push_back(keys_[i]);
-      payloads->push_back(payloads_[i]);
+    const Block* b = blk();
+    b->bitmap().ForEachSet(0, b->capacity(), [&](size_t i) {
+      keys->push_back(b->keys()[i]);
+      payloads->push_back(b->payloads()[i]);
       return true;
     });
   }
@@ -295,27 +504,29 @@ class GappedStorage {
   /// Verifies internal invariants (occupied keys strictly increasing, gap
   /// fills correct, bitmap count matches num_keys). Test hook; O(capacity).
   bool CheckInvariants() const {
-    if (bitmap_.size() != capacity()) return false;
-    if (bitmap_.PopCount() != num_keys_) return false;
+    const size_t cap = capacity();
+    const K* keys = blk()->keys();
+    const util::BitmapView bits = bitmap();
+    if (bits.PopCount() != num_keys_) return false;
     bool have_prev = false;
     K prev{};
-    for (size_t i = 0; i < capacity(); ++i) {
-      if (bitmap_.Get(i)) {
-        if (have_prev && !(prev < keys_[i])) return false;
-        prev = keys_[i];
+    for (size_t i = 0; i < cap; ++i) {
+      if (bits.Get(i)) {
+        if (have_prev && !(prev < keys[i])) return false;
+        prev = keys[i];
         have_prev = true;
       }
     }
     // Gap-fill: array must be non-decreasing and each gap must equal the
     // next occupied key (or the last key for trailing gaps).
-    for (size_t i = 0; i + 1 < capacity(); ++i) {
-      if (keys_[i + 1] < keys_[i]) return false;
+    for (size_t i = 0; i + 1 < cap; ++i) {
+      if (keys[i + 1] < keys[i]) return false;
     }
-    for (size_t i = 0; i < capacity(); ++i) {
-      if (!bitmap_.Get(i) && num_keys_ > 0) {
-        const size_t right = bitmap_.NextSet(i);
-        if (right < capacity()) {
-          if (!(keys_[i] == keys_[right])) return false;
+    for (size_t i = 0; i < cap; ++i) {
+      if (!bits.Get(i) && num_keys_ > 0) {
+        const size_t right = bits.NextSet(i);
+        if (right < cap) {
+          if (!(keys[i] == keys[right])) return false;
         }
       }
     }
@@ -323,58 +534,72 @@ class GappedStorage {
     // occupied key: exact copies after a (re)build, possibly larger
     // remnants after erasing a maximum (EraseAt skips rewriting them).
     if (num_keys_ > 0) {
-      const size_t last = bitmap_.PrevSet(capacity() - 1);
-      for (size_t i = last + 1; i < capacity(); ++i) {
-        if (keys_[i] < keys_[last]) return false;
+      const size_t last = bits.PrevSet(cap - 1);
+      for (size_t i = last + 1; i < cap; ++i) {
+        if (keys[i] < keys[last]) return false;
       }
     }
     return true;
   }
 
  protected:
-  /// Reallocates to `capacity` empty slots. Resets the shift counter: it
-  /// counts moves since the last (re)build, and owners accumulate it
-  /// across rebuilds.
-  void ResetStorage(size_t capacity) {
-    keys_.assign(capacity, K{});
-    payloads_.assign(capacity, P{});
-    bitmap_ = util::Bitmap(capacity);
-    num_keys_ = 0;
-    num_shifts_ = 0;
-    probe_keys_.store(keys_.data(), std::memory_order_relaxed);
-    probe_payloads_.store(payloads_.data(), std::memory_order_relaxed);
-    probe_bitmap_.store(bitmap_.words(), std::memory_order_relaxed);
-    probe_capacity_.store(capacity, std::memory_order_relaxed);
-  }
+  Block* blk() const { return block_.load(std::memory_order_relaxed); }
 
-  /// Reallocates to `capacity` slots and fills them with `n` sorted pairs
-  /// placed at `slot_of` (ModelSlots or UniformSlots).
+  /// Builds a new block of `capacity` slots holding `n` sorted pairs
+  /// placed at `slot_of` (ModelSlots or UniformSlots) and recording
+  /// `model` (null: none), publishes it, and retires the old block — only
+  /// then, since the pairs may live in it (TakeSorted). Resets the shift
+  /// counter: it counts moves since the last (re)build, and owners
+  /// accumulate it across rebuilds.
   template <typename SlotOf>
   void BuildSorted(const K* keys, const P* payloads, size_t n,
-                   size_t capacity, const SlotOf& slot_of) {
-    ResetStorage(capacity);
-    PlaceSorted(0, capacity, keys, payloads, n, slot_of,
-                n == 0 ? K{} : keys[n - 1]);
+                   size_t capacity, const model::LinearModel* model,
+                   const SlotOf& slot_of) {
+    Block* fresh = Block::Create(capacity, model);
+    PlaceSorted</*kPublished=*/false>(fresh, 0, capacity, keys, payloads, n,
+                                      slot_of, n == 0 ? K{} : keys[n - 1]);
+    Block* old = blk();
+    block_.store(fresh, std::memory_order_release);
     num_keys_ = n;
+    num_shifts_ = 0;
+    if (old == Block::Empty()) return;
+    if (reclaimer_ == nullptr) {
+      Free(old);
+      return;
+    }
+    reclaimer_->RetireRaw(old, &Block::Destroy);
+    reclaimer_->MaybeReclaim();
   }
 
-  /// Places `n` sorted pairs into the slots [lo, hi), all of them gaps, in
-  /// one forward pass (paper Alg. 3, ModelBasedInsert). Pair i takes
-  /// slot_of(i), or the first slot right of pair i - 1 when the model puts
-  /// it there or further left, clamped to hi - (n - i) so the pairs after
-  /// it still fit. The gaps a pair skips take its key; the gaps after the
-  /// last pair take `tail_fill`. Leaves num_keys_ to the caller.
-  template <typename SlotOf>
-  void PlaceSorted(size_t lo, size_t hi, const K* keys, const P* payloads,
-                   size_t n, const SlotOf& slot_of, K tail_fill) {
+  /// Places `n` sorted pairs into the slots [lo, hi) of `block`, all of
+  /// them gaps, in one forward pass (paper Alg. 3, ModelBasedInsert). Pair
+  /// i takes slot_of(i), or the first slot right of pair i - 1 when the
+  /// model puts it there or further left, clamped to hi - (n - i) so the
+  /// pairs after it still fit. The gaps a pair skips take its key; the
+  /// gaps after the last pair take `tail_fill`. Leaves num_keys_ to the
+  /// caller. kPublished: the block may have concurrent probes, so slots
+  /// take StoreSlot; a block still being built takes plain stores.
+  template <bool kPublished, typename SlotOf>
+  static void PlaceSorted(Block* block, size_t lo, size_t hi, const K* keys,
+                          const P* payloads, size_t n, const SlotOf& slot_of,
+                          K tail_fill) {
     assert(n <= hi - lo);
+    auto put = [](auto* slot, const auto& value) {
+      if constexpr (kPublished) {
+        StoreSlot(slot, value);
+      } else {
+        *slot = value;
+      }
+    };
     // Slots are written in ascending order, so a slot written past `pos`
     // is rewritten by a later pair or by the tail fill. That lets the fill
     // of [next, pos] store a fixed block first: skip lengths vary from key
     // to key, and a loop bounded by `pos` alone mispredicts its exit on
     // most keys.
     constexpr size_t kFillBlock = 8;
-    K* const slots = keys_.data();
+    K* const slots = block->keys();
+    P* const slot_payloads = block->payloads();
+    util::BitmapView bits = block->bitmap();
     size_t next = lo;  // first slot pair i may take
     for (size_t i = 0; i < n; ++i) {
       size_t pos = slot_of(i);
@@ -383,49 +608,80 @@ class GappedStorage {
       const K key = keys[i];
       size_t s = next;
       if (next + kFillBlock <= hi) {
-        for (size_t b = 0; b < kFillBlock; ++b) slots[next + b] = key;
+        for (size_t b = 0; b < kFillBlock; ++b) put(slots + next + b, key);
         s = next + kFillBlock;
       }
-      for (; s <= pos; ++s) slots[s] = key;
-      payloads_[pos] = payloads[i];
-      bitmap_.Set(pos);
+      for (; s <= pos; ++s) put(slots + s, key);
+      put(slot_payloads + pos, payloads[i]);
+      bits.Set(pos);
       next = pos + 1;
     }
-    for (; next < hi; ++next) slots[next] = tail_fill;
+    for (; next < hi; ++next) put(slots + next, tail_fill);
   }
 
   /// Writes `key` into free slot `pos` and repairs gap fills in the gap run
   /// to its left (those gaps' closest-right key is now `key`).
   void PlaceInGap(size_t pos, K key, const P& payload) {
-    assert(!bitmap_.Get(pos));
-    keys_[pos] = key;
-    payloads_[pos] = payload;
-    bitmap_.Set(pos);
+    Block* b = blk();
+    const size_t cap = b->capacity();
+    K* const keys = b->keys();
+    util::BitmapView bits = b->bitmap();
+    assert(!bits.Get(pos));
+    StoreSlot(keys + pos, key);
+    StoreSlot(b->payloads() + pos, payload);
+    bits.Set(pos);
     ++num_keys_;
     size_t i = pos;
-    while (i > 0 && !bitmap_.Get(i - 1)) {
+    while (i > 0 && !bits.Get(i - 1)) {
       --i;
-      keys_[i] = key;
+      StoreSlot(keys + i, key);
     }
     // Trailing-gap repair: if `pos` is now the last occupied slot, gaps to
     // its right must hold it.
-    if (bitmap_.NextSet(pos + 1) == capacity()) {
-      for (size_t j = pos + 1; j < capacity(); ++j) keys_[j] = key;
+    if (bits.NextSet(pos + 1) == cap) {
+      for (size_t j = pos + 1; j < cap; ++j) StoreSlot(keys + j, key);
     }
   }
 
-  // Relaxed mirrors of the array bases and the capacity for PrefetchSlot.
-  // ResetStorage is the only place the arrays are reallocated, so it is
-  // the only writer.
-  std::atomic<const K*> probe_keys_{nullptr};
-  std::atomic<const P*> probe_payloads_{nullptr};
-  std::atomic<const uint64_t*> probe_bitmap_{nullptr};
-  std::atomic<size_t> probe_capacity_{0};
-  std::vector<K> keys_;
-  std::vector<P> payloads_;
-  util::Bitmap bitmap_;
+  /// Moves the pairs of slots [lo, hi) one slot right, into [lo + 1, hi]
+  /// (an insert's shift; the bitmap is the caller's to update).
+  void ShiftRight(size_t lo, size_t hi) {
+    Block* b = blk();
+    K* const keys = b->keys();
+    P* const payloads = b->payloads();
+    for (size_t i = hi; i > lo; --i) {
+      StoreSlot(keys + i, keys[i - 1]);
+      StoreSlot(payloads + i, payloads[i - 1]);
+    }
+    num_shifts_ += hi - lo;
+  }
+
+  /// Moves the pairs of slots [lo, hi) one slot left, into [lo - 1, hi - 1].
+  void ShiftLeft(size_t lo, size_t hi) {
+    Block* b = blk();
+    K* const keys = b->keys();
+    P* const payloads = b->payloads();
+    for (size_t i = lo; i < hi; ++i) {
+      StoreSlot(keys + i - 1, keys[i]);
+      StoreSlot(payloads + i - 1, payloads[i]);
+    }
+    num_shifts_ += hi - lo;
+  }
+
+ private:
+  // Declared first so the block pointer shares a line with what precedes
+  // the storage in its owner (core::DataNode puts its version word there).
+  std::atomic<Block*> block_{Block::Empty()};
+  util::EpochManager* reclaimer_ = nullptr;
+
+ protected:
   size_t num_keys_ = 0;
   uint64_t num_shifts_ = 0;
+
+ private:
+  static void Free(Block* block) {
+    if (block != Block::Empty()) Block::Destroy(block);
+  }
 };
 
 }  // namespace alex::container

@@ -161,6 +161,7 @@ class Alex {
   Alex(Alex&& other) noexcept
       : config_(std::move(other.config_)),
         stats_(std::move(other.stats_)),
+        block_reclaimer_(other.block_reclaimer_),
         root_(other.root()),
         num_keys_(other.num_keys_.load(std::memory_order_relaxed)) {
     other.SetRoot(nullptr);
@@ -172,6 +173,7 @@ class Alex {
       DeleteSubtree(root());
       config_ = std::move(other.config_);
       stats_ = std::move(other.stats_);
+      block_reclaimer_ = other.block_reclaimer_;
       SetRoot(other.root());
       num_keys_.store(other.num_keys_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
@@ -395,10 +397,21 @@ class Alex {
   }
 
  private:
+  /// The concurrent wrapper's index: leaves retire replaced storage
+  /// blocks through `block_reclaimer`.
+  Alex(const Config& config, util::EpochManager* block_reclaimer)
+      : config_(std::make_unique<Config>(config)),
+        stats_(std::make_unique<Stats>()),
+        block_reclaimer_(block_reclaimer) {
+    SetRoot(NewLeaf());
+  }
+
   /// A leaf built directly from `n` sorted keys (empty by default).
   DataNodeT* NewLeaf(const K* keys = nullptr, const P* payloads = nullptr,
                      size_t n = 0) {
-    return new DataNodeT(*config_, stats_.get(), keys, payloads, n);
+    auto* leaf = new DataNodeT(*config_, stats_.get(), keys, payloads, n);
+    leaf->set_reclaimer(block_reclaimer_);
+    return leaf;
   }
 
   // Single-threaded root access: relaxed, compiles to a plain load/store.
@@ -583,22 +596,24 @@ class Alex {
   // to children by that model, and each child trains its own — without
   // touching sibling links or parent slots. Shared between the
   // single-threaded split below and the lock-scoped concurrent split
-  // (ConcurrentAlex). The leaf's pairs move into the children, and the
-  // caller retires the emptied leaf. Returns false, with the leaf
+  // (ConcurrentAlex). The children are built from the leaf's pairs packed
+  // in its own block (DataNode::TakeSorted), which the leaf keeps until
+  // the caller frees or retires it — so a probe that still reads the
+  // victim never reads freed memory. Returns false, with the leaf
   // reloaded from its own keys, when the key distribution cannot be
   // partitioned (caller falls back to expansion).
   bool BuildSplitSubtree(DataNodeT* leaf, SplitSubtree* out) {
-    std::vector<K> keys;
-    std::vector<P> payloads;
-    const size_t n = leaf->TakeSorted(&keys, &payloads);
+    const typename DataNodeT::SortedRun run = leaf->TakeSorted();
+    const K* keys = run.keys;
+    const P* payloads = run.payloads;
+    const size_t n = run.n;
     const size_t fanout = std::max<size_t>(2, config_->split_fanout);
-    const model::LinearModel model =
-        model::TrainCdfModel(keys.data(), n, fanout);
+    const model::LinearModel model = model::TrainCdfModel(keys, n, fanout);
     // The model is non-decreasing, so every key falls in one bucket
     // exactly when the first and the last key do: no progress possible.
-    if (n == 0 || model.Predict(static_cast<double>(keys.front()), fanout) ==
-                      model.Predict(static_cast<double>(keys.back()), fanout)) {
-      leaf->BulkLoad(keys.data(), payloads.data(), n);
+    if (n == 0 || model.Predict(static_cast<double>(keys[0]), fanout) ==
+                      model.Predict(static_cast<double>(keys[n - 1]), fanout)) {
+      leaf->BulkLoad(keys, payloads, n);
       return false;
     }
     auto* inner = new InnerNode();
@@ -606,16 +621,16 @@ class Alex {
     inner->ResetChildren(fanout);
     size_t begin = 0;
     for (size_t j = 0; j < fanout; ++j) {
-      const size_t end = j + 1 == fanout
-                             ? n
-                             : PartitionBound(model, keys.data(), begin, n,
-                                              j + 1, fanout);
-      inner->SetChild(j, NewLeaf(keys.data() + begin,
-                                 payloads.data() + begin, end - begin));
+      const size_t end =
+          j + 1 == fanout
+              ? n
+              : PartitionBound(model, keys, begin, n, j + 1, fanout);
+      inner->SetChild(j,
+                      NewLeaf(keys + begin, payloads + begin, end - begin));
       begin = end;
     }
     out->inner = inner;
-    out->hint_key = keys.front();
+    out->hint_key = keys[0];
     return true;
   }
 
@@ -714,12 +729,15 @@ class Alex {
   // The concurrent wrapper builds on the leaf-level API (FindLeaf +
   // per-leaf latches) and maintains num_keys_ itself when it commits
   // leaf-local inserts/erases without going through Insert/Erase. It
-  // also descends through root_ with its own memory ordering and splits
-  // leaves under node-level locks.
+  // also descends through root_ with its own memory ordering, splits
+  // leaves under node-level locks, and sets block_reclaimer_.
   friend class ConcurrentAlex<K, P>;
 
   std::unique_ptr<Config> config_;
   std::unique_ptr<Stats> stats_;
+  // Where leaves retire replaced storage blocks: null (free at once)
+  // unless a concurrent wrapper's probes may still read them.
+  util::EpochManager* block_reclaimer_ = nullptr;
   // Atomic so the concurrent wrapper can publish root splits and whole-tree
   // swaps; single-threaded paths use relaxed ops (plain loads/stores).
   std::atomic<Node*> root_{nullptr};

@@ -3,9 +3,10 @@
 //
 // Readers descend the RMI under only an *epoch guard* (util/epoch.h) — no
 // tree-wide mutex, no shared-counter RMW, no shared write of any kind —
-// and take exactly one per-leaf reader-writer latch at the end. Writers
-// take that leaf latch exclusively; splits lock only the victim's parent
-// inner node and the victim leaf, never the tree. The protocol:
+// and a point read then probes its leaf optimistically, writing nothing
+// there either. Writers take the leaf's latch exclusively; splits lock
+// only the victim's parent inner node and the victim leaf, never the
+// tree. The protocol:
 //
 //   Descent.   `root_` and every inner-node child slot are atomics; the
 //     descent does one seq_cst load per level (a plain load on x86, an
@@ -13,15 +14,34 @@
 //     nodes are immutable once published except for their child slots, so
 //     no inner-node latching is ever needed.
 //
+//   Leaf probes.   Every leaf carries a version word (DataNode::version):
+//     a retired bit, a writer-active bit and a count of write brackets. A
+//     writer enters a leaf only through a DataNode::WriteLatch, which
+//     takes the exclusive latch and keeps writer-active set for the whole
+//     of every in-place mutation. A point read (Get, Contains, each key of
+//     MultiGet) loads the version, probes the leaf's published storage
+//     block with acquire loads and reloads the version
+//     (DataNode::TryFind) — a seqlock read (Boehm, MSPC 2012), as in
+//     optimistic lock coupling (Leis et al., DaMoN 2016). An unchanged
+//     version means the probe saw one state between write brackets, which
+//     is its answer; a changed one means probe again, and after
+//     kProbeAttempts failures the read takes the shared latch, so a
+//     write-hot leaf cannot starve it. Writers store into a published
+//     block with release stores, and a rebuild (expansion, contraction)
+//     fills a fresh block, publishes it with one release store and
+//     retires the old one through the epoch manager: a probe never reads
+//     freed memory, nor past the block it loaded. Scans, aggregates and
+//     structure walks read under the shared latch.
+//
 //   Validation.   A split replaces a leaf with a new subtree; a reader
-//     may race it and land on the replaced leaf. Every leaf carries a
-//     version word whose low bit is a *retired* flag, set (under the
-//     exclusive latch) before the replacement is published. After
-//     latching its leaf, an operation checks the flag: clear means the
-//     leaf is live and its contents authoritative — the pre-split leaf
-//     still holds every key it ever held, so even a reader racing the
-//     publication reads correct data; set means re-descend from the root
-//     and retry (rare: only on the split of the very leaf being probed).
+//     may race it and land on the replaced leaf. The retired bit is set
+//     inside the splitter's write bracket, before the replacement is
+//     published. A reader that finds it set — in the version its probe
+//     read, or after taking the shared latch — re-descends from the root
+//     and retries (rare: only on the split of the very leaf being
+//     probed). Clear means the leaf is live and its contents
+//     authoritative — the pre-split leaf still holds every key it ever
+//     held, so even a reader racing the publication reads correct data.
 //
 //   Splits.   An insert that hits the adaptive-RMI split bound releases
 //     its leaf latch, locks the parent's split mutex (or the root mutex
@@ -44,8 +64,9 @@
 //     committed into the old tree linearize before the bulk load.
 //
 // Guarantees: point operations (Get/Contains/Insert/Erase/Update/Put) are
-// linearizable — each takes effect at one instant inside its leaf-latch
-// critical section on a live leaf. Range scans are read-committed per
+// linearizable — a write takes effect inside its write bracket on a live
+// leaf, a read at the first version load of its validated probe (or
+// inside its shared-latch section). Range scans are read-committed per
 // leaf: each leaf's contribution is a consistent snapshot taken under its
 // shared latch, but a scan crossing leaves may miss or observe writes
 // that land behind or ahead of it. Memory reclamation is quiescent-safe:
@@ -126,17 +147,23 @@ struct AggResult {
 
 /// A lock-free-read, node-level-locked ALEX. All methods are safe to call
 /// from any thread. Pointer-returning lookups are deliberately not
-/// exposed — a payload pointer would escape the latch and the epoch guard
-/// — so reads copy the payload out.
+/// exposed — a payload pointer would escape the epoch guard — so reads
+/// copy the payload out. Keys and payloads must be trivially copyable and
+/// fit one lock-free atomic access, since a probe loads them while a
+/// writer may be storing them.
 template <typename K, typename P>
 class ConcurrentAlex {
+  static_assert(container::kAtomicSlot<K> && container::kAtomicSlot<P>,
+                "ConcurrentAlex keys and payloads must be trivially "
+                "copyable and lock-free atomic-sized");
+
  public:
   using DataNodeT = typename Alex<K, P>::DataNodeT;
 
   explicit ConcurrentAlex(const Config& config = Config())
       : owned_epoch_(new util::EpochManager()),
         epoch_(owned_epoch_.get()),
-        index_(config) {}
+        index_(config, epoch_) {}
 
   /// Shares an external reclamation domain instead of owning one. The
   /// shard layer passes its own manager here so one sharded operation
@@ -144,7 +171,7 @@ class ConcurrentAlex {
   /// then a reentrant no-op on the caller's pin (see util/epoch.h).
   /// `shared_epoch` must outlive the index and every node it retires.
   ConcurrentAlex(const Config& config, util::EpochManager* shared_epoch)
-      : epoch_(shared_epoch), index_(config) {}
+      : epoch_(shared_epoch), index_(config, epoch_) {}
 
   /// Retired nodes drain through the epoch manager's destructor; the live
   /// tree is freed by the inner Alex. Callers must guarantee quiescence
@@ -175,31 +202,21 @@ class ConcurrentAlex {
   }
 
   /// Copies the payload of `key` into `*out`; returns false when absent.
-  /// Epoch guard + one shared leaf latch; no shared mutex anywhere.
+  /// Epoch guard + validated leaf probes: no shared write anywhere unless
+  /// the leaf stays write-hot through kProbeAttempts probes.
   bool Get(K key, P* out) const {
     util::EpochManager::Guard guard(*epoch_);
     while (true) {
-      const DataNodeT* leaf = DescendAcquire(key);
-      ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
-      if (leaf->IsRetired()) { CountDescentRetry(); continue; }  // raced a split: re-descend
-      const P* p = leaf->Find(key);
-      if (p == nullptr) return false;
-      *out = *p;
-      return true;
+      const Probe result = ProbeLeaf(DescendAcquire(key), key, out);
+      if (result != Probe::kRetired) return result == Probe::kFound;
+      CountDescentRetry();  // raced a split: re-descend
     }
   }
 
-  /// True when `key` is present (epoch guard + shared leaf latch only).
+  /// True when `key` is present (Get's path).
   bool Contains(K key) const {
-    util::EpochManager::Guard guard(*epoch_);
-    while (true) {
-      const DataNodeT* leaf = DescendAcquire(key);
-      ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
-      if (leaf->IsRetired()) { CountDescentRetry(); continue; }
-      return leaf->Find(key) != nullptr;
-    }
+    P ignored;
+    return Get(key, &ignored);
   }
 
   /// Inserts; false on duplicate. Fast path: epoch guard + exclusive leaf
@@ -226,8 +243,7 @@ class ConcurrentAlex {
     util::EpochManager::Guard guard(*epoch_);
     while (true) {
       DataNodeT* leaf = DescendAcquire(key);
-      ALEX_OBS_TIMED_UNIQUE_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
+      WriteLatch latch(leaf);
       if (leaf->IsRetired()) { CountDescentRetry(); continue; }
       if (!leaf->Erase(key)) return false;
       index_.num_keys_.fetch_sub(1, std::memory_order_relaxed);
@@ -241,8 +257,7 @@ class ConcurrentAlex {
     util::EpochManager::Guard guard(*epoch_);
     while (true) {
       DataNodeT* leaf = DescendAcquire(key);
-      ALEX_OBS_TIMED_UNIQUE_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
+      WriteLatch latch(leaf);
       if (leaf->IsRetired()) { CountDescentRetry(); continue; }
       return leaf->UpdatePayload(key, payload);
     }
@@ -283,13 +298,13 @@ class ConcurrentAlex {
   ///
   /// Each group of kMultiGetGroup keys descends level by level: one pass
   /// computes every pending key's child slot and prefetches it, the next
-  /// loads each child pointer and prefetches the child's head. At the
-  /// leaves, one pass prefetches each key's predicted-slot lines (key,
-  /// bitmap word, payload) and its latch line; only then does each key
-  /// take the shared leaf latch, check IsRetired() and copy its payload,
-  /// exactly as Get does, so per-key linearizability is Get's. Consecutive
-  /// keys that reached the same leaf share one hold of its latch. A key
-  /// whose leaf retired under it (a racing split) takes Get's re-descent.
+  /// loads each child pointer and prefetches the child's head, which holds
+  /// a leaf's version word and block pointer. At the leaves, one pass
+  /// prefetches each key's block header and the next its predicted-slot
+  /// lines (key, bitmap word, payload); only then does each key make one
+  /// validated probe (DataNode::TryFind), so per-key linearizability is
+  /// Get's. A key whose probe fails — a writer moved the version, or a
+  /// racing split retired the leaf — takes Get's whole path instead.
   ///
   /// `tree_at` is called once per key, in key order, as the key's group
   /// starts, and may do work of its own: the shard layer routes there and
@@ -339,45 +354,37 @@ class ConcurrentAlex {
           util::PrefetchReadRange(node[k], kNodeHeadBytes);
         }
       }
+      // At the leaves: one pass prefetches each key's block header, the
+      // next reads it to prefetch the key's predicted-slot lines, and only
+      // then does each key probe.
+      for (size_t k = 0; k < m; ++k) {
+        if (tree[k] != nullptr) {
+          static_cast<const DataNodeT*>(node[k])->PrefetchBlock();
+        }
+      }
+      for (size_t k = 0; k < m; ++k) {
+        if (tree[k] != nullptr) {
+          static_cast<const DataNodeT*>(node[k])->PrefetchFor(keys[base + k]);
+        }
+      }
       for (size_t k = 0; k < m; ++k) {
         if (tree[k] == nullptr) continue;
-        const auto* leaf = static_cast<const DataNodeT*>(node[k]);
-        util::PrefetchReadRange(leaf, sizeof(DataNodeT));
-        leaf->PrefetchFor(keys[base + k]);
-        util::PrefetchWrite(&leaf->latch());
-      }
-      for (size_t k = 0; k < m;) {
-        if (tree[k] == nullptr) {
-          ++k;
-          continue;
-        }
-        const auto* leaf = static_cast<const DataNodeT*>(node[k]);
-        size_t end = k + 1;
-        while (end < m && tree[end] != nullptr && node[end] == leaf) ++end;
-        bool retired;
-        {
-          ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(),
-                                     "core.leaf_latch_contended",
-                                     "core.leaf_latch_wait_ns");
-          retired = leaf->IsRetired();
-          for (size_t j = k; j < end && !retired; ++j) {
-            const size_t i = base + j;
-            const P* p = leaf->Find(keys[i]);
-            found[i] = p != nullptr;
-            if (p != nullptr) {
-              payloads[i] = *p;
-              ++hits;
-            }
+        const size_t i = base + k;
+        const Probe result = static_cast<const DataNodeT*>(node[k])->TryFind(
+            keys[i], &payloads[i]);
+        if (result == Probe::kRetry || result == Probe::kRetired) {
+          // The one probe failed: take Get's path, which re-descends and
+          // probes again before it falls back to the shared latch.
+          if (result == Probe::kRetired) {
+            CountDescentRetry();
+          } else {
+            CountProbeRetry();
           }
+          found[i] = tree[k]->Get(keys[i], &payloads[i]);
+        } else {
+          found[i] = result == Probe::kFound;
         }
-        for (size_t j = k; j < end && retired; ++j) {
-          // Raced a split: re-descend with the latch dropped.
-          const size_t i = base + j;
-          CountDescentRetry();
-          found[i] = tree[j]->Get(keys[i], &payloads[i]);
-          if (found[i]) ++hits;
-        }
-        k = end;
+        if (found[i]) ++hits;
       }
     }
     return hits;
@@ -398,8 +405,7 @@ class ConcurrentAlex {
       DataNodeT* leaf = DescendAcquire(keys[i], &parent);
       bool need_escalate = false;
       {
-        ALEX_OBS_TIMED_UNIQUE_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
+        WriteLatch latch(leaf);
         if (leaf->IsRetired()) { CountDescentRetry(); continue; }
         const size_t j = RunEnd(keys, n, i, leaf);
         size_t run_inserted = 0;
@@ -446,8 +452,7 @@ class ConcurrentAlex {
     size_t i = 0;
     while (i < n) {
       DataNodeT* leaf = DescendAcquire(keys[i]);
-      ALEX_OBS_TIMED_UNIQUE_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
+      WriteLatch latch(leaf);
       if (leaf->IsRetired()) { CountDescentRetry(); continue; }
       const size_t j = RunEnd(keys, n, i, leaf);
       size_t run_erased = 0;
@@ -650,16 +655,16 @@ class ConcurrentAlex {
 
   // ---- Test hooks for the lock-freedom contract ----
 
-  /// Exclusively latches the leaf owning `key` and returns the lock. While
-  /// held, the leaf cannot be read, written, split or retired — but reads
-  /// and writes of *other* leaves must still complete, which is exactly
-  /// what the lock-free-read-path test asserts.
-  std::unique_lock<std::shared_mutex> LatchLeafForTest(K key) {
+  /// Enters the leaf owning `key` as a writer (its WriteLatch) and
+  /// returns the latch. While held, the leaf cannot be written, split or
+  /// retired, and its readers wait out their probes on its shared latch —
+  /// but reads and writes of *other* leaves must still complete, which is
+  /// exactly what the lock-free-read-path test asserts.
+  typename DataNodeT::WriteLatch LatchLeafForTest(K key) {
     util::EpochManager::Guard guard(*epoch_);
     while (true) {
       DataNodeT* leaf = DescendAcquire(key);
-      ALEX_OBS_TIMED_UNIQUE_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
+      WriteLatch latch(leaf);
       // Only a latched *live* leaf may outlive the guard: retirement
       // requires this exclusive latch, so a live leaf cannot be retired
       // (or freed) while the caller holds the returned lock. A leaf that
@@ -680,17 +685,49 @@ class ConcurrentAlex {
 
  private:
   using InnerNodeT = InnerNode;
+  using WriteLatch = typename DataNodeT::WriteLatch;
+  using Probe = typename DataNodeT::Probe;
 
   /// Bytes of a node's head that GroupGet prefetches on reaching it,
   /// before it knows the node's kind: all of an inner node's routing
-  /// fields, and a leaf's probe mirrors and latch.
+  /// fields, and a leaf's version word and block pointer.
   static constexpr size_t kNodeHeadBytes = 192;
+
+  /// Optimistic probes a point read makes before it takes the shared
+  /// latch instead.
+  static constexpr int kProbeAttempts = 4;
 
   /// Telemetry for a failed leaf validation (the leaf retired under a
   /// racing structural change): the operation re-descends from the root.
   static void CountDescentRetry() {
     ALEX_OBS_COUNTER_INC("core.descent_retries");
     ALEX_OBS_CTX_ADD(descent_retries, 1);
+  }
+
+  /// Telemetry for an optimistic probe whose version check failed.
+  static void CountProbeRetry() {
+    ALEX_OBS_COUNTER_INC("core.probe_retries");
+    ALEX_OBS_CTX_ADD(probe_retries, 1);
+  }
+
+  /// Point read of `key` in `leaf` (caller holds an epoch guard): up to
+  /// kProbeAttempts validated probes (DataNode::TryFind), then the shared
+  /// latch. Returns kFound, kAbsent or kRetired (re-descend).
+  static Probe ProbeLeaf(const DataNodeT* leaf, K key, P* out) {
+    for (int attempt = 0; attempt < kProbeAttempts; ++attempt) {
+      const Probe result = leaf->TryFind(key, out);
+      if (result != Probe::kRetry) return result;
+      CountProbeRetry();
+    }
+    ALEX_OBS_COUNTER_INC("core.probe_latch_fallbacks");
+    ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(),
+                               "core.leaf_latch_contended",
+                               "core.leaf_latch_wait_ns");
+    if (leaf->IsRetired()) return Probe::kRetired;
+    const P* p = leaf->Find(key);
+    if (p == nullptr) return Probe::kAbsent;
+    *out = *p;
+    return Probe::kFound;
   }
 
   /// Recursive helper for CollectStructure: inner nodes contribute to the
@@ -835,8 +872,7 @@ class ConcurrentAlex {
       InnerNodeT* parent = nullptr;
       DataNodeT* leaf = DescendAcquire(key, &parent);
       {
-        ALEX_OBS_TIMED_UNIQUE_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
+        WriteLatch latch(leaf);
         if (leaf->IsRetired()) { CountDescentRetry(); continue; }
         const InsertResult result = leaf->Insert(key, payload);
         if (result == InsertResult::kOk) {
@@ -875,8 +911,7 @@ class ConcurrentAlex {
         index_.root_.load(std::memory_order_seq_cst) != leaf) {
       return false;  // the root changed under us; re-descend
     }
-    ALEX_OBS_TIMED_UNIQUE_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
+    WriteLatch latch(leaf);
     if (leaf->IsRetired()) {
       CountDescentRetry();
       return false;  // a rival split won; re-descend
@@ -958,7 +993,7 @@ class ConcurrentAlex {
     // Freed only after every reader that could hold it unpins; our own
     // guard keeps it alive through the latch release below.
     epoch_->Retire(leaf);
-    epoch_->TryReclaim();
+    epoch_->MaybeReclaim();
     return true;
   }
 
@@ -973,8 +1008,7 @@ class ConcurrentAlex {
       auto* leaf = static_cast<DataNodeT*>(node);
       size_t drained;
       {
-        ALEX_OBS_TIMED_UNIQUE_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
+        WriteLatch latch(leaf);
         drained = leaf->num_keys();
         leaf->MarkRetired();
       }

@@ -8,9 +8,16 @@
 // Every build of the array (bulk load, split child, expansion,
 // contraction) goes through one Rebuild: train the model on the sorted
 // keys, then place them model-based (Alg. 3) in one forward pass that
-// also writes the gap fills (container::GappedStorage::PlaceSorted). An
-// expansion or contraction packs the node's own old arrays into that
-// sorted input, so no pair is copied into a fresh buffer first.
+// also writes the gap fills (container::GappedStorage::PlaceSorted) into
+// a new storage block that holds the model too. An expansion or
+// contraction packs the node's own old block into that sorted input, so
+// no pair is copied into a fresh buffer first, and retires the old block
+// once the new one is published.
+//
+// Concurrency (core/concurrent_alex.h). A writer enters the node only
+// through a WriteLatch: the exclusive latch with a version bracket inside
+// it. A point read either probes optimistically (TryFind: version,
+// probe, version — no shared write) or takes the shared latch.
 //
 // Lookups predict a slot with the model and correct it with exponential
 // search outward from the prediction (§3.2). The node stores no error
@@ -38,6 +45,8 @@
 #include "core/config.h"
 #include "core/node.h"
 #include "models/linear_model.h"
+#include "obs/metrics.h"
+#include "util/epoch.h"
 
 namespace alex::core {
 
@@ -75,11 +84,18 @@ class DataNode : public Node {
   size_t num_keys() const { return Visit([](const auto& s) {
     return s.num_keys();
   }); }
-  size_t capacity() const { return Visit([](const auto& s) {
-    return s.capacity();
-  }); }
-  bool has_model() const { return has_model_; }
-  const model::LinearModel& model() const { return model_; }
+  size_t capacity() const { return storage_base_->capacity(); }
+  bool has_model() const { return storage_base_->block()->has_model(); }
+  const model::LinearModel& model() const {
+    return storage_base_->block()->model();
+  }
+
+  /// Retires replaced storage blocks through `reclaimer` instead of
+  /// freeing them at once (ConcurrentAlex: optimistic probes may still
+  /// read them).
+  void set_reclaimer(util::EpochManager* reclaimer) {
+    Visit([&](auto& s) { s.set_reclaimer(reclaimer); });
+  }
 
   /// Exact max |slot - Predict(key)| over the occupied slots, computed
   /// on demand in one pass over the node. Introspection only (the caller
@@ -87,13 +103,12 @@ class DataNode : public Node {
   /// from the predicted slot is correct for any prediction error. 0 for a
   /// model-less node.
   size_t MaxModelError() const {
-    if (!has_model_) return 0;
+    if (!has_model()) return 0;
     return Visit([&](const auto& s) {
       const size_t cap = s.capacity();
       size_t max_err = 0;
       s.bitmap().ForEachSet(0, cap, [&](size_t i) {
-        const size_t pred =
-            model_.Predict(static_cast<double>(s.key_at(i)), cap);
+        const size_t pred = s.PredictSlot(s.key_at(i));
         const size_t err = pred > i ? pred - i : i - pred;
         if (err > max_err) max_err = err;
         return true;
@@ -102,20 +117,53 @@ class DataNode : public Node {
     });
   }
 
-  /// Software-prefetches the slots a probe of `key` will touch. Safe
-  /// without the latch: MultiGet issues it for a whole group of keys
-  /// before the first of them latches its leaf, so it predicts the slot
-  /// from the relaxed model mirror and the storage's published capacity
-  /// (container::GappedStorage::PrefetchSlot), never from the fields a
-  /// writer rebuilds under the exclusive latch.
+  /// Software-prefetches the header of the published storage block (what
+  /// PrefetchFor reads). Caller holds an epoch guard.
+  void PrefetchBlock() const {
+    util::PrefetchRead(storage_base_->block_acquire());
+  }
+
+  /// Software-prefetches the slots a probe of `key` will touch, predicted
+  /// from the published block's own header. Safe without the latch: the
+  /// header never changes once published, and the caller's epoch guard
+  /// keeps a block that a racing rebuild replaces allocated.
   void PrefetchFor(K key) const {
-    const size_t cap = storage_base_->ProbeCapacity();
-    if (cap == 0) return;
-    const model::LinearModel probe_model(
-        probe_slope_.load(std::memory_order_relaxed),
-        probe_intercept_.load(std::memory_order_relaxed));
-    storage_base_->PrefetchSlot(
-        probe_model.Predict(static_cast<double>(key), cap));
+    StorageBase::PrefetchProbe(storage_base_->block_acquire(), key);
+  }
+
+  /// Outcome of one optimistic probe (TryFind).
+  enum class Probe {
+    kFound,    ///< key present; payload copied out
+    kAbsent,   ///< key absent
+    kRetired,  ///< leaf unlinked by a split or bulk load: re-descend
+    kRetry,    ///< a writer was active or the version moved: answer void
+  };
+
+  /// One optimistic probe for `key` that writes no shared memory: load
+  /// the version (acquire), probe the published block with acquire loads
+  /// (container::GappedStorage::FindSlotIn<true>), copy the payload, then
+  /// reload the version. A writer's release stores into the block pair
+  /// with those acquire loads, so a probe that read anything a writer
+  /// stored also sees the bracket the writer opened first, and the
+  /// reloaded version differs: a mixed answer is never returned. The
+  /// caller holds an epoch guard, which keeps the node and any block it
+  /// loads allocated.
+  Probe TryFind(K key, P* out) const {
+    const uint64_t before = version_.load(std::memory_order_acquire);
+    if ((before & kRetiredBit) != 0) return Probe::kRetired;
+    if ((before & kWriterBit) != 0) return Probe::kRetry;
+    const auto* block = storage_base_->block_acquire();
+    const size_t slot = StorageBase::template FindSlotIn<true>(
+        block, key, block->PredictSlot(key));
+    const bool hit = slot < block->capacity();
+    P value{};
+    if (hit) value = container::LoadSlot<true>(block->payloads() + slot);
+    if (version_.load(std::memory_order_acquire) != before) {
+      return Probe::kRetry;
+    }
+    if (!hit) return Probe::kAbsent;
+    *out = value;
+    return Probe::kFound;
   }
 
   // Sibling links are atomics so the concurrent wrapper can splice the
@@ -148,30 +196,74 @@ class DataNode : public Node {
   }
 
   /// Per-leaf reader-writer latch (paper §7). ConcurrentAlex takes it
-  /// shared for reads of this leaf's contents and exclusive for leaf-local
-  /// mutations (insert/erase/update, including in-place expansion and
-  /// contraction). Single-threaded Alex never touches it.
+  /// shared for scans and for a point read whose optimistic probes kept
+  /// failing; writers take it exclusively, through a WriteLatch only.
+  /// Single-threaded Alex never touches it.
   std::shared_mutex& latch() const { return latch_; }
 
-  /// Leaf version word. Bit 0 is the *retired* flag: set (under the
-  /// exclusive latch) by the split or bulk-load that unlinks this leaf
-  /// from the tree, immediately before the replacement is published. A
-  /// lock-free reader that descended to this leaf latches it and checks
-  /// `IsRetired()`: clear means the leaf is live and its contents
-  /// authoritative; set means the reader raced a structural change and
-  /// must re-descend from the root. The upper bits count retirements'
-  /// structural generation for diagnostics.
+  /// The one way a writer enters a leaf: the exclusive latch, with the
+  /// version bracket inside it. Construction latches and marks the
+  /// version "writer active"; unlock() (or destruction) advances the
+  /// version past the bracket, then releases the latch. Every in-place
+  /// mutation — an insert and its shifts, an erase, an update, a PMA
+  /// rebalance, an expansion or contraction, a split's TakeSorted, the
+  /// retirement — runs inside one, so an optimistic probe that overlaps
+  /// any of them sees the version move (TryFind).
+  class WriteLatch {
+   public:
+    explicit WriteLatch(DataNode* leaf) : leaf_(leaf) {
+      // Every write reads the block header; start that miss before the
+      // latch's locked instruction rather than after it.
+      leaf->PrefetchBlock();
+      ALEX_OBS_TIMED_UNIQUE_LOCK(latch, leaf->latch_,
+                                 "core.leaf_latch_contended",
+                                 "core.leaf_latch_wait_ns");
+      latch.release();
+      // Relaxed suffices: every store the bracket covers is a release
+      // store (a slot or the block pointer), which orders this one first.
+      leaf->version_.store(
+          leaf->version_.load(std::memory_order_relaxed) + kWriterBit,
+          std::memory_order_relaxed);
+    }
+    ~WriteLatch() { unlock(); }
+    WriteLatch(WriteLatch&& other) noexcept
+        : leaf_(std::exchange(other.leaf_, nullptr)) {}
+    WriteLatch(const WriteLatch&) = delete;
+    WriteLatch& operator=(const WriteLatch&) = delete;
+    WriteLatch& operator=(WriteLatch&&) = delete;
+
+    /// Closes the bracket and releases the latch (idempotent).
+    void unlock() {
+      if (leaf_ == nullptr) return;
+      // Adding kWriterBit again clears it and carries into the count.
+      leaf_->version_.store(
+          leaf_->version_.load(std::memory_order_relaxed) + kWriterBit,
+          std::memory_order_release);
+      leaf_->latch_.unlock();
+      leaf_ = nullptr;
+    }
+
+   private:
+    DataNode* leaf_;
+  };
+
+  /// Leaf version word. Bit 0 is the *retired* flag: set (inside a
+  /// WriteLatch) by the split or bulk load that unlinks this leaf from
+  /// the tree, immediately before the replacement is published; a reader
+  /// that finds it set raced a structural change and must re-descend from
+  /// the root. Bit 1 is set while a writer is inside its WriteLatch. The
+  /// upper bits count completed write brackets, so any write moves the
+  /// word.
   uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
   bool IsRetired() const {
-    return (version_.load(std::memory_order_acquire) & 1) != 0;
+    return (version_.load(std::memory_order_acquire) & kRetiredBit) != 0;
   }
-  /// Marks the leaf dead. Caller must hold the exclusive latch; readers
-  /// observe the flag under the (shared) latch, so acq/rel through the
-  /// latch already orders it — the atomic keeps unlatched diagnostic
-  /// reads well-defined.
-  void MarkRetired() { version_.fetch_or(1, std::memory_order_release); }
+  /// Marks the leaf dead. Caller holds the leaf's WriteLatch.
+  void MarkRetired() {
+    version_.fetch_or(kRetiredBit, std::memory_order_relaxed);
+  }
 
   /// Rebuilds the node from `n` sorted, distinct keys. Chooses capacity
   /// c·n (c = expansion factor), trains the model when the node is warm
@@ -187,11 +279,7 @@ class DataNode : public Node {
 
   /// Predicted slot for `key` — the model's prediction, or the array
   /// midpoint during cold start (§3.3.3: binary search until warm).
-  size_t PredictSlot(K key) const {
-    const size_t cap = capacity();
-    if (!has_model_) return cap / 2;
-    return model_.Predict(static_cast<double>(key), cap);
-  }
+  size_t PredictSlot(K key) const { return storage_base_->PredictSlot(key); }
 
   /// Point lookup (Alg. 3, Lookup). Returns a pointer to the payload or
   /// nullptr when absent. Single storage dispatch; the lookup counter is
@@ -291,10 +379,12 @@ class DataNode : public Node {
   /// Overwrites the payload of `key`; returns false when absent (§3.2:
   /// value-only updates are find + write).
   bool UpdatePayload(K key, const P& payload) {
-    P* p = Find(key);
-    if (p == nullptr) return false;
-    *p = payload;
-    return true;
+    return Visit([&](auto& s) {
+      const size_t slot = s.FindSlot(key, s.PredictSlot(key));
+      if (slot == s.capacity()) return false;
+      s.SetPayload(slot, payload);
+      return true;
+    });
   }
 
   /// Expands the array and re-inserts model-based (Alg. 3, Expand).
@@ -308,10 +398,8 @@ class DataNode : public Node {
     } else {
       new_capacity = capacity() * 2;
     }
-    std::vector<K> keys;
-    std::vector<P> payloads;
-    const size_t n = TakeSorted(&keys, &payloads);
-    Rebuild(keys.data(), payloads.data(), n, new_capacity);
+    const SortedRun run = TakeSorted();
+    Rebuild(run.keys, run.payloads, run.n, new_capacity);
     if (stats_ != nullptr) ++stats_->num_expansions;
   }
 
@@ -401,12 +489,15 @@ class DataNode : public Node {
     });
   }
 
-  /// Hands the node's pairs out in key order, packed into its own old
-  /// arrays (container::GappedStorage::TakeSorted), and returns their
-  /// count. The node is left with no slots until the next BulkLoad.
-  size_t TakeSorted(std::vector<K>* keys, std::vector<P>* payloads) {
+  using SortedRun = typename StorageBase::SortedRun;
+
+  /// Hands the node's pairs out in key order, packed into the front of its
+  /// own block (container::GappedStorage::TakeSorted). The run stays valid
+  /// until the next BulkLoad replaces the block, or until the node is
+  /// freed.
+  SortedRun TakeSorted() {
     RetireStorageCounters();
-    return Visit([&](auto& s) { return s.TakeSorted(keys, payloads); });
+    return Visit([&](auto& s) { return s.TakeSorted(); });
   }
 
   /// Index-size contribution: the model (2 doubles) + node metadata
@@ -465,17 +556,16 @@ class DataNode : public Node {
         config_->density_lower * static_cast<double>(cap)) {
       return;
     }
-    std::vector<K> keys;
-    std::vector<P> payloads;
-    const size_t n = TakeSorted(&keys, &payloads);
-    BulkLoad(keys.data(), payloads.data(), n);
+    const SortedRun run = TakeSorted();
+    BulkLoad(run.keys, run.payloads, run.n);
     if (stats_ != nullptr) ++stats_->num_contractions;
   }
 
-  /// The one build of the array: `new_capacity` slots (at least n + 1,
-  /// rounded up to a power of two for a PMA), the model retrained on the
-  /// keys and scaled to them, and the keys placed model-based — or evenly
-  /// spaced while the node is too small for a model (§3.3.3).
+  /// The one build of the array: a new block of `new_capacity` slots (at
+  /// least n + 1, rounded up to a power of two for a PMA), the model
+  /// retrained on the keys and scaled to them, and the keys placed
+  /// model-based — or evenly spaced while the node is too small for a
+  /// model (§3.3.3).
   void Rebuild(const K* keys, const P* payloads, size_t n,
                size_t new_capacity) {
     RetireStorageCounters();
@@ -483,29 +573,18 @@ class DataNode : public Node {
     if (std::holds_alternative<PmaT>(storage_)) {
       new_capacity = PmaT::RoundCapacity(new_capacity);
     }
-    has_model_ = n >= config_->min_model_keys;
-    model_ = has_model_ ? model::TrainCdfModel(keys, n, new_capacity)
-                        : model::LinearModel();
-    const bool model_place = has_model_ && config_->model_based_placement;
+    const bool has_model = n >= config_->min_model_keys;
+    const model::LinearModel model =
+        has_model ? model::TrainCdfModel(keys, n, new_capacity)
+                  : model::LinearModel();
     Visit([&](auto& s) {
-      if (model_place) {
-        s.BuildFromSorted(keys, payloads, n, new_capacity, model_);
+      if (has_model && config_->model_based_placement) {
+        s.BuildFromSorted(keys, payloads, n, new_capacity, model);
       } else {
-        s.BuildFromSortedUniform(keys, payloads, n, new_capacity);
+        s.BuildFromSortedUniform(keys, payloads, n, new_capacity,
+                                 has_model ? &model : nullptr);
       }
     });
-    PublishProbeModel();
-  }
-
-  /// Mirrors the rebuilt model for PrefetchFor; a model-less node
-  /// predicts the midpoint, as PredictSlot does.
-  void PublishProbeModel() {
-    const model::LinearModel m =
-        has_model_ ? model_
-                   : model::LinearModel(
-                         0.0, static_cast<double>(capacity() / 2));
-    probe_slope_.store(m.slope(), std::memory_order_relaxed);
-    probe_intercept_.store(m.intercept(), std::memory_order_relaxed);
   }
 
   // Accumulates the storage's shift counter before the storage is rebuilt
@@ -514,21 +593,21 @@ class DataNode : public Node {
     retired_shifts_ += Visit([](const auto& s) { return s.num_shifts(); });
   }
 
+  static constexpr uint64_t kRetiredBit = 1;
+  static constexpr uint64_t kWriterBit = 2;
+
   const Config* config_;
   Stats* stats_;
-  // What PrefetchFor reads without the latch: a relaxed mirror of the
-  // model, republished by every rebuild, and the storage's base class,
-  // fixed at construction because the alternative never changes.
-  std::atomic<double> probe_slope_{0.0};
-  std::atomic<double> probe_intercept_{0.0};
+  // The storage's base class, fixed at construction because the
+  // alternative never changes: what the probe paths read through.
   const StorageBase* storage_base_ = nullptr;
-  mutable std::shared_mutex latch_;
+  // The version word sits right before the storage, whose first member is
+  // the block pointer, so a probe's first two loads share a line.
+  std::atomic<uint64_t> version_{0};
   std::variant<GappedArrayT, PmaT> storage_;
-  model::LinearModel model_;
-  bool has_model_ = false;
+  mutable std::shared_mutex latch_;
   uint64_t retired_shifts_ = 0;
   uint64_t last_synced_shifts_ = 0;
-  std::atomic<uint64_t> version_{0};
   std::atomic<DataNode*> prev_leaf_{nullptr};
   std::atomic<DataNode*> next_leaf_{nullptr};
 };

@@ -164,9 +164,10 @@ inline std::string ChromeTraceJson() {
                   dur_us, cross ? 0u : rec.shard);
     out += buf;
     std::snprintf(buf, sizeof(buf),
-                  ", \"args\": {\"descent_retries\": %u, \"leaf_splits\": %u"
-                  ", \"wal_wait_ns\": %" PRIu64 "}}",
-                  rec.descent_retries, rec.leaf_splits, rec.wal_wait_ns);
+                  ", \"args\": {\"descent_retries\": %u, \"probe_retries\": %u"
+                  ", \"leaf_splits\": %u, \"wal_wait_ns\": %" PRIu64 "}}",
+                  rec.descent_retries, rec.probe_retries, rec.leaf_splits,
+                  rec.wal_wait_ns);
     out += buf;
   }
   for (const JournalEvent& e : GlobalJournal().Snapshot()) {

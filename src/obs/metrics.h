@@ -13,12 +13,12 @@
 //      sites entirely (the macros expand to nothing).
 //
 //   2. An *enabled* hot path must never make unrelated threads share a
-//      cache line. Counters are striped: each thread picks one of
-//      kStripes cache-line-aligned atomic cells at first use and always
-//      increments its own; Load() folds the stripes. Increments are real
-//      fetch_adds (not load+store), so counts stay exact even when more
-//      threads than stripes collide on a cell — the sharded conservation
-//      tests depend on that.
+//      cache line. Counters are striped: each live thread owns one of
+//      kStripes cache-line-aligned atomic cells (MetricStripePool) and
+//      updates it with a relaxed load + store; threads beyond the pool
+//      share an overflow cell through fetch_add, so counts stay exact
+//      however many threads run — the sharded conservation tests depend
+//      on that. Load() folds the stripes.
 //
 //   3. Snapshots (JSON / Prometheus text exposition) may be slow; they take
 //      the registry mutex and fold the atomics. Hot-path writers never
@@ -34,11 +34,11 @@
 // The per-operation layer: ScopedOpTimer wraps one public index operation,
 // records its latency into a per-(op, shard) histogram, and — when the
 // latency exceeds SlowOpRing::threshold_ns() — captures a structured trace
-// record (op, shard, duration, descent retries, leaf splits escalated, WAL
-// commit wait) into the slow-op ring (a SeqRing, obs/seq_ring.h). The
-// context fields are accumulated by the inner layers through a
-// thread-local OpContext that the timer resets on construction, which
-// keeps the layers decoupled: the core index bumps "descent retry"
+// record (op, shard, duration, descent and probe retries, leaf splits
+// escalated, WAL commit wait) into the slow-op ring (a SeqRing,
+// obs/seq_ring.h). The context fields are accumulated by the inner layers
+// through a thread-local OpContext that the timer resets on construction,
+// which keeps the layers decoupled: the core index bumps "descent retry"
 // without knowing whether a sharded op, a bench loop, or nothing at all is
 // watching. ScopedOpTimer is not reentrant (one live timer per thread);
 // public index operations do not nest, which is the only place it is used.
@@ -156,20 +156,60 @@ inline uint64_t EnvOverrideU64(const char* name, uint64_t fallback) {
 // Metric primitives.
 
 /// Number of single-writer stripes in striped metrics (counters and
-/// histograms). The first kMetricStripes - 1 threads of the process each
-/// own a private stripe — single writer, so updates are RMW-free relaxed
-/// load + store pairs with no lock prefix — and every later thread shares
+/// histograms). Each live thread owns a private stripe while one is free —
+/// single writer, so updates are RMW-free relaxed load + store pairs with
+/// no lock prefix — and threads beyond kMetricStripes - 1 live ones share
 /// the overflow stripe (index kMetricStripes - 1) through atomic RMWs.
 constexpr size_t kMetricStripes = 16;
 
-/// First-come stripe assignment, decided once per thread: the first
-/// kMetricStripes - 1 threads get exclusive stripes, everyone later lands
-/// on the shared overflow stripe.
+/// The exclusive stripes not owned by a live thread. A thread takes one at
+/// its first metric update and gives it back at exit, as EpochManager
+/// threads give back their slots, so threads that come and go (a bench's
+/// client threads, round after round) keep finding private stripes. The
+/// mutex orders the old owner's last store to a stripe before the new
+/// owner's first load of it, which keeps load + store updates exact.
+class MetricStripePool {
+ public:
+  static MetricStripePool& Global() {
+    // Leaked, so threads that exit during static destruction can still
+    // give their stripes back.
+    static MetricStripePool* pool = new MetricStripePool();
+    return *pool;
+  }
+
+  /// A free exclusive stripe, or the overflow stripe when none is free.
+  size_t Acquire() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) return kMetricStripes - 1;
+    const size_t stripe = free_.back();
+    free_.pop_back();
+    return stripe;
+  }
+
+  void Release(size_t stripe) {
+    if (stripe == kMetricStripes - 1) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(stripe);
+  }
+
+ private:
+  MetricStripePool() {
+    for (size_t s = kMetricStripes - 1; s-- > 0;) free_.push_back(s);
+  }
+
+  std::mutex mu_;
+  std::vector<size_t> free_;  // lowest stripe last, so handed out first
+};
+
+/// This thread's stripe: taken from the pool at first use, returned when
+/// the thread exits.
 inline size_t ThreadMetricStripe() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t stripe = std::min(
-      next.fetch_add(1, std::memory_order_relaxed), kMetricStripes - 1);
-  return stripe;
+  struct Owner {
+    size_t stripe = MetricStripePool::Global().Acquire();
+    ~Owner() { MetricStripePool::Global().Release(stripe); }
+  };
+  thread_local const Owner owner;
+  return owner.stripe;
 }
 
 /// Monotone counter, striped across cache lines. Exact: exclusive-stripe
@@ -359,6 +399,7 @@ constexpr uint32_t kShardAll = ~0u;
 /// at operation start.
 struct OpContext {
   uint32_t descent_retries = 0;  // retired-leaf re-descends
+  uint32_t probe_retries = 0;    // leaf probes that failed validation
   uint32_t leaf_splits = 0;      // splits escalated by this op
   uint64_t wal_wait_ns = 0;      // time inside WAL group commit
 };
@@ -378,6 +419,7 @@ struct SlowOpRecord {
   uint32_t shard = 0;  // kShardAll for cross-shard ops
   uint64_t duration_ns = 0;
   uint32_t descent_retries = 0;
+  uint32_t probe_retries = 0;
   uint32_t leaf_splits = 0;
   uint64_t wal_wait_ns = 0;
 };
@@ -414,6 +456,7 @@ class SlowOpRing {
     rec.shard = shard;
     rec.duration_ns = duration_ns;
     rec.descent_retries = ctx.descent_retries;
+    rec.probe_retries = ctx.probe_retries;
     rec.leaf_splits = ctx.leaf_splits;
     rec.wal_wait_ns = ctx.wal_wait_ns;
     ring_.Push(rec);
@@ -579,6 +622,7 @@ class MetricsRegistry {
       out += ", \"ts_ns\": " + std::to_string(rec.ts_ns) +
              ", \"duration_ns\": " + std::to_string(rec.duration_ns) +
              ", \"descent_retries\": " + std::to_string(rec.descent_retries) +
+             ", \"probe_retries\": " + std::to_string(rec.probe_retries) +
              ", \"leaf_splits\": " + std::to_string(rec.leaf_splits) +
              ", \"wal_wait_ns\": " + std::to_string(rec.wal_wait_ns) + "}";
     }
@@ -622,6 +666,10 @@ class MetricsRegistry {
          "Leaf latch acquisitions that found the latch held"},
         {"core.leaf_latch_wait_ns",
          "Wait time for contended leaf latch acquisitions"},
+        {"core.probe_retries",
+         "Optimistic leaf probes that failed version validation"},
+        {"core.probe_latch_fallbacks",
+         "Point reads that took the shared leaf latch after failed probes"},
         {"health.transitions", "Health detector state transitions"},
         {"tier.cache_hits", "Cold-tier block cache hits"},
         {"tier.cache_misses", "Cold-tier block cache misses"},

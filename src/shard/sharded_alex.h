@@ -333,8 +333,9 @@ class ShardedAlex {
 
   /// Batched Get. Fills `payloads[i]`/`found[i]` per key (caller order);
   /// returns the number found. Lock-free at the shard layer, like Get.
-  /// Every routed key is charged to its shard's traffic, one RMW per run
-  /// of consecutive keys routed to the same shard.
+  /// Every routed key is charged to its shard's traffic, one update of
+  /// this thread's stripe per run of consecutive keys routed to the same
+  /// shard.
   size_t MultiGet(const K* keys, size_t n, P* payloads, bool* found) const {
     if (n == 0) return 0;
     obs::ScopedOpTimer op_timer(obs::OpType::kMultiGet);
@@ -350,7 +351,7 @@ class ShardedAlex {
       const Shard* shard = table->shards[table->router.Route(keys[i])].get();
       if (shard != run_shard) {
         if (run_shard != nullptr) {
-          run_shard->traffic.fetch_add(run_keys, std::memory_order_relaxed);
+          run_shard->traffic.Add(run_keys);
         }
         run_shard = shard;
         run_keys = 0;
@@ -363,7 +364,7 @@ class ShardedAlex {
     };
     const size_t hits = core::ConcurrentAlex<K, P>::GroupGet(
         route, keys, n, payloads, found);
-    run_shard->traffic.fetch_add(run_keys, std::memory_order_relaxed);
+    run_shard->traffic.Add(run_keys);
     return hits + cold_hits;
   }
 
@@ -387,7 +388,9 @@ class ShardedAlex {
   }
 
   /// Copies the payload of `key` into `*out`; returns false when absent.
-  /// No shard-layer locking: epoch guard + table load + route only.
+  /// No shard-layer locking and no shared write: epoch guard + table load
+  /// + route, a traffic charge to this thread's stripe, then the shard's
+  /// validated leaf probe (ConcurrentAlex::Get).
   bool Get(K key, P* out) const {
     obs::ScopedOpTimer op_timer(obs::OpType::kGet);
     util::EpochManager::Guard guard(epoch_);
@@ -395,7 +398,7 @@ class ShardedAlex {
     const size_t idx = table->router.Route(key);
     op_timer.set_shard(static_cast<uint32_t>(idx));
     Shard* shard = table->shards[idx].get();
-    shard->traffic.fetch_add(1, std::memory_order_relaxed);
+    shard->traffic.Increment();
     return shard->Get(key, out, &block_cache_);
   }
 
@@ -407,7 +410,7 @@ class ShardedAlex {
     const size_t idx = table->router.Route(key);
     op_timer.set_shard(static_cast<uint32_t>(idx));
     Shard* shard = table->shards[idx].get();
-    shard->traffic.fetch_add(1, std::memory_order_relaxed);
+    shard->traffic.Increment();
     P ignored;
     return shard->Get(key, &ignored, &block_cache_);
   }
@@ -428,7 +431,7 @@ class ShardedAlex {
     std::vector<std::pair<K, P>> chunk;
     while (out->size() < max_results && idx < table->shards.size()) {
       Shard* shard = table->shards[idx].get();
-      shard->traffic.fetch_add(1, std::memory_order_relaxed);
+      shard->traffic.Increment();
       shard->RangeScan(resume, max_results - out->size(), &chunk);
       out->insert(out->end(), chunk.begin(), chunk.end());
       ++idx;
@@ -626,14 +629,14 @@ class ShardedAlex {
     uint64_t total = 0;
     for (size_t i = 0; i < n; ++i) {
       Shard* shard = table->shards[i].get();
-      const uint64_t now = shard->traffic.load(std::memory_order_relaxed);
+      const uint64_t now = shard->traffic.Load();
       window[i] = now - shard->traffic_mark;
       total += window[i];
     }
     if (total < options_.tier_min_window_ops) return 0;
     for (size_t i = 0; i < n; ++i) {
       Shard* shard = table->shards[i].get();
-      shard->traffic_mark = shard->traffic.load(std::memory_order_relaxed);
+      shard->traffic_mark = shard->traffic.Load();
     }
     const double fair =
         static_cast<double>(total) / static_cast<double>(n);
@@ -1142,9 +1145,11 @@ class ShardedAlex {
     // overlay inserts); resident shards use index.size() instead.
     std::atomic<uint64_t> cold_live{0};
     // Routed operations since the shard was built — the signal the
-    // tiering policy reads. `traffic_mark` is the policy's cursor into
-    // it, touched only under rebalance_mutex_.
-    mutable std::atomic<uint64_t> traffic{0};
+    // tiering policy reads. Striped per thread (obs::Counter), so the
+    // readers that charge it share no cache line; Load() is exact.
+    // `traffic_mark` is the policy's cursor into it, touched only under
+    // rebalance_mutex_.
+    mutable obs::Counter traffic;
     uint64_t traffic_mark = 0;
 
     bool cold() const { return segment != nullptr; }
@@ -1488,7 +1493,7 @@ class ShardedAlex {
       if (shard->retired.load(std::memory_order_seq_cst)) {
         continue;  // raced a topology transaction or bulk load: re-route
       }
-      shard->traffic.fetch_add(1, std::memory_order_relaxed);
+      shard->traffic.Increment();
       // Log-before-apply: records replay with Apply's semantics, so a
       // write that fails below is a no-op on replay too.
       if (!LogBatch(shard, type, &key,
@@ -1536,7 +1541,7 @@ class ShardedAlex {
         continue;  // raced a topology transaction: re-route from key i
       }
       const size_t len = j - i;
-      shard->traffic.fetch_add(len, std::memory_order_relaxed);
+      shard->traffic.Add(len);
       const P* run_payloads =
           payloads == nullptr ? nullptr : sorted_payloads.data() + i;
       if (!LogBatch(shard, type, sorted_keys.data() + i, run_payloads,

@@ -69,7 +69,7 @@ struct AggState {
 /// the raw slot array (keys or payloads of a gapped layout), `bitmap` its
 /// occupancy bitmap.
 template <typename T>
-inline AggState<T> MaskedAggregate(const T* data, const Bitmap& bitmap,
+inline AggState<T> MaskedAggregate(const T* data, const BitmapView& bitmap,
                                    size_t lo, size_t hi) {
   AggState<T> out;
   if (hi > bitmap.size()) hi = bitmap.size();
@@ -92,7 +92,7 @@ inline AggState<T> MaskedAggregate(const T* data, const Bitmap& bitmap,
 /// Number of occupied slots in `[lo, hi)` whose value lies in
 /// `[value_lo, value_hi]`.
 template <typename T>
-inline uint64_t MaskedCountBetween(const T* data, const Bitmap& bitmap,
+inline uint64_t MaskedCountBetween(const T* data, const BitmapView& bitmap,
                                    size_t lo, size_t hi, T value_lo,
                                    T value_hi) {
   uint64_t count = 0;

@@ -2,64 +2,84 @@
 // bitmap for each leaf node, so that each bit tracks whether its
 // corresponding location in the node is occupied by a key or is a gap. The
 // bitmap is fast to query and has low space overhead").
+//
+// A leaf keeps its bitmap words inside its one storage block
+// (containers/storage_common.h), so the algorithms live on a non-owning
+// BitmapView over those words; Bitmap is the owning variant for code that
+// wants a standalone bitset.
+//
+// Word stores are atomic release stores: an optimistic probe
+// (core/concurrent_alex.h) may load a word of a published block while its
+// writer updates it. The probe loads through the kSync variants of Get and
+// NextSet (acquire loads). On x86-64 both compile to plain moves.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace alex::util {
 
-/// Fixed-capacity bitset with fast next-set / next-clear scans.
+/// Fixed-size bitset over caller-owned 64-bit words, with fast next-set /
+/// next-clear scans. Bits at or past size() in the last word stay zero.
 ///
 /// Used by data nodes to distinguish real keys from gap-fill copies, by
 /// range scans to skip gaps, and by model-based (re)insertion to find the
 /// first gap to the right of a predicted position.
-class Bitmap {
+class BitmapView {
  public:
-  Bitmap() = default;
+  BitmapView() = default;
+  BitmapView(uint64_t* words, size_t size) : words_(words), size_(size) {}
 
-  /// Creates a bitmap of `size` bits, all clear.
-  explicit Bitmap(size_t size)
-      : size_(size), words_((size + 63) / 64, 0) {}
+  /// Words needed for `bits` bits.
+  static constexpr size_t WordsFor(size_t bits) { return (bits + 63) / 64; }
 
   size_t size() const { return size_; }
 
-  /// Heap bytes used by the bitmap (counted in ALEX's data size, §5.1).
-  size_t SizeBytes() const { return words_.size() * sizeof(uint64_t); }
+  /// Bytes of the words (counted in ALEX's data size, §5.1).
+  size_t SizeBytes() const { return WordsFor(size_) * sizeof(uint64_t); }
 
+  template <bool kSync = false>
   bool Get(size_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1ULL;
+    return (Word<kSync>(i >> 6) >> (i & 63)) & 1ULL;
   }
 
-  void Set(size_t i) { words_[i >> 6] |= 1ULL << (i & 63); }
+  void Set(size_t i) {
+    StoreWord(i >> 6, words_[i >> 6] | (1ULL << (i & 63)));
+  }
 
-  void Clear(size_t i) { words_[i >> 6] &= ~(1ULL << (i & 63)); }
+  void Clear(size_t i) {
+    StoreWord(i >> 6, words_[i >> 6] & ~(1ULL << (i & 63)));
+  }
 
   /// Clears all bits, keeping the size.
   void Reset() {
-    for (auto& w : words_) w = 0;
+    for (size_t w = 0; w < WordsFor(size_); ++w) StoreWord(w, 0);
   }
 
   /// Index of the first set bit at or after `from`, or `size()` if none.
+  template <bool kSync = false>
   size_t NextSet(size_t from) const {
     if (from >= size_) return size_;
+    const size_t num_words = WordsFor(size_);
     size_t word_idx = from >> 6;
-    uint64_t word = words_[word_idx] & (~0ULL << (from & 63));
+    uint64_t word = Word<kSync>(word_idx) & (~0ULL << (from & 63));
     while (true) {
       if (word != 0) {
         const size_t bit =
             (word_idx << 6) + static_cast<size_t>(__builtin_ctzll(word));
         return bit < size_ ? bit : size_;
       }
-      if (++word_idx >= words_.size()) return size_;
-      word = words_[word_idx];
+      if (++word_idx >= num_words) return size_;
+      word = Word<kSync>(word_idx);
     }
   }
 
   /// Index of the first clear bit at or after `from`, or `size()` if none.
   size_t NextClear(size_t from) const {
     if (from >= size_) return size_;
+    const size_t num_words = WordsFor(size_);
     size_t word_idx = from >> 6;
     uint64_t word = ~words_[word_idx] & (~0ULL << (from & 63));
     while (true) {
@@ -68,7 +88,7 @@ class Bitmap {
             (word_idx << 6) + static_cast<size_t>(__builtin_ctzll(word));
         return bit < size_ ? bit : size_;
       }
-      if (++word_idx >= words_.size()) return size_;
+      if (++word_idx >= num_words) return size_;
       word = ~words_[word_idx];
     }
   }
@@ -108,8 +128,8 @@ class Bitmap {
   /// Number of set bits in [0, size).
   size_t PopCount() const {
     size_t total = 0;
-    for (uint64_t w : words_) {
-      total += static_cast<size_t>(__builtin_popcountll(w));
+    for (size_t w = 0; w < WordsFor(size_); ++w) {
+      total += static_cast<size_t>(__builtin_popcountll(words_[w]));
     }
     return total;
   }
@@ -159,15 +179,57 @@ class Bitmap {
     }
   }
 
-  /// Raw 64-bit occupancy words (bit i of word w = slot w*64 + i). Exposed
-  /// so a probe can prefetch the word of a slot without the owner's latch
-  /// (container::GappedStorage::PrefetchSlot). Bits at or past size() are
-  /// zero.
-  const uint64_t* words() const { return words_.data(); }
+  /// Raw 64-bit occupancy words (bit i of word w = slot w*64 + i).
+  const uint64_t* words() const { return words_; }
+
+ protected:
+  template <bool kSync>
+  uint64_t Word(size_t w) const {
+    if constexpr (kSync) {
+      return __atomic_load_n(&words_[w], __ATOMIC_ACQUIRE);
+    } else {
+      return words_[w];
+    }
+  }
+
+  void StoreWord(size_t w, uint64_t value) {
+    __atomic_store_n(&words_[w], value, __ATOMIC_RELEASE);
+  }
+
+  uint64_t* words_ = nullptr;
+  size_t size_ = 0;
+};
+
+/// A BitmapView that owns its words.
+class Bitmap : public BitmapView {
+ public:
+  Bitmap() = default;
+
+  /// Creates a bitmap of `size` bits, all clear.
+  explicit Bitmap(size_t size) : storage_(WordsFor(size), 0) { Bind(size); }
+
+  Bitmap(const Bitmap& other) : BitmapView(), storage_(other.storage_) {
+    Bind(other.size_);
+  }
+  Bitmap(Bitmap&& other) noexcept
+      : BitmapView(), storage_(std::move(other.storage_)) {
+    Bind(other.size_);
+    other.storage_.clear();
+    other.Bind(0);
+  }
+  Bitmap& operator=(Bitmap other) noexcept {
+    storage_.swap(other.storage_);
+    Bind(other.size_);
+    return *this;
+  }
 
  private:
-  size_t size_ = 0;
-  std::vector<uint64_t> words_;
+  void Bind(size_t size) {
+    words_ = storage_.data();
+    size_ = size;
+  }
+
+  std::vector<uint64_t> storage_;
 };
 
 }  // namespace alex::util

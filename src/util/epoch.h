@@ -56,6 +56,8 @@ class EpochManager {
   static constexpr uint64_t kIdle = ~uint64_t{0};
   /// Maximum threads concurrently registered with one manager.
   static constexpr size_t kMaxSlots = 1024;
+  /// Retirements between two reclamation attempts of MaybeReclaim.
+  static constexpr size_t kReclaimBatch = 64;
 
   EpochManager() : id_(NextId()) {
     std::lock_guard<std::mutex> lock(RegistryMutex());
@@ -126,6 +128,8 @@ class EpochManager {
     const uint64_t stamp = global_epoch_.load(std::memory_order_seq_cst);
     std::lock_guard<std::mutex> lock(retire_mutex_);
     retired_.push_back(Retired{object, deleter, stamp});
+    unattempted_.store(unattempted_.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
     ALEX_OBS_COUNTER_INC("epoch.retired");
     ALEX_OBS_GAUGE_SET("epoch.retired_unreclaimed",
                        static_cast<int64_t>(retired_.size()));
@@ -139,6 +143,7 @@ class EpochManager {
   void TryReclaim() {
     std::unique_lock<std::mutex> lock(retire_mutex_, std::try_to_lock);
     if (!lock.owns_lock()) return;
+    unattempted_.store(0, std::memory_order_relaxed);
     uint64_t epoch = global_epoch_.load(std::memory_order_seq_cst);
     // Scan the whole array, not just up to the claim watermark: a
     // watermark bound would need a happens-before edge from slot claiming
@@ -185,6 +190,17 @@ class EpochManager {
     }
     ALEX_OBS_GAUGE_SET("epoch.retired_unreclaimed",
                        static_cast<int64_t>(retired_.size()));
+  }
+
+  /// TryReclaim, amortized for the write paths that retire often (leaf
+  /// splits, leaf storage rebuilds): attempts only once kReclaimBatch
+  /// objects were retired since the last attempt, since each attempt
+  /// scans all kMaxSlots epoch slots. Bulk loads call TryReclaim, and the
+  /// destructor drains everything.
+  void MaybeReclaim() {
+    if (unattempted_.load(std::memory_order_relaxed) >= kReclaimBatch) {
+      TryReclaim();
+    }
   }
 
   /// Current global epoch (diagnostics).
@@ -311,6 +327,9 @@ class EpochManager {
   mutable std::mutex retire_mutex_;
   std::vector<Retired> retired_;  // under retire_mutex_
   uint64_t freed_ = 0;            // under retire_mutex_
+  // Retirements since the last reclamation attempt; written under
+  // retire_mutex_, read without it by MaybeReclaim.
+  std::atomic<size_t> unattempted_{0};
 };
 
 }  // namespace alex::util

@@ -22,10 +22,6 @@ inline void PrefetchRead(const void* base, size_t byte_offset = 0) {
                      0, 3);
 }
 
-/// Hints that the line holding `p` will be written soon (an atomic
-/// read-modify-write such as a latch acquisition).
-inline void PrefetchWrite(const void* p) { __builtin_prefetch(p, 1, 3); }
-
 /// Read hints for every line that [base, base + bytes) overlaps.
 inline void PrefetchReadRange(const void* base, size_t bytes) {
   const uintptr_t begin = reinterpret_cast<uintptr_t>(base);

@@ -14,20 +14,22 @@ namespace alex::util {
 
 /// Lower bound via exponential search starting from a predicted position.
 ///
-/// Returns the smallest index `i` in [0, n) such that `data[i] >= key`, or
+/// Returns the smallest index `i` in [0, n) such that `at(i) >= key`, or
 /// `n` if no such index exists. Cost is O(log e) where e is the distance
 /// between `predicted` and the answer — the property that makes it the right
-/// choice when model predictions are accurate (paper §5.3.2).
-template <typename K>
-size_t ExponentialSearchLowerBound(const K* data, size_t n, K key,
-                                   size_t predicted) {
+/// choice when model predictions are accurate (paper §5.3.2). `at` reads one
+/// element, so a caller that races writers can route every read through an
+/// atomic load (see GappedStorage::FindSlotIn).
+template <typename K, typename At>
+size_t ExponentialSearchLowerBoundBy(const At& at, size_t n, K key,
+                                     size_t predicted) {
   if (n == 0) return 0;
   if (predicted >= n) predicted = n - 1;
   size_t lo, hi;
-  if (data[predicted] >= key) {
+  if (at(predicted) >= key) {
     // Answer is at or left of `predicted`: grow the bracket leftward.
     size_t bound = 1;
-    while (bound <= predicted && data[predicted - bound] >= key) {
+    while (bound <= predicted && at(predicted - bound) >= key) {
       bound <<= 1;
     }
     lo = bound > predicted ? 0 : predicted - bound;
@@ -35,7 +37,7 @@ size_t ExponentialSearchLowerBound(const K* data, size_t n, K key,
   } else {
     // Answer is right of `predicted`: grow the bracket rightward.
     size_t bound = 1;
-    while (predicted + bound < n && data[predicted + bound] < key) {
+    while (predicted + bound < n && at(predicted + bound) < key) {
       bound <<= 1;
     }
     lo = predicted + (bound >> 1);
@@ -44,13 +46,21 @@ size_t ExponentialSearchLowerBound(const K* data, size_t n, K key,
   // Binary search within the bracket [lo, hi).
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (data[mid] < key) {
+    if (at(mid) < key) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
   return lo;
+}
+
+/// ExponentialSearchLowerBoundBy over a plain array.
+template <typename K>
+size_t ExponentialSearchLowerBound(const K* data, size_t n, K key,
+                                   size_t predicted) {
+  return ExponentialSearchLowerBoundBy(
+      [data](size_t i) { return data[i]; }, n, key, predicted);
 }
 
 /// Upper bound via exponential search: smallest index `i` in [0, n) with

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -210,6 +211,99 @@ TEST(ConcurrentAlexTest, StatsSnapshotIsCoherent) {
   for (int64_t i = 0; i < 100; ++i) index.Insert(i, i);
   const Stats stats = index.GetStats();
   EXPECT_EQ(stats.num_inserts, 100u);
+}
+
+// A point read probes its leaf optimistically, and after a few failed
+// validations takes the shared latch instead, so a writer that keeps
+// re-taking the leaf cannot starve it. Here the writer holds the leaf's
+// write latch across every probe attempt of the first read, then re-takes
+// it over and over while the reader keeps reading.
+TEST(ConcurrentAlexTest, ReaderFallsBackToLatchWhileWriterRetakesLeaf) {
+  obs::SetEnabled(true);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const uint64_t retries_before = reg.GetCounter("core.probe_retries")->Load();
+  const uint64_t fallbacks_before =
+      reg.GetCounter("core.probe_latch_fallbacks")->Load();
+  Index index;
+  std::vector<int64_t> keys, payloads;
+  for (int64_t i = 0; i < 500; ++i) {
+    keys.push_back(i);
+    payloads.push_back(i * 7);
+  }
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+
+  auto held = index.LatchLeafForTest(42);
+  std::atomic<bool> first_done{false};
+  std::atomic<bool> stop{false};
+  std::atomic<int> errors{0};
+  uint32_t ctx_retries = 0;
+  std::thread reader([&] {
+    obs::TlsOpContext() = obs::OpContext{};
+    int64_t v = 0;
+    if (!index.Get(42, &v) || v != 42 * 7) errors.fetch_add(1);
+    ctx_retries = obs::TlsOpContext().probe_retries;
+    first_done.store(true, std::memory_order_release);
+    while (!stop.load(std::memory_order_acquire)) {
+      const int64_t key = 40 + (v++ % 5);
+      int64_t got = -1;
+      if (!index.Get(key, &got) || got != key * 7) errors.fetch_add(1);
+    }
+  });
+  // The reader cannot finish while the writer holds the leaf.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(first_done.load(std::memory_order_acquire));
+  held.unlock();
+  for (int i = 0; i < 2000 && !first_done.load(std::memory_order_acquire);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(first_done.load(std::memory_order_acquire));
+  // Now re-take the leaf again and again under the running reader.
+  for (int i = 0; i < 2000; ++i) {
+    auto latch = index.LatchLeafForTest(42);
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GE(ctx_retries, 1u);
+  EXPECT_GE(reg.GetCounter("core.probe_retries")->Load(), retries_before + 1);
+  EXPECT_GE(reg.GetCounter("core.probe_latch_fallbacks")->Load(),
+            fallbacks_before + 1);
+  obs::SetEnabled(false);
+}
+
+// Every expansion retires the leaf's old storage block through the epoch
+// manager. With splitting off nothing else reclaims, so the batched
+// MaybeReclaim on the retire path must keep the backlog bounded.
+TEST(ConcurrentAlexTest, ExpansionsWithoutSplitsKeepRetiredBlocksBounded) {
+  Config config;
+  config.max_data_node_keys = 256;  // many leaves, each expanding in place
+  config.allow_splitting = false;
+  Index index(config);
+  constexpr int64_t kBase = 20000;
+  constexpr int64_t kPasses = 6;
+  std::vector<int64_t> keys;
+  for (int64_t i = 0; i < kBase; ++i) keys.push_back(i * 16);
+  index.BulkLoad(keys.data(), keys.data(), keys.size());
+  size_t max_retired = 0;
+  for (int64_t pass = 1; pass <= kPasses; ++pass) {
+    for (int64_t i = 0; i < kBase; ++i) {
+      ASSERT_TRUE(index.Insert(i * 16 + pass, i));
+      if (i % 64 == 0) {
+        max_retired =
+            std::max(max_retired, index.epoch_manager().retired_count());
+      }
+    }
+  }
+  EXPECT_GT(index.GetStats().num_expansions, 500u);
+  EXPECT_EQ(index.GetStats().num_splits, 0u);
+  EXPECT_LE(max_retired, 4 * util::EpochManager::kReclaimBatch);
+  EXPECT_GT(index.epoch_manager().freed_count(), 0u);
+  EXPECT_EQ(index.size(), static_cast<size_t>(kBase * (kPasses + 1)));
+  int64_t v = 0;
+  EXPECT_TRUE(index.Get(7 * 16 + kPasses, &v));
+  EXPECT_EQ(v, 7);
 }
 
 }  // namespace

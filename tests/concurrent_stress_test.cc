@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -363,6 +364,164 @@ TEST(ConcurrentStressTest, SharedZipfChaosKeepsIndexCoherent) {
     EXPECT_LT(all[i - 1].first, all[i].first);
   }
   EXPECT_TRUE(index.CheckInvariants());
+}
+
+// ---- Optimistic leaf probes ----
+//
+// The hot-leaf torture for the validated probe (DataNode::TryFind): four
+// readers Get, Contains and MultiGet keys that all start in one leaf
+// while a writer bursts inserts, erases and updates into that key range,
+// so the leaves there expand, contract and split under the probes. A
+// payload encodes (key, write number). Every read must return a payload
+// the writer stored for that key, no older than one the same reader
+// already saw for it, and a key the writer never erases must never read
+// as missing.
+constexpr int kWriteBits = 24;
+int64_t Encode(int64_t key, int64_t write) {
+  return key * (int64_t{1} << kWriteBits) + write;
+}
+
+void RunHotLeafTorture(NodeLayout layout) {
+  Config config = SplittyConfig();
+  config.layout = layout;
+  Index index(config);
+  constexpr int64_t kStable = 64;   // never erased; updated every round
+  constexpr int64_t kStride = 1024;  // stable key s sits at s * kStride
+  constexpr int64_t kBurst = 300;    // keys a round inserts after one of them
+  constexpr int kRounds = 96;
+  constexpr int kReaders = 4;
+  std::vector<int64_t> keys, payloads;
+  for (int64_t s = 0; s < kStable; ++s) {
+    keys.push_back(s * kStride);
+    payloads.push_back(Encode(s * kStride, 0));
+  }
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+
+  // The writer raises `published` before it stores write number w, so a
+  // reader that read w and then loads `published` sees at least w. `hot`
+  // is the stable key whose gap the writer's current round crowds.
+  std::atomic<int64_t> published{0};
+  std::atomic<int64_t> hot{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> errors{0};
+  std::thread writer([&] {
+    int64_t w = 0;
+    auto next_payload = [&](int64_t key) {
+      published.store(++w, std::memory_order_relaxed);
+      return Encode(key, w);
+    };
+    std::vector<int64_t> burst(kBurst), burst_payloads(kBurst);
+    for (int round = 0; round < kRounds; ++round) {
+      // Each round crowds the gap after one stable key, so that key's leaf
+      // expands past the split bound; erasing the burst contracts it.
+      const int64_t base = (round * 7 % kStable) * kStride;
+      hot.store(base, std::memory_order_relaxed);
+      for (int64_t j = 0; j < kBurst; ++j) burst[j] = base + 1 + j;
+      // Scalar rounds also update the hot stable key after every write.
+      auto touch_hot = [&] {
+        if (!index.Update(base, next_payload(base))) errors.fetch_add(1);
+      };
+      if (round % 2 == 0) {
+        for (const int64_t k : burst) {
+          if (!index.Insert(k, next_payload(k))) errors.fetch_add(1);
+          touch_hot();
+        }
+      } else {
+        for (int64_t j = 0; j < kBurst; ++j) {
+          burst_payloads[j] = next_payload(burst[j]);
+        }
+        if (index.MultiInsert(burst.data(), burst_payloads.data(), kBurst) !=
+            static_cast<size_t>(kBurst)) {
+          errors.fetch_add(1);
+        }
+      }
+      for (int64_t s = 0; s < kStable; ++s) {
+        if (!index.Update(s * kStride, next_payload(s * kStride))) {
+          errors.fetch_add(1);
+        }
+      }
+      if (round % 2 == 0) {
+        for (const int64_t k : burst) {
+          if (!index.Erase(k)) errors.fetch_add(1);
+          touch_hot();
+        }
+      } else if (index.MultiErase(burst.data(), kBurst) !=
+                 static_cast<size_t>(kBurst)) {
+        errors.fetch_add(1);
+      }
+    }
+    stop.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      util::Xoshiro256 rng(9100 + static_cast<uint64_t>(r));
+      std::vector<int64_t> last_seen(kStable, 0);
+      // A read of `key` returned `payload` (found or not): check it.
+      auto check = [&](int64_t key, bool found, int64_t payload) {
+        const bool stable = key % kStride == 0;
+        if (!found) {
+          if (stable) errors.fetch_add(1);  // a never-erased key went missing
+          return;
+        }
+        const int64_t write = payload & ((int64_t{1} << kWriteBits) - 1);
+        if (payload >> kWriteBits != key ||
+            write > published.load(std::memory_order_relaxed)) {
+          errors.fetch_add(1);  // a payload nobody stored for this key
+          return;
+        }
+        if (stable) {
+          int64_t& last = last_seen[key / kStride];
+          if (write < last) errors.fetch_add(1);  // went back in time
+          last = write;
+        }
+      };
+      constexpr size_t kBatch = Index::kMultiGetGroup + 9;
+      std::vector<int64_t> batch(kBatch), got(kBatch);
+      std::unique_ptr<bool[]> found(new bool[kBatch]);
+      while (!stop.load(std::memory_order_acquire)) {
+        // Mostly the hot leaf's keys: its stable key and its burst.
+        const int64_t base = hot.load(std::memory_order_relaxed);
+        auto pick = [&] {
+          const int64_t s =
+              rng.NextUint64(4) == 0
+                  ? static_cast<int64_t>(rng.NextUint64(kStable)) * kStride
+                  : base;
+          return rng.NextUint64(2) == 0
+                     ? s
+                     : s + 1 + static_cast<int64_t>(rng.NextUint64(kBurst));
+        };
+        const int64_t s =
+            rng.NextUint64(2) == 0 ? base : pick() / kStride * kStride;
+        int64_t payload = 0;
+        const bool found_s = index.Get(s, &payload);
+        check(s, found_s, payload);
+        if (!index.Contains(s)) errors.fetch_add(1);
+        for (size_t i = 0; i < kBatch; ++i) batch[i] = pick();
+        index.MultiGet(batch.data(), kBatch, got.data(), found.get());
+        for (size_t i = 0; i < kBatch; ++i) check(batch[i], found[i], got[i]);
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(errors.load(), 0u);
+  const Stats stats = index.GetStats();
+  EXPECT_GT(stats.num_splits, 0u);
+  EXPECT_GT(stats.num_expansions, 0u);
+  EXPECT_GT(stats.num_contractions, 0u);
+  EXPECT_EQ(index.size(), static_cast<size_t>(kStable));
+  EXPECT_TRUE(index.CheckInvariants());
+}
+
+TEST(ConcurrentStressTest, HotLeafTortureGappedArray) {
+  RunHotLeafTorture(NodeLayout::kGappedArray);
+}
+
+TEST(ConcurrentStressTest, HotLeafTorturePma) {
+  RunHotLeafTorture(NodeLayout::kPackedMemoryArray);
 }
 
 }  // namespace

@@ -440,7 +440,11 @@ Layout TwoPassLayout(const std::vector<int64_t>& keys,
   return layout;
 }
 
-// Byte-for-byte comparison of a built leaf array against the reference.
+// Byte-for-byte comparison of a built leaf array against the reference:
+// every key slot and bitmap word, and the payload of every occupied slot.
+// A gap's payload is never read, so a new block leaves it unwritten (a
+// Debug build poisons it, and every unwritten key slot, which the key
+// memcmp then catches).
 void ExpectSameLayout(const GappedStorage<int64_t, int>& built,
                       const Layout& ref, const std::string& what) {
   const size_t capacity = ref.keys.size();
@@ -449,10 +453,10 @@ void ExpectSameLayout(const GappedStorage<int64_t, int>& built,
                         capacity * sizeof(int64_t)),
             0)
       << what;
-  EXPECT_EQ(std::memcmp(&built.payload_at(0), ref.payloads.data(),
-                        capacity * sizeof(int)),
-            0)
-      << what;
+  ref.bitmap.ForEachSet(0, capacity, [&](size_t i) {
+    EXPECT_EQ(built.payload_at(i), ref.payloads[i]) << what << " slot " << i;
+    return true;
+  });
   EXPECT_EQ(std::memcmp(built.bitmap().words(), ref.bitmap.words(),
                         ref.bitmap.SizeBytes()),
             0)

@@ -85,6 +85,28 @@ TEST_F(ObsTest, StripedCounterIsExactUnderContention) {
   EXPECT_EQ(counter->Load(), kWriters * kPerWriter);
 }
 
+// Stripes go back to the pool when their thread exits, so threads that
+// come and go one after another — many more of them than stripes — each
+// own a private stripe, and the load + store updates stay exact across
+// owners.
+TEST_F(ObsTest, ShortLivedThreadsEachGetAPrivateStripe) {
+  constexpr int kThreads = 40;
+  constexpr uint64_t kPerThread = 1000;
+  Counter* counter = MetricsRegistry::Global().GetCounter("test.churn");
+  int private_stripes = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    size_t stripe = kMetricStripes;
+    std::thread worker([&] {
+      stripe = ThreadMetricStripe();
+      for (uint64_t i = 0; i < kPerThread; ++i) counter->Increment();
+    });
+    worker.join();
+    if (stripe < kMetricStripes - 1) ++private_stripes;
+  }
+  EXPECT_EQ(private_stripes, kThreads);
+  EXPECT_EQ(counter->Load(), kThreads * kPerThread);
+}
+
 TEST_F(ObsTest, GaugeSetAddLoad) {
   Gauge g;
   g.Set(7);
