@@ -39,9 +39,10 @@ AblationResult RunOnce(data::DatasetId dataset, bool model_based) {
 
   util::Log2Histogram hist;
   index.index().ForEachLeaf([&](const core::DataNode<double, P8>& leaf) {
-    for (size_t i = leaf.FirstOccupiedSlot(); i < leaf.capacity();
-         i = leaf.NextOccupiedSlot(i)) {
-      const size_t predicted = leaf.PredictSlot(leaf.KeyAt(i));
+    const auto& s = leaf.storage();
+    for (size_t i = s.FirstOccupied(); i < s.capacity();
+         i = s.NextOccupied(i)) {
+      const size_t predicted = leaf.PredictSlot(s.key_at(i));
       hist.Record(predicted > i ? predicted - i : i - predicted);
     }
   });

@@ -19,7 +19,7 @@ struct LeafStats {
 
   void Collect(const core::Alex<double, int64_t>& index) {
     index.ForEachLeaf([&](const core::DataNode<double, int64_t>& leaf) {
-      sizes.push_back(leaf.num_keys());
+      sizes.push_back(leaf.storage().num_keys());
     });
     std::sort(sizes.begin(), sizes.end());
   }

@@ -41,9 +41,10 @@ void PrintHistogram(const char* title, const util::Log2Histogram& hist) {
 util::Log2Histogram AlexErrors(const core::Alex<double, int64_t>& index) {
   util::Log2Histogram hist;
   index.ForEachLeaf([&](const core::DataNode<double, int64_t>& leaf) {
-    for (size_t i = leaf.FirstOccupiedSlot(); i < leaf.capacity();
-         i = leaf.NextOccupiedSlot(i)) {
-      const size_t predicted = leaf.PredictSlot(leaf.KeyAt(i));
+    const auto& s = leaf.storage();
+    for (size_t i = s.FirstOccupied(); i < s.capacity();
+         i = s.NextOccupied(i)) {
+      const size_t predicted = leaf.PredictSlot(s.key_at(i));
       hist.Record(predicted > i ? predicted - i : i - predicted);
     }
   });

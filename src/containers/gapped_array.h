@@ -63,8 +63,7 @@ class GappedArray : public GappedStorage<K, P> {
     const size_t occ = this->LowerBoundSlot(key, predicted);
     if (occ < cap && this->key_at(occ) == key) return false;  // duplicate
     // First occupied slot strictly left of the insertion boundary.
-    const size_t prev_occ =
-        occ == 0 ? cap : this->bitmap().PrevSet(occ - 1);
+    const size_t prev_occ = this->PrevOccupied(occ);
     const size_t region_lo = prev_occ == cap ? 0 : prev_occ + 1;
     const size_t region_hi = occ;  // exclusive
     if (region_lo < region_hi) {
@@ -81,14 +80,6 @@ class GappedArray : public GappedStorage<K, P> {
     // No gap at the insertion boundary: shift one position toward the
     // closest gap to make one (§3.3.1).
     MakeGapAndPlace(occ, key, payload);
-    return true;
-  }
-
-  /// Removes `key` if present; returns true on success.
-  bool Erase(K key, size_t predicted) {
-    const size_t slot = this->FindSlot(key, predicted);
-    if (slot == this->capacity()) return false;
-    this->EraseAt(slot);
     return true;
   }
 

@@ -115,8 +115,7 @@ class Pma : public GappedStorage<K, P> {
       if (occ < cap && this->key_at(occ) == key) {
         return InsertStatus::kDuplicate;
       }
-      const size_t prev_occ =
-          occ == 0 ? cap : this->bitmap().PrevSet(occ - 1);
+      const size_t prev_occ = this->PrevOccupied(occ);
       const size_t region_lo = prev_occ == cap ? 0 : prev_occ + 1;
       if (region_lo < occ) {
         // A gap exists at the insertion boundary; take the predicted slot
@@ -144,16 +143,6 @@ class Pma : public GappedStorage<K, P> {
       }
     }
     return InsertStatus::kFull;
-  }
-
-  /// Removes `key` if present. PMA deletions simply clear the slot; the
-  /// paper treats deletes as strictly easier than inserts (§3.2) and the
-  /// owning data node handles contraction.
-  bool Erase(K key, size_t predicted) {
-    const size_t slot = this->FindSlot(key, predicted);
-    if (slot == this->capacity()) return false;
-    this->EraseAt(slot);
-    return true;
   }
 
   /// Density bound for a window at `level` (0 = leaf segment, `height` =

@@ -41,8 +41,6 @@
 #include <cstring>
 #include <new>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "models/linear_model.h"
 #include "util/aggregate.h"
@@ -270,6 +268,14 @@ class GappedStorage {
   /// Next occupied slot strictly after `i`, or capacity().
   size_t NextOccupied(size_t i) const { return bitmap().NextSet(i + 1); }
 
+  /// Last occupied slot strictly before `i`, or capacity() when none.
+  size_t PrevOccupied(size_t i) const {
+    return i == 0 ? capacity() : bitmap().PrevSet(i - 1);
+  }
+
+  /// Last occupied slot, or capacity() when empty.
+  size_t LastOccupied() const { return PrevOccupied(capacity()); }
+
   /// Total element moves performed by inserts/rebalances since
   /// construction (Figure 8's "shifts per insert" numerator).
   uint64_t num_shifts() const { return num_shifts_; }
@@ -345,6 +351,17 @@ class GappedStorage {
     util::PrefetchRead(block->payloads(), predicted * sizeof(P));
   }
 
+  /// Removes `key` if present; returns true on success. Both layouts
+  /// erase alike: the slot is cleared, nothing rebalances, and the owning
+  /// data node handles contraction (§3.2: deletes are strictly easier
+  /// than inserts).
+  bool Erase(K key, size_t predicted) {
+    const size_t slot = FindSlot(key, predicted);
+    if (slot == capacity()) return false;
+    EraseAt(slot);
+    return true;
+  }
+
   /// Removes the key at occupied slot `slot`, restoring the gap-fill
   /// invariant for the slot and any gap run ending at it.
   void EraseAt(size_t slot) {
@@ -382,25 +399,11 @@ class GappedStorage {
     }
   }
 
-  /// Appends up to `max_results` (key, payload) pairs starting at the
-  /// first occupied slot >= `slot` to `out`. Returns the number appended.
-  /// This is the range-scan hot path (§5.2.3): one walk over the bitmap
-  /// words, no per-element dispatch.
-  size_t ScanFrom(size_t slot, size_t max_results,
-                  std::vector<std::pair<K, P>>* out) const {
-    if (max_results == 0) return 0;
-    const Block* b = blk();
-    size_t got = 0;
-    b->bitmap().ForEachSet(slot, b->capacity(), [&](size_t i) {
-      out->emplace_back(b->keys()[i], b->payloads()[i]);
-      return ++got < max_results;
-    });
-    return got;
-  }
-
-  /// Visits every occupied slot in [slot_lo, slot_hi) in ascending order
-  /// as visit(key, payload), without materializing anything. Returns the
-  /// number of slots visited. The scan engine's per-leaf streaming path.
+  /// Visits the occupied slots in [slot_lo, slot_hi) in ascending order as
+  /// visit(key, payload), which returns false to stop the walk (like
+  /// util::BitmapView::ForEachSet), without materializing anything.
+  /// Returns the number of slots visited, the one that stopped the walk
+  /// included. The per-leaf step of every range read (§5.2.3).
   template <typename Visitor>
   size_t VisitSlots(size_t slot_lo, size_t slot_hi, Visitor&& visit) const {
     const Block* b = blk();
@@ -408,9 +411,8 @@ class GappedStorage {
     const P* payloads = b->payloads();
     size_t got = 0;
     b->bitmap().ForEachSet(slot_lo, slot_hi, [&](size_t i) {
-      visit(keys[i], payloads[i]);
       ++got;
-      return true;
+      return visit(keys[i], payloads[i]);
     });
     return got;
   }
@@ -485,20 +487,6 @@ class GappedStorage {
     num_keys_ = 0;
     num_shifts_ = 0;
     return {keys, payloads, n};
-  }
-
-  /// Copies all (key, payload) pairs in slot order into `keys`/`payloads`.
-  void ExtractAll(std::vector<K>* keys, std::vector<P>* payloads) const {
-    keys->clear();
-    payloads->clear();
-    keys->reserve(num_keys_);
-    payloads->reserve(num_keys_);
-    const Block* b = blk();
-    b->bitmap().ForEachSet(0, b->capacity(), [&](size_t i) {
-      keys->push_back(b->keys()[i]);
-      payloads->push_back(b->payloads()[i]);
-      return true;
-    });
   }
 
   /// Verifies internal invariants (occupied keys strictly increasing, gap

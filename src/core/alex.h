@@ -94,11 +94,11 @@ class Alex {
     }
 
     bool IsEnd() const { return leaf_ == nullptr; }
-    K key() const { return leaf_->KeyAt(slot_); }
-    const P& payload() const { return leaf_->PayloadAt(slot_); }
+    K key() const { return leaf_->storage().key_at(slot_); }
+    const P& payload() const { return leaf_->storage().payload_at(slot_); }
 
     Iterator& operator++() {
-      slot_ = leaf_->NextOccupiedSlot(slot_);
+      ++slot_;
       SkipToOccupied();
       return *this;
     }
@@ -107,14 +107,14 @@ class Alex {
     /// first key. Walking backwards uses the prev-leaf sibling links.
     Iterator& operator--() {
       if (leaf_ == nullptr) return *this;
-      size_t prev = leaf_->PrevOccupiedSlot(slot_);
-      while (prev >= leaf_->capacity()) {
+      size_t prev = leaf_->storage().PrevOccupied(slot_);
+      while (prev >= leaf_->storage().capacity()) {
         leaf_ = leaf_->prev_leaf();
         if (leaf_ == nullptr) {
           slot_ = 0;
           return *this;
         }
-        prev = leaf_->LastOccupiedSlot();
+        prev = leaf_->storage().LastOccupied();
       }
       slot_ = prev;
       return *this;
@@ -133,11 +133,8 @@ class Alex {
     // current position, crossing leaves as needed; end() when exhausted.
     void SkipToOccupied() {
       while (leaf_ != nullptr) {
-        if (slot_ < leaf_->capacity() && !leaf_->IsOccupied(slot_)) {
-          slot_ = slot_ == 0 ? leaf_->FirstOccupiedSlot()
-                             : leaf_->NextOccupiedSlot(slot_ - 1);
-        }
-        if (slot_ < leaf_->capacity()) return;
+        slot_ = leaf_->storage().bitmap().NextSet(slot_);
+        if (slot_ < leaf_->storage().capacity()) return;
         leaf_ = leaf_->next_leaf();
         slot_ = 0;
       }
@@ -291,11 +288,11 @@ class Alex {
     DataNodeT* leaf = RightmostLeaf();
     // Rightmost leaves may be empty (e.g. after splits of skewed data);
     // walk back to the last leaf that holds a key.
-    while (leaf != nullptr && leaf->num_keys() == 0) {
+    while (leaf != nullptr && leaf->storage().empty()) {
       leaf = leaf->prev_leaf();
     }
     if (leaf == nullptr) return Iterator();
-    return Iterator(leaf, leaf->LastOccupiedSlot());
+    return Iterator(leaf, leaf->storage().LastOccupied());
   }
 
   /// Iterator at the first key >= `key`.
@@ -307,16 +304,20 @@ class Alex {
   /// Reads up to `max_results` pairs with key >= `start`, in key order
   /// (the range-scan read of §5.1.2). Returns the number read. Scans run
   /// leaf-at-a-time over the occupancy bitmap (§5.2.3), crossing leaves
-  /// through sibling links.
+  /// through sibling links; the visitor stops the walk mid-leaf once it
+  /// holds `max_results` pairs.
   size_t RangeScan(K start, size_t max_results,
                    std::vector<std::pair<K, P>>* out) const {
     out->clear();
+    size_t left = max_results;
+    const auto take = [&](const K& key, const P& payload) {
+      out->emplace_back(key, payload);
+      return --left != 0;
+    };
     const DataNodeT* leaf = TraverseToLeaf(start);
-    size_t slot = leaf->LowerBoundSlot(start);
-    while (leaf != nullptr && out->size() < max_results) {
-      leaf->ScanFrom(slot, max_results - out->size(), out);
-      leaf = leaf->next_leaf();
-      slot = 0;
+    for (size_t slot = leaf->LowerBoundSlot(start);
+         leaf != nullptr && left != 0; leaf = leaf->next_leaf(), slot = 0) {
+      leaf->storage().VisitSlots(slot, leaf->storage().capacity(), take);
     }
     return out->size();
   }
@@ -345,7 +346,8 @@ class Alex {
     size_t total = 0;
     VisitNodes([&](const Node* node) {
       if (node->is_leaf()) {
-        total += static_cast<const DataNodeT*>(node)->DataSizeBytes();
+        total +=
+            static_cast<const DataNodeT*>(node)->storage().DataSizeBytes();
       }
     });
     return total;
@@ -383,10 +385,11 @@ class Alex {
     K prev{};
     for (const DataNodeT* leaf = LeftmostLeaf(); leaf != nullptr;
          leaf = leaf->next_leaf()) {
-      if (!leaf->CheckInvariants()) return false;
-      for (size_t i = leaf->FirstOccupiedSlot(); i < leaf->capacity();
-           i = leaf->NextOccupiedSlot(i)) {
-        const K k = leaf->KeyAt(i);
+      const auto& s = leaf->storage();
+      if (!s.CheckInvariants()) return false;
+      for (size_t i = s.FirstOccupied(); i < s.capacity();
+           i = s.NextOccupied(i)) {
+        const K k = s.key_at(i);
         if (have_prev && !(prev < k)) return false;
         prev = k;
         have_prev = true;

@@ -90,6 +90,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -144,6 +145,31 @@ struct AggResult {
     if constexpr (std::is_arithmetic_v<P>) payloads.Merge(o.payloads);
   }
 };
+
+/// Hands one record to a scan visitor and says whether the scan goes on:
+/// a visitor returning void visits the whole range, one returning bool
+/// stops the scan by returning false.
+template <typename Visitor, typename K, typename P>
+bool VisitRecord(Visitor& visit, const K& key, const P& payload) {
+  using Result = std::invoke_result_t<Visitor&, const K&, const P&>;
+  static_assert(std::is_void_v<Result> || std::is_same_v<Result, bool>,
+                "a scan visitor returns void or bool");
+  if constexpr (std::is_void_v<Result>) {
+    visit(key, payload);
+    return true;
+  } else {
+    return visit(key, payload);
+  }
+}
+
+/// The largest value a key can take, +infinity for floating-point keys:
+/// the upper end of a range read that is unbounded above.
+template <typename K>
+constexpr K KeyTop() {
+  return std::numeric_limits<K>::has_infinity
+             ? std::numeric_limits<K>::infinity()
+             : std::numeric_limits<K>::max();
+}
 
 /// A lock-free-read, node-level-locked ALEX. All methods are safe to call
 /// from any thread. Pointer-returning lookups are deliberately not
@@ -469,89 +495,42 @@ class ConcurrentAlex {
     return count;
   }
 
-  /// Range scan into `out`. Read-committed per leaf: each leaf is scanned
-  /// under its shared latch, streaming along the sibling chain; when the
-  /// chain hands us a retired leaf (it split mid-scan), the scan
-  /// re-descends from the root at the first key it has not yet emitted.
+  /// Up to `max_results` records with key >= `start`, in key order, into
+  /// `out` (cleared first): a Scan up to KeyTop whose visitor stops once
+  /// `out` is full. Returns the number read.
   size_t RangeScan(K start, size_t max_results,
                    std::vector<std::pair<K, P>>* out) const {
     out->clear();
-    util::EpochManager::Guard guard(*epoch_);
-    K resume = start;
-    bool emitted = false;
-    const DataNodeT* leaf = DescendAcquire(resume);
-    while (leaf != nullptr && out->size() < max_results) {
-      ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
-      if (leaf->IsRetired()) {
-        CountDescentRetry();
-        latch.unlock();
-        leaf = DescendAcquire(resume);
-        continue;
-      }
-      size_t slot = leaf->LowerBoundSlot(resume);
-      if (emitted && slot < leaf->capacity() &&
-          leaf->KeyAt(slot) == resume) {
-        slot = leaf->NextOccupiedSlot(slot);  // already emitted this key
-      }
-      const size_t before = out->size();
-      leaf->ScanFrom(slot, max_results - out->size(), out);
-      if (out->size() > before) {
-        resume = out->back().first;
-        emitted = true;
-      }
-      const DataNodeT* next = leaf->next_leaf_acquire();
-      latch.unlock();
-      leaf = next;
-    }
+    size_t left = max_results;
+    if (left == 0) return 0;
+    Scan(start, KeyTop<K>(),
+         [&](const K& key, const P& payload) {
+           out->emplace_back(key, payload);
+           return --left != 0;
+         });
     return out->size();
   }
 
-  /// Streaming range scan bounded by keys instead of a result cap: visits
-  /// every record with key in [lo, hi] in ascending key order as
-  /// visit(key, payload), never materializing through an intermediate
-  /// buffer. Same consistency contract as RangeScan — read-committed per
-  /// leaf, re-descending at the first unvisited key when the sibling
-  /// chain hands us a retired leaf. The visitor runs under the leaf's
-  /// shared latch: it must be cheap, must not block, and must not call
-  /// back into this index. Returns the number of records visited.
+  /// Streaming range scan: visits every record with key in [lo, hi] in
+  /// ascending key order as visit(key, payload), never materializing
+  /// through an intermediate buffer. A visitor returning void visits the
+  /// whole range; one returning bool stops the scan when it returns
+  /// false. Read-committed per leaf (WalkRange). The visitor runs under
+  /// the leaf's shared latch: it must be cheap, must not block, and must
+  /// not call back into this index. Returns the number of records
+  /// visited, the one that stopped the scan included.
   template <typename Visitor>
   size_t Scan(K lo, K hi, Visitor&& visit) const {
-    if (hi < lo) return 0;
     size_t total = 0;
-    util::EpochManager::Guard guard(*epoch_);
-    K resume = lo;
-    bool emitted = false;
-    const DataNodeT* leaf = DescendAcquire(resume);
-    while (leaf != nullptr) {
-      ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
-      if (leaf->IsRetired()) {
-        CountDescentRetry();
-        latch.unlock();
-        leaf = DescendAcquire(resume);
-        continue;
-      }
-      // Two leaf searches bracket the leaf's contribution as one slot
-      // run; after a resume the strict upper bound skips the last visited
-      // key without a per-record compare.
-      const size_t slot_lo = emitted ? leaf->UpperBoundSlot(resume)
-                                     : leaf->LowerBoundSlot(resume);
-      const size_t slot_hi = leaf->UpperBoundSlot(hi);
-      if (slot_lo < slot_hi) {
-        total += leaf->VisitSlots(slot_lo, slot_hi, visit);
-        const size_t last = leaf->PrevOccupiedSlot(slot_hi);
-        if (last < leaf->capacity() && last >= slot_lo) {
-          resume = leaf->KeyAt(last);
-          emitted = true;
-        }
-      }
-      // A slot past the run means this leaf already holds a key > hi.
-      if (slot_hi < leaf->capacity()) break;
-      const DataNodeT* next = leaf->next_leaf_acquire();
-      latch.unlock();
-      leaf = next;
-    }
+    WalkRange(lo, hi, [&](const Storage& leaf, size_t slot_lo,
+                          size_t slot_hi) {
+      bool more = true;
+      total += leaf.VisitSlots(slot_lo, slot_hi,
+                               [&](const K& key, const P& payload) {
+                                 return more = VisitRecord(visit, key, payload);
+                               });
+      return more;
+    });
     return total;
   }
 
@@ -561,36 +540,11 @@ class ConcurrentAlex {
   /// ever copied out. Same walk and consistency contract as Scan.
   AggResult<K, P> Aggregate(K lo, K hi, const AggSpec<P>& spec = {}) const {
     AggResult<K, P> result;
-    if (hi < lo) return result;
-    util::EpochManager::Guard guard(*epoch_);
-    K resume = lo;
-    bool emitted = false;
-    const DataNodeT* leaf = DescendAcquire(resume);
-    while (leaf != nullptr) {
-      ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
-      if (leaf->IsRetired()) {
-        CountDescentRetry();
-        latch.unlock();
-        leaf = DescendAcquire(resume);
-        continue;
-      }
-      const size_t slot_lo = emitted ? leaf->UpperBoundSlot(resume)
-                                     : leaf->LowerBoundSlot(resume);
-      const size_t slot_hi = leaf->UpperBoundSlot(hi);
-      if (slot_lo < slot_hi) {
-        AggregateLeafSlots(*leaf, slot_lo, slot_hi, spec, &result);
-        const size_t last = leaf->PrevOccupiedSlot(slot_hi);
-        if (last < leaf->capacity() && last >= slot_lo) {
-          resume = leaf->KeyAt(last);
-          emitted = true;
-        }
-      }
-      if (slot_hi < leaf->capacity()) break;
-      const DataNodeT* next = leaf->next_leaf_acquire();
-      latch.unlock();
-      leaf = next;
-    }
+    WalkRange(lo, hi, [&](const Storage& leaf, size_t slot_lo,
+                          size_t slot_hi) {
+      AggregateLeafSlots(leaf, slot_lo, slot_hi, spec, &result);
+      return true;
+    });
     return result;
   }
 
@@ -685,6 +639,7 @@ class ConcurrentAlex {
 
  private:
   using InnerNodeT = InnerNode;
+  using Storage = typename DataNodeT::StorageBase;
   using WriteLatch = typename DataNodeT::WriteLatch;
   using Probe = typename DataNodeT::Probe;
 
@@ -708,6 +663,49 @@ class ConcurrentAlex {
   static void CountProbeRetry() {
     ALEX_OBS_COUNTER_INC("core.probe_retries");
     ALEX_OBS_CTX_ADD(probe_retries, 1);
+  }
+
+  /// The one range walk behind Scan, Aggregate and RangeScan (§5.2.3):
+  /// streams the leaves that overlap [lo, hi] along the sibling chain,
+  /// each under its shared latch, and calls fn(storage, slot_lo, slot_hi)
+  /// once per leaf whose slots [slot_lo, slot_hi) hold keys of the range
+  /// not yet visited; fn returns false to stop the walk. The walk stops by
+  /// itself at the first leaf that already holds a key above `hi`. When
+  /// the chain hands it a retired leaf (a split replaced it mid-walk), it
+  /// re-descends from the root at the last key it handed out, whose strict
+  /// upper bound then starts the next slot run: read-committed per leaf,
+  /// and each key visited at most once, in order.
+  template <typename Fn>
+  void WalkRange(K lo, K hi, Fn&& fn) const {
+    if (hi < lo) return;
+    util::EpochManager::Guard guard(*epoch_);
+    K resume = lo;
+    bool emitted = false;
+    const DataNodeT* leaf = DescendAcquire(resume);
+    while (leaf != nullptr) {
+      ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(),
+                                 "core.leaf_latch_contended",
+                                 "core.leaf_latch_wait_ns");
+      if (leaf->IsRetired()) {
+        CountDescentRetry();
+        latch.unlock();
+        leaf = DescendAcquire(resume);
+        continue;
+      }
+      const Storage& s = leaf->storage();
+      const size_t slot_lo = emitted ? leaf->UpperBoundSlot(resume)
+                                     : leaf->LowerBoundSlot(resume);
+      const size_t slot_hi = leaf->UpperBoundSlot(hi);
+      if (slot_lo < slot_hi) {
+        if (!fn(s, slot_lo, slot_hi)) return;
+        resume = s.key_at(s.PrevOccupied(slot_hi));
+        emitted = true;
+      }
+      if (slot_hi < s.capacity()) return;  // holds a key above hi
+      const DataNodeT* next = leaf->next_leaf_acquire();
+      latch.unlock();
+      leaf = next;
+    }
   }
 
   /// Point read of `key` in `leaf` (caller holds an epoch guard): up to
@@ -750,8 +748,8 @@ class ConcurrentAlex {
           out->leaf_count == 1 ? depth : std::min(out->min_depth, depth);
       out->max_depth = std::max(out->max_depth, depth);
       out->depth_sum += depth;
-      out->keys += leaf->num_keys();
-      out->capacity += leaf->capacity();
+      out->keys += leaf->storage().num_keys();
+      out->capacity += leaf->storage().capacity();
       if (leaf->has_model()) {
         out->model_error.Record(leaf->MaxModelError());
       } else {
@@ -777,7 +775,7 @@ class ConcurrentAlex {
   /// filtered value aggregate folds only those). With non-arithmetic
   /// payloads, payload aggregation degrades to a pure count and filters
   /// are unsupported.
-  static void AggregateLeafSlots(const DataNodeT& leaf, size_t slot_lo,
+  static void AggregateLeafSlots(const Storage& leaf, size_t slot_lo,
                                  size_t slot_hi, const AggSpec<P>& spec,
                                  AggResult<K, P>* out) {
     if constexpr (std::is_arithmetic_v<P>) {
@@ -791,12 +789,13 @@ class ConcurrentAlex {
         util::AggState<P> ps;
         const bool keys_field = spec.field == AggField::kKeys;
         leaf.VisitSlots(slot_lo, slot_hi, [&](const K& k, const P& p) {
-          if (p < spec.filter_lo || spec.filter_hi < p) return;
+          if (p < spec.filter_lo || spec.filter_hi < p) return true;
           if (keys_field) {
             ks.Add(k);
           } else {
             ps.Add(p);
           }
+          return true;
         });
         out->count += keys_field ? ks.count : ps.count;
         out->keys.Merge(ks);
@@ -1009,7 +1008,7 @@ class ConcurrentAlex {
       size_t drained;
       {
         WriteLatch latch(leaf);
-        drained = leaf->num_keys();
+        drained = leaf->storage().num_keys();
         leaf->MarkRetired();
       }
       epoch_->Retire(leaf);

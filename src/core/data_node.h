@@ -38,7 +38,6 @@
 #include <shared_mutex>
 #include <utility>
 #include <variant>
-#include <vector>
 
 #include "containers/gapped_array.h"
 #include "containers/pma.h"
@@ -73,28 +72,26 @@ class DataNode : public Node {
     if (config.layout == NodeLayout::kPackedMemoryArray) {
       storage_.template emplace<PmaT>(config.pma_bounds);
     }
-    storage_base_ = Visit([](const auto& s) -> const StorageBase* {
-      return &s;
-    });
+    storage_base_ = Visit([](auto& s) -> StorageBase* { return &s; });
     BulkLoad(keys, payloads, n);
   }
 
   ~DataNode() override = default;
 
-  size_t num_keys() const { return Visit([](const auto& s) {
-    return s.num_keys();
-  }); }
-  size_t capacity() const { return storage_base_->capacity(); }
+  /// The leaf's storage, whichever layout it is: slots, keys, payloads,
+  /// occupancy, counts, aggregates and the storage invariants are read
+  /// here directly (container::GappedStorage). The node keeps only the
+  /// reads that need its model (Find, FindSlotOf, LowerBoundSlot,
+  /// UpperBoundSlot, PredictSlot).
+  const StorageBase& storage() const { return *storage_base_; }
+
   bool has_model() const { return storage_base_->block()->has_model(); }
-  const model::LinearModel& model() const {
-    return storage_base_->block()->model();
-  }
 
   /// Retires replaced storage blocks through `reclaimer` instead of
   /// freeing them at once (ConcurrentAlex: optimistic probes may still
   /// read them).
   void set_reclaimer(util::EpochManager* reclaimer) {
-    Visit([&](auto& s) { s.set_reclaimer(reclaimer); });
+    storage_base_->set_reclaimer(reclaimer);
   }
 
   /// Exact max |slot - Predict(key)| over the occupied slots, computed
@@ -104,17 +101,15 @@ class DataNode : public Node {
   /// model-less node.
   size_t MaxModelError() const {
     if (!has_model()) return 0;
-    return Visit([&](const auto& s) {
-      const size_t cap = s.capacity();
-      size_t max_err = 0;
-      s.bitmap().ForEachSet(0, cap, [&](size_t i) {
-        const size_t pred = s.PredictSlot(s.key_at(i));
-        const size_t err = pred > i ? pred - i : i - pred;
-        if (err > max_err) max_err = err;
-        return true;
-      });
-      return max_err;
+    const StorageBase& s = storage();
+    size_t max_err = 0;
+    s.bitmap().ForEachSet(0, s.capacity(), [&](size_t i) {
+      const size_t pred = s.PredictSlot(s.key_at(i));
+      const size_t err = pred > i ? pred - i : i - pred;
+      if (err > max_err) max_err = err;
+      return true;
     });
+    return max_err;
   }
 
   /// Software-prefetches the header of the published storage block (what
@@ -291,35 +286,27 @@ class DataNode : public Node {
 
   /// Const point lookup: reads only, so shared-latch holders never write.
   const P* Find(K key) const {
-    return Visit([&](const auto& s) -> const P* {
-      const size_t slot = s.FindSlot(key, PredictSlot(key));
-      if (slot == s.capacity()) return nullptr;
-      return &s.payload_at(slot);
-    });
+    const size_t slot = FindSlotOf(key);
+    if (slot == storage_base_->capacity()) return nullptr;
+    return &storage_base_->payload_at(slot);
   }
 
-  /// Slot of `key`, or capacity() when absent.
+  /// Slot of `key`, or the storage's capacity() when absent.
   size_t FindSlotOf(K key) const {
-    return Visit([&](const auto& s) {
-      return s.FindSlot(key, PredictSlot(key));
-    });
+    return storage_base_->FindSlot(key, PredictSlot(key));
   }
 
   /// First occupied slot with key >= `key`, or capacity().
   size_t LowerBoundSlot(K key) const {
-    return Visit([&](const auto& s) {
-      return s.LowerBoundSlot(key, PredictSlot(key));
-    });
+    return storage_base_->LowerBoundSlot(key, PredictSlot(key));
   }
 
   /// First occupied slot with key > `key`, or capacity(). With
   /// LowerBoundSlot this brackets a [lo, hi] key range as a slot range in
-  /// two model-guided exponential searches — the scan engine's per-leaf
+  /// two model-guided exponential searches — the range walk's per-leaf
   /// "filter by key range" step.
   size_t UpperBoundSlot(K key) const {
-    return Visit([&](const auto& s) {
-      return s.UpperBoundSlot(key, PredictSlot(key));
-    });
+    return storage_base_->UpperBoundSlot(key, PredictSlot(key));
   }
 
   /// Inserts (Alg. 1 for GA, Alg. 2 for PMA). `allow_split_request` lets
@@ -331,9 +318,11 @@ class DataNode : public Node {
     // (§3.4.2), so fully-packed regions stay small.
     if (allow_split_request && config_->rmi_mode == RmiMode::kAdaptive &&
         config_->allow_splitting &&
-        num_keys() >= config_->max_data_node_keys) {
+        storage_base_->num_keys() >= config_->max_data_node_keys) {
       // Reject duplicates before asking for a split.
-      if (FindSlotOf(key) != capacity()) return InsertResult::kDuplicate;
+      if (FindSlotOf(key) != storage_base_->capacity()) {
+        return InsertResult::kDuplicate;
+      }
       return InsertResult::kNeedsSplit;
     }
     if (auto* ga = std::get_if<GappedArrayT>(&storage_)) {
@@ -366,10 +355,7 @@ class DataNode : public Node {
   /// "in the same way that ALEX nodes expand upon inserts, ALEX nodes can
   /// also contract upon deletes").
   bool Erase(K key) {
-    const bool erased = Visit([&](auto& s) {
-      return s.Erase(key, PredictSlot(key));
-    });
-    if (!erased) return false;
+    if (!storage_base_->Erase(key, PredictSlot(key))) return false;
     if (stats_ != nullptr) ++stats_->num_erases;
     MaybeContract();
     SyncShiftStats();
@@ -379,114 +365,27 @@ class DataNode : public Node {
   /// Overwrites the payload of `key`; returns false when absent (§3.2:
   /// value-only updates are find + write).
   bool UpdatePayload(K key, const P& payload) {
-    return Visit([&](auto& s) {
-      const size_t slot = s.FindSlot(key, s.PredictSlot(key));
-      if (slot == s.capacity()) return false;
-      s.SetPayload(slot, payload);
-      return true;
-    });
+    const size_t slot = FindSlotOf(key);
+    if (slot == storage_base_->capacity()) return false;
+    storage_base_->SetPayload(slot, payload);
+    return true;
   }
 
   /// Expands the array and re-inserts model-based (Alg. 3, Expand).
   /// GA grows by 1/d; PMA doubles.
   void Expand() {
+    const size_t capacity = storage_base_->capacity();
     size_t new_capacity;
     if (std::holds_alternative<GappedArrayT>(storage_)) {
       new_capacity = static_cast<size_t>(
-          static_cast<double>(capacity()) / config_->density_upper + 0.5);
-      if (new_capacity <= capacity()) new_capacity = capacity() + 1;
+          static_cast<double>(capacity) / config_->density_upper + 0.5);
+      if (new_capacity <= capacity) new_capacity = capacity + 1;
     } else {
-      new_capacity = capacity() * 2;
+      new_capacity = capacity * 2;
     }
     const SortedRun run = TakeSorted();
     Rebuild(run.keys, run.payloads, run.n, new_capacity);
     if (stats_ != nullptr) ++stats_->num_expansions;
-  }
-
-  /// True when slot `i` holds a real key.
-  bool IsOccupied(size_t i) const {
-    return Visit([&](const auto& s) { return s.IsOccupied(i); });
-  }
-  K KeyAt(size_t i) const {
-    return Visit([&](const auto& s) { return s.key_at(i); });
-  }
-  const P& PayloadAt(size_t i) const {
-    if (const auto* ga = std::get_if<GappedArrayT>(&storage_)) {
-      return ga->payload_at(i);
-    }
-    return std::get<PmaT>(storage_).payload_at(i);
-  }
-  size_t FirstOccupiedSlot() const {
-    return Visit([&](const auto& s) { return s.FirstOccupied(); });
-  }
-  size_t NextOccupiedSlot(size_t i) const {
-    return Visit([&](const auto& s) { return s.NextOccupied(i); });
-  }
-  /// Last occupied slot, or capacity() when empty.
-  size_t LastOccupiedSlot() const {
-    return Visit([&](const auto& s) {
-      return s.capacity() == 0 ? size_t{0}
-                               : s.bitmap().PrevSet(s.capacity() - 1);
-    });
-  }
-  /// Last occupied slot strictly before `i`, or capacity() when none.
-  size_t PrevOccupiedSlot(size_t i) const {
-    return Visit([&](const auto& s) {
-      return i == 0 ? s.capacity() : s.bitmap().PrevSet(i - 1);
-    });
-  }
-
-  /// Appends up to `max_results` pairs from the first occupied slot >=
-  /// `slot` to `out`; returns the count. Range-scan hot path.
-  size_t ScanFrom(size_t slot, size_t max_results,
-                  std::vector<std::pair<K, P>>* out) const {
-    return Visit([&](const auto& s) {
-      return s.ScanFrom(slot, max_results, out);
-    });
-  }
-
-  /// Visits every occupied slot in [slot_lo, slot_hi) as
-  /// visit(key, payload); returns the count. The scan engine's streaming
-  /// per-leaf path — no materialization.
-  template <typename Visitor>
-  size_t VisitSlots(size_t slot_lo, size_t slot_hi, Visitor&& visit) const {
-    return Visit([&](const auto& s) {
-      return s.VisitSlots(slot_lo, slot_hi, visit);
-    });
-  }
-
-  /// Number of occupied slots in [slot_lo, slot_hi).
-  size_t CountSlots(size_t slot_lo, size_t slot_hi) const {
-    return Visit([&](const auto& s) {
-      return s.CountSlots(slot_lo, slot_hi);
-    });
-  }
-
-  /// Fused count/sum/min/max over the keys in [slot_lo, slot_hi)
-  /// (see util/aggregate.h).
-  util::AggState<K> AggregateKeySlots(size_t slot_lo, size_t slot_hi) const {
-    return Visit([&](const auto& s) {
-      return s.AggregateKeySlots(slot_lo, slot_hi);
-    });
-  }
-
-  /// Fused count/sum/min/max over the payloads in [slot_lo, slot_hi).
-  /// Only instantiated for arithmetic payload types.
-  util::AggState<P> AggregatePayloadSlots(size_t slot_lo,
-                                          size_t slot_hi) const {
-    return Visit([&](const auto& s) {
-      return s.AggregatePayloadSlots(slot_lo, slot_hi);
-    });
-  }
-
-  /// Occupied slots in [slot_lo, slot_hi) with payload in
-  /// [payload_lo, payload_hi]. Only instantiated for arithmetic payloads.
-  uint64_t CountPayloadSlotsBetween(size_t slot_lo, size_t slot_hi,
-                                    P payload_lo, P payload_hi) const {
-    return Visit([&](const auto& s) {
-      return s.CountPayloadSlotsBetween(slot_lo, slot_hi, payload_lo,
-                                        payload_hi);
-    });
   }
 
   using SortedRun = typename StorageBase::SortedRun;
@@ -497,7 +396,7 @@ class DataNode : public Node {
   /// freed.
   SortedRun TakeSorted() {
     RetireStorageCounters();
-    return Visit([&](auto& s) { return s.TakeSorted(); });
+    return storage_base_->TakeSorted();
   }
 
   /// Index-size contribution: the model (2 doubles) + node metadata
@@ -506,16 +405,9 @@ class DataNode : public Node {
     return model::LinearModel::SizeBytes() + kNodeMetadataBytes;
   }
 
-  /// Data-size contribution: allocated arrays + bitmap (§5.1).
-  size_t DataSizeBytes() const {
-    return Visit([](const auto& s) { return s.DataSizeBytes(); });
-  }
-
   /// Cumulative element moves, surviving rebuilds.
   uint64_t TotalShifts() const {
-    return retired_shifts_ + Visit([](const auto& s) {
-      return s.num_shifts();
-    });
+    return retired_shifts_ + storage_base_->num_shifts();
   }
 
   /// Publishes shift counts into `stats` deltas; called by the index after
@@ -527,19 +419,7 @@ class DataNode : public Node {
     last_synced_shifts_ = total;
   }
 
-  /// Storage-level invariant check plus model sanity. Test hook.
-  bool CheckInvariants() const {
-    return Visit([](const auto& s) { return s.CheckInvariants(); });
-  }
-
  private:
-  template <typename F>
-  auto Visit(F&& f) const {
-    if (const auto* ga = std::get_if<GappedArrayT>(&storage_)) {
-      return f(*ga);
-    }
-    return f(std::get<PmaT>(storage_));
-  }
   template <typename F>
   auto Visit(F&& f) {
     if (auto* ga = std::get_if<GappedArrayT>(&storage_)) {
@@ -550,9 +430,9 @@ class DataNode : public Node {
 
   void MaybeContract() {
     if (config_->density_lower <= 0.0) return;
-    const size_t cap = capacity();
+    const size_t cap = storage_base_->capacity();
     if (cap <= config_->min_node_capacity) return;
-    if (static_cast<double>(num_keys()) >=
+    if (static_cast<double>(storage_base_->num_keys()) >=
         config_->density_lower * static_cast<double>(cap)) {
       return;
     }
@@ -590,7 +470,7 @@ class DataNode : public Node {
   // Accumulates the storage's shift counter before the storage is rebuilt
   // (rebuilds reset the embedded counter).
   void RetireStorageCounters() {
-    retired_shifts_ += Visit([](const auto& s) { return s.num_shifts(); });
+    retired_shifts_ += storage_base_->num_shifts();
   }
 
   static constexpr uint64_t kRetiredBit = 1;
@@ -599,8 +479,9 @@ class DataNode : public Node {
   const Config* config_;
   Stats* stats_;
   // The storage's base class, fixed at construction because the
-  // alternative never changes: what the probe paths read through.
-  const StorageBase* storage_base_ = nullptr;
+  // alternative never changes: every operation both layouts share goes
+  // through it, and the variant is visited only where they differ.
+  StorageBase* storage_base_ = nullptr;
   // The version word sits right before the storage, whose first member is
   // the block pointer, so a probe's first two loads share a line.
   std::atomic<uint64_t> version_{0};

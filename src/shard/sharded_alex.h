@@ -45,7 +45,7 @@
 //     shard.
 //
 //   Topology transactions.   Every topology change — a *split* (one hot
-//     shard → split_ways children, triggered by the skew check or the
+//     shard → kSplitWays children, triggered by the skew check or the
 //     absolute bound), a *merge* (two adjacent small shards → one child,
 //     triggered by the inverse skew check when erases shrink them under
 //     the configured floor), and an explicit *rebalance* (re-even the
@@ -78,7 +78,8 @@
 //     and visits the overlapping shards in ascending order on the calling
 //     thread; shards are disjoint ascending ranges, so concatenation is
 //     already sorted. Same read-committed contract as
-//     ConcurrentAlex::RangeScan.
+//     ConcurrentAlex::Scan; RangeScan is a Scan whose visitor stops once
+//     it holds enough records.
 //
 //   Durability.   A shard has one durable form, resident or cold:
 //     manifest entry + tier/segment.h segment + WAL tail. SaveTo
@@ -176,46 +177,47 @@ struct ShardedOptions {
   /// Absolute per-shard size bound (0 = none). Lets a single-shard or
   /// uniformly growing table split even when no relative skew exists.
   size_t max_shard_keys = 1u << 20;
-  /// How many shards one split turns the victim into.
-  size_t split_ways = 2;
   /// Merge two adjacent shards once their *combined* size falls under
   /// this floor (the inverse of the skew check: two small shards whose
   /// union is still a small shard). 0 disables merges. Keep it at or
   /// below min_rebalance_keys so a fresh merge child cannot immediately
   /// re-trip the split trigger.
   size_t merge_threshold_keys = 0;
-  /// Recovery thread-pool width for the per-shard replay (clamped to
-  /// the shard count and the hardware concurrency).
-  size_t recovery_threads = 8;
   // ---- Cold tier (src/tier/) ----
   /// Block-cache capacity in bytes for cold-segment reads: the table
   /// of verified blocks (tier/block_cache.h) gets one slot per block's
   /// worth. Size it to the hot portion of the cold tier.
   size_t tier_cache_bytes = 16u << 20;
-  /// Target cold-segment block size in bytes; the per-block key count is
-  /// derived as max(64, tier_block_bytes / sizeof(record)).
-  size_t tier_block_bytes = tier::kDefaultBlockBytes;
   /// Directory/prefix where demotion writes its segment files. Empty
   /// defers to the WAL prefix; demotion fails when neither is set.
   std::string tier_prefix;
   /// TieringTick never demotes a shard holding fewer keys than this
   /// (tiny shards are not worth a segment file).
   size_t tier_min_demote_keys = 1024;
-  /// TieringTick demotes a resident shard whose share of the window's
-  /// traffic fell under `tier_demote_fraction` of the fair (1/n) share.
-  double tier_demote_fraction = 0.1;
-  /// TieringTick promotes a cold shard whose share of the window's
-  /// traffic reached `tier_promote_share` times the fair share ...
-  double tier_promote_share = 1.0;
-  /// ... or whose delta overlay accumulated this many resident entries
-  /// (a write-heavy cold shard pays double bookkeeping; bring it back).
-  size_t tier_promote_delta_keys = 256;
   /// TieringTick is a no-op until the traffic window since the previous
   /// tick holds at least this many routed operations.
   uint64_t tier_min_window_ops = 1024;
   /// Configuration applied to every shard's ConcurrentAlex.
   core::Config shard_config;
 };
+
+// Fixed shard-layer policy. Cold segments use tier::kDefaultBlockBytes
+// blocks.
+
+/// How many shards one split turns the victim into.
+inline constexpr size_t kSplitWays = 2;
+/// Recovery thread-pool width for the per-shard replay (clamped to the
+/// shard count and the hardware concurrency).
+inline constexpr size_t kRecoveryThreads = 8;
+/// TieringTick demotes a resident shard whose share of the window's
+/// traffic fell under this fraction of the fair (1/n) share.
+inline constexpr double kTierDemoteFraction = 0.1;
+/// TieringTick promotes a cold shard whose share of the window's traffic
+/// reached this many times the fair share ...
+inline constexpr double kTierPromoteShare = 1.0;
+/// ... or whose delta overlay accumulated this many resident entries (a
+/// write-heavy cold shard pays double bookkeeping; bring it back).
+inline constexpr size_t kTierPromoteDeltaKeys = 256;
 
 /// A range-partitioned, range-routed collection of ConcurrentAlex
 /// shards. All methods are safe to call from any thread. Point operations
@@ -226,7 +228,7 @@ class ShardedAlex {
   explicit ShardedAlex(const ShardedOptions& options = ShardedOptions())
       : options_(options),
         block_cache_(options.tier_cache_bytes,
-                     KeysPerBlock() * (sizeof(K) + sizeof(P))) {
+                     kKeysPerBlock * (sizeof(K) + sizeof(P))) {
     auto* table = new Table();
     table->shards.push_back(
         std::make_shared<Shard>(options_.shard_config, &epoch_));
@@ -415,43 +417,44 @@ class ShardedAlex {
     return shard->Get(key, &ignored, &block_cache_);
   }
 
-  /// Cross-shard range scan: stitches per-shard scans in key order (the
-  /// shards are disjoint ascending ranges, so the concatenation is
-  /// sorted). Read-committed, like ConcurrentAlex::RangeScan; the whole
-  /// scan uses the table pinned at entry, so a concurrent rebalance never
-  /// tears it.
+  /// Cross-shard range scan: up to `max_results` records with key >=
+  /// `start`, in key order, into `out` (cleared first). From the shard
+  /// that holds `start` on, each shard runs its one Scan with a visitor
+  /// that writes straight into `out` and stops once it is full.
+  /// Read-committed, like Scan; the
+  /// whole scan uses the table pinned at entry, so a concurrent rebalance
+  /// never tears it.
   size_t RangeScan(K start, size_t max_results,
                    std::vector<std::pair<K, P>>* out) const {
     out->clear();
     obs::ScopedOpTimer op_timer(obs::OpType::kRangeScan);
     util::EpochManager::Guard guard(epoch_);
     Table* table = table_.load(std::memory_order_seq_cst);
-    size_t idx = table->router.Route(start);
-    K resume = start;
-    std::vector<std::pair<K, P>> chunk;
-    while (out->size() < max_results && idx < table->shards.size()) {
-      Shard* shard = table->shards[idx].get();
+    size_t left = max_results;
+    const auto take = [&](const K& key, const P& payload) {
+      out->emplace_back(key, payload);
+      return --left != 0;
+    };
+    for (size_t s = table->router.Route(start);
+         left != 0 && s < table->shards.size(); ++s) {
+      Shard* shard = table->shards[s].get();
       shard->traffic.Increment();
-      shard->RangeScan(resume, max_results - out->size(), &chunk);
-      out->insert(out->end(), chunk.begin(), chunk.end());
-      ++idx;
-      if (idx < table->shards.size()) {
-        resume = table->router.LowerBoundOf(idx);
-      }
+      shard->Scan(start, core::KeyTop<K>(), take);
     }
     return out->size();
   }
 
   /// Cross-shard streaming scan of [lo, hi], visiting every record in
-  /// ascending key order as visit(key, payload) on the calling thread.
-  /// One routing table is pinned for the whole scan; each overlapping
-  /// shard's ConcurrentAlex::Scan streams straight into the visitor in
-  /// shard order (the shards are disjoint ascending key ranges, so the
-  /// concatenation is sorted) with zero buffering. Nothing is spawned:
-  /// per-call worker threads cost more than a short range scan itself,
-  /// and under a closed-loop client per core they only queue for a core.
-  /// Read-committed per leaf, like RangeScan. Returns the number of
-  /// records visited.
+  /// ascending key order as visit(key, payload) on the calling thread; a
+  /// visitor returning bool stops the scan by returning false (see
+  /// ConcurrentAlex::Scan). One routing table is pinned for the whole
+  /// scan; each overlapping shard's Scan streams straight into the
+  /// visitor in shard order (the shards are disjoint ascending key
+  /// ranges, so the concatenation is sorted) with zero buffering. Nothing
+  /// is spawned: per-call worker threads cost more than a short range
+  /// scan itself, and under a closed-loop client per core they only
+  /// queue for a core. Read-committed per leaf. Returns the number of
+  /// records visited, the one that stopped the scan included.
   template <typename Visitor>
   size_t Scan(K lo, K hi, Visitor&& visit) const {
     if (hi < lo) return 0;
@@ -459,9 +462,13 @@ class ShardedAlex {
     util::EpochManager::Guard guard(epoch_);
     Table* table = table_.load(std::memory_order_seq_cst);
     const size_t last = table->router.Route(hi);
+    bool more = true;
+    const auto step = [&](const K& key, const P& payload) {
+      return more = core::VisitRecord(visit, key, payload);
+    };
     size_t total = 0;
-    for (size_t s = table->router.Route(lo); s <= last; ++s) {
-      total += table->shards[s]->Scan(lo, hi, visit);
+    for (size_t s = table->router.Route(lo); more && s <= last; ++s) {
+      total += table->shards[s]->Scan(lo, hi, step);
     }
     return total;
   }
@@ -612,10 +619,10 @@ class ShardedAlex {
   /// One pass of the traffic-driven tiering policy. Reads each shard's
   /// routed-operation count since the previous tick; when the window
   /// holds at least options.tier_min_window_ops, demotes resident
-  /// shards whose share fell under tier_demote_fraction of fair (and
+  /// shards whose share fell under kTierDemoteFraction of fair (and
   /// that hold tier_min_demote_keys keys), and promotes cold shards
-  /// whose share reached tier_promote_share of fair or whose overlay
-  /// grew past tier_promote_delta_keys entries. Returns the number of
+  /// whose share reached kTierPromoteShare of fair or whose overlay
+  /// grew past kTierPromoteDeltaKeys entries. Returns the number of
   /// tier transitions; skips (returns 0) when a rival topology
   /// transaction holds the rebalance lock.
   size_t TieringTick() {
@@ -650,16 +657,16 @@ class ShardedAlex {
       if (shard->cold()) {
         const bool hot_again =
             static_cast<double>(window[i]) >=
-            fair * options_.tier_promote_share;
+            fair * kTierPromoteShare;
         const bool overlay_heavy =
-            shard->DeltaEntries() >= options_.tier_promote_delta_keys;
+            shard->DeltaEntries() >= kTierPromoteDeltaKeys;
         if ((hot_again || overlay_heavy) &&
             PromoteShardLocked(i) == core::SnapshotStatus::kOk) {
           ++transitions;
         }
       } else {
         const bool idle = static_cast<double>(window[i]) <=
-                          fair * options_.tier_demote_fraction;
+                          fair * kTierDemoteFraction;
         if (idle && shard->size() >= options_.tier_min_demote_keys &&
             DemoteShardLocked(i) == core::SnapshotStatus::kOk) {
           ++transitions;
@@ -1102,7 +1109,7 @@ class ShardedAlex {
   /// them, two epoch advances after that table retired.
   ///
   /// The shard's own data methods (size, Get, Apply, ApplyRun, Scan,
-  /// RangeScan, Aggregate, Contents and the byte accounting) are the only
+  /// Aggregate, Contents and the byte accounting) are the only
   /// place an operation chooses a tier; ShardedAlex routes, gates, logs
   /// and runs topology without knowing which tier serves the op.
   struct Shard {
@@ -1235,32 +1242,13 @@ class ShardedAlex {
       return count;
     }
 
-    /// Streams [lo, hi] in ascending key order as visit(key, payload);
-    /// returns the records visited.
+    /// Streams [lo, hi] in ascending key order as visit(key, payload),
+    /// which may return bool to stop (ConcurrentAlex::Scan); returns the
+    /// records visited.
     template <typename Visitor>
     size_t Scan(const K& lo, const K& hi, Visitor&& visit) const {
       if (!cold()) return index.Scan(lo, hi, visit);
-      return ColdScanUntil(lo, hi, [&](const K& key, const P& payload) {
-        visit(key, payload);
-        return true;
-      });
-    }
-
-    /// Up to `max_results` records from `start` on, into `*out`
-    /// (cleared first).
-    void RangeScan(const K& start, size_t max_results,
-                   std::vector<std::pair<K, P>>* out) const {
-      if (!cold()) {
-        index.RangeScan(start, max_results, out);
-        return;
-      }
-      out->clear();
-      if (max_results == 0) return;
-      ColdScanUntil(start, std::numeric_limits<K>::max(),
-                    [&](const K& key, const P& payload) {
-                      out->emplace_back(key, payload);
-                      return out->size() < max_results;
-                    });
+      return ColdScan(lo, hi, visit);
     }
 
     /// Aggregate pushdown. A cold shard folds one merged overlay+segment
@@ -1270,7 +1258,7 @@ class ShardedAlex {
                                     const core::AggSpec<P>& spec) const {
       if (!cold()) return index.Aggregate(lo, hi, spec);
       core::AggResult<K, P> r;
-      ColdScanUntil(lo, hi, [&](const K& key, const P& payload) {
+      ColdScan(lo, hi, [&](const K& key, const P& payload) {
         if constexpr (std::is_arithmetic_v<P>) {
           if (spec.has_payload_filter &&
               (payload < spec.filter_lo || spec.filter_hi < payload)) {
@@ -1377,10 +1365,11 @@ class ShardedAlex {
     /// Merged scan of a cold shard over [lo, hi]: the overlay slice is
     /// snapshotted under the shared lock (so the segment stream — which
     /// reads the mapping, not the cache — never runs under it), then
-    /// merge-joined with the segment in ascending key order. `visit`
-    /// returns false to stop early. Returns the records visited.
+    /// merge-joined with the segment in ascending key order. A `visit`
+    /// returning bool stops the scan by returning false
+    /// (core::VisitRecord). Returns the records visited.
     template <typename Visitor>
-    size_t ColdScanUntil(const K& lo, const K& hi, Visitor&& visit) const {
+    size_t ColdScan(const K& lo, const K& hi, Visitor&& visit) const {
       std::vector<std::pair<K, DeltaEntry>> overlay;
       {
         std::shared_lock<std::shared_mutex> lock(delta_mutex);
@@ -1398,7 +1387,7 @@ class ShardedAlex {
           ++d;
           if (e.second.tombstone) continue;
           ++count;
-          if (!visit(e.first, e.second.payload)) {
+          if (!core::VisitRecord(visit, e.first, e.second.payload)) {
             stopped = true;
             return false;
           }
@@ -1408,14 +1397,14 @@ class ShardedAlex {
           ++d;
           if (e.tombstone) return true;  // erased segment key
           ++count;  // updated segment key: overlay payload wins
-          if (!visit(key, e.payload)) {
+          if (!core::VisitRecord(visit, key, e.payload)) {
             stopped = true;
             return false;
           }
           return true;
         }
         ++count;
-        if (!visit(key, payload)) {
+        if (!core::VisitRecord(visit, key, payload)) {
           stopped = true;
           return false;
         }
@@ -1424,7 +1413,10 @@ class ShardedAlex {
       for (; !stopped && d < overlay.size(); ++d) {
         if (overlay[d].second.tombstone) continue;
         ++count;
-        if (!visit(overlay[d].first, overlay[d].second.payload)) break;
+        if (!core::VisitRecord(visit, overlay[d].first,
+                               overlay[d].second.payload)) {
+          break;
+        }
       }
       return count;
     }
@@ -1677,14 +1669,14 @@ class ShardedAlex {
 
   /// Runs fn(i) for i in [0, n) on a small thread pool (the per-shard
   /// recovery replay is embarrassingly parallel: distinct shards build
-  /// distinct state). Width: recovery_threads, clamped to the shard count
+  /// distinct state). Width: kRecoveryThreads, clamped to the shard count
   /// and the hardware concurrency (replay is CPU-bound; oversubscription
   /// only adds contention). Workers claim shards off an atomic cursor; a
   /// width of 1 runs inline with no spawns. The caller's epoch guard keeps
   /// whatever it pinned alive for the workers. fn must not throw.
   template <typename Fn>
   void ParallelOverShards(size_t n, Fn&& fn) const {
-    size_t workers = std::min(n, options_.recovery_threads);
+    size_t workers = std::min(n, kRecoveryThreads);
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw > 0) workers = std::min<size_t>(workers, hw);
     if (workers <= 1) {
@@ -1877,8 +1869,7 @@ class ShardedAlex {
         shard->Contents(&keys, &payloads);
         const std::string path = tier::SegmentPath(prefix, segment_id);
         const core::SnapshotStatus status = tier::WriteSegmentFile<K, P>(
-            path, keys.data(), payloads.data(), keys.size(),
-            KeysPerBlock());
+            path, keys.data(), payloads.data(), keys.size(), kKeysPerBlock);
         if (status != core::SnapshotStatus::kOk) return status;
         // Durable before the manifest can reference it (and before the
         // WAL segments it supersedes are deleted below).
@@ -1991,10 +1982,9 @@ class ShardedAlex {
                                         : options_.tier_prefix;
   }
 
-  /// Keys per cold-segment block, from the configured byte target.
-  size_t KeysPerBlock() const {
-    return tier::KeysPerBlock<K, P>(options_.tier_block_bytes);
-  }
+  /// Keys per cold-segment block.
+  static constexpr size_t kKeysPerBlock =
+      tier::KeysPerBlock<K, P>(tier::kDefaultBlockBytes);
 
   /// Writes `n` records as segment `id` at `prefix`: staged under a
   /// .tmp name, fsynced, renamed into place, directory-fsynced — the
@@ -2007,8 +1997,7 @@ class ShardedAlex {
     const std::string path = tier::SegmentPath(prefix, id);
     const std::string tmp = path + ".tmp";
     core::SnapshotStatus status =
-        tier::WriteSegmentFile<K, P>(tmp, keys, payloads, n,
-                                     KeysPerBlock());
+        tier::WriteSegmentFile<K, P>(tmp, keys, payloads, n, kKeysPerBlock);
     if (status != core::SnapshotStatus::kOk) return status;
     if (!wal::SyncPath(tmp)) {
       std::remove(tmp.c_str());
@@ -2272,7 +2261,7 @@ class ShardedAlex {
       return;
     }
     ExecuteTopologyTxn(TopologyOp::kSplit, current, idx, idx + 1,
-                       std::max<size_t>(2, options_.split_ways));
+                       kSplitWays);
   }
 
   /// Post-erase merge trigger, amortized exactly like the split skew

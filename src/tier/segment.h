@@ -118,8 +118,8 @@ inline uint64_t SegmentHeaderChecksum(const SegmentHeader& header) {
       &header, sizeof(header) - sizeof(header.header_checksum), 0);
 }
 
-/// Block size of a saved index, and the default of the shard layer's
-/// ShardedOptions::tier_block_bytes.
+/// Block size of every segment written: a saved index's, and each cold
+/// shard's.
 inline constexpr size_t kDefaultBlockBytes = 4096;
 
 /// Keys per block for a `block_bytes` target: whole records, at least 64.

@@ -345,9 +345,10 @@ TEST(AlexTest, PredictionErrorsSmallAfterBulkLoad) {
   index.BulkLoad(keys.data(), payloads.data(), keys.size());
   uint64_t direct = 0, total = 0;
   index.ForEachLeaf([&](const AlexInt::DataNodeT& leaf) {
-    for (size_t i = leaf.FirstOccupiedSlot(); i < leaf.capacity();
-         i = leaf.NextOccupiedSlot(i)) {
-      const size_t predicted = leaf.PredictSlot(leaf.KeyAt(i));
+    const auto& s = leaf.storage();
+    for (size_t i = s.FirstOccupied(); i < s.capacity();
+         i = s.NextOccupied(i)) {
+      const size_t predicted = leaf.PredictSlot(s.key_at(i));
       if (predicted == i) ++direct;
       ++total;
     }
@@ -505,10 +506,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Brute force: max |slot - PredictSlot(key)| over the occupied slots.
 size_t BruteForceMaxError(const DataNode<int64_t, int64_t>& node) {
+  const auto& s = node.storage();
   size_t max_err = 0;
-  for (size_t i = 0; i < node.capacity(); ++i) {
-    if (!node.IsOccupied(i)) continue;
-    const size_t pred = node.PredictSlot(node.KeyAt(i));
+  for (size_t i = 0; i < s.capacity(); ++i) {
+    if (!s.IsOccupied(i)) continue;
+    const size_t pred = node.PredictSlot(s.key_at(i));
     max_err = std::max(max_err, pred > i ? pred - i : i - pred);
   }
   return max_err;
@@ -538,7 +540,7 @@ TEST(DataNodeTest, MaxModelErrorIsExactThroughChurn) {
         node.Erase(key);
       }
       if (op % 97 == 0) {
-        ASSERT_TRUE(node.CheckInvariants());
+        ASSERT_TRUE(node.storage().CheckInvariants());
         const size_t expected = node.has_model() ? BruteForceMaxError(node)
                                                  : size_t{0};
         ASSERT_EQ(node.MaxModelError(), expected) << "op " << op;

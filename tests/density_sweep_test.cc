@@ -35,8 +35,8 @@ TEST_P(GaDensitySweep, ExpansionKeepsDensityBelowBound) {
   // Every leaf respects the density bound (with one key of slack at the
   // expansion trigger).
   index.ForEachLeaf([&](const core::DataNode<int64_t, int64_t>& leaf) {
-    EXPECT_LE(static_cast<double>(leaf.num_keys()),
-              d * static_cast<double>(leaf.capacity()) + 1.0)
+    EXPECT_LE(static_cast<double>(leaf.storage().num_keys()),
+              d * static_cast<double>(leaf.storage().capacity()) + 1.0)
         << "d=" << d;
   });
   EXPECT_TRUE(index.CheckInvariants());

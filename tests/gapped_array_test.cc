@@ -24,6 +24,19 @@ namespace {
 using model::LinearModel;
 using model::TrainCdfModel;
 
+/// Every (key, payload) pair of `storage` in slot order.
+template <typename Storage, typename K, typename P>
+void ExtractAll(const Storage& storage, std::vector<K>* keys,
+                std::vector<P>* payloads) {
+  keys->clear();
+  payloads->clear();
+  storage.bitmap().ForEachSet(0, storage.capacity(), [&](size_t i) {
+    keys->push_back(storage.key_at(i));
+    payloads->push_back(storage.payload_at(i));
+    return true;
+  });
+}
+
 std::vector<int64_t> MakeSortedKeys(size_t n, int64_t stride = 3) {
   std::vector<int64_t> keys(n);
   for (size_t i = 0; i < n; ++i) keys[i] = static_cast<int64_t>(i) * stride;
@@ -121,7 +134,7 @@ TEST(GappedArrayTest, InsertMaintainsSortedOrder) {
   }
   std::vector<int64_t> extracted;
   std::vector<int> payloads;
-  ga.ExtractAll(&extracted, &payloads);
+  ExtractAll(ga, &extracted, &payloads);
   std::vector<int64_t> sorted_keys = keys;
   std::sort(sorted_keys.begin(), sorted_keys.end());
   EXPECT_EQ(extracted, sorted_keys);
@@ -253,7 +266,7 @@ TEST(GappedArrayTest, RandomizedMirrorOfStdMap) {
   ASSERT_EQ(ga.num_keys(), reference.size());
   std::vector<int64_t> keys;
   std::vector<int> payloads;
-  ga.ExtractAll(&keys, &payloads);
+  ExtractAll(ga, &keys, &payloads);
   size_t i = 0;
   for (const auto& [k, v] : reference) {
     ASSERT_EQ(keys[i], k);
@@ -297,29 +310,41 @@ void BuildMixedWordArray(GappedArray<int64_t, int>* ga,
                       LinearModel(1.0, 0.0));
 }
 
-TEST(GappedArrayTest, ScanFromStopsAtMaxResultsMidWord) {
+TEST(GappedArrayTest, VisitSlotsStopsMidWord) {
   GappedArray<int64_t, int> ga;
   std::vector<int64_t> keys;
   BuildMixedWordArray(&ga, &keys);
   ASSERT_EQ(ga.bitmap().words()[1], ~0ULL);
+  // Visits from slot `lo` with a visitor that stops once it holds `max`
+  // pairs (max > 0), as a range scan's does.
+  std::vector<std::pair<int64_t, int>> out;
+  const auto take = [&](size_t lo, size_t max) {
+    out.clear();
+    return ga.VisitSlots(lo, ga.capacity(), [&](int64_t k, int p) {
+      out.emplace_back(k, p);
+      return out.size() < max;
+    });
+  };
   // From slot 66 ten results end at slot 75, inside the dense word.
-  std::vector<std::pair<int64_t, int>> out = {{-1, -1}};  // appended to
-  EXPECT_EQ(ga.ScanFrom(66, 10, &out), 10u);
-  ASSERT_EQ(out.size(), 11u);
-  for (size_t i = 1; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].first, static_cast<int64_t>(65 + i));
+  EXPECT_EQ(take(66, 10), 10u);
+  ASSERT_EQ(out.size(), 10u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].first, static_cast<int64_t>(66 + i));
     EXPECT_EQ(out[i].second, out[i].first * 10);
   }
   // A sparse word: the stop falls between two set bits.
-  out.clear();
-  EXPECT_EQ(ga.ScanFrom(1, 3, &out), 3u);
+  EXPECT_EQ(take(1, 3), 3u);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out.back().first, 9);
-  out.clear();
-  EXPECT_EQ(ga.ScanFrom(0, 0, &out), 0u);
-  EXPECT_TRUE(out.empty());
+  // A stop on the first slot visited counts that slot; an empty slot
+  // range visits nothing.
+  EXPECT_EQ(take(0, 1), 1u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].first, 0);
+  EXPECT_EQ(ga.VisitSlots(5, 5, [](int64_t, int) { return true; }), 0u);
   // Unbounded: everything from the start slot on, in order.
-  EXPECT_EQ(ga.ScanFrom(0, SIZE_MAX, &out), keys.size());
+  EXPECT_EQ(take(0, SIZE_MAX), keys.size());
+  ASSERT_EQ(out.size(), keys.size());
   for (size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(out[i].first, keys[i]);
 }
 
@@ -342,6 +367,7 @@ TEST(GappedArrayTest, VisitSlotsCrossesEmptyAndDenseWords) {
                             [&](int64_t k, int p) {
                               EXPECT_EQ(p, k * 10);
                               got.push_back(k);
+                              return true;
                             }),
               want.size());
     EXPECT_EQ(got, want) << "lo=" << lo << " hi=" << hi;

@@ -18,6 +18,19 @@ using model::TrainCdfModel;
 using PmaInt = Pma<int64_t, int>;
 using Status = PmaInt::InsertStatus;
 
+/// Every (key, payload) pair of `storage` in slot order.
+template <typename Storage, typename K, typename P>
+void ExtractAll(const Storage& storage, std::vector<K>* keys,
+                std::vector<P>* payloads) {
+  keys->clear();
+  payloads->clear();
+  storage.bitmap().ForEachSet(0, storage.capacity(), [&](size_t i) {
+    keys->push_back(storage.key_at(i));
+    payloads->push_back(storage.payload_at(i));
+    return true;
+  });
+}
+
 TEST(PmaTest, CapacityIsAlwaysPowerOfTwo) {
   EXPECT_EQ(PmaInt::RoundCapacity(1), 8u);
   EXPECT_EQ(PmaInt::RoundCapacity(8), 8u);
@@ -117,7 +130,7 @@ TEST(PmaTest, ReverseSequentialInserts) {
   EXPECT_TRUE(pma.CheckInvariants());
   std::vector<int64_t> keys;
   std::vector<int> payloads;
-  pma.ExtractAll(&keys, &payloads);
+  ExtractAll(pma, &keys, &payloads);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   EXPECT_EQ(keys.size(), 100u);
 }
@@ -209,7 +222,7 @@ TEST(PmaTest, RandomizedMirrorOfStdMap) {
   ASSERT_EQ(pma.num_keys(), reference.size());
   std::vector<int64_t> keys;
   std::vector<int> payloads;
-  pma.ExtractAll(&keys, &payloads);
+  ExtractAll(pma, &keys, &payloads);
   size_t i = 0;
   for (const auto& [k, v] : reference) {
     ASSERT_EQ(keys[i], k);
@@ -273,7 +286,7 @@ TEST(PmaTest, WindowedRebalancesKeepInvariantsUnderInsertHeavyChurn) {
   }
   std::vector<int64_t> keys;
   std::vector<int> payloads;
-  pma.ExtractAll(&keys, &payloads);
+  ExtractAll(pma, &keys, &payloads);
   ASSERT_EQ(keys.size(), reference.size());
   size_t i = 0;
   for (const auto& [k, v] : reference) {

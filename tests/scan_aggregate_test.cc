@@ -11,11 +11,15 @@
 // double sums must match it bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <future>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <string>
@@ -23,8 +27,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/alex.h"
 #include "core/concurrent_alex.h"
 #include "shard/sharded_alex.h"
+#include "test_files.h"
 #include "util/aggregate.h"
 #include "util/bitmap.h"
 #include "util/random.h"
@@ -349,10 +355,10 @@ TEST(ConcurrentScanAggregateTest, MatchesMapOraclePackedMemoryArray) {
 /// all 64 slots are set, 's' otherwise.
 template <typename Leaf>
 std::string WordKinds(const Leaf& leaf) {
-  std::string kinds((leaf.capacity() + 63) / 64, 'E');
+  const auto& s = leaf.storage();
+  std::string kinds((s.capacity() + 63) / 64, 'E');
   std::vector<size_t> set(kinds.size(), 0);
-  for (size_t i = leaf.FirstOccupiedSlot(); i < leaf.capacity();
-       i = leaf.NextOccupiedSlot(i)) {
+  for (size_t i = s.FirstOccupied(); i < s.capacity(); i = s.NextOccupied(i)) {
     ++set[i / 64];
   }
   for (size_t w = 0; w < kinds.size(); ++w) {
@@ -418,6 +424,83 @@ TEST(ConcurrentScanAggregateTest, ScanCrossesEmptyAndDenseBitmapWords) {
   }
 }
 
+/// A bool visitor stops the walk after exactly k records, wherever the
+/// k-th falls; one that stops on a leaf's last occupied slot returns
+/// without latching the next leaf.
+void RunStoppingScanForLayout(NodeLayout layout) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Config config;
+  config.layout = layout;
+  std::vector<int64_t> keys, payloads;
+  for (int64_t i = 0; i < 20000; ++i) {
+    keys.push_back(i * 5);
+    payloads.push_back(i);
+  }
+  // Bulk loading is deterministic: a core::Alex loaded with the same keys
+  // shows the leaves the ConcurrentAlex below gets.
+  core::Alex<int64_t, int64_t> shape(config);
+  shape.BulkLoad(keys.data(), payloads.data(), keys.size());
+  std::vector<int64_t> leaf_last;  // last key of each non-empty leaf
+  shape.ForEachLeaf([&](const auto& leaf) {
+    const auto& s = leaf.storage();
+    if (!s.empty()) leaf_last.push_back(s.key_at(s.LastOccupied()));
+  });
+  ASSERT_GE(leaf_last.size(), 2u);
+
+  core::ConcurrentAlex<int64_t, int64_t> index(config);
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+  // Stops on the first key, on the last key of a leaf, on the first key
+  // of the next leaf, mid-leaf and on the very last key.
+  for (const size_t from : {size_t{0}, size_t{777}}) {
+    // keys[end - 1] is the last key of the leaf that holds keys[from].
+    const size_t end = static_cast<size_t>(*std::lower_bound(
+                           leaf_last.begin(), leaf_last.end(), keys[from]) /
+                       5) + 1;
+    for (const size_t k : {size_t{1}, end - from, end - from + 1,
+                           size_t{1000}, keys.size() - from}) {
+      std::vector<int64_t> got;
+      const size_t visited = index.Scan(
+          keys[from], kMax, [&](const int64_t& key, const int64_t& payload) {
+            EXPECT_EQ(payload, key / 5);
+            got.push_back(key);
+            return got.size() < k;
+          });
+      ASSERT_EQ(visited, k) << "from " << from;
+      ASSERT_EQ(got.size(), k) << "from " << from;
+      for (size_t i = 0; i < k; ++i) ASSERT_EQ(got[i], keys[from + i]);
+    }
+  }
+  // A visitor that never stops sees the whole range.
+  EXPECT_EQ(index.Scan(kMin, kMax,
+                       [](const int64_t&, const int64_t&) { return true; }),
+            keys.size());
+
+  // Stop on the first leaf's last key while this thread holds the next
+  // leaf as a writer: a walk that went on would wait for that latch.
+  const size_t first_leaf = static_cast<size_t>(leaf_last[0] / 5) + 1;
+  auto latch = index.LatchLeafForTest(leaf_last[0] + 5);
+  auto scan = std::async(std::launch::async, [&] {
+    size_t n = 0;
+    return index.Scan(kMin, kMax, [&](const int64_t&, const int64_t&) {
+      return ++n < first_leaf;
+    });
+  });
+  const bool finished =
+      scan.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  latch.unlock();
+  EXPECT_TRUE(finished) << "the scan latched the leaf after its stop";
+  EXPECT_EQ(scan.get(), first_leaf);
+}
+
+TEST(ConcurrentScanAggregateTest, BoolVisitorStopsAfterKGappedArray) {
+  RunStoppingScanForLayout(NodeLayout::kGappedArray);
+}
+
+TEST(ConcurrentScanAggregateTest, BoolVisitorStopsAfterKPackedMemoryArray) {
+  RunStoppingScanForLayout(NodeLayout::kPackedMemoryArray);
+}
+
 TEST(ConcurrentScanAggregateTest, EmptyIndexAndInvertedRange) {
   core::ConcurrentAlex<int64_t, int64_t> index;
   size_t visits = 0;
@@ -455,6 +538,25 @@ TEST(ConcurrentScanAggregateTest, DoubleKeysAggregateExactly) {
   EXPECT_EQ(agg.keys.sum, 29950.0);
 }
 
+TEST(ConcurrentScanAggregateTest, RangeScanIsUnboundedAbove) {
+  // A RangeScan has no upper key: it reaches +infinity, the largest
+  // double, in the tree and through the shard layer alike.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  core::ConcurrentAlex<double, int64_t> tree;
+  shard::ShardedAlex<double, int64_t> sharded;
+  for (int64_t i = 0; i < 1000; ++i) {
+    tree.Insert(static_cast<double>(i), i);
+    sharded.Insert(static_cast<double>(i), i);
+  }
+  tree.Insert(kInf, -1);
+  sharded.Insert(kInf, -1);
+  std::vector<std::pair<double, int64_t>> out;
+  ASSERT_EQ(tree.RangeScan(990.0, 100, &out), 11u);
+  EXPECT_EQ(out.back(), std::make_pair(kInf, int64_t{-1}));
+  ASSERT_EQ(sharded.RangeScan(990.0, 100, &out), 11u);
+  EXPECT_EQ(out.back(), std::make_pair(kInf, int64_t{-1}));
+}
+
 // ---- ShardedAlex Scan/Aggregate: ordered cross-shard streaming ----
 
 using Sharded = shard::ShardedAlex<int64_t, int64_t>;
@@ -467,7 +569,11 @@ shard::ShardedOptions ChurnOptions() {
 }
 
 TEST(ShardedScanAggregateTest, MatchesMapOracle) {
-  Sharded index(ChurnOptions());
+  const std::string prefix = test::TempPrefix("scan_oracle");
+  test::RemovePrefixFiles(prefix);
+  shard::ShardedOptions options = ChurnOptions();
+  options.tier_prefix = prefix;
+  Sharded index(options);
   std::map<int64_t, int64_t> oracle;
   util::Xoshiro256 rng(31);
   std::vector<int64_t> keys, payloads;
@@ -489,6 +595,11 @@ TEST(ShardedScanAggregateTest, MatchesMapOracle) {
     oracle.erase(i * 2);
   }
   EXPECT_TRUE(index.CheckInvariants());
+  // Every other shard goes cold, so scans stop and hand off in both
+  // tiers.
+  for (size_t s = 0; s < index.num_shards(); s += 2) {
+    ASSERT_EQ(index.DemoteShard(s), core::SnapshotStatus::kOk) << s;
+  }
 
   for (int probe = 0; probe < 20; ++probe) {
     int64_t lo = static_cast<int64_t>(rng.NextUint64(200000)) - 5000;
@@ -502,10 +613,40 @@ TEST(ShardedScanAggregateTest, MatchesMapOracle) {
   ASSERT_GT(bounds.size(), 1u);
   for (const int64_t b : bounds) {
     CheckAgainstOracle(index, oracle, b - 64, b + 64);
+    // RangeScan from b - 64 stops before the shard's last key, on it,
+    // one key into the next shard, and far beyond.
+    const auto start = oracle.lower_bound(b - 64);
+    const int64_t shard_end =
+        *std::upper_bound(bounds.begin(), bounds.end(), b - 64);
+    const size_t left = static_cast<size_t>(
+        std::distance(start, oracle.lower_bound(shard_end)));
+    for (const size_t m : {size_t{0}, size_t{1}, left, left + 1,
+                           size_t{10000}}) {
+      std::vector<std::pair<int64_t, int64_t>> want;
+      for (auto it = start; it != oracle.end() && want.size() < m; ++it) {
+        want.push_back(*it);
+      }
+      std::vector<std::pair<int64_t, int64_t>> got = {{-1, -1}};
+      ASSERT_EQ(index.RangeScan(b - 64, m, &got), want.size())
+          << "b=" << b << " m=" << m;
+      ASSERT_EQ(got, want) << "b=" << b << " m=" << m;
+    }
+    // A bool visitor that stops on the shard's last key leaves the next
+    // shard unvisited.
+    if (left > 0) {
+      size_t visits = 0;
+      EXPECT_EQ(index.Scan(b - 64, b + 64,
+                           [&](const int64_t&, const int64_t&) {
+                             return ++visits < left;
+                           }),
+                left);
+      EXPECT_EQ(visits, left) << "b=" << b;
+    }
   }
   // Full range crosses every shard.
   CheckAgainstOracle(index, oracle, std::numeric_limits<int64_t>::min(),
                      std::numeric_limits<int64_t>::max());
+  test::RemovePrefixFiles(prefix);
 }
 
 // Threads in this process, or 0 where /proc/self/task is unreadable.
@@ -606,6 +747,25 @@ TEST(ShardedScanAggregateTest, ContinuousScansDuringTopologyChurn) {
         if (n != want) errors.fetch_add(1);
         const auto agg = index.Aggregate(lo, hi);
         if (agg.count != want) errors.fetch_add(1);
+        // A RangeScan from lo: sorted, no duplicates, the preloaded
+        // multiples of 4 first, then only writer keys.
+        const size_t m = 1 + static_cast<size_t>(rng.NextUint64(2000));
+        const size_t band =
+            first > max_key ? 0
+                            : static_cast<size_t>((max_key - first) / 4 + 1);
+        std::vector<std::pair<int64_t, int64_t>> out;
+        index.RangeScan(lo, m, &out);
+        if (out.size() > m || out.size() < std::min(m, band)) {
+          errors.fetch_add(1);
+        }
+        for (size_t i = 0; i < out.size(); ++i) {
+          const int64_t k = out[i].first;
+          if (out[i].second != k || (i > 0 && k <= out[i - 1].first) ||
+              (i < band ? k != first + 4 * static_cast<int64_t>(i)
+                        : k < kWriterBase)) {
+            errors.fetch_add(1);
+          }
+        }
       }
     });
   }
