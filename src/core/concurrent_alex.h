@@ -171,6 +171,15 @@ constexpr K KeyTop() {
              : std::numeric_limits<K>::max();
 }
 
+/// The smallest value a key can take, -infinity for floating-point keys:
+/// the lower end of a range read that is unbounded below.
+template <typename K>
+constexpr K KeyBottom() {
+  return std::numeric_limits<K>::has_infinity
+             ? -std::numeric_limits<K>::infinity()
+             : std::numeric_limits<K>::lowest();
+}
+
 /// A lock-free-read, node-level-locked ALEX. All methods are safe to call
 /// from any thread. Pointer-returning lookups are deliberately not
 /// exposed — a payload pointer would escape the epoch guard — so reads

@@ -206,9 +206,10 @@ struct ShardedOptions {
 
 /// How many shards one split turns the victim into.
 inline constexpr size_t kSplitWays = 2;
-/// Recovery thread-pool width for the per-shard replay (clamped to the
-/// shard count and the hardware concurrency).
-inline constexpr size_t kRecoveryThreads = 8;
+/// Width of the pool that builds or writes whole shards: bulk load,
+/// checkpoint segment writes and recovery's per-shard replay (clamped to
+/// the shard count and the hardware concurrency).
+inline constexpr size_t kBuildThreads = 8;
 /// TieringTick demotes a resident shard whose share of the window's
 /// traffic fell under this fraction of the fair (1/n) share.
 inline constexpr double kTierDemoteFraction = 0.1;
@@ -1065,7 +1066,7 @@ class ShardedAlex {
       K prev{};
       bool have_prev = false;
       const size_t scanned = shard->Scan(
-          std::numeric_limits<K>::lowest(), std::numeric_limits<K>::max(),
+          core::KeyBottom<K>(), core::KeyTop<K>(),
           [&](const K& key, const P&) {
             if (table->router.Route(key) != i) routed_ok = false;
             if (have_prev && !(prev < key)) routed_ok = false;
@@ -1284,7 +1285,7 @@ class ShardedAlex {
     void Contents(std::vector<K>* keys, std::vector<P>* payloads) const {
       keys->reserve(size());
       payloads->reserve(size());
-      Scan(std::numeric_limits<K>::lowest(), std::numeric_limits<K>::max(),
+      Scan(core::KeyBottom<K>(), core::KeyTop<K>(),
            [&](const K& key, const P& payload) {
              keys->push_back(key);
              payloads->push_back(payload);
@@ -1667,16 +1668,19 @@ class ShardedAlex {
     return true;
   }
 
-  /// Runs fn(i) for i in [0, n) on a small thread pool (the per-shard
-  /// recovery replay is embarrassingly parallel: distinct shards build
-  /// distinct state). Width: kRecoveryThreads, clamped to the shard count
-  /// and the hardware concurrency (replay is CPU-bound; oversubscription
-  /// only adds contention). Workers claim shards off an atomic cursor; a
-  /// width of 1 runs inline with no spawns. The caller's epoch guard keeps
+  /// Runs fn(i) for i in [0, n) on a small thread pool: the one pool for
+  /// every job that builds or writes whole shards — Partition's bulk
+  /// loads, SaveToLocked's segment writes and RecoverBoundaryPreserving's
+  /// per-shard replay. Each is embarrassingly parallel: distinct shards
+  /// build distinct state, and every fn(i) writes only slot i of its
+  /// outputs. Width: kBuildThreads, clamped to the shard count and the
+  /// hardware concurrency (the jobs are CPU-bound; oversubscription only
+  /// adds contention). Workers claim shards off an atomic cursor; a width
+  /// of 1 runs inline with no spawns. The caller's epoch guard keeps
   /// whatever it pinned alive for the workers. fn must not throw.
   template <typename Fn>
   void ParallelOverShards(size_t n, Fn&& fn) const {
-    size_t workers = std::min(n, kRecoveryThreads);
+    size_t workers = std::min(n, kBuildThreads);
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw > 0) workers = std::min<size_t>(workers, hw);
     if (workers <= 1) {
@@ -1848,37 +1852,56 @@ class ShardedAlex {
     manifest.next_wal_id = wal_checkpoint ? next_wal_id_ : 0;
     manifest.topology_epoch =
         topology_epoch_.load(std::memory_order_relaxed);
-    manifest.shard_keys.reserve(table->shards.size());
-    for (size_t i = 0; i < table->shards.size(); ++i) {
-      Shard* shard = table->shards[i].get();
-      uint64_t segment_id = 0;
+    // Segment ids, assigned here in shard order before anything is
+    // written. A shard with a clean overlay whose segment is already
+    // durable at this prefix (the demotion/compaction that built it
+    // committed it) is referenced as-is — the checkpoint writes zero
+    // bytes for it. Every other shard streams into a fresh segment at
+    // `prefix`; a dirty cold shard keeps serving its current
+    // segment+overlay, and only the manifest references the folded copy.
+    const size_t n = table->shards.size();
+    std::vector<uint64_t> segment_ids(n);
+    std::vector<bool> fresh(n, false);
+    for (size_t i = 0; i < n; ++i) {
+      const Shard* shard = table->shards[i].get();
       if (shard->SegmentAt(prefix) && shard->DeltaEntries() == 0) {
-        // Clean overlay, segment already durable at this prefix (the
-        // demotion/compaction that built it committed it): reference it
-        // as-is — the checkpoint writes zero bytes for this shard.
-        segment_id = shard->segment->id();
+        segment_ids[i] = shard->segment->id();
       } else {
-        // Every other shard streams into a fresh segment at `prefix`. A
-        // dirty cold shard keeps serving its current segment+overlay;
-        // only the manifest references the folded copy. The file needs
-        // no staging name: nothing reaches it before the manifest
-        // rename, and the sweep collects it if the save dies first.
-        segment_id = next_segment_id_++;
-        std::vector<K> keys;
-        std::vector<P> payloads;
-        shard->Contents(&keys, &payloads);
-        const std::string path = tier::SegmentPath(prefix, segment_id);
-        const core::SnapshotStatus status = tier::WriteSegmentFile<K, P>(
-            path, keys.data(), payloads.data(), keys.size(), kKeysPerBlock);
-        if (status != core::SnapshotStatus::kOk) return status;
-        // Durable before the manifest can reference it (and before the
-        // WAL segments it supersedes are deleted below).
-        if (!wal::SyncPath(path)) return core::SnapshotStatus::kIoError;
+        segment_ids[i] = next_segment_id_++;
+        fresh[i] = true;
       }
+    }
+    // The fresh segments are written on the build pool. A file needs no
+    // staging name: nothing reaches it before the manifest rename, so
+    // when any write fails the save commits nothing and the segments the
+    // other workers wrote are strays for the next save's sweep, as after
+    // a crash.
+    std::vector<core::SnapshotStatus> written(n, core::SnapshotStatus::kOk);
+    ParallelOverShards(n, [&](size_t i) {
+      if (!fresh[i]) return;
+      std::vector<K> keys;
+      std::vector<P> payloads;
+      table->shards[i]->Contents(&keys, &payloads);
+      const std::string path = tier::SegmentPath(prefix, segment_ids[i]);
+      written[i] = tier::WriteSegmentFile<K, P>(
+          path, keys.data(), payloads.data(), keys.size(), kKeysPerBlock);
+      // Durable before the manifest can reference it (and before the
+      // WAL segments it supersedes are deleted below).
+      if (written[i] == core::SnapshotStatus::kOk && !wal::SyncPath(path)) {
+        written[i] = core::SnapshotStatus::kIoError;
+      }
+    });
+    // The lowest-numbered shard that failed names the status.
+    for (const core::SnapshotStatus status : written) {
+      if (status != core::SnapshotStatus::kOk) return status;
+    }
+    manifest.shard_keys.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Shard* shard = table->shards[i].get();
       manifest.shard_keys.push_back(shard->size());
       manifest.tier_tags.push_back(shard->cold() ? internal::kTierCold
                                                  : internal::kTierResident);
-      manifest.segment_ids.push_back(segment_id);
+      manifest.segment_ids.push_back(segment_ids[i]);
       // With the gates held, log and index are in lockstep: this
       // checkpoint holds exactly the effects of records up to last_lsn().
       const auto& log = shard->log;
@@ -2023,20 +2046,22 @@ class ShardedAlex {
   }
 
   /// A fresh table of `n` strictly-increasing records partitioned evenly
-  /// across (at most) options.num_shards resident shards.
+  /// across (at most) options.num_shards resident shards, bulk-loaded on
+  /// the build pool. Nothing else can see the table until the caller
+  /// publishes it, so each worker fills its own slot without a lock.
   Table* Partition(const K* keys, const P* payloads, size_t n) const {
     const size_t shards = std::max<size_t>(
         1, std::min(options_.num_shards, std::max<size_t>(n, 1)));
     auto* table = new Table();
     table->router = ShardRouter<K>::FitFromSortedKeys(keys, n, shards);
-    table->shards.reserve(shards);
-    for (size_t j = 0; j < shards; ++j) {
+    table->shards.resize(shards);
+    ParallelOverShards(shards, [&](size_t j) {
       const size_t lo = j * n / shards;
       const size_t hi = (j + 1) * n / shards;
       auto shard = std::make_shared<Shard>(options_.shard_config, &epoch_);
       shard->index.BulkLoad(keys + lo, payloads + lo, hi - lo);
-      table->shards.push_back(std::move(shard));
-    }
+      table->shards[j] = std::move(shard);
+    });
     return table;
   }
 
@@ -2368,7 +2393,7 @@ class ShardedAlex {
     size_t streamed = 0;
     for (size_t i = lo; i < hi; ++i) {
       table->shards[i]->Scan(
-          std::numeric_limits<K>::lowest(), std::numeric_limits<K>::max(),
+          core::KeyBottom<K>(), core::KeyTop<K>(),
           [&](const K& key, const P& payload) {
             if (streamed == next_cut && child_idx + 1 < ways) {
               ++child_idx;

@@ -2,16 +2,19 @@
 // a save that died between writing its segment files and renaming the
 // manifest (the commit point), with and without other leftover files, and
 // assert (a) the previous checkpoint still loads bit-for-bit and (b) the
-// next successful save sweeps every stale file.
+// next successful save sweeps every stale file. A save whose segment
+// write fails outright is held to the same two rules.
 #include "shard/sharded_alex.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/serialization.h"
@@ -154,6 +157,77 @@ TEST(CrashInjectionTest, CrashedSaveWithLeftoverTmpManifestStillCommits) {
   ASSERT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kOk);
   EXPECT_EQ(loaded.size(), 1000u);
   Cleanup(prefix);
+}
+
+TEST(CrashInjectionTest, FailedSegmentWriteCommitsNothing) {
+  // A save whose segment write fails mid-way — here shard 0's, then the
+  // last shard's, made uncreatable by a directory at its path — returns
+  // kIoError and commits no manifest. The segments the other shards'
+  // workers wrote are strays, swept by the next save like a crashed
+  // save's.
+  constexpr size_t kShards = 4;
+  for (const size_t blocked_shard : {size_t{0}, kShards - 1}) {
+    SCOPED_TRACE("blocked shard " + std::to_string(blocked_shard));
+    const std::string prefix = TempPrefix("crash-failed-write");
+    std::string dir, base;
+    wal::SplitPrefixPath(prefix, &dir, &base);
+    Cleanup(prefix);
+    Sharded index(Opts(kShards));
+    FillDense(&index, 8000);
+    ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+    const ShardManifest<int64_t> first = Committed(prefix);
+    const std::vector<uint8_t> manifest_bytes =
+        test::ReadAll(Sharded::ManifestPath(prefix));
+    const std::set<std::string> committed_files = FilesAt(prefix);
+    std::vector<std::pair<int64_t, int64_t>> committed;
+    index.RangeScan(0, index.size(), &committed);
+
+    // The index moves on; the next save assigns ids from the watermark,
+    // in shard order.
+    ASSERT_TRUE(index.Insert(100000, 1));
+    const std::string blocked =
+        tier::SegmentPath(prefix, first.next_segment_id + blocked_shard);
+    ASSERT_EQ(::mkdir(blocked.c_str(), 0700), 0);
+    EXPECT_EQ(index.SaveTo(prefix), SnapshotStatus::kIoError);
+
+    // Nothing committed: the manifest is byte for byte the old one and
+    // no staging manifest is left. Beside the committed files lie the
+    // other shards' segments (strays) and the blocking directory.
+    EXPECT_EQ(test::ReadAll(Sharded::ManifestPath(prefix)), manifest_bytes);
+    std::set<std::string> after_failure = committed_files;
+    for (size_t i = 0; i < kShards; ++i) {
+      after_failure.insert(base + ".seg-" +
+                           std::to_string(first.next_segment_id + i));
+    }
+    EXPECT_EQ(FilesAt(prefix), after_failure);
+
+    // The previous checkpoint loads exactly as it was committed.
+    {
+      Sharded loaded(Opts(kShards));
+      ASSERT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kOk);
+      EXPECT_EQ(loaded.ShardBoundaries(), first.boundaries);
+      std::vector<std::pair<int64_t, int64_t>> contents;
+      loaded.RangeScan(0, loaded.size() + 1, &contents);
+      EXPECT_EQ(contents, committed);
+      EXPECT_TRUE(loaded.CheckInvariants());
+    }
+
+    // With the path free again the next save commits and sweeps every
+    // stray: only the manifest and the segments it names remain.
+    ASSERT_EQ(::rmdir(blocked.c_str()), 0);
+    ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+    const ShardManifest<int64_t> second = Committed(prefix);
+    std::set<std::string> expected = {base + ".manifest"};
+    for (const uint64_t id : second.segment_ids) {
+      expected.insert(base + ".seg-" + std::to_string(id));
+    }
+    EXPECT_EQ(FilesAt(prefix), expected);
+    Sharded loaded(Opts(kShards));
+    ASSERT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kOk);
+    EXPECT_EQ(loaded.size(), 8001u);
+    EXPECT_TRUE(loaded.Contains(100000));
+    Cleanup(prefix);
+  }
 }
 
 TEST(CrashInjectionTest, CheckpointCrashKeepsLogReplayConsistent) {

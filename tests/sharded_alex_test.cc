@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/concurrent_alex.h"
 #include "core/serialization.h"
 #include "test_files.h"
 #include "tier/segment.h"
@@ -133,6 +135,195 @@ TEST(ShardedAlexTest, EmptyAndTinyBulkLoads) {
     EXPECT_EQ(v, payloads[i]);
   }
   EXPECT_TRUE(index.CheckInvariants());
+}
+
+/// Sorted, distinct, unevenly spaced keys (so each slice fits its own
+/// models) with payload = position.
+void SkewedKeys(size_t n, uint64_t seed, std::vector<int64_t>* keys,
+                std::vector<int64_t>* payloads) {
+  util::Xoshiro256 rng(seed);
+  keys->clear();
+  payloads->clear();
+  int64_t key = 0;
+  for (size_t i = 0; i < n; ++i) {
+    key += 1 + static_cast<int64_t>(rng() % (i % 1000 < 500 ? 4 : 400));
+    keys->push_back(key);
+    payloads->push_back(static_cast<int64_t>(i));
+  }
+}
+
+TEST(ShardedAlexTest, ParallelBulkLoadBuildsTheSequentialShards) {
+  // The shards are bulk-loaded on the build pool; each must be exactly
+  // the shard a lone ConcurrentAlex builds from the same slice, so the
+  // footprint (bytes_per_key) cannot depend on which worker built it.
+  struct Case {
+    size_t shards;
+    size_t n;
+  };
+  const Case cases[] = {{1, 30000}, {3, 30000}, {8, 30000}, {32, 30000},
+                        {8, 5},     {32, 20},   {32, 1}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE("shards=" + std::to_string(c.shards) +
+                 " n=" + std::to_string(c.n));
+    std::vector<int64_t> keys, payloads;
+    SkewedKeys(c.n, 17 + c.shards, &keys, &payloads);
+    Sharded index(Opts(c.shards));
+    index.BulkLoad(keys.data(), payloads.data(), keys.size());
+
+    const size_t shards = std::min(c.shards, c.n);
+    ASSERT_EQ(index.num_shards(), shards);
+    const ShardRouter<int64_t> router =
+        ShardRouter<int64_t>::FitFromSortedKeys(keys.data(), c.n, shards);
+    EXPECT_EQ(index.ShardBoundaries(), router.boundaries());
+
+    const obs::StructureReport report = index.Inspect();
+    ASSERT_EQ(report.shards.size(), shards);
+    size_t index_bytes = router.SizeBytes();
+    size_t data_bytes = 0;
+    for (size_t j = 0; j < shards; ++j) {
+      const size_t lo = j * c.n / shards;
+      const size_t hi = (j + 1) * c.n / shards;
+      core::ConcurrentAlex<int64_t, int64_t> alone;
+      alone.BulkLoad(keys.data() + lo, payloads.data() + lo, hi - lo);
+      index_bytes += alone.IndexSizeBytes();
+      data_bytes += alone.DataSizeBytes();
+      // The shard holds its slice: the first and last key route to it,
+      // it holds as many keys, in the same tree shape.
+      EXPECT_EQ(index.ShardOf(keys[lo]), j);
+      EXPECT_EQ(index.ShardOf(keys[hi - 1]), j);
+      const obs::TreeStructure want = alone.CollectStructure();
+      const obs::TreeStructure& got = report.shards[j].tree;
+      EXPECT_EQ(got.keys, hi - lo) << "shard " << j;
+      EXPECT_EQ(got.keys, want.keys) << "shard " << j;
+      EXPECT_EQ(got.leaf_count, want.leaf_count) << "shard " << j;
+      EXPECT_EQ(got.inner_count, want.inner_count) << "shard " << j;
+      EXPECT_EQ(got.capacity, want.capacity) << "shard " << j;
+      EXPECT_EQ(got.max_depth, want.max_depth) << "shard " << j;
+    }
+    EXPECT_EQ(index.IndexSizeBytes(), index_bytes);
+    EXPECT_EQ(index.DataSizeBytes(), data_bytes);
+
+    // Every record, in order, with its payload; every key in the shard
+    // that routes it.
+    std::vector<std::pair<int64_t, int64_t>> all;
+    index.RangeScan(std::numeric_limits<int64_t>::lowest(), c.n + 1, &all);
+    ASSERT_EQ(all.size(), c.n);
+    for (size_t i = 0; i < c.n; ++i) {
+      ASSERT_EQ(all[i], std::make_pair(keys[i], payloads[i]));
+    }
+    EXPECT_TRUE(index.CheckInvariants());
+  }
+}
+
+TEST(ShardedAlexTest, BuildPoolUnderConcurrentReaders) {
+  // Bulk load, checkpoint and recovery each run 32 shards on the build
+  // pool while readers Get throughout. Every table the readers can land
+  // in holds the same records, so every Get must find its key with its
+  // payload. Built to run under TSan: the workers share the epoch
+  // manager and the metric stripe pool with the readers.
+  constexpr int64_t kKeys = 32 * 1500;
+  std::vector<int64_t> keys, payloads;
+  for (int64_t i = 0; i < kKeys; ++i) {
+    keys.push_back(i * 5);
+    payloads.push_back(i * 5 + 1);
+  }
+  Sharded index(Opts(32));
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+  const std::string prefix = TempPrefix("sharded-build-pool");
+  Cleanup(prefix);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> misses{0};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      util::Xoshiro256 rng(100 + r);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const int64_t key = static_cast<int64_t>(rng() % kKeys) * 5;
+        int64_t v = 0;
+        if (!index.Get(key, &v) || v != key + 1) {
+          misses.fetch_add(1, std::memory_order_relaxed);
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int round = 0; round < 3; ++round) {
+    index.BulkLoad(keys.data(), payloads.data(), keys.size());
+    ASSERT_EQ(index.num_shards(), 32u);
+    ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+    ASSERT_EQ(index.LoadFrom(prefix), SnapshotStatus::kOk);
+    ASSERT_EQ(index.num_shards(), 32u);
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(misses.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(index.size(), static_cast<size_t>(kKeys));
+  EXPECT_TRUE(index.CheckInvariants());
+  Cleanup(prefix);
+}
+
+TEST(ShardedAlexTest, InfiniteKeysSurviveDemotionCheckpointAndSplit) {
+  // ±infinity are valid double keys: every whole-shard stream (a
+  // demotion's segment, a checkpoint segment, a split's children, the
+  // invariant check) must carry them like any other key.
+  using DoubleSharded = ShardedAlex<double, long>;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::string prefix = TempPrefix("sharded-infinite-keys");
+  Cleanup(prefix);
+  std::vector<double> keys;
+  std::vector<long> payloads;
+  for (int i = 0; i < 5000; ++i) {
+    keys.push_back(i);
+    payloads.push_back(i);
+  }
+  auto expect_all = [&](const DoubleSharded& index, const char* stage) {
+    SCOPED_TRACE(stage);
+    EXPECT_EQ(index.size(), 5002u);
+    long v = 0;
+    ASSERT_TRUE(index.Get(kInf, &v));
+    EXPECT_EQ(v, -1);
+    ASSERT_TRUE(index.Get(-kInf, &v));
+    EXPECT_EQ(v, -2);
+    ASSERT_TRUE(index.Get(2500.0, &v));
+    EXPECT_EQ(v, 2500);
+    EXPECT_TRUE(index.CheckInvariants());
+  };
+
+  ShardedOptions options = Opts(4);
+  options.tier_prefix = prefix;
+  DoubleSharded index(options);
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+  ASSERT_TRUE(index.Insert(kInf, -1));
+  ASSERT_TRUE(index.Insert(-kInf, -2));
+  expect_all(index, "inserted");
+  // The two edge shards hold the infinities; both go cold.
+  ASSERT_EQ(index.DemoteShard(0), SnapshotStatus::kOk);
+  ASSERT_EQ(index.DemoteShard(3), SnapshotStatus::kOk);
+  ASSERT_TRUE(index.IsShardCold(0));
+  expect_all(index, "demoted");
+  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+  DoubleSharded loaded(options);
+  ASSERT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kOk);
+  expect_all(loaded, "loaded");
+  ASSERT_EQ(index.PromoteShard(0), SnapshotStatus::kOk);
+  expect_all(index, "promoted");
+
+  // One shard over its absolute bound splits on the inserting thread;
+  // the children are built from the victim's whole stream.
+  ShardedOptions split_options = Opts(1);
+  split_options.max_shard_keys = 5001;
+  split_options.min_rebalance_keys = 1024;
+  DoubleSharded split(split_options);
+  split.BulkLoad(keys.data(), payloads.data(), keys.size());
+  ASSERT_TRUE(split.Insert(kInf, -1));
+  ASSERT_EQ(split.num_shards(), 1u);
+  ASSERT_TRUE(split.Insert(-kInf, -2));
+  EXPECT_EQ(split.num_shards(), 2u);
+  expect_all(split, "split");
+  Cleanup(prefix);
 }
 
 // ---- Cross-shard scans ----
