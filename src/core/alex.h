@@ -11,9 +11,13 @@
 //   * leaves expand (retraining their model) when they hit their density
 //     bound, and contract after deletes (§3.3),
 //   * with adaptive RMI, initialization bounds every leaf to
-//     `max_data_node_keys` keys (Alg. 4) and, when splitting is enabled,
-//     a full leaf is split into children, growing the tree like a B+Tree
-//     without rebalancing (§3.4.2).
+//     `max_data_node_keys` keys (Alg. 4), with root partitions that expect
+//     half that bound so bulk-loaded leaves have room to grow (§3.4.1),
+//   * when splitting is enabled, a full leaf that owns several slots of
+//     its parent splits sideways into them; only a leaf that cannot (the
+//     root, a one-slot leaf, or one whose keys all route to one slot)
+//     splits downward under a new inner node, growing the tree like a
+//     B+Tree without rebalancing (§3.4.2).
 //
 // The class supports bulk load, point lookup, insert, delete, payload
 // update, lower-bound iteration and range scans. Duplicate keys are
@@ -82,6 +86,11 @@ template <typename K, typename P>
 class Alex {
  public:
   using DataNodeT = DataNode<K, P>;
+
+  /// Root partitions an adaptive bulk load makes per `max_data_node_keys`
+  /// keys: each root partition expects half the key bound, so its leaf
+  /// has room to grow before it splits (§3.4.1).
+  static constexpr size_t kRootPartitionsPerMaxLeaf = 2;
 
   /// Forward iterator over (key, payload) pairs in key order, streaming
   /// across leaves through sibling links and skipping gaps via the bitmap
@@ -359,11 +368,15 @@ class Alex {
     size_t num_data_nodes = 0;
     size_t num_models = 0;  ///< inner models + warm leaf models
     size_t max_depth = 0;   ///< leaf depth; 0 when the root is a leaf
+    size_t root_slots = 0;  ///< the root's child slots; 0 for a root leaf
   };
 
   TreeShape Shape() const {
     TreeShape shape;
     ComputeShape(root_, 0, &shape);
+    if (!root()->is_leaf()) {
+      shape.root_slots = static_cast<const InnerNode*>(root())->num_children();
+    }
     return shape;
   }
 
@@ -377,8 +390,8 @@ class Alex {
   }
 
   /// Verifies all structural invariants: per-leaf storage invariants,
-  /// globally sorted leaf chain, key count, and parent→child consistency.
-  /// Test hook; O(n).
+  /// globally sorted leaf chain, key count, and parent→child consistency
+  /// (every key routes to the leaf that holds it). Test hook; O(n · depth).
   bool CheckInvariants() const {
     size_t counted = 0;
     bool have_prev = false;
@@ -391,6 +404,7 @@ class Alex {
            i = s.NextOccupied(i)) {
         const K k = s.key_at(i);
         if (have_prev && !(prev < k)) return false;
+        if (TraverseToLeaf(k) != leaf) return false;
         prev = k;
         have_prev = true;
         ++counted;
@@ -437,9 +451,7 @@ class Alex {
     } else {
       built = BuildAdaptive(keys, payloads, 0, n, /*depth=*/0, &leaves);
     }
-    LinkLeaves(
-        leaves.size(), [&](size_t j) { return leaves[j]; }, nullptr,
-        nullptr);
+    LinkLeaves(leaves, nullptr, nullptr, /*publish=*/false);
     return built;
   }
 
@@ -522,12 +534,14 @@ class Alex {
       leaves->push_back(leaf);
       return leaf;
     }
-    // Root: enough partitions that each expects max_keys keys; non-root:
+    // Root: kRootPartitionsPerMaxLeaf partitions per max_keys keys, so
+    // each expects half the bound and its leaf has room to grow; non-root:
     // fixed tuned partition count (§3.4.1).
     const size_t partitions =
         depth == 0
             ? std::max<size_t>(
-                  2, (n + config_->max_data_node_keys - 1) /
+                  2, (kRootPartitionsPerMaxLeaf * n +
+                      config_->max_data_node_keys - 1) /
                          config_->max_data_node_keys)
             : config_->inner_node_partitions;
     const model::LinearModel model =
@@ -578,44 +592,68 @@ class Alex {
 
   // ---- Node splitting on inserts (§3.4.2) ----
 
-  /// Replacement subtree produced by BuildSplitSubtree: an inner node over
-  /// fresh children holding the victim's redistributed data, plus a key
-  /// the victim held (source of the parent-slot hint for ReplaceChild —
-  /// routing is exact by construction, so the slot predicted for any key
-  /// the leaf held is owned by the leaf).
-  struct SplitSubtree {
+  /// A full leaf's replacement, built off to the side by BuildSplit. A
+  /// sideways split (`inner` null) gives `leaves[j]` the victim's parent
+  /// slots [slot_end[j - 1], slot_end[j]) (slot_end[-1] = slot_lo). A
+  /// downward split puts `inner`, a new inner node over `leaves`, in every
+  /// slot the victim owned ([slot_lo, slot_end[0])), or at the root when
+  /// the victim was the root (slot_end empty).
+  struct Split {
     InnerNode* inner = nullptr;
-    K hint_key{};
-
-    size_t fanout() const { return inner->num_children(); }
-    DataNodeT* child(size_t j) const {
-      return static_cast<DataNodeT*>(inner->child(j));
-    }
+    std::vector<DataNodeT*> leaves;
+    size_t slot_lo = 0;
+    std::vector<size_t> slot_end;
   };
 
-  // Builds the replacement subtree for a full `leaf` — the leaf's model
-  // becomes an inner node model (§3.4.2: "The corresponding leaf level
-  // model in RMI now becomes an inner level model"), data is distributed
-  // to children by that model, and each child trains its own — without
-  // touching sibling links or parent slots. Shared between the
-  // single-threaded split below and the lock-scoped concurrent split
-  // (ConcurrentAlex). The children are built from the leaf's pairs packed
-  // in its own block (DataNode::TakeSorted), which the leaf keeps until
-  // the caller frees or retires it — so a probe that still reads the
-  // victim never reads freed memory. Returns false, with the leaf
-  // reloaded from its own keys, when the key distribution cannot be
-  // partitioned (caller falls back to expansion).
-  bool BuildSplitSubtree(DataNodeT* leaf, SplitSubtree* out) {
+  // Builds the replacement for a full `leaf` under `parent` (null for the
+  // root) without touching sibling links or parent slots; shared between
+  // the single-threaded split below and the lock-scoped concurrent split
+  // (ConcurrentAlex). A leaf that owns several parent slots splits
+  // sideways: its keys are cut at parent-slot boundaries into up to
+  // `split_fanout` leaves of balanced size, each taking a contiguous run
+  // of the victim's slots, and the tree grows no deeper. Otherwise the
+  // leaf's model becomes an inner node model (§3.4.2: "The corresponding
+  // leaf level model in RMI now becomes an inner level model"), data is
+  // distributed to children by that model, and each child trains its own.
+  // The new leaves are built from the victim's pairs packed in its own
+  // block (DataNode::TakeSorted), which the victim keeps until the caller
+  // frees or retires it — so a probe that still reads the victim never
+  // reads freed memory. Returns false, with the leaf reloaded from its own
+  // keys, when the key distribution cannot be partitioned (caller falls
+  // back to expansion).
+  bool BuildSplit(DataNodeT* leaf, InnerNode* parent, Split* out) {
     const typename DataNodeT::SortedRun run = leaf->TakeSorted();
     const K* keys = run.keys;
     const P* payloads = run.payloads;
     const size_t n = run.n;
     const size_t fanout = std::max<size_t>(2, config_->split_fanout);
+    if (n == 0) {
+      leaf->BulkLoad(keys, payloads, n);
+      return false;
+    }
+    if (parent != nullptr) {
+      const auto [lo, hi] = parent->OwnedSlots(
+          leaf, parent->ChildSlotFor(static_cast<double>(keys[0])));
+      out->slot_lo = lo;
+      std::vector<size_t> key_end;
+      CutAtParentSlots(*parent, keys, n, lo, hi, fanout, &out->slot_end,
+                       &key_end);
+      if (key_end.size() >= 2) {
+        size_t begin = 0;
+        for (const size_t end : key_end) {
+          out->leaves.push_back(
+              NewLeaf(keys + begin, payloads + begin, end - begin));
+          begin = end;
+        }
+        return true;
+      }
+      out->slot_end.assign(1, hi);
+    }
     const model::LinearModel model = model::TrainCdfModel(keys, n, fanout);
     // The model is non-decreasing, so every key falls in one bucket
     // exactly when the first and the last key do: no progress possible.
-    if (n == 0 || model.Predict(static_cast<double>(keys[0]), fanout) ==
-                      model.Predict(static_cast<double>(keys[n - 1]), fanout)) {
+    if (model.Predict(static_cast<double>(keys[0]), fanout) ==
+        model.Predict(static_cast<double>(keys[n - 1]), fanout)) {
       leaf->BulkLoad(keys, payloads, n);
       return false;
     }
@@ -628,50 +666,116 @@ class Alex {
           j + 1 == fanout
               ? n
               : PartitionBound(model, keys, begin, n, j + 1, fanout);
-      inner->SetChild(j,
-                      NewLeaf(keys + begin, payloads + begin, end - begin));
+      out->leaves.push_back(
+          NewLeaf(keys + begin, payloads + begin, end - begin));
+      inner->SetChild(j, out->leaves.back());
       begin = end;
     }
     out->inner = inner;
-    out->hint_key = keys[0];
     return true;
   }
 
-  // Splits `leaf` into `split_fanout` children under a new inner node that
-  // inherits the leaf's key range. Returns false when the key
+  // Cuts sorted keys[0, n), which route to `parent`'s slots [lo, hi), at
+  // slot boundaries into at most `fanout` non-empty runs, each cut at the
+  // slot boundary nearest an even share of the keys. Appends each run's
+  // end slot to `slot_end` and its end key index to `key_end`; a single
+  // run means every key routes to one slot.
+  static void CutAtParentSlots(const InnerNode& parent, const K* keys,
+                               size_t n, size_t lo, size_t hi, size_t fanout,
+                               std::vector<size_t>* slot_end,
+                               std::vector<size_t>* key_end) {
+    const size_t m = hi - lo;
+    // first[i]: index of the first key routed to slot lo + i or later.
+    std::vector<size_t> first(m + 1, n);
+    first[0] = 0;
+    for (size_t i = 1; i < m; ++i) {
+      first[i] = PartitionBound(parent.model(), keys, first[i - 1], n,
+                                lo + i, parent.num_children());
+    }
+    const size_t runs = std::min(fanout, m);
+    size_t last = 0;  // the current run's first slot, relative to lo
+    for (size_t g = 1; g < runs; ++g) {
+      const size_t target = std::max<size_t>(1, g * n / runs);
+      const auto miss = [&](size_t i) {
+        return first[i] > target ? first[i] - target : target - first[i];
+      };
+      // The slot boundaries either side of the target; a cut before slot
+      // i must leave keys on both of its sides.
+      const size_t above = static_cast<size_t>(
+          std::lower_bound(first.begin() + last + 1, first.begin() + m,
+                           target) -
+          first.begin());
+      size_t best = 0;  // 0: no cut
+      for (const size_t i : {above - 1, above}) {
+        if (i > last && i < m && first[last] < first[i] && first[i] < n &&
+            (best == 0 || miss(i) < miss(best))) {
+          best = i;
+        }
+      }
+      if (best == 0) continue;
+      slot_end->push_back(lo + best);
+      key_end->push_back(first[best]);
+      last = best;
+    }
+    slot_end->push_back(hi);
+    key_end->push_back(n);
+  }
+
+  // Points the victim's parent slots (the root when `parent` is null) at
+  // `split`'s replacement. With `publish` every store is seq_cst, so
+  // concurrent readers see only fully built nodes.
+  void InstallSplit(const Split& split, InnerNode* parent, bool publish) {
+    if (parent == nullptr) {
+      root_.store(split.inner, publish ? std::memory_order_seq_cst
+                                       : std::memory_order_relaxed);
+      return;
+    }
+    size_t slot = split.slot_lo;
+    for (size_t j = 0; j < split.slot_end.size(); ++j) {
+      Node* node = split.inner;
+      if (node == nullptr) node = split.leaves[j];
+      for (; slot < split.slot_end[j]; ++slot) {
+        if (publish) {
+          parent->PublishChild(slot, node);
+        } else {
+          parent->SetChild(slot, node);
+        }
+      }
+    }
+  }
+
+  // Splits a full `leaf` (sideways into its parent's slots, or downward
+  // under a new inner node; see BuildSplit). Returns false when the key
   // distribution cannot be partitioned (caller falls back to expansion).
   bool SplitLeaf(DataNodeT* leaf, InnerNode* parent) {
-    SplitSubtree split;
-    if (!BuildSplitSubtree(leaf, &split)) return false;
-    LinkLeaves(
-        split.fanout(), [&](size_t j) { return split.child(j); },
-        leaf->prev_leaf(), leaf->next_leaf());
-    if (parent == nullptr) {
-      SetRoot(split.inner);
-    } else {
-      parent->ReplaceChild(
-          leaf, split.inner,
-          parent->ChildSlotFor(static_cast<double>(split.hint_key)));
-    }
+    Split split;
+    if (!BuildSplit(leaf, parent, &split)) return false;
+    LinkLeaves(split.leaves, leaf->prev_leaf(), leaf->next_leaf(),
+               /*publish=*/false);
+    InstallSplit(split, parent, /*publish=*/false);
     delete leaf;
     ++stats_->num_splits;
     return true;
   }
 
-  // Chains the `count` leaves leaf_at(0..count) left-to-right and splices
-  // the chain between `before` and `after`.
-  template <typename LeafAt>
-  static void LinkLeaves(size_t count, LeafAt&& leaf_at, DataNodeT* before,
-                         DataNodeT* after) {
-    DataNodeT* prev = before;
+  // Chains `leaves` left-to-right and splices the chain between `before`
+  // and `after`. With `publish` the two stores that make the chain
+  // reachable from `before` and `after` are seq_cst, so a concurrent
+  // scanner that follows them sees the fully linked chain.
+  static void LinkLeaves(const std::vector<DataNodeT*>& leaves,
+                         DataNodeT* before, DataNodeT* after, bool publish) {
+    const size_t count = leaves.size();
     for (size_t j = 0; j < count; ++j) {
-      DataNodeT* leaf = leaf_at(j);
-      leaf->set_prev_leaf(prev);
-      if (prev != nullptr) prev->set_next_leaf(leaf);
-      prev = leaf;
+      leaves[j]->set_prev_leaf(j == 0 ? before : leaves[j - 1]);
+      leaves[j]->set_next_leaf(j + 1 < count ? leaves[j + 1] : after);
     }
-    if (prev != nullptr) prev->set_next_leaf(after);
-    if (after != nullptr) after->set_prev_leaf(prev);
+    if (publish) {
+      if (before != nullptr) before->publish_next_leaf(leaves.front());
+      if (after != nullptr) after->publish_prev_leaf(leaves.back());
+    } else {
+      if (before != nullptr) before->set_next_leaf(leaves.front());
+      if (after != nullptr) after->set_prev_leaf(leaves.back());
+    }
   }
 
   // Visits every node exactly once (merged partitions repeat child

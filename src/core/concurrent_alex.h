@@ -47,11 +47,16 @@
 //     its leaf latch, locks the parent's split mutex (or the root mutex
 //     when the leaf is the root), re-latches and re-validates the leaf,
 //     and re-attempts the insert — another thread may have already split
-//     or made room. If the split proceeds it builds the replacement
-//     subtree off to the side, splices the new leaves into the sibling
-//     chain (serialized by a chain mutex so live leaves' links always
-//     describe the live chain), marks the victim retired, and publishes
-//     the subtree with one seq_cst store per owned parent slot. The
+//     or made room. If the split proceeds it builds the replacement off to
+//     the side with the single-threaded index's builder (Alex::BuildSplit):
+//     new leaves that each take a contiguous run of the victim's parent
+//     slots when it owns several (a sideways split, no new inner node),
+//     else a new inner node over new leaves (a downward split). It splices
+//     the new leaves into the sibling chain (serialized by a chain mutex so
+//     live leaves' links always describe the live chain), marks the victim
+//     retired, and publishes with one seq_cst store per owned parent slot
+//     (or the root). Between those stores a reader lands either on the
+//     retired victim, and re-descends, or on a complete new node. The
 //     victim is then *retired* through epoch-based reclamation, not
 //     deleted: it is freed only after every reader that could still hold
 //     it has unpinned. Splits of leaves under different parents run fully
@@ -957,43 +962,26 @@ class ConcurrentAlex {
   /// (both held by the caller). Returns false when the key distribution
   /// cannot be partitioned. On success the victim is retired through EBR.
   bool SplitLeafLocked(DataNodeT* leaf, InnerNodeT* parent) {
-    // The replacement subtree (model, children, redistributed data) is
-    // built off to the side by the same code the single-threaded split
-    // uses; only the publication protocol differs below.
-    typename Alex<K, P>::SplitSubtree split;
-    if (!index_.BuildSplitSubtree(leaf, &split)) return false;
-    // Splice the children into the sibling chain. All splices serialize
+    // The replacement (new leaves, and a new inner node when the split
+    // goes downward) is built off to the side by the same code the
+    // single-threaded split uses; only the publication protocol differs
+    // below.
+    typename Alex<K, P>::Split split;
+    if (!index_.BuildSplit(leaf, parent, &split)) return false;
+    // Splice the new leaves into the sibling chain. All splices serialize
     // on the chain mutex, so a live leaf's links always describe the live
     // chain; the victim keeps its outgoing links, and scanners that reach
     // it after retirement re-descend.
     {
       std::lock_guard<std::mutex> chain(chain_mutex_);
-      DataNodeT* before = leaf->prev_leaf();
-      DataNodeT* after = leaf->next_leaf();
-      const size_t fanout = split.fanout();
-      for (size_t j = 0; j < fanout; ++j) {
-        split.child(j)->set_prev_leaf(j == 0 ? before : split.child(j - 1));
-        split.child(j)->set_next_leaf(j + 1 < fanout ? split.child(j + 1)
-                                                     : after);
-      }
-      // These two stores make the children reachable from live leaves;
-      // they are seq_cst so a scanner that follows them sees the fully
-      // linked chain.
-      if (before != nullptr) before->publish_next_leaf(split.child(0));
-      if (after != nullptr) after->publish_prev_leaf(split.child(fanout - 1));
+      Alex<K, P>::LinkLeaves(split.leaves, leaf->prev_leaf(),
+                             leaf->next_leaf(), /*publish=*/true);
     }
     // Retire-then-publish: a reader that still reaches the old leaf
-    // latches it and finds the flag; one that reads the new slot value
-    // lands in the replacement.
+    // latches it and finds the flag; one that reads a new slot value
+    // lands in a complete replacement.
     leaf->MarkRetired();
-    if (parent != nullptr) {
-      parent->ReplaceChild(
-          leaf, split.inner,
-          parent->ChildSlotFor(static_cast<double>(split.hint_key)),
-          /*publish=*/true);
-    } else {
-      index_.root_.store(split.inner, std::memory_order_seq_cst);
-    }
+    index_.InstallSplit(split, parent, /*publish=*/true);
     BumpVersion();
     ++index_.stats_->num_splits;
     ALEX_OBS_COUNTER_INC("core.leaf_splits");

@@ -64,8 +64,11 @@ struct Config {
   /// node during adaptive initialization (§3.4.1).
   size_t inner_node_partitions = 64;
 
-  /// ARMI only: children created when a data node splits on insert
-  /// (§3.4.2). "A parameter that can be tuned or learned for each dataset."
+  /// ARMI only: leaves created when a data node splits on insert
+  /// (§3.4.2): exactly this many under a new inner node when the split
+  /// goes downward, at most this many (one per run of the parent's slots)
+  /// when it goes sideways. "A parameter that can be tuned or learned for
+  /// each dataset."
   size_t split_fanout = 4;
 
   /// ARMI only: enable node splitting on inserts (§3.4.2). The paper keeps

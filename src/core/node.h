@@ -13,8 +13,8 @@
 //   * single-threaded paths use relaxed loads/stores (`child`, `SetChild`),
 //     which compile to the same plain moves as a raw pointer array;
 //   * the concurrent read path descends with seq_cst loads
-//     (`ChildAcquire`/`ChildForAcquire`) and splits publish a finished
-//     subtree with one seq_cst store per owned slot (`PublishChild`) —
+//     (`ChildAcquire`/`ChildForAcquire`) and splits publish each finished
+//     leaf or subtree with one seq_cst store per slot (`PublishChild`) —
 //     see core/concurrent_alex.h for why seq_cst rather than acq/rel.
 //
 // Each inner node also carries a split mutex: the lock a concurrent split
@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "models/linear_model.h"
 
@@ -112,30 +113,21 @@ class InnerNode : public Node {
   /// Prefetch hint for slot `i`, issued ahead of ChildAcquire(i).
   void PrefetchSlot(size_t i) const { __builtin_prefetch(&children_[i], 0, 3); }
 
-  /// Replaces every pointer to `old_child` with `new_child`. The slots
-  /// owned by one child are contiguous by construction (merged partitions,
-  /// Alg. 4), so instead of scanning the whole array this walks outward
-  /// from `slot_hint` — any slot owned by `old_child`, e.g.
-  /// `ChildSlotFor(first key of the child)` — and touches only the owned
-  /// range plus its two boundary slots. Returns the number of replaced
-  /// slots (>= 1). When `publish` is set the stores are seq_cst so
-  /// concurrent readers see fully-constructed children.
-  size_t ReplaceChild(const Node* old_child, Node* new_child,
-                      size_t slot_hint, bool publish = false) {
+  /// The slots [lo, hi) that `owner` holds, found by walking outward from
+  /// `slot_hint`, any slot it holds — e.g. `ChildSlotFor(a key of the
+  /// child)`. The slots one child holds are contiguous by construction
+  /// (merged partitions, Alg. 4; sideways splits keep each new leaf's run
+  /// contiguous), so this touches only the owned range and its two
+  /// boundary slots.
+  std::pair<size_t, size_t> OwnedSlots(const Node* owner,
+                                       size_t slot_hint) const {
     assert(slot_hint < num_children_);
-    assert(child(slot_hint) == old_child);
+    assert(child(slot_hint) == owner);
     size_t lo = slot_hint;
-    while (lo > 0 && child(lo - 1) == old_child) --lo;
+    while (lo > 0 && child(lo - 1) == owner) --lo;
     size_t hi = slot_hint + 1;
-    while (hi < num_children_ && child(hi) == old_child) ++hi;
-    for (size_t i = lo; i < hi; ++i) {
-      if (publish) {
-        PublishChild(i, new_child);
-      } else {
-        SetChild(i, new_child);
-      }
-    }
-    return hi - lo;
+    while (hi < num_children_ && child(hi) == owner) ++hi;
+    return {lo, hi};
   }
 
   /// Serializes structural changes to this node's slots (leaf splits under

@@ -55,6 +55,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -184,7 +185,10 @@ core::SnapshotStatus WriteSegmentFile(const std::string& path,
     const size_t lo = b * kpb;
     const size_t m = std::min(kpb, n - lo);
     std::memcpy(fence_bytes + b * sizeof(K), keys + lo, sizeof(K));
-    fence_fit.Add(static_cast<double>(keys[lo]), static_cast<double>(b));
+    // An infinite fence key would flatten the fit to slope 0; BlockOfKey
+    // verifies every prediction, so leaving it out costs nothing.
+    const double fence = static_cast<double>(keys[lo]);
+    if (std::isfinite(fence)) fence_fit.Add(fence, static_cast<double>(b));
     block.resize(m * (sizeof(K) + sizeof(P)));
     std::memcpy(block.data(), keys + lo, m * sizeof(K));
     std::memcpy(block.data() + m * sizeof(K), payloads + lo,

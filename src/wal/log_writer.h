@@ -49,9 +49,10 @@
 // fails, every later append returns kIoError (a kWalError journal event
 // records the first), and no store ever lands past the allocated size.
 //
-// Commit latency: every successful Log()/LogBatch() records its
-// wall-clock wait (entry to commit, nanoseconds) in the obs registry's
-// "wal.commit_wait_ns" histogram — the one record of commit wait.
+// Commit latency: while obs is enabled, every successful Log()/LogBatch()
+// records its wait (entry to commit, nanoseconds on the obs clock,
+// obs::NowTicks) in the obs registry's "wal.commit_wait_ns" histogram —
+// the one record of commit wait. With obs off, an append reads no clock.
 //
 // Thread safety: Log() may be called from any number of threads. Seal()
 // and Rotate() require the caller to exclude concurrent Log() calls —
@@ -140,7 +141,10 @@ class ShardLog {
   WalStatus LogBatch(WalRecordType type, const K* keys, const P* payloads,
                      size_t n) {
     if (n == 0) return WalStatus::kOk;
-    const auto t0 = std::chrono::steady_clock::now();
+    // Only the obs registry reads the commit wait: with it off, the
+    // append reads no clock, and with it on, the obs clock.
+    const bool timed = obs::Enabled();
+    const uint64_t t0 = timed ? obs::NowTicks() : 0;
     const size_t bytes = WalRecordBytes<K, P>(type);
     std::unique_lock<std::mutex> lock(mu_);
     if (sealed_) return WalStatus::kSealed;
@@ -155,7 +159,7 @@ class ShardLog {
     lock.unlock();
     CountAppend(n * bytes, n);
     if (status != WalStatus::kOk) return status;
-    RecordCommitWait(t0);
+    if (timed) RecordCommitWait(t0);
     return WalStatus::kOk;
   }
 
@@ -505,11 +509,10 @@ class ShardLog {
   }
 
   /// Records one acknowledgement's commit wait, entry to ack.
-  static void RecordCommitWait(std::chrono::steady_clock::time_point t0) {
-    [[maybe_unused]] const uint64_t wait_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
+  /// `t0` is the obs::NowTicks() reading at entry.
+  static void RecordCommitWait(uint64_t t0) {
+    [[maybe_unused]] const uint64_t wait_ns =
+        obs::TicksToNs(obs::NowTicks() - t0);
     ALEX_OBS_HIST_RECORD("wal.commit_wait_ns", wait_ns);
     // Feed the op-context from the wait this call already measured —
     // the slow-op trace gets the number without a second clock pair.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/concurrent_alex.h"
+#include "split_fixtures.h"
 #include "util/random.h"
 
 namespace alex::core {
@@ -689,6 +690,156 @@ TEST(LeafSplitTest, ConcurrentInsertsSplitManyLeavesAndMatchMapOracle) {
     }
   }
 }
+
+// ---------- sideways and downward leaf splits (§3.4.2) ----------
+
+void ExpectMatchesOracle(const AlexInt& index,
+                         const std::map<int64_t, int64_t>& oracle) {
+  ASSERT_TRUE(index.CheckInvariants());
+  ASSERT_EQ(index.size(), oracle.size());
+  for (const auto& [k, v] : oracle) {
+    const int64_t* found = index.Find(k);
+    ASSERT_NE(found, nullptr) << k;
+    ASSERT_EQ(*found, v) << k;
+  }
+}
+
+using test::FindTwoSlotLeaf;
+using test::kSplitStride;
+using test::RootModel;
+using test::SplitConfig;
+using test::SplitKeys;
+
+class LeafSplitLayoutTest : public ::testing::TestWithParam<NodeLayout> {};
+
+TEST_P(LeafSplitLayoutTest, BulkLoadRootHasTwoSlotsPerKeyBound) {
+  const Config config = SplitConfig(GetParam());
+  for (const size_t n : {size_t{257}, size_t{1000}, size_t{5000},
+                         size_t{12345}}) {
+    const auto keys = SortedKeys(n, 7);
+    const auto payloads = Payloads(n);
+    AlexInt index(config);
+    index.BulkLoad(keys.data(), payloads.data(), n);
+    EXPECT_EQ(index.Shape().root_slots,
+              (2 * n + config.max_data_node_keys - 1) /
+                  config.max_data_node_keys)
+        << n;
+  }
+}
+
+TEST_P(LeafSplitLayoutTest, MultiSlotVictimsSplitSideways) {
+  const Config config = SplitConfig(GetParam());
+  const auto keys = SplitKeys();
+  const auto payloads = Payloads(keys.size());
+  AlexInt index(config);
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+  std::map<int64_t, int64_t> oracle;
+  for (size_t i = 0; i < keys.size(); ++i) oracle.emplace(keys[i], payloads[i]);
+  const RootModel root(keys, config.max_data_node_keys);
+  const auto before = index.Shape();
+  ASSERT_EQ(before.max_depth, 1u);
+  ASSERT_EQ(before.root_slots, root.slots);
+
+  // One insert into every full leaf whose keys span two or more slots.
+  std::vector<int64_t> victims;
+  index.ForEachLeaf([&](const AlexInt::DataNodeT& leaf) {
+    const auto& s = leaf.storage();
+    if (s.num_keys() < config.max_data_node_keys) return;
+    const int64_t first = s.key_at(s.FirstOccupied());
+    if (root.SlotOf(first) != root.SlotOf(s.key_at(s.LastOccupied()))) {
+      victims.push_back(first + 1);
+    }
+  });
+  ASSERT_GT(victims.size(), 8u);
+  for (const int64_t k : victims) {
+    ASSERT_TRUE(index.Insert(k, -k));
+    oracle.emplace(k, -k);
+  }
+
+  // Every victim split sideways: no new inner node, no deeper leaf.
+  EXPECT_EQ(index.stats().num_splits, victims.size());
+  const auto after = index.Shape();
+  EXPECT_EQ(after.num_inner_nodes, before.num_inner_nodes);
+  EXPECT_EQ(after.max_depth, before.max_depth);
+  EXPECT_GE(after.num_data_nodes, before.num_data_nodes + victims.size());
+  // Each leaf's keys route only to its own root slots: the leaves' slot
+  // ranges are disjoint and ascending.
+  size_t free_slot = 0;
+  index.ForEachLeaf([&](const AlexInt::DataNodeT& leaf) {
+    const auto& s = leaf.storage();
+    if (s.empty()) return;
+    EXPECT_GE(root.SlotOf(s.key_at(s.FirstOccupied())), free_slot);
+    free_slot = root.SlotOf(s.key_at(s.LastOccupied())) + 1;
+  });
+  ExpectMatchesOracle(index, oracle);
+}
+
+TEST_P(LeafSplitLayoutTest, RootAndSingleSlotVictimsSplitDownward) {
+  const Config config = SplitConfig(GetParam());
+  AlexInt index(config);
+  std::map<int64_t, int64_t> oracle;
+  int64_t k = 0;
+  const auto append_until_split = [&] {
+    const uint64_t splits = index.stats().num_splits;
+    while (index.stats().num_splits == splits) {
+      ASSERT_TRUE(index.Insert(k, k + 7));
+      oracle.emplace(k, k + 7);
+      ++k;
+    }
+  };
+  // The root leaf splits downward under a new root.
+  append_until_split();
+  EXPECT_EQ(index.Shape().num_inner_nodes, 1u);
+  EXPECT_EQ(index.Shape().max_depth, 1u);
+  // Appends fill the rightmost child, which owns one root slot: it too
+  // splits downward.
+  append_until_split();
+  EXPECT_EQ(index.Shape().num_inner_nodes, 2u);
+  EXPECT_EQ(index.Shape().max_depth, 2u);
+  ExpectMatchesOracle(index, oracle);
+}
+
+TEST_P(LeafSplitLayoutTest, VictimWithKeysInOneSlotSplitsDownward) {
+  const Config config = SplitConfig(GetParam());
+  const auto keys = SplitKeys();
+  const auto payloads = Payloads(keys.size());
+  AlexInt index(config);
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+  std::map<int64_t, int64_t> oracle;
+  for (size_t i = 0; i < keys.size(); ++i) oracle.emplace(keys[i], payloads[i]);
+  const RootModel root(keys, config.max_data_node_keys);
+
+  // A leaf that owns two slots: erase its keys of the second slot, then
+  // fill it past the bound with keys of the first.
+  const test::TwoSlotLeaf victim = FindTwoSlotLeaf(index, root);
+  ASSERT_GE(victim.first, 0);
+  ASSERT_FALSE(victim.second_slot.empty());
+  for (const int64_t key : victim.second_slot) {
+    ASSERT_TRUE(index.Erase(key));
+    oracle.erase(key);
+  }
+  const auto before = index.Shape();
+  for (int64_t key = victim.first + 1; index.stats().num_splits == 0;
+       ++key) {
+    ASSERT_LT(key, victim.first + kSplitStride);
+    ASSERT_EQ(root.SlotOf(key), root.SlotOf(victim.first));
+    ASSERT_TRUE(index.Insert(key, -key));
+    oracle.emplace(key, -key);
+  }
+  const auto after = index.Shape();
+  EXPECT_EQ(after.num_inner_nodes, before.num_inner_nodes + 1);
+  EXPECT_EQ(after.max_depth, before.max_depth + 1);
+  ExpectMatchesOracle(index, oracle);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, LeafSplitLayoutTest,
+                         ::testing::Values(NodeLayout::kGappedArray,
+                                           NodeLayout::kPackedMemoryArray),
+                         [](const auto& info) {
+                           return info.param == NodeLayout::kGappedArray
+                                      ? std::string("GA")
+                                      : std::string("PMA");
+                         });
 
 }  // namespace
 }  // namespace alex::core

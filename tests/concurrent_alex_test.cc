@@ -6,10 +6,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "split_fixtures.h"
 #include "util/random.h"
 
 namespace alex::core {
@@ -305,6 +308,134 @@ TEST(ConcurrentAlexTest, ExpansionsWithoutSplitsKeepRetiredBlocksBounded) {
   EXPECT_TRUE(index.Get(7 * 16 + kPasses, &v));
   EXPECT_EQ(v, 7);
 }
+
+// ---------- sideways and downward leaf splits (§3.4.2) ----------
+
+using test::FindTwoSlotLeaf;
+using test::kSplitStride;
+using test::RootModel;
+using test::SplitConfig;
+using test::SplitKeys;
+
+void ExpectMatchesOracle(const Index& index,
+                         const std::map<int64_t, int64_t>& oracle) {
+  ASSERT_TRUE(index.CheckInvariants());
+  ASSERT_EQ(index.size(), oracle.size());
+  for (const auto& [k, v] : oracle) {
+    int64_t got = 0;
+    ASSERT_TRUE(index.Get(k, &got)) << k;
+    ASSERT_EQ(got, v) << k;
+  }
+}
+
+class ConcurrentLeafSplitTest : public ::testing::TestWithParam<NodeLayout> {
+};
+
+TEST_P(ConcurrentLeafSplitTest, WritersSplitMultiSlotVictimsSideways) {
+  // Four writers each insert one key next to the first key of every
+  // fourth root slot. A full leaf that owns two slots takes the first of
+  // its inserts and splits sideways into them; no split goes downward.
+  const Config config = SplitConfig(GetParam());
+  const auto keys = SplitKeys();
+  Index index(config);
+  index.BulkLoad(keys.data(), keys.data(), keys.size());
+  std::map<int64_t, int64_t> oracle;
+  for (const int64_t k : keys) oracle.emplace(k, k);
+  const RootModel root(keys, config.max_data_node_keys);
+  std::vector<int64_t> slot_first(root.slots, -1);
+  for (const int64_t k : keys) {
+    if (slot_first[root.SlotOf(k)] < 0) slot_first[root.SlotOf(k)] = k;
+  }
+  const auto before = index.CollectStructure();
+  ASSERT_EQ(before.max_depth, 1u);
+
+  constexpr size_t kWriters = 4;
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (size_t slot = w; slot < root.slots; slot += kWriters) {
+        if (slot_first[slot] >= 0) {
+          index.Insert(slot_first[slot] + 1, -slot_first[slot]);
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  for (const int64_t k : slot_first) {
+    if (k >= 0) oracle.emplace(k + 1, -k);
+  }
+
+  const auto after = index.CollectStructure();
+  const uint64_t splits = index.GetStats().num_splits;
+  EXPECT_GT(splits, 8u);
+  EXPECT_EQ(after.inner_count, before.inner_count);
+  EXPECT_EQ(after.max_depth, before.max_depth);
+  EXPECT_GE(after.leaf_count, before.leaf_count + splits);
+  ExpectMatchesOracle(index, oracle);
+}
+
+TEST_P(ConcurrentLeafSplitTest, RootAndSingleSlotVictimsSplitDownward) {
+  const Config config = SplitConfig(GetParam());
+  Index index(config);
+  std::map<int64_t, int64_t> oracle;
+  int64_t k = 0;
+  const auto append_until_split = [&] {
+    const uint64_t splits = index.GetStats().num_splits;
+    while (index.GetStats().num_splits == splits) {
+      ASSERT_TRUE(index.Insert(k, k + 7));
+      oracle.emplace(k, k + 7);
+      ++k;
+    }
+  };
+  append_until_split();  // the root leaf
+  EXPECT_EQ(index.CollectStructure().inner_count, 1u);
+  EXPECT_EQ(index.CollectStructure().max_depth, 1u);
+  append_until_split();  // the rightmost child, which owns one root slot
+  EXPECT_EQ(index.CollectStructure().inner_count, 2u);
+  EXPECT_EQ(index.CollectStructure().max_depth, 2u);
+  ExpectMatchesOracle(index, oracle);
+}
+
+TEST_P(ConcurrentLeafSplitTest, VictimWithKeysInOneSlotSplitsDownward) {
+  // The concurrent index bulk-loads the same tree as Alex, so an Alex
+  // built from the same keys names the victim.
+  const Config config = SplitConfig(GetParam());
+  const auto keys = SplitKeys();
+  Index index(config);
+  index.BulkLoad(keys.data(), keys.data(), keys.size());
+  Alex<int64_t, int64_t> twin(config);
+  twin.BulkLoad(keys.data(), keys.data(), keys.size());
+  const RootModel root(keys, config.max_data_node_keys);
+  const test::TwoSlotLeaf victim = FindTwoSlotLeaf(twin, root);
+  ASSERT_GE(victim.first, 0);
+  ASSERT_FALSE(victim.second_slot.empty());
+  std::map<int64_t, int64_t> oracle;
+  for (const int64_t k : keys) oracle.emplace(k, k);
+  for (const int64_t key : victim.second_slot) {
+    ASSERT_TRUE(index.Erase(key));
+    oracle.erase(key);
+  }
+  const auto before = index.CollectStructure();
+  for (int64_t key = victim.first + 1; index.GetStats().num_splits == 0;
+       ++key) {
+    ASSERT_LT(key, victim.first + kSplitStride);
+    ASSERT_TRUE(index.Insert(key, -key));
+    oracle.emplace(key, -key);
+  }
+  const auto after = index.CollectStructure();
+  EXPECT_EQ(after.inner_count, before.inner_count + 1);
+  EXPECT_EQ(after.max_depth, before.max_depth + 1);
+  ExpectMatchesOracle(index, oracle);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, ConcurrentLeafSplitTest,
+                         ::testing::Values(NodeLayout::kGappedArray,
+                                           NodeLayout::kPackedMemoryArray),
+                         [](const auto& info) {
+                           return info.param == NodeLayout::kGappedArray
+                                      ? std::string("GA")
+                                      : std::string("PMA");
+                         });
 
 }  // namespace
 }  // namespace alex::core

@@ -3,7 +3,9 @@
 // linearizable Get/Insert/Erase outcomes and no lost updates, plus a
 // split-torture test that forces constant leaf splits (tiny
 // max_data_node_keys) while readers spin on keys migrating across the
-// split boundaries. Designed to run under -fsanitize=thread and
+// split boundaries, and a sideways-split torture in which Get, MultiGet
+// and Scan readers race writers whose splits publish new leaves into
+// their parent's slots. Designed to run under -fsanitize=thread and
 // address,undefined (see .github/workflows/ci.yml); key counts are kept
 // modest so the sanitizer runs stay fast.
 #include "core/concurrent_alex.h"
@@ -522,6 +524,172 @@ TEST(ConcurrentStressTest, HotLeafTortureGappedArray) {
 
 TEST(ConcurrentStressTest, HotLeafTorturePma) {
   RunHotLeafTorture(NodeLayout::kPackedMemoryArray);
+}
+
+// Sideways-split torture: four writers fill the gaps of a bulk load whose
+// leaves each own two root slots, so every leaf they reach splits sideways
+// into its parent's slots while Get, MultiGet and Scan readers race the
+// slot-by-slot publication. Readers check payload provenance (a payload
+// is a function of its key), that every preloaded key and every insert a
+// writer has returned from is found, and that never-inserted keys stay
+// absent; the end state must match the oracle with the tree no deeper.
+void RunSidewaysSplitTorture(NodeLayout layout) {
+  constexpr int64_t kStride = 1000;
+  constexpr size_t kPreload = 32768;  // 256 root slots, 128 two-slot leaves
+  constexpr size_t kWriters = 4;
+  constexpr size_t kReaders = 3;
+  constexpr size_t kBaseStep = 8;  // 64 inserts per slot: leaves stay below
+                                   // the bound after one sideways split
+  Config config;
+  config.layout = layout;
+  config.max_data_node_keys = 256;
+  config.split_fanout = 4;
+  Index index(config);
+  std::vector<int64_t> keys, payloads;
+  for (size_t i = 0; i < kPreload; ++i) {
+    keys.push_back(static_cast<int64_t>(i) * kStride);
+    payloads.push_back(PayloadFor(keys.back()));
+  }
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+  const auto before = index.CollectStructure();
+  ASSERT_EQ(before.max_depth, 1u);
+
+  // Writer w inserts key base + 1 + w next to every kBaseStep-th preloaded
+  // key, in its own shuffled order; done[w] publishes how many returned.
+  std::vector<std::vector<int64_t>> streams(kWriters);
+  for (size_t w = 0; w < kWriters; ++w) {
+    for (size_t i = 0; i < kPreload; i += kBaseStep) {
+      streams[w].push_back(keys[i] + 1 + static_cast<int64_t>(w));
+    }
+    util::Xoshiro256 rng(9100 + w);
+    for (size_t i = streams[w].size(); i > 1; --i) {
+      std::swap(streams[w][i - 1], streams[w][rng.NextUint64(i)]);
+    }
+  }
+  std::atomic<size_t> done[kWriters] = {};
+  std::atomic<bool> stop{false};
+  std::atomic<int> errors{0};
+
+  // A key every reader can pick: preloaded (present), published by a
+  // writer (present), or at an offset no writer uses (absent).
+  const auto pick = [&](util::Xoshiro256& rng, bool* present) {
+    const int64_t base = keys[rng.NextUint64(kPreload)];
+    switch (rng.NextUint64(3)) {
+      case 0:
+        *present = true;
+        return base;
+      case 1: {
+        const size_t w = rng.NextUint64(kWriters);
+        const size_t n = done[w].load(std::memory_order_acquire);
+        if (n == 0) break;
+        *present = true;
+        return streams[w][rng.NextUint64(n)];
+      }
+      default:
+        break;
+    }
+    *present = false;
+    return base + 1 + static_cast<int64_t>(kWriters);
+  };
+
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (const int64_t key : streams[w]) {
+        if (!index.Insert(key, PayloadFor(key))) errors.fetch_add(1);
+        done[w].fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  for (size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      util::Xoshiro256 rng(9200 + r);
+      constexpr size_t kBatch = 32;
+      int64_t batch[kBatch];
+      bool expect[kBatch];
+      int64_t got[kBatch];
+      bool found[kBatch];
+      while (!stop.load(std::memory_order_acquire)) {
+        switch (r) {
+          case 0: {  // Get
+            bool present = false;
+            const int64_t key = pick(rng, &present);
+            int64_t v = 0;
+            const bool hit = index.Get(key, &v);
+            if (hit != present || (hit && v != PayloadFor(key))) {
+              errors.fetch_add(1);
+            }
+            break;
+          }
+          case 1: {  // MultiGet
+            for (size_t i = 0; i < kBatch; ++i) {
+              batch[i] = pick(rng, &expect[i]);
+            }
+            index.MultiGet(batch, kBatch, got, found);
+            for (size_t i = 0; i < kBatch; ++i) {
+              if (found[i] != expect[i] ||
+                  (found[i] && got[i] != PayloadFor(batch[i]))) {
+                errors.fetch_add(1);
+              }
+            }
+            break;
+          }
+          default: {  // Scan over 64 preloaded keys and their gaps
+            const size_t first = rng.NextUint64(kPreload - 64);
+            const int64_t lo = keys[first];
+            const int64_t hi = keys[first + 63] + kStride - 1;
+            size_t preloaded = 0;
+            int64_t prev = lo - 1;
+            index.Scan(lo, hi, [&](const int64_t& key, const int64_t& v) {
+              const int64_t offset = key % kStride;
+              if (!(prev < key) || v != PayloadFor(key) ||
+                  offset > static_cast<int64_t>(kWriters)) {
+                errors.fetch_add(1);
+              }
+              if (offset == 0) ++preloaded;
+              prev = key;
+            });
+            if (preloaded != 64) errors.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (size_t w = 0; w < kWriters; ++w) threads[w].join();
+  stop.store(true, std::memory_order_release);
+  for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
+
+  EXPECT_EQ(errors.load(), 0);
+  // Every split went sideways: as many inner nodes and levels as before.
+  const auto after = index.CollectStructure();
+  EXPECT_GE(index.GetStats().num_splits, 64u);
+  EXPECT_EQ(after.inner_count, before.inner_count);
+  EXPECT_EQ(after.max_depth, before.max_depth);
+  EXPECT_TRUE(index.CheckInvariants());
+  size_t expected = kPreload;
+  for (const auto& stream : streams) expected += stream.size();
+  EXPECT_EQ(index.size(), expected);
+  for (const int64_t key : keys) {
+    int64_t v = 0;
+    ASSERT_TRUE(index.Get(key, &v)) << key;
+    ASSERT_EQ(v, PayloadFor(key)) << key;
+  }
+  for (const auto& stream : streams) {
+    for (const int64_t key : stream) {
+      int64_t v = 0;
+      ASSERT_TRUE(index.Get(key, &v)) << key;
+      ASSERT_EQ(v, PayloadFor(key)) << key;
+    }
+  }
+}
+
+TEST(ConcurrentStressTest, SidewaysSplitTortureGappedArray) {
+  RunSidewaysSplitTorture(NodeLayout::kGappedArray);
+}
+
+TEST(ConcurrentStressTest, SidewaysSplitTorturePma) {
+  RunSidewaysSplitTorture(NodeLayout::kPackedMemoryArray);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the cold-tier building blocks (src/tier/): segment
 // write/open round trips (empty segments included), the learned fence
-// lookup with its binary-search fallback, every Validate rejection path
+// lookup with its binary-search fallback and its fit over finite fence
+// keys only, every Validate rejection path
 // (byte flips must surface as the distinct kSegmentCorrupt status, a
 // previous format version as kBadVersion), the full audit's key-order
 // check and a mutation sweep of every bit and length of a small segment
@@ -128,6 +129,36 @@ TEST(TierSegment, BlockOfKeyAgreesWithFence) {
   for (size_t i = 0; i < run.keys.size(); ++i) {
     const size_t b = seg.BlockOfKey(run.keys[i]);
     EXPECT_EQ(b, i / 32) << "key index " << i;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TierSegment, FenceModelFitsOnlyFiniteFenceKeys) {
+  // -inf, 0..4999, +inf at 256 keys per block: block 0's fence is -inf.
+  // Fit over it, the model would be flat and start every lookup at the
+  // middle block; fit over the finite fences, it predicts every block.
+  std::vector<double> keys{-std::numeric_limits<double>::infinity()};
+  for (int k = 0; k < 5000; ++k) keys.push_back(k);
+  keys.push_back(std::numeric_limits<double>::infinity());
+  const std::vector<int64_t> payloads(keys.size(), 1);
+  const std::string path = TempPath("seg_inf_fence");
+  ASSERT_EQ((WriteSegmentFile<double, int64_t>(path, keys.data(),
+                                               payloads.data(), keys.size(),
+                                               256)),
+            SnapshotStatus::kOk);
+  SegmentHeader header;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fread(&header, sizeof(header), 1, f), 1u);
+  std::fclose(f);
+  EXPECT_NE(header.fence_slope, 0.0);
+  const model::LinearModel fence_model(header.fence_slope,
+                                       header.fence_intercept);
+  ColdSegment<double, int64_t> seg;
+  ASSERT_EQ(seg.Open(path, 1), SnapshotStatus::kOk);
+  for (int k = 0; k < 5000; ++k) {
+    EXPECT_EQ(fence_model.Predict(k, seg.num_blocks()), seg.BlockOfKey(k))
+        << "key " << k;
   }
   std::remove(path.c_str());
 }
