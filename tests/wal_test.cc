@@ -1,26 +1,36 @@
 // Unit tests for the WAL subsystem (src/wal/): record/segment round
 // trips, the group-commit writer under concurrent committers (a TSan
 // target), the mapped segment (preallocation, growth, trim on close,
-// fail-closed growth), seal/rotate hand-offs, the torn-tail-vs-corruption
-// contract of the reader including a live segment's zero remainder, and
-// replay semantics (idempotence, checkpoint skip, parent-before-child
-// ordering).
+// fail-closed growth, the prefaulted runway), seal/rotate hand-offs, the
+// torn-tail-vs-corruption contract of the reader including a live
+// segment's zero remainder, and replay semantics (idempotence,
+// checkpoint skip, parent-before-child ordering).
 #include "wal/log_reader.h"
 #include "wal/log_writer.h"
 #include "wal/wal_format.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <condition_variable>
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <sstream>
@@ -33,6 +43,81 @@
 #include "obs/metrics.h"
 #include "util/checksum.h"
 #include "util/histogram.h"
+
+// The log's runway prefault, seen from the test. This binary defines
+// madvise, so the library code compiled into it calls this definition
+// instead of libc's (libc's own internal calls do not). A
+// MADV_POPULATE_WRITE call is counted and can be made to fail or be held
+// in flight until the test releases it; every other call, and every
+// call once released, is the plain system call.
+namespace {
+
+struct PopulateHook {
+  std::mutex mu;
+  std::condition_variable cv;
+  int calls = 0;       ///< MADV_POPULATE_WRITE calls seen
+  int fail_errno = 0;  ///< nonzero: each call fails with this errno
+  bool hold = false;   ///< the next call blocks until Release()
+  bool held = false;   ///< a call is blocked now
+
+  void Reset() {
+    std::lock_guard<std::mutex> lock(mu);
+    calls = 0;
+    fail_errno = 0;
+    hold = false;
+  }
+  void HoldNext() {
+    std::lock_guard<std::mutex> lock(mu);
+    hold = true;
+  }
+  /// Waits (up to 10 s) for a held call; false if none arrived.
+  bool WaitHeld() {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(10),
+                       [this] { return held; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu);
+    held = false;
+    cv.notify_all();
+  }
+  int Calls() {
+    std::lock_guard<std::mutex> lock(mu);
+    return calls;
+  }
+  void FailWith(int err) {
+    std::lock_guard<std::mutex> lock(mu);
+    fail_errno = err;
+  }
+};
+
+PopulateHook& Hook() {
+  static PopulateHook hook;
+  return hook;
+}
+
+}  // namespace
+
+extern "C" int madvise(void* addr, size_t len, int advice) noexcept {
+#if defined(MADV_POPULATE_WRITE)
+  if (advice == MADV_POPULATE_WRITE) {
+    PopulateHook& hook = Hook();
+    std::unique_lock<std::mutex> lock(hook.mu);
+    ++hook.calls;
+    if (hook.fail_errno != 0) {
+      errno = hook.fail_errno;
+      return -1;
+    }
+    if (hook.hold) {
+      hook.hold = false;
+      hook.held = true;
+      hook.cv.notify_all();
+      hook.cv.wait(lock, [&hook] { return !hook.held; });
+    }
+  }
+#endif
+  return static_cast<int>(::syscall(SYS_madvise, addr, len, advice));
+}
 
 namespace alex::wal {
 namespace {
@@ -797,6 +882,251 @@ TEST(WalSegmentTest, GrowthFailureFailsClosedAndKeepsTheAckedPrefix) {
   EXPECT_EQ(state.rbegin()->second, state.rbegin()->first * 7);
   RemoveSegments(prefix);
 }
+
+// ---- The prefaulted runway ----
+
+#if defined(MADV_POPULATE_WRITE)
+
+/// Whether this kernel populates a writable mapping (Linux >= 5.14).
+bool KernelPopulates() {
+  const long page = ::sysconf(_SC_PAGESIZE);
+  void* map = ::mmap(nullptr, static_cast<size_t>(page),
+                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                     0);
+  if (map == MAP_FAILED) return false;
+  const bool ok = static_cast<int>(::syscall(
+                      SYS_madvise, map, page, MADV_POPULATE_WRITE)) == 0;
+  ::munmap(map, static_cast<size_t>(page));
+  return ok;
+}
+
+/// Start address of this process's mapping of the file at `path` (from
+/// /proc/self/maps), or 0 when there is none.
+uintptr_t MappingOf(const std::string& path) {
+  char real[PATH_MAX];
+  if (::realpath(path.c_str(), real) == nullptr) return 0;
+  const std::string suffix = std::string(" ") + real;
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    if (line.size() > suffix.size() &&
+        line.compare(line.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      return static_cast<uintptr_t>(std::stoull(line, nullptr, 16));
+    }
+  }
+  return 0;
+}
+
+/// Whether every page of the mapping at `base` overlapping [from, to) has
+/// a page-table entry, so a store there takes no not-present fault
+/// (/proc/self/pagemap, bit 63 of each page's entry).
+bool PagesMapped(uintptr_t base, long from, long to) {
+  const long page = ::sysconf(_SC_PAGESIZE);
+  const int fd = ::open("/proc/self/pagemap", O_RDONLY);
+  if (fd < 0) return false;
+  bool all = true;
+  for (long p = from / page; p * page < to; ++p) {
+    uint64_t entry = 0;
+    const off_t at = static_cast<off_t>(
+        (base / static_cast<uintptr_t>(page) + static_cast<uintptr_t>(p)) *
+        sizeof(entry));
+    all = all && ::pread(fd, &entry, sizeof(entry), at) ==
+                     static_cast<ssize_t>(sizeof(entry)) &&
+          (entry >> 63) != 0;
+  }
+  ::close(fd);
+  return all;
+}
+
+TEST(WalRunwayTest, PagesAheadOfTheEndAreMapped) {
+  // After every append, the pages from the logical end to half a runway
+  // past it (or to the allocated end) are already mapped, so the next
+  // appends store without a fault — across doublings too, which also
+  // shows no prefault ever reached past the allocated size (that would
+  // have failed and stopped the runway). Closing still leaves exactly the
+  // header and the records. (Page-cache residency, mincore(2), would not
+  // tell: the first fault's readahead caches the whole preallocation.)
+  if (!KernelPopulates()) GTEST_SKIP() << "no MADV_POPULATE_WRITE";
+  if (::access("/proc/self/pagemap", R_OK) != 0) {
+    GTEST_SKIP() << "no /proc/self/pagemap";
+  }
+  const std::string prefix = TempPrefix("wal-runway");
+  RemoveSegments(prefix);
+  const std::string path = WalSegmentPath(prefix, 1, 1);
+  Hook().Reset();
+  constexpr long kHalfRunway = static_cast<long>(Log::kRunwayBytes / 2);
+  constexpr int64_t kRecords = 20000;  // 800 KiB: four doublings
+  {
+    Log log(prefix, 1, 0, 1, 0, NoSync());
+    ASSERT_EQ(log.Open(), WalStatus::kOk);
+    for (int64_t k = 0; k < kRecords; ++k) {
+      ASSERT_EQ(log.Log(WalRecordType::kInsert, k, &k), WalStatus::kOk);
+      if (k % 997 != 0 && k + 1 != kRecords) continue;
+      const long end = kHeaderBytes + (k + 1) * kRecordBytes;
+      const long to = std::min(FileSize(path), end + kHalfRunway);
+      const uintptr_t base = MappingOf(path);
+      ASSERT_NE(base, 0u);
+      ASSERT_TRUE(PagesMapped(base, end, to))
+          << "after " << k + 1 << " records, end " << end << ", to " << to;
+    }
+    EXPECT_EQ(FileSize(path), 16 * kFirstChunk);
+  }
+  EXPECT_GT(Hook().Calls(), 0);
+  EXPECT_EQ(FileSize(path), kHeaderBytes + kRecords * kRecordBytes);
+  std::map<int64_t, int64_t> state;
+  ASSERT_EQ(Replay(prefix, {}, &state, nullptr), WalStatus::kOk);
+  EXPECT_EQ(state.size(), static_cast<size_t>(kRecords));
+  RemoveSegments(prefix);
+}
+
+TEST(WalRunwayTest, DoublingWaitsOutAnInFlightPrefault) {
+  // Growth remaps the segment, so a LogBatch that must double it waits
+  // for another appender's prefault of the old mapping to finish; no
+  // record is lost and the log replays in LSN order.
+  const std::string prefix = TempPrefix("wal-runway-grow");
+  RemoveSegments(prefix);
+  const std::string path = WalSegmentPath(prefix, 1, 1);
+  Hook().Reset();
+  constexpr int64_t kBatch = 2000;  // 80 KiB: past the first 64 KiB
+  {
+    Log log(prefix, 1, 0, 1, 0, NoSync());
+    ASSERT_EQ(log.Open(), WalStatus::kOk);
+    Hook().HoldNext();
+    std::thread first([&log] {
+      const int64_t key = -1;
+      EXPECT_EQ(log.Log(WalRecordType::kInsert, key, &key), WalStatus::kOk);
+    });
+    if (!Hook().WaitHeld()) {  // the first append's prefault is in flight
+      first.join();
+      FAIL() << "the first append issued no prefault";
+    }
+    std::atomic<bool> grown{false};
+    std::thread batch([&log, &grown] {
+      std::vector<int64_t> keys(kBatch);
+      for (int64_t i = 0; i < kBatch; ++i) keys[i] = i;
+      EXPECT_EQ(log.LogBatch(WalRecordType::kInsert, keys.data(),
+                             keys.data(), keys.size()),
+                WalStatus::kOk);
+      grown.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(grown.load());
+    EXPECT_EQ(FileSize(path), kFirstChunk);
+    Hook().Release();
+    first.join();
+    batch.join();
+    EXPECT_EQ(FileSize(path), 2 * kFirstChunk);
+    EXPECT_EQ(log.last_lsn(), static_cast<uint64_t>(kBatch + 1));
+  }
+  WalSegmentInfo info;
+  std::vector<Record> records;
+  ASSERT_EQ(ReadSeg(path, &info, &records), WalStatus::kOk);
+  ASSERT_EQ(records.size(), static_cast<size_t>(kBatch + 1));
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].lsn, i + 1);
+    EXPECT_EQ(records[i].key, static_cast<int64_t>(i) - 1);
+  }
+  std::map<int64_t, int64_t> state;
+  ASSERT_EQ(Replay(prefix, {}, &state, nullptr), WalStatus::kOk);
+  EXPECT_EQ(state.size(), static_cast<size_t>(kBatch + 1));
+  RemoveSegments(prefix);
+}
+
+TEST(WalRunwayTest, SealRotateAndDestructionWaitOutAnInFlightPrefault) {
+  // Each of the three ways a segment is trimmed and unmapped, issued
+  // while an appender's prefault runs with the mutex dropped, blocks
+  // until the prefault is done; the closed segment is exactly the header
+  // and the one record.
+  enum class Close { kSeal, kRotate, kDestroy };
+  for (const Close close : {Close::kSeal, Close::kRotate, Close::kDestroy}) {
+    SCOPED_TRACE(static_cast<int>(close));
+    const std::string prefix = TempPrefix("wal-runway-close");
+    RemoveSegments(prefix);
+    const std::string path = WalSegmentPath(prefix, 1, 1);
+    Hook().Reset();
+    std::optional<Log> log;
+    log.emplace(prefix, 1, 0, 1, 0, NoSync());
+    ASSERT_EQ(log->Open(), WalStatus::kOk);
+    Hook().HoldNext();
+    std::thread appender([&log] {
+      const int64_t key = 7;
+      EXPECT_EQ(log->Log(WalRecordType::kInsert, key, &key), WalStatus::kOk);
+    });
+    if (!Hook().WaitHeld()) {
+      appender.join();
+      FAIL() << "the append issued no prefault";
+    }
+    std::atomic<bool> closed{false};
+    std::thread closer([&log, &closed, close] {
+      switch (close) {
+        case Close::kSeal:
+          EXPECT_EQ(log->Seal(), WalStatus::kOk);
+          break;
+        case Close::kRotate:
+          EXPECT_EQ(log->Rotate(), WalStatus::kOk);
+          break;
+        case Close::kDestroy:
+          log.reset();
+          break;
+      }
+      closed.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(closed.load());
+    EXPECT_EQ(FileSize(path), kFirstChunk);  // not trimmed yet
+    Hook().Release();
+    appender.join();
+    closer.join();
+    log.reset();
+    constexpr long kSealBytes = static_cast<long>(
+        WalRecordBytes<int64_t, int64_t>(WalRecordType::kSeal));
+    EXPECT_EQ(FileSize(path), kHeaderBytes + kRecordBytes +
+                                  (close == Close::kSeal ? kSealBytes : 0));
+    WalSegmentInfo info;
+    std::vector<Record> records;
+    ASSERT_EQ(ReadSeg(path, &info, &records), WalStatus::kOk);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].key, 7);
+    EXPECT_EQ(info.sealed, close == Close::kSeal);
+    RemoveSegments(prefix);
+  }
+}
+
+TEST(WalRunwayTest, FailedPrefaultIsAHintNotAnError) {
+  // A prefault that fails stops prefaulting for that segment only: every
+  // append still succeeds, nothing is journaled, no later append of the
+  // segment tries again, and the next segment prefaults afresh.
+  const std::string prefix = TempPrefix("wal-runway-fail");
+  RemoveSegments(prefix);
+  Hook().Reset();
+  obs::SetEnabled(true);
+  obs::GlobalJournal().Reset();
+  {
+    Log log(prefix, 1, 0, 1, 0, NoSync());
+    ASSERT_EQ(log.Open(), WalStatus::kOk);
+    Hook().FailWith(EINVAL);
+    for (int64_t k = 0; k < 4000; ++k) {  // two doublings
+      ASSERT_EQ(log.Log(WalRecordType::kInsert, k, &k), WalStatus::kOk);
+    }
+    EXPECT_EQ(Hook().Calls(), 1);
+    Hook().FailWith(0);
+    ASSERT_EQ(log.Rotate(), WalStatus::kOk);
+    const int64_t k = 4000;
+    ASSERT_EQ(log.Log(WalRecordType::kInsert, k, &k), WalStatus::kOk);
+    EXPECT_EQ(Hook().Calls(), 2);
+  }
+  obs::SetEnabled(false);
+#if !defined(ALEX_DISABLE_OBS)
+  EXPECT_TRUE(obs::GlobalJournal().Snapshot().empty());
+#endif
+  std::map<int64_t, int64_t> state;
+  ASSERT_EQ(Replay(prefix, {}, &state, nullptr), WalStatus::kOk);
+  EXPECT_EQ(state.size(), 4001u);
+  RemoveSegments(prefix);
+}
+
+#endif  // MADV_POPULATE_WRITE
 
 // ---- Reader: the last segment's zero remainder ----
 
