@@ -1,12 +1,12 @@
-// Observability overhead: what the obs layer costs when it is on, off,
-// and compiled out.
+// Observability overhead: what the obs layer costs when its runtime flag
+// is on versus off.
 //
 // The obs design contract (src/obs/metrics.h) is that a disabled runtime
 // flag leaves exactly one predicted branch per instrumentation site on
-// the hot path, and ALEX_DISABLE_OBS compiles the sites out entirely.
-// This bench demonstrates the contract on a mixed sharded+WAL workload —
-// the workload the registry exists to observe: WAL-logged inserts, point
-// gets, and short range scans against a multi-shard ShardedAlex.
+// the hot path, and the flag is the only switch. This bench measures the
+// contract on a mixed sharded+WAL workload — the workload the registry
+// exists to observe: WAL-logged inserts, point gets, and short range
+// scans against a multi-shard ShardedAlex.
 //
 // Method: chunk-interleaved A/B over the *same* steady-state index.
 // Every round runs an identical deterministic op stream whose inserts
@@ -24,8 +24,9 @@
 //
 //   overhead% = median over chunks of (1 - off_seconds / on_seconds) * 100
 //
-// Target: < 3% with the flag on; ~0% when built with -DALEX_DISABLE_OBS=ON
-// (the A and B arms are then the same machine code). The final snapshot of
+// Target: < 3% with the flag on. The bench prints the target beside the
+// measured median but exits 0 above it; ROADMAP item 2 (slice b) moves
+// this budget into perfbench and enforces it there. The final snapshot of
 // an enabled round is also the bench's proof-of-coverage: it prints how
 // many distinct metrics went nonzero.
 //
@@ -206,16 +207,9 @@ int main(int argc, char** argv) {
   // arm (the < 3% budget therefore covers sampling + rule evaluation).
   alex::obs::HealthMonitor::Global().Start(/*interval_ms=*/20);
 
-#if defined(ALEX_DISABLE_OBS)
-  const char* build = "compiled-out (ALEX_DISABLE_OBS)";
-#else
-  const char* build = "compiled-in";
-#endif
-
   ResultSink sink;
   alex::bench::PrintRule(
       "Observability overhead (chunk-interleaved A/B, runtime flag)");
-  std::printf("instrumentation: %s\n", build);
   std::printf("%-6s %12s %12s %12s\n", "pair", "off Mops/s", "on Mops/s",
               "pair ovh%");
   const size_t chunk_ops =
@@ -297,7 +291,6 @@ int main(int argc, char** argv) {
   sink.Flush();
   alex::obs::HealthMonitor::Global().Stop();
   Cleanup(prefix);
-#if !defined(ALEX_DISABLE_OBS)
   // The overhead claim covers the watchdog only if it actually sampled
   // during the enabled chunks.
   if (samples < 2) {
@@ -307,6 +300,5 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(samples));
     return 1;
   }
-#endif
   return 0;
 }

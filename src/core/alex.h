@@ -91,6 +91,14 @@ class Alex {
   /// keys: each root partition expects half the key bound, so its leaf
   /// has room to grow before it splits (§3.4.1).
   static constexpr size_t kRootPartitionsPerMaxLeaf = 2;
+  /// Keys per leaf model of a static RMI whose `Config::num_models` is 0
+  /// (auto). Deliberately larger than the adaptive-RMI leaf bound: the
+  /// paper's Fig. 8/12 drilldown hinges on adaptive RMI limiting leaf
+  /// size where static RMI does not.
+  static constexpr size_t kSrmiKeysPerModel = 16384;
+  /// Safety cap on RMI depth during adaptive initialization (§3.4.1): a
+  /// partition this deep becomes a leaf whatever its key count.
+  static constexpr size_t kMaxRmiDepth = 16;
 
   /// Forward iterator over (key, payload) pairs in key order, streaming
   /// across leaves through sibling links and skipping gaps via the bitmap
@@ -501,7 +509,7 @@ class Alex {
                     std::vector<DataNodeT*>* leaves) {
     size_t num_leaves = config_->num_models;
     if (num_leaves == 0) {
-      num_leaves = n / config_->srmi_keys_per_model;
+      num_leaves = n / kSrmiKeysPerModel;
     }
     if (num_leaves <= 1) {
       DataNodeT* leaf = NewLeaf(keys, payloads, n);
@@ -529,7 +537,7 @@ class Alex {
                       std::vector<DataNodeT*>* leaves) {
     const size_t n = hi - lo;
     if (n <= config_->max_data_node_keys ||
-        depth >= config_->max_rmi_depth) {
+        depth >= kMaxRmiDepth) {
       DataNodeT* leaf = NewLeaf(keys + lo, payloads + lo, n);
       leaves->push_back(leaf);
       return leaf;

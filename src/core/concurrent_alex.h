@@ -228,7 +228,6 @@ class ConcurrentAlex {
       std::lock_guard<std::mutex> root_lock(root_split_mutex_);
       old = index_.root_.exchange(fresh, std::memory_order_seq_cst);
     }
-    BumpVersion();
     util::EpochManager::Guard guard(*epoch_);
     // The quiescer counts the old tree's final keys as it drains each
     // leaf's latch. Every counter bump for an old-tree commit happens
@@ -580,12 +579,6 @@ class ConcurrentAlex {
   /// no lock is needed; the snapshot is point-in-time per counter.
   Stats GetStats() const { return index_.stats(); }
 
-  /// Structural epoch, bumped by every structural modification. Exposed
-  /// for tests and diagnostics.
-  uint64_t StructureVersion() const {
-    return structure_version_.load(std::memory_order_acquire);
-  }
-
   /// The reclamation engine, exposed read-only for tests/diagnostics
   /// (epoch(), retired_count(), freed_count()).
   const util::EpochManager& epoch_manager() const { return *epoch_; }
@@ -833,10 +826,6 @@ class ConcurrentAlex {
     out->keys.Merge(st);
   }
 
-  void BumpVersion() {
-    structure_version_.fetch_add(1, std::memory_order_release);
-  }
-
   /// The lock-free descent: one seq_cst load per level. Must be called
   /// under an epoch guard; the returned leaf stays allocated (though
   /// possibly retired) until the guard is released.
@@ -982,7 +971,6 @@ class ConcurrentAlex {
     // lands in a complete replacement.
     leaf->MarkRetired();
     index_.InstallSplit(split, parent, /*publish=*/true);
-    BumpVersion();
     ++index_.stats_->num_splits;
     ALEX_OBS_COUNTER_INC("core.leaf_splits");
     ALEX_OBS_CTX_ADD(leaf_splits, 1);
@@ -1041,7 +1029,6 @@ class ConcurrentAlex {
   // Serializes sibling-chain splices across splits. Never touched by
   // reads; point writes never touch it either.
   std::mutex chain_mutex_;
-  std::atomic<uint64_t> structure_version_{0};
   Alex<K, P> index_;
 };
 

@@ -12,8 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "containers/pma.h"
-
 namespace alex::core {
 
 /// Leaf data-node layout (paper §3.3).
@@ -45,16 +43,10 @@ struct Config {
   /// 0 to disable contraction.
   double density_lower = 0.16;  // = d²/4 for d = 0.8
 
-  /// PMA density-bound tree endpoints (§3.3.2).
-  container::PmaDensityBounds pma_bounds;
-
-  /// SRMI only: number of leaf models. 0 = auto (`n / srmi_keys_per_model`
-  /// at bulk load). Grid-searched per dataset in the paper (§5.1). The
-  /// default deliberately yields larger leaves than the adaptive-RMI
-  /// bound below — the paper's Fig. 8/12 drilldown hinges on adaptive RMI
-  /// limiting leaf size where static RMI does not.
+  /// SRMI only: number of leaf models. 0 = auto (`n /
+  /// Alex::kSrmiKeysPerModel` at bulk load). Grid-searched per dataset in
+  /// the paper (§5.1).
   size_t num_models = 0;
-  size_t srmi_keys_per_model = 16384;
 
   /// ARMI only: maximum bound for keys per data node (Alg. 4). "Can be
   /// tuned or learned for each dataset" (§3.4.1).
@@ -84,16 +76,6 @@ struct Config {
   /// this isolates the benefit the paper attributes to model-based
   /// insertion (Fig. 7); see bench/ablation_model_insert.
   bool model_based_placement = true;
-
-  /// Nodes with fewer keys than this use plain binary search and no model
-  /// ("cold start", §3.3.3).
-  size_t min_model_keys = 32;
-
-  /// Smallest data-node capacity (slots).
-  size_t min_node_capacity = 16;
-
-  /// Safety cap on RMI depth during adaptive initialization.
-  size_t max_rmi_depth = 16;
 
   /// Expansion factor c = 1/d² implied by the current density (§3.3.1:
   /// "the length of the array is 1/d² times the actual number of keys").

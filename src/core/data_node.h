@@ -64,13 +64,19 @@ class DataNode : public Node {
   using PmaT = container::Pma<K, P>;
   using StorageBase = container::GappedStorage<K, P>;
 
+  /// Nodes with fewer keys than this use plain binary search and no model
+  /// ("cold start", §3.3.3).
+  static constexpr size_t kMinModelKeys = 32;
+  /// Smallest data-node capacity (slots); contraction stops here.
+  static constexpr size_t kMinNodeCapacity = 16;
+
   /// Builds the node directly from `n` sorted, distinct keys (empty by
   /// default), as BulkLoad does.
   DataNode(const Config& config, Stats* stats, const K* keys = nullptr,
            const P* payloads = nullptr, size_t n = 0)
       : Node(/*is_leaf=*/true), config_(&config), stats_(stats) {
     if (config.layout == NodeLayout::kPackedMemoryArray) {
-      storage_.template emplace<PmaT>(config.pma_bounds);
+      storage_.template emplace<PmaT>();
     }
     storage_base_ = Visit([](auto& s) -> StorageBase* { return &s; });
     BulkLoad(keys, payloads, n);
@@ -266,9 +272,7 @@ class DataNode : public Node {
   void BulkLoad(const K* keys, const P* payloads, size_t n) {
     size_t capacity = static_cast<size_t>(
         static_cast<double>(n) * config_->ExpansionFactor() + 0.5);
-    if (capacity < config_->min_node_capacity) {
-      capacity = config_->min_node_capacity;
-    }
+    if (capacity < kMinNodeCapacity) capacity = kMinNodeCapacity;
     Rebuild(keys, payloads, n, capacity);
   }
 
@@ -431,7 +435,7 @@ class DataNode : public Node {
   void MaybeContract() {
     if (config_->density_lower <= 0.0) return;
     const size_t cap = storage_base_->capacity();
-    if (cap <= config_->min_node_capacity) return;
+    if (cap <= kMinNodeCapacity) return;
     if (static_cast<double>(storage_base_->num_keys()) >=
         config_->density_lower * static_cast<double>(cap)) {
       return;
@@ -453,7 +457,7 @@ class DataNode : public Node {
     if (std::holds_alternative<PmaT>(storage_)) {
       new_capacity = PmaT::RoundCapacity(new_capacity);
     }
-    const bool has_model = n >= config_->min_model_keys;
+    const bool has_model = n >= kMinModelKeys;
     const model::LinearModel model =
         has_model ? model::TrainCdfModel(keys, n, new_capacity)
                   : model::LinearModel();

@@ -1,5 +1,5 @@
-// Health watchdog: a sampler thread, a metrics time-series ring, and a
-// table of rules that turn raw telemetry into verdicts.
+// Health watchdog: a sampler thread and a table of rules that turn raw
+// telemetry into verdicts.
 //
 // The metrics layer (obs/metrics.h) can tell an operator *what* the
 // numbers are; it cannot notice that epoch reclamation has silently stalled, that WAL
@@ -9,8 +9,8 @@
 //   - SampledMetrics is one fixed-shape snapshot of the rules' inputs
 //     (epoch counters, WAL commit-wait histogram buckets, write-gate
 //     waits, per-shard op counts, slow-op ring capture count, block-cache
-//     hits and misses). The monitor keeps the newest 64 in a SeqRing
-//     (obs/seq_ring.h).
+//     hits and misses). The monitor keeps only the previous one: every
+//     rule reads the delta between two consecutive samples.
 //   - kRules holds one row per detector: the metric it names, how its
 //     observed value is read from a window, and its warn/critical values.
 //     Rules evaluate over *deltas* between consecutive samples (the
@@ -29,12 +29,12 @@
 // firing instead of teaching the baseline that slow is normal.
 //
 // Threading: one mutex serializes EvaluateSample (sampler thread, manual
-// SampleNow, and synthetic-injection tests); the ring and report are
-// published lock-free for readers. The sampler thread ticks on a
-// condition variable and *skips* sampling while obs::Enabled() is false —
-// that is what lets bench/obs_overhead.cc run the thread through both
-// arms of its A/B harness and charge the watchdog's cost only to the
-// enabled arm.
+// SampleNow, and synthetic-injection tests); the report is published
+// under its own mutex so readers never wait out a long evaluation. The
+// sampler thread ticks on a condition variable and *skips* sampling while
+// obs::Enabled() is false — that is what lets bench/obs_overhead.cc run
+// the thread through both arms of its A/B harness and charge the
+// watchdog's cost only to the enabled arm.
 #pragma once
 
 #include <algorithm>
@@ -50,7 +50,6 @@
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/seq_ring.h"
 #include "util/histogram.h"
 
 namespace alex::obs {
@@ -335,7 +334,6 @@ inline constexpr HealthRule kRules[kNumHealthDetectors] = {
 class HealthMonitor {
  public:
   static constexpr uint64_t kDefaultIntervalMs = 100;
-  using Ring = SeqRing<SampledMetrics, 64>;
 
   /// The process-wide monitor, deliberately leaked like the registry.
   static HealthMonitor& Global() {
@@ -343,12 +341,9 @@ class HealthMonitor {
     return *global;
   }
 
-  /// Samples every kDefaultIntervalMs unless ALEX_OBS_SAMPLE_MS overrides
-  /// it (clamped to at least 1).
-  HealthMonitor()
-      : interval_ms_(std::max<uint64_t>(
-            1, EnvOverrideU64("ALEX_OBS_SAMPLE_MS", kDefaultIntervalMs))),
-        registry_(&MetricsRegistry::Global()) {
+  /// Samples every kDefaultIntervalMs until SetIntervalMs or
+  /// Start(interval_ms) says otherwise.
+  HealthMonitor() : registry_(&MetricsRegistry::Global()) {
     // Resolve every watched metric once; registration is idempotent and
     // the pointers are valid forever, so Collect() never takes the
     // registry mutex.
@@ -383,19 +378,15 @@ class HealthMonitor {
   /// not sample and so do not count).
   uint64_t samples() const { return samples_.load(std::memory_order_relaxed); }
 
-  const Ring& ring() const { return ring_; }
-
   /// Collects one snapshot from the live registry and evaluates it.
   void SampleNow() { EvaluateSample(Collect()); }
 
-  /// Evaluates one sample against the previous one: pushes it into the
-  /// time-series ring, judges every rule over the deltas, publishes the
-  /// merged report, and journals one kHealthTransition event per detector
-  /// whose level changed. Public so tests can inject synthetic samples
+  /// Evaluates one sample against the previous one: judges every rule
+  /// over the deltas, publishes the merged report, and journals one
+  /// kHealthTransition event per detector whose level changed. Public so tests can inject synthetic samples
   /// and drive each rule across its edges deterministically.
   void EvaluateSample(const SampledMetrics& sample) {
     std::lock_guard<std::mutex> lock(mutex_);
-    ring_.Push(sample);
 
     HealthReport report;
     report.samples = samples_.load(std::memory_order_relaxed) + 1;
@@ -481,12 +472,11 @@ class HealthMonitor {
     return thread_.joinable();
   }
 
-  /// Clears all evaluation state (samples, ring, baseline, levels,
-  /// report). Test-only; must not run concurrently with the sampler
-  /// thread — Stop() first.
+  /// Clears all evaluation state (samples, baseline, levels, report).
+  /// Test-only; must not run concurrently with the sampler thread —
+  /// Stop() first.
   void ResetForTest() {
     std::lock_guard<std::mutex> lock(mutex_);
-    ring_.Reset();
     have_last_ = false;
     last_ = SampledMetrics{};
     samples_.store(0, std::memory_order_relaxed);
@@ -573,7 +563,7 @@ class HealthMonitor {
     }
   }
 
-  std::atomic<uint64_t> interval_ms_;
+  std::atomic<uint64_t> interval_ms_{kDefaultIntervalMs};
   MetricsRegistry* const registry_;
 
   // Watched metrics, resolved once.
@@ -590,7 +580,6 @@ class HealthMonitor {
 
   // Evaluation state, under mutex_.
   std::mutex mutex_;
-  Ring ring_;
   SampledMetrics last_{};
   bool have_last_ = false;
   std::array<double, kNumHealthDetectors> baselines_{};  // baselined rules

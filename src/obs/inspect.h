@@ -19,8 +19,7 @@
 // scrolling.
 //
 // This header is deliberately core-agnostic: pure data + JSON over
-// obs/metrics.h and obs/journal.h, no index includes, and it compiles
-// under -DALEX_DISABLE_OBS (the exporters just see empty rings).
+// obs/metrics.h and obs/journal.h, no index includes.
 #pragma once
 
 #include <algorithm>

@@ -19,9 +19,8 @@
 //
 // Instrumentation sites go through ALEX_OBS_EVENT, which follows the
 // metrics macros' contract: one predicted branch when the runtime flag is
-// off, nothing at all under -DALEX_DISABLE_OBS. The health monitor
-// (obs/health.h) appends its transition events directly — it only runs by
-// explicit request, so it needs no flag gate.
+// off. The health monitor (obs/health.h) appends its transition events
+// directly — it only runs by explicit request, so it needs no flag gate.
 #pragma once
 
 #include <atomic>
@@ -218,16 +217,7 @@ inline EventJournal& GlobalJournal() { return EventJournal::Global(); }
 }  // namespace alex::obs
 
 // Instrumentation-site macro, following the ALEX_OBS_* contract: a
-// disabled site is one relaxed load and a never-taken branch;
-// -DALEX_DISABLE_OBS removes it entirely.
-#if defined(ALEX_DISABLE_OBS)
-
-#define ALEX_OBS_EVENT(type, shard, wal_id, lsn, a, b) \
-  do {                                                 \
-  } while (0)
-
-#else  // !ALEX_DISABLE_OBS
-
+// disabled site is one relaxed load and a never-taken branch.
 #define ALEX_OBS_EVENT(type, shard, wal_id, lsn, a, b)                     \
   do {                                                                     \
     if (__builtin_expect(::alex::obs::Enabled(), 0)) {                     \
@@ -237,5 +227,3 @@ inline EventJournal& GlobalJournal() { return EventJournal::Global(); }
           static_cast<int64_t>(a), static_cast<int64_t>(b));               \
     }                                                                      \
   } while (0)
-
-#endif  // ALEX_DISABLE_OBS

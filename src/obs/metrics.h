@@ -9,8 +9,7 @@
 //      expand to `if (Enabled()) { ... }` with the registry lookup hidden in
 //      a function-local static *inside* the enabled branch — so with the
 //      runtime flag off the whole site is one relaxed atomic load and one
-//      never-taken branch. Compiling with -DALEX_DISABLE_OBS removes the
-//      sites entirely (the macros expand to nothing).
+//      never-taken branch. That runtime flag is the only switch.
 //
 //   2. An *enabled* hot path must never make unrelated threads share a
 //      cache line. Counters are striped: each live thread owns one of
@@ -29,7 +28,7 @@
 // Timing uses raw TSC reads on x86-64 (calibrated once against
 // steady_clock), because two steady_clock calls per operation would by
 // themselves blow the <3% enabled-overhead budget that
-// bench/obs_overhead.cc enforces.
+// bench/obs_overhead.cc measures.
 //
 // The per-operation layer: ScopedOpTimer wraps one public index operation,
 // records its latency into a per-(op, shard) histogram, and — when the
@@ -53,7 +52,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -78,10 +76,6 @@ namespace alex::obs {
 // ---------------------------------------------------------------------------
 // Runtime enable flag.
 
-#if defined(ALEX_DISABLE_OBS)
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-#else
 inline std::atomic<bool>& EnabledFlag() {
   static std::atomic<bool> flag{false};
   return flag;
@@ -94,7 +88,6 @@ inline bool Enabled() {
 inline void SetEnabled(bool on) {
   EnabledFlag().store(on, std::memory_order_relaxed);
 }
-#endif
 
 // ---------------------------------------------------------------------------
 // Clock: raw TSC on x86-64, steady_clock elsewhere.
@@ -137,19 +130,6 @@ inline double NsPerTick() {
 
 inline uint64_t TicksToNs(uint64_t ticks) {
   return static_cast<uint64_t>(static_cast<double>(ticks) * NsPerTick());
-}
-
-/// Reads an unsigned integer environment override, falling back to
-/// `fallback` when the variable is unset or unparseable. Re-read on every
-/// call (no caching) so objects constructed after a setenv — fresh rings
-/// in tests, the health monitor's options — pick the override up.
-inline uint64_t EnvOverrideU64(const char* name, uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || (end != nullptr && *end != '\0')) return fallback;
-  return static_cast<uint64_t>(v);
 }
 
 // ---------------------------------------------------------------------------
@@ -431,12 +411,6 @@ class SlowOpRing {
   static constexpr size_t kCapacity = 256;
   static constexpr uint64_t kDefaultThresholdNs = 10'000'000;  // 10 ms
 
-  /// The construction-time threshold: kDefaultThresholdNs unless the
-  /// ALEX_OBS_SLOW_OP_NS environment variable overrides it.
-  static uint64_t InitialThresholdNs() {
-    return EnvOverrideU64("ALEX_OBS_SLOW_OP_NS", kDefaultThresholdNs);
-  }
-
   void set_threshold_ns(uint64_t ns) {
     threshold_ns_.store(ns, std::memory_order_relaxed);
   }
@@ -476,7 +450,7 @@ class SlowOpRing {
   void Reset() { ring_.Reset(); }
 
  private:
-  std::atomic<uint64_t> threshold_ns_{InitialThresholdNs()};
+  std::atomic<uint64_t> threshold_ns_{kDefaultThresholdNs};
   SeqRing<SlowOpRecord, kCapacity> ring_;
 };
 
@@ -779,7 +753,6 @@ class MetricsRegistry {
 class ScopedOpTimer {
  public:
   explicit ScopedOpTimer(OpType op, uint32_t shard = kShardAll) {
-#if !defined(ALEX_DISABLE_OBS)
     if (__builtin_expect(Enabled(), 0)) {
       active_ = true;
       op_ = op;
@@ -787,10 +760,6 @@ class ScopedOpTimer {
       TlsOpContext() = OpContext{};
       start_ticks_ = NowTicks();
     }
-#else
-    (void)op;
-    (void)shard;
-#endif
   }
 
   void set_shard(uint32_t shard) { shard_ = shard; }
@@ -799,7 +768,6 @@ class ScopedOpTimer {
   ScopedOpTimer& operator=(const ScopedOpTimer&) = delete;
 
   ~ScopedOpTimer() {
-#if !defined(ALEX_DISABLE_OBS)
     if (!active_) return;
     const uint64_t ns = TicksToNs(NowTicks() - start_ticks_);
     MetricsRegistry& reg = MetricsRegistry::Global();
@@ -808,7 +776,6 @@ class ScopedOpTimer {
     if (__builtin_expect(ns >= ring.threshold_ns(), 0)) {
       ring.Push(op_, shard_, ns, TlsOpContext());
     }
-#endif
   }
 
  private:
@@ -844,32 +811,7 @@ class ScopedLatencyTimer {
 // ---------------------------------------------------------------------------
 // Instrumentation-site macros. Each site caches its metric pointer in a
 // function-local static *inside* the enabled branch, so a disabled site is
-// one relaxed load + one never-taken branch, and -DALEX_DISABLE_OBS removes
-// it entirely.
-
-#if defined(ALEX_DISABLE_OBS)
-
-#define ALEX_OBS_COUNTER_ADD(name, delta) \
-  do {                                    \
-  } while (0)
-#define ALEX_OBS_COUNTER_INC(name) \
-  do {                             \
-  } while (0)
-#define ALEX_OBS_GAUGE_SET(name, value) \
-  do {                                  \
-  } while (0)
-#define ALEX_OBS_HIST_RECORD(name, value) \
-  do {                                    \
-  } while (0)
-#define ALEX_OBS_CTX_ADD(field, delta) \
-  do {                                 \
-  } while (0)
-#define ALEX_OBS_TIMED_SHARED_LOCK(lk, m, contended_name, wait_hist_name) \
-  std::shared_lock<std::decay_t<decltype(m)>> lk(m)
-#define ALEX_OBS_TIMED_UNIQUE_LOCK(lk, m, contended_name, wait_hist_name) \
-  std::unique_lock<std::decay_t<decltype(m)>> lk(m)
-
-#else  // !ALEX_DISABLE_OBS
+// one relaxed load + one never-taken branch.
 
 #define ALEX_OBS_COUNTER_ADD(name, delta)                          \
   do {                                                             \
@@ -939,5 +881,3 @@ class ScopedLatencyTimer {
   } else {                                                                 \
     lk.lock();                                                             \
   }
-
-#endif  // ALEX_DISABLE_OBS

@@ -1,6 +1,6 @@
 // SeqRing: the one fixed-size, lock-free record ring of the observability
-// layer. The slow-op trace (obs/metrics.h), the event journal
-// (obs/journal.h) and the health time series (obs/health.h) each hold one.
+// layer. The slow-op trace (obs/metrics.h) and the event journal
+// (obs/journal.h) each hold one.
 //
 // A writer claims a ticket with one fetch_add and publishes its record
 // into slot ticket % kCapacity through the slot's sequence word: odd

@@ -191,12 +191,6 @@ struct ShardedOptions {
   /// Directory/prefix where demotion writes its segment files. Empty
   /// defers to the WAL prefix; demotion fails when neither is set.
   std::string tier_prefix;
-  /// TieringTick never demotes a shard holding fewer keys than this
-  /// (tiny shards are not worth a segment file).
-  size_t tier_min_demote_keys = 1024;
-  /// TieringTick is a no-op until the traffic window since the previous
-  /// tick holds at least this many routed operations.
-  uint64_t tier_min_window_ops = 1024;
   /// Configuration applied to every shard's ConcurrentAlex.
   core::Config shard_config;
 };
@@ -210,6 +204,12 @@ inline constexpr size_t kSplitWays = 2;
 /// checkpoint segment writes and recovery's per-shard replay (clamped to
 /// the shard count and the hardware concurrency).
 inline constexpr size_t kBuildThreads = 8;
+/// TieringTick is a no-op until the traffic window since the previous
+/// tick holds at least this many routed operations.
+inline constexpr uint64_t kTierMinWindowOps = 1024;
+/// TieringTick never demotes a shard holding fewer keys than this (tiny
+/// shards are not worth a segment file).
+inline constexpr size_t kTierMinDemoteKeys = 1024;
 /// TieringTick demotes a resident shard whose share of the window's
 /// traffic fell under this fraction of the fair (1/n) share.
 inline constexpr double kTierDemoteFraction = 0.1;
@@ -619,9 +619,9 @@ class ShardedAlex {
 
   /// One pass of the traffic-driven tiering policy. Reads each shard's
   /// routed-operation count since the previous tick; when the window
-  /// holds at least options.tier_min_window_ops, demotes resident
-  /// shards whose share fell under kTierDemoteFraction of fair (and
-  /// that hold tier_min_demote_keys keys), and promotes cold shards
+  /// holds at least kTierMinWindowOps, demotes resident shards whose
+  /// share fell under kTierDemoteFraction of fair (and that hold
+  /// kTierMinDemoteKeys keys), and promotes cold shards
   /// whose share reached kTierPromoteShare of fair or whose overlay
   /// grew past kTierPromoteDeltaKeys entries. Returns the number of
   /// tier transitions; skips (returns 0) when a rival topology
@@ -641,7 +641,7 @@ class ShardedAlex {
       window[i] = now - shard->traffic_mark;
       total += window[i];
     }
-    if (total < options_.tier_min_window_ops) return 0;
+    if (total < kTierMinWindowOps) return 0;
     for (size_t i = 0; i < n; ++i) {
       Shard* shard = table->shards[i].get();
       shard->traffic_mark = shard->traffic.Load();
@@ -668,7 +668,7 @@ class ShardedAlex {
       } else {
         const bool idle = static_cast<double>(window[i]) <=
                           fair * kTierDemoteFraction;
-        if (idle && shard->size() >= options_.tier_min_demote_keys &&
+        if (idle && shard->size() >= kTierMinDemoteKeys &&
             DemoteShardLocked(i) == core::SnapshotStatus::kOk) {
           ++transitions;
         }
@@ -948,8 +948,7 @@ class ShardedAlex {
       if (wal::ListDirectory(dir, &names)) {
         for (const std::string& name : names) {
           uint64_t id = 0;
-          bool is_tmp = false;
-          if (tier::ParseSegmentFileName(name, base, &id, &is_tmp)) {
+          if (tier::ParseSegmentFileName(name, base, &id)) {
             next_segment_id_ = std::max(next_segment_id_, id + 1);
           }
         }
@@ -1028,20 +1027,6 @@ class ShardedAlex {
   /// they return false — but bool returns cannot say why). kOk when none.
   wal::WalStatus last_wal_error() const {
     return last_wal_error_.load(std::memory_order_relaxed);
-  }
-
-  /// Per-shard WAL ids, 0 for an unlogged shard (diagnostics/tests;
-  /// requires quiescence like the other whole-table accessors).
-  std::vector<uint64_t> WalIds() const {
-    util::EpochManager::Guard guard(epoch_);
-    Table* table = table_.load(std::memory_order_seq_cst);
-    std::vector<uint64_t> ids;
-    ids.reserve(table->shards.size());
-    for (const auto& shard : table->shards) {
-      std::shared_lock<std::shared_mutex> gate(shard->write_gate);
-      ids.push_back(shard->log != nullptr ? shard->log->wal_id() : 0);
-    }
-    return ids;
   }
 
   /// Full structural check: per-shard invariants, strictly increasing
@@ -2009,31 +1994,24 @@ class ShardedAlex {
   static constexpr size_t kKeysPerBlock =
       tier::KeysPerBlock<K, P>(tier::kDefaultBlockBytes);
 
-  /// Writes `n` records as segment `id` at `prefix`: staged under a
-  /// .tmp name, fsynced, renamed into place, directory-fsynced — the
-  /// same commit discipline as the manifest. On success opens the
-  /// segment and returns it through `*out`.
+  /// Writes `n` records as segment `id` at `prefix`, fsyncs the file
+  /// and then its directory. Like SaveToLocked's segments it is written
+  /// in place under its fresh id: no manifest references that id yet, so
+  /// a crash mid-write leaves a stray that the next checkpoint's sweep
+  /// removes. On success opens the segment and returns it through `*out`.
   core::SnapshotStatus WriteAndOpenSegment(
       const std::string& prefix, uint64_t id, const K* keys,
       const P* payloads, size_t n,
       std::shared_ptr<tier::ColdSegment<K, P>>* out) const {
     const std::string path = tier::SegmentPath(prefix, id);
-    const std::string tmp = path + ".tmp";
     core::SnapshotStatus status =
-        tier::WriteSegmentFile<K, P>(tmp, keys, payloads, n, kKeysPerBlock);
+        tier::WriteSegmentFile<K, P>(path, keys, payloads, n, kKeysPerBlock);
     if (status != core::SnapshotStatus::kOk) return status;
-    if (!wal::SyncPath(tmp)) {
-      std::remove(tmp.c_str());
+    std::string dir, base;
+    wal::SplitPrefixPath(prefix, &dir, &base);
+    if (!wal::SyncPath(path) || !wal::SyncPath(dir)) {
+      std::remove(path.c_str());
       return core::SnapshotStatus::kIoError;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return core::SnapshotStatus::kIoError;
-    }
-    {
-      std::string dir, base;
-      wal::SplitPrefixPath(prefix, &dir, &base);
-      if (!wal::SyncPath(dir)) return core::SnapshotStatus::kIoError;
     }
     auto segment = std::make_shared<tier::ColdSegment<K, P>>();
     status = segment->Open(path, id);
@@ -2195,8 +2173,8 @@ class ShardedAlex {
   }
 
   /// Removes segment files at `prefix` that neither the committed
-  /// manifest (`keep`) nor the live table references, plus every .tmp
-  /// stray a crashed writer left behind. Post-commit, best-effort, like
+  /// manifest (`keep`) nor the live table references — strays a crashed
+  /// writer left half-written among them. Post-commit, best-effort, like
   /// the WAL sweep; the one sweeper of shard files.
   void SweepStaleSegments(const std::string& prefix,
                           std::vector<uint64_t> keep,
@@ -2210,10 +2188,8 @@ class ShardedAlex {
     if (!wal::ListDirectory(dir, &names)) return;
     for (const std::string& name : names) {
       uint64_t id = 0;
-      bool is_tmp = false;
-      if (!tier::ParseSegmentFileName(name, base, &id, &is_tmp)) continue;
-      if (is_tmp ||
-          std::find(keep.begin(), keep.end(), id) == keep.end()) {
+      if (!tier::ParseSegmentFileName(name, base, &id)) continue;
+      if (std::find(keep.begin(), keep.end(), id) == keep.end()) {
         std::remove((dir + "/" + name).c_str());
       }
     }

@@ -137,12 +137,9 @@ inline std::string SegmentPath(const std::string& prefix, uint64_t id) {
   return prefix + buf;
 }
 
-/// Parses `<base>.seg-<id>` (and the writer's `.tmp` staging suffix, so
-/// the checkpoint sweep also collects segments a crash left half-written).
-/// Returns false for any other name.
+/// Parses `<base>.seg-<id>`. Returns false for any other name.
 inline bool ParseSegmentFileName(const std::string& name,
-                                 const std::string& base, uint64_t* id,
-                                 bool* is_tmp) {
+                                 const std::string& base, uint64_t* id) {
   const std::string marker = base + ".seg-";
   if (name.size() <= marker.size() ||
       name.compare(0, marker.size(), marker) != 0) {
@@ -152,13 +149,7 @@ inline bool ParseSegmentFileName(const std::string& name,
   int consumed = 0;
   const char* tail = name.c_str() + marker.size();
   if (std::sscanf(tail, "%llu%n", &parsed, &consumed) != 1) return false;
-  if (tail[consumed] == '\0') {
-    *is_tmp = false;
-  } else if (std::strcmp(tail + consumed, ".tmp") == 0) {
-    *is_tmp = true;
-  } else {
-    return false;
-  }
+  if (tail[consumed] != '\0') return false;
   *id = parsed;
   return true;
 }

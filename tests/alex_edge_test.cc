@@ -70,7 +70,6 @@ TEST(AlexEdgeTest, NegativeAndPositiveKeys) {
 
 TEST(AlexEdgeTest, TinyNodeCapacityConfig) {
   Config config;
-  config.min_node_capacity = 16;
   config.max_data_node_keys = 32;  // forces very deep trees
   config.split_fanout = 2;
   AlexInt index(config);

@@ -238,7 +238,6 @@ TEST(AlexTest, StatsCountOperations) {
 
 TEST(AlexTest, ExpansionHappensUnderInserts) {
   Config config;
-  config.min_node_capacity = 16;
   config.allow_splitting = false;
   AlexInt index(config);
   for (int64_t k = 0; k < 1000; ++k) index.Insert(k * 7, k);

@@ -434,8 +434,9 @@ TEST(BatchOpsTest, ConcurrentBatchWritersAndReaders) {
 }
 
 // MultiGet charges every routed key to its shard's traffic, resident or
-// cold, so batched reads alone drive the tiering policy: reads of shard 0
-// demote the three idle shards, then reads of cold shard 3 promote it.
+// cold, so batched reads alone drive the tiering policy: a batch one key
+// short of the window does nothing, one more key completes it and
+// demotes the three idle shards, then reads of cold shard 3 promote it.
 TEST(BatchOpsTest, ShardedMultiGetChargesShardTraffic) {
   const std::string prefix = TempPrefix("batch-multiget-traffic");
   Cleanup(prefix);
@@ -444,11 +445,10 @@ TEST(BatchOpsTest, ShardedMultiGetChargesShardTraffic) {
     options.num_shards = 4;
     options.tier_prefix = prefix;
     options.min_rebalance_keys = 1u << 30;
-    options.tier_min_window_ops = 16;
-    options.tier_min_demote_keys = 16;
     Sharded index(options);
+    // 2000 keys a shard: every idle shard is big enough to demote.
     std::vector<int64_t> keys, payloads;
-    for (int64_t i = 0; i < 4000; ++i) {
+    for (int64_t i = 0; i < 8000; ++i) {
       keys.push_back(i * 3);
       payloads.push_back(i);
     }
@@ -467,7 +467,15 @@ TEST(BatchOpsTest, ShardedMultiGetChargesShardTraffic) {
                   probe.size());
       }
     };
-    read_all(shard0);
+    const size_t short_window = shard::kTierMinWindowOps - 1;
+    ASSERT_GT(shard0.size(), short_window);
+    ASSERT_EQ(index.MultiGet(shard0.data(), short_window, got.data(),
+                             reinterpret_cast<bool*>(flags.data())),
+              short_window);
+    EXPECT_EQ(index.TieringTick(), 0u);
+    ASSERT_EQ(index.MultiGet(shard0.data(), 1, got.data(),
+                             reinterpret_cast<bool*>(flags.data())),
+              1u);
     EXPECT_EQ(index.TieringTick(), 3u);
     EXPECT_FALSE(index.IsShardCold(0));
     EXPECT_TRUE(index.IsShardCold(3));

@@ -112,10 +112,13 @@ TEST(CrashInjectionTest, NextSaveSweepsStaleGenerations) {
 
   // Leftovers of every flavor: a crashed save's segments, a stray
   // segment far past the id watermark that a long-dead process left
-  // behind, and a half-written staging file.
+  // behind, and a torn segment a crashed demotion was writing in place
+  // under an id no manifest references.
   InjectCrashedSave(prefix, /*shards=*/2);
   WriteGarbageFile(tier::SegmentPath(prefix, 77));
-  WriteGarbageFile(tier::SegmentPath(prefix, 5) + ".tmp");
+  const uint64_t torn_id = first.next_segment_id + 2;
+  test::WriteTornCopy(tier::SegmentPath(prefix, first.segment_ids[0]),
+                      tier::SegmentPath(prefix, torn_id));
 
   // A fresh save writes new segments for both shards and sweeps
   // everything else: the superseded checkpoint's segments included.

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "containers/pma.h"
-#include "core/config.h"
+#include "core/data_node.h"
 #include "models/linear_model.h"
 #include "util/bitmap.h"
 #include "util/random.h"
@@ -504,7 +504,7 @@ std::vector<int64_t> SkewedSortedKeys(size_t n, uint64_t seed) {
 }
 
 TEST(PlacementOracleTest, OnePassMatchesTwoPassLayout) {
-  const size_t m = core::Config().min_model_keys;
+  const size_t m = core::DataNode<int64_t, int>::kMinModelKeys;
   size_t cases = 0;
   for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, m - 1, m, m + 1,
                          size_t{1024}, size_t{5000}}) {

@@ -1,16 +1,15 @@
-// Tests for the health watchdog (src/obs/health.h): its sample ring,
-// env-var and runtime configuration, every detector driven
-// across its kOk -> kWarn -> kCritical -> kOk edges by synthetic sample
-// injection (with exactly one journal transition event per edge), the two
-// acceptance scenarios — a forced real epoch-reclamation stall and a
-// forced real WAL commit-wait regression, each detected with the
-// offending metric named — plus structural introspection (Inspect) and
-// the Chrome-trace exporter.
+// Tests for the health watchdog (src/obs/health.h): its runtime
+// configuration, every detector driven across its kOk -> kWarn ->
+// kCritical -> kOk edges by synthetic sample injection (with exactly one
+// journal transition event per edge), the two acceptance scenarios — a
+// forced real epoch-reclamation stall and a forced real WAL commit-wait
+// regression, each detected with the offending metric named — plus
+// structural introspection (Inspect) and the Chrome-trace exporter.
 //
 // The TSan target is SamplerVsConcurrentMutators: the sampler thread
 // collects and evaluates while writer threads mutate a ShardedAlex
-// through splits and readers pull reports, ring snapshots and structure
-// walks the whole time.
+// through splits and readers pull reports and structure walks the whole
+// time.
 #include "obs/health.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -102,50 +100,15 @@ class HealthTest : public ::testing::Test {
   uint64_t next_ts_ns_ = 0;
 };
 
-#if !defined(ALEX_DISABLE_OBS)
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
-#endif
 
 // ---------------------------------------------------------------------------
-// The sample ring.
-
-TEST_F(HealthTest, SampleRingRoundTripsAndKeepsNewestAcrossWrap) {
-  HealthMonitor::Ring ring;
-  constexpr uint64_t kPushes = HealthMonitor::Ring::kCapacity + 36;
-  for (uint64_t i = 0; i < kPushes; ++i) {
-    SampledMetrics s;
-    s.ts_ns = i + 1;
-    s.total_ops = i * 10;
-    ring.Push(s);
-  }
-  EXPECT_EQ(ring.pushed(), kPushes);
-  const std::vector<HealthMonitor::Ring::Entry> got = ring.Snapshot();
-  ASSERT_EQ(got.size(), HealthMonitor::Ring::kCapacity);
-  for (size_t i = 0; i < got.size(); ++i) {
-    const uint64_t expected = kPushes - HealthMonitor::Ring::kCapacity + i;
-    EXPECT_EQ(got[i].ticket, expected);
-    EXPECT_EQ(got[i].record.ts_ns, expected + 1);
-    EXPECT_EQ(got[i].record.total_ops, expected * 10);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Configuration: env overrides and runtime setters.
-
-TEST_F(HealthTest, SampleIntervalEnvOverrideIsPickedUpByFreshMonitors) {
-  ASSERT_EQ(::setenv("ALEX_OBS_SAMPLE_MS", "7", 1), 0);
-  EXPECT_EQ(HealthMonitor().interval_ms(), 7u);
-  ASSERT_EQ(::setenv("ALEX_OBS_SAMPLE_MS", "0", 1), 0);  // clamped to 1
-  EXPECT_EQ(HealthMonitor().interval_ms(), 1u);
-  ASSERT_EQ(::setenv("ALEX_OBS_SAMPLE_MS", "junk", 1), 0);  // ignored
-  EXPECT_EQ(HealthMonitor().interval_ms(), 100u);
-  ASSERT_EQ(::unsetenv("ALEX_OBS_SAMPLE_MS"), 0);
-  EXPECT_EQ(HealthMonitor().interval_ms(), 100u);
-}
+// Configuration: the runtime cadence setter.
 
 TEST_F(HealthTest, IntervalIsRuntimeAdjustableAndClamped) {
+  EXPECT_EQ(HealthMonitor().interval_ms(), HealthMonitor::kDefaultIntervalMs);
   monitor_->SetIntervalMs(5);
   EXPECT_EQ(monitor_->interval_ms(), 5u);
   monitor_->SetIntervalMs(0);
@@ -169,7 +132,6 @@ TEST_F(HealthTest, FirstSampleIsAllOkWithDetectorIdentitiesFilled) {
     EXPECT_STRNE(report.verdicts[i].metric, "");
   }
   EXPECT_TRUE(EdgesFor(HealthDetector::kEpochStall).empty());
-  EXPECT_EQ(monitor_->ring().pushed(), 1u);
 }
 
 TEST_F(HealthTest, EpochStallEdges) {
@@ -538,8 +500,6 @@ TEST_F(HealthTest, ReportJsonCarriesLevelsAndVerdicts) {
 // ---------------------------------------------------------------------------
 // Acceptance scenarios against the real registry.
 
-#if !defined(ALEX_DISABLE_OBS)
-
 // A pinned reader blocks epoch advancement while a backlog exists: the
 // watchdog must name epoch.advance_stalls.
 TEST_F(HealthTest, DetectsForcedEpochReclamationStall) {
@@ -606,8 +566,8 @@ TEST_F(HealthTest, SamplerThreadSkipsTicksWhileDisabled) {
 }
 
 // TSan target: the sampler evaluates real registry state while writers
-// drive splits and WAL commits and readers pull reports, ring snapshots
-// and structure walks.
+// drive splits and WAL commits and readers pull reports and structure
+// walks.
 TEST_F(HealthTest, SamplerVsConcurrentMutators) {
   obs::SetEnabled(true);
   obs::MetricsRegistry::Global().slow_ops().set_threshold_ns(0);
@@ -640,7 +600,6 @@ TEST_F(HealthTest, SamplerVsConcurrentMutators) {
     while (!stop.load(std::memory_order_relaxed)) {
       index.Get(1024 * 8, &v);
       (void)monitor_->Report();
-      (void)monitor_->ring().Snapshot();
       (void)index.Inspect();
       (void)GlobalJournal().Snapshot();
     }
@@ -721,8 +680,6 @@ TEST_F(HealthTest, ChromeTraceExportsSlowOpsAndJournalEvents) {
   EXPECT_NE(doc.find("\"ph\": \"i\""), std::string::npos);
   std::remove(path.c_str());
 }
-
-#endif  // !ALEX_DISABLE_OBS
 
 }  // namespace
 }  // namespace alex

@@ -121,8 +121,6 @@ TEST_F(JournalTest, EventToJsonSpellsShardAllAsString) {
   EXPECT_NE(obs::EventToJson(e).find("\"shard\": 4"), std::string::npos);
 }
 
-#if !defined(ALEX_DISABLE_OBS)
-
 TEST_F(JournalTest, EventMacroIsGatedOnTheRuntimeFlag) {
   obs::SetEnabled(false);
   ALEX_OBS_EVENT(EventType::kBulkLoad, obs::kShardAll, 0, 0, 1, 1);
@@ -208,8 +206,6 @@ TEST_F(JournalTest, ForcedSplitJournalsTopologyEvent) {
   EXPECT_GE(e.b, 2);  // children replacing them
   EXPECT_LT(e.shard, 32u);  // first victim index, not kShardAll
 }
-
-#endif  // !ALEX_DISABLE_OBS
 
 }  // namespace
 }  // namespace alex

@@ -12,9 +12,6 @@
 //   3. Slow-op tracing — with the threshold floored, real operations land
 //      in the ring with their structured context (routed shard, WAL wait,
 //      escalated leaf splits), not just the fields a unit test plumbs in.
-//
-// These run only when the obs layer is compiled in; under ALEX_DISABLE_OBS
-// the binary still builds and trivially passes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -48,8 +45,6 @@ class ObsIntegrationTest : public ::testing::Test {
         obs::SlowOpRing::kDefaultThresholdNs);
   }
 };
-
-#if !defined(ALEX_DISABLE_OBS)
 
 // Acceptance: a mixed sharded + WAL workload leaves >= 12 distinct nonzero
 // metrics in the registry — proof that every layer's instrumentation is
@@ -226,19 +221,6 @@ TEST_F(ObsIntegrationTest, SlowOpRingCapturesRealOperations) {
   EXPECT_TRUE(saw_split_context);
   CleanupFiles(prefix);
 }
-
-#else  // ALEX_DISABLE_OBS
-
-TEST_F(ObsIntegrationTest, CompiledOutBuildStillLinks) {
-  // The instrumented headers compile with the macros expanded to nothing;
-  // nothing to observe.
-  ShardedOptions options;
-  Sharded index(options);
-  ASSERT_TRUE(index.Insert(1, 1));
-  SUCCEED();
-}
-
-#endif  // ALEX_DISABLE_OBS
 
 }  // namespace
 }  // namespace alex::shard

@@ -70,4 +70,12 @@ inline void WriteAll(const std::string& path,
   std::fclose(f);
 }
 
+/// Writes the first half of the file at `from` to `to`: what a crash part
+/// way through an in-place write of `to` leaves behind.
+inline void WriteTornCopy(const std::string& from, const std::string& to) {
+  std::vector<uint8_t> bytes = ReadAll(from);
+  bytes.resize(bytes.size() / 2);
+  WriteAll(to, bytes);
+}
+
 }  // namespace alex::test

@@ -466,22 +466,15 @@ TEST(TierSegment, SegmentPathAndParse) {
   EXPECT_EQ(path, "/tmp/db/store.seg-42");
 
   uint64_t id = 0;
-  bool is_tmp = false;
-  ASSERT_TRUE(ParseSegmentFileName("store.seg-42", "store", &id, &is_tmp));
+  ASSERT_TRUE(ParseSegmentFileName("store.seg-42", "store", &id));
   EXPECT_EQ(id, 42u);
-  EXPECT_FALSE(is_tmp);
-  ASSERT_TRUE(
-      ParseSegmentFileName("store.seg-7.tmp", "store", &id, &is_tmp));
-  EXPECT_EQ(id, 7u);
-  EXPECT_TRUE(is_tmp);
 
-  EXPECT_FALSE(ParseSegmentFileName("store.seg-", "store", &id, &is_tmp));
-  EXPECT_FALSE(ParseSegmentFileName("store.seg-x", "store", &id, &is_tmp));
-  EXPECT_FALSE(
-      ParseSegmentFileName("store.seg-42.bak", "store", &id, &is_tmp));
-  EXPECT_FALSE(ParseSegmentFileName("other.seg-42", "store", &id, &is_tmp));
-  EXPECT_FALSE(
-      ParseSegmentFileName("store.shard-0001", "store", &id, &is_tmp));
+  EXPECT_FALSE(ParseSegmentFileName("store.seg-", "store", &id));
+  EXPECT_FALSE(ParseSegmentFileName("store.seg-x", "store", &id));
+  EXPECT_FALSE(ParseSegmentFileName("store.seg-7.tmp", "store", &id));
+  EXPECT_FALSE(ParseSegmentFileName("store.seg-42.bak", "store", &id));
+  EXPECT_FALSE(ParseSegmentFileName("other.seg-42", "store", &id));
+  EXPECT_FALSE(ParseSegmentFileName("store.shard-0001", "store", &id));
 }
 
 // ---- Verified-block table ----

@@ -731,15 +731,16 @@ TEST(TieredAlexTest, CheckpointSweepsStraySegments) {
     ASSERT_TRUE(FileExists(tier::SegmentPath(prefix, 3)));
   }
   // More crash debris: an unreferenced segment with a high id and a
-  // torn temp file from an interrupted segment write.
+  // segment torn by a crash part way through its in-place write.
   const std::string stray_seg = tier::SegmentPath(prefix, 9);
-  const std::string stray_tmp = tier::SegmentPath(prefix, 4) + ".tmp";
-  for (const std::string& path : {stray_seg, stray_tmp}) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
+  const std::string torn_seg = tier::SegmentPath(prefix, 4);
+  {
+    std::FILE* f = std::fopen(stray_seg.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("debris", f);
     std::fclose(f);
   }
+  test::WriteTornCopy(tier::SegmentPath(prefix, 3), torn_seg);
 
   Sharded recovered(TierOpts(2, prefix));
   ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
@@ -754,7 +755,7 @@ TEST(TieredAlexTest, CheckpointSweepsStraySegments) {
     EXPECT_FALSE(FileExists(tier::SegmentPath(prefix, id))) << id;
   }
   EXPECT_FALSE(FileExists(stray_seg));
-  EXPECT_FALSE(FileExists(stray_tmp));
+  EXPECT_FALSE(FileExists(torn_seg));
   EXPECT_TRUE(FileExists(tier::SegmentPath(prefix, 10)));
   EXPECT_TRUE(FileExists(tier::SegmentPath(prefix, 11)));
 
@@ -807,7 +808,6 @@ TEST(TieredAlexTest, CorruptOrMissingSegmentIsRejectedDistinctly) {
   Cleanup(prefix);
 }
 
-#if !defined(ALEX_DISABLE_OBS)
 // A demoted segment is never audited as a whole, so a block that rots
 // after demotion is caught by the in-place verify of the read that
 // first touches it: counted, never cached, verified again next time.
@@ -872,7 +872,6 @@ TEST(TieredAlexTest, CorruptColdBlockIsCountedAndNeverCached) {
   obs::SetEnabled(false);
   Cleanup(prefix);
 }
-#endif  // !ALEX_DISABLE_OBS
 
 // ---- Topology over cold shards ----
 
@@ -951,11 +950,9 @@ TEST(TieredAlexTest, MergeWithColdCoVictimCommitsWithoutPromotion) {
 
 TEST(TieredAlexTest, TieringTickDemotesIdleShardsAndPromotesHotOnes) {
   const std::string prefix = TempPrefix("tier-policy");
-  ShardedOptions options = TierOpts(4, prefix);
-  options.tier_min_window_ops = 16;
-  options.tier_min_demote_keys = 16;
-  Sharded index(options);
-  const auto oracle = BulkLoadStride3(&index, 4000);
+  Sharded index(TierOpts(4, prefix));
+  // 2000 keys a shard: every idle shard is big enough to demote.
+  const auto oracle = BulkLoadStride3(&index, 8000);
 
   // Concentrate all traffic on shard 0: the idle shards demote, the
   // hot one stays resident.
@@ -988,13 +985,67 @@ TEST(TieredAlexTest, TieringTickDemotesIdleShardsAndPromotesHotOnes) {
   Cleanup(prefix);
 }
 
+// The window threshold: TieringTick does nothing until the routed
+// operations since the previous tick reach kTierMinWindowOps. A tick that
+// finds a short window leaves it open, so one more Get completes it.
+TEST(TieredAlexTest, TieringTickWaitsForAFullTrafficWindow) {
+  const std::string prefix = TempPrefix("tier-window");
+  Sharded index(TierOpts(2, prefix));
+  const auto oracle = BulkLoadStride3(&index, 2 * kTierMinDemoteKeys);
+  std::vector<int64_t> shard0_keys;
+  for (const auto& [k, v] : oracle) {
+    if (index.ShardOf(k) == 0) shard0_keys.push_back(k);
+  }
+  ASSERT_FALSE(shard0_keys.empty());
+  int64_t sink = 0;
+  for (uint64_t i = 0; i + 1 < kTierMinWindowOps; ++i) {
+    index.Get(shard0_keys[i % shard0_keys.size()], &sink);
+  }
+  EXPECT_EQ(index.TieringTick(), 0u);  // one op short
+  EXPECT_EQ(index.cold_shard_count(), 0u);
+  index.Get(shard0_keys[0], &sink);
+  EXPECT_EQ(index.TieringTick(), 1u);  // at the threshold: shard 1 idles
+  EXPECT_FALSE(index.IsShardCold(0));
+  EXPECT_TRUE(index.IsShardCold(1));
+  ExpectMatchesOracle(index, oracle);
+  Cleanup(prefix);
+}
+
+// The size threshold: an idle shard demotes only once it holds
+// kTierMinDemoteKeys keys. Shard 1 holds exactly that many, shard 2 one
+// fewer; both are idle.
+TEST(TieredAlexTest, TieringTickDemotesOnlyShardsOfTheMinimumSize) {
+  const std::string prefix = TempPrefix("tier-min-keys");
+  Sharded index(TierOpts(3, prefix));
+  auto oracle = BulkLoadStride3(&index, 3 * kTierMinDemoteKeys);
+  std::vector<int64_t> shard0_keys;
+  int64_t shard2_key = -1;
+  size_t shard1_size = 0;
+  for (const auto& [k, v] : oracle) {
+    const size_t s = index.ShardOf(k);
+    if (s == 0) shard0_keys.push_back(k);
+    if (s == 1) ++shard1_size;
+    if (s == 2) shard2_key = k;
+  }
+  ASSERT_EQ(shard1_size, kTierMinDemoteKeys);
+  ASSERT_TRUE(index.Erase(shard2_key));
+  oracle.erase(shard2_key);
+  int64_t sink = 0;
+  for (uint64_t i = 0; i < kTierMinWindowOps; ++i) {
+    index.Get(shard0_keys[i % shard0_keys.size()], &sink);
+  }
+  EXPECT_EQ(index.TieringTick(), 1u);
+  EXPECT_FALSE(index.IsShardCold(0));
+  EXPECT_TRUE(index.IsShardCold(1));   // at the threshold
+  EXPECT_FALSE(index.IsShardCold(2));  // one key short
+  ExpectMatchesOracle(index, oracle);
+  Cleanup(prefix);
+}
+
 TEST(TieredAlexTest, BackgroundTieringThreadStartsAndStops) {
   const std::string prefix = TempPrefix("tier-thread");
-  ShardedOptions options = TierOpts(2, prefix);
-  options.tier_min_window_ops = 8;
-  options.tier_min_demote_keys = 8;
-  Sharded index(options);
-  const auto oracle = BulkLoadStride3(&index, 1000);
+  Sharded index(TierOpts(2, prefix));
+  const auto oracle = BulkLoadStride3(&index, 2 * kTierMinDemoteKeys);
 
   index.StartTiering(/*interval_ms=*/5);
   index.StartTiering(5);  // idempotent

@@ -581,9 +581,6 @@ TEST(WalRecoveryTest, PerShardReportNamesTheShardThatLostItsTail) {
 TEST(WalRecoveryTest, CommitWaitHistogramSurvivesTopologyChanges) {
   // Splits seal the victims' logs; the registry histogram keeps their
   // commit-wait samples, since it outlives every log.
-#if defined(ALEX_DISABLE_OBS)
-  GTEST_SKIP() << "the registry is compiled out";
-#endif
   const std::string prefix = TempPrefix("recover-commitwait");
   Cleanup(prefix);
   obs::SetEnabled(true);

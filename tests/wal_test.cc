@@ -863,14 +863,12 @@ TEST(WalSegmentTest, GrowthFailureFailsClosedAndKeepsTheAckedPrefix) {
     EXPECT_EQ(FileSize(path), 2 * kFirstChunk);
   }
   obs::SetEnabled(false);
-#if !defined(ALEX_DISABLE_OBS)
   const std::vector<obs::JournalEvent> events = obs::GlobalJournal().Snapshot();
   ASSERT_EQ(events.size(), 1u);  // the first failure only
   EXPECT_EQ(events[0].type, obs::EventType::kWalError);
   EXPECT_EQ(events[0].wal_id, 1u);
   EXPECT_EQ(events[0].lsn, acked + 1);
   EXPECT_EQ(events[0].a, static_cast<int64_t>(WalStatus::kIoError));
-#endif
   // Closing trimmed the zero remainder; the acked prefix replays whole.
   EXPECT_EQ(FileSize(path),
             kHeaderBytes + static_cast<long>(acked) * kRecordBytes);
@@ -1117,9 +1115,7 @@ TEST(WalRunwayTest, FailedPrefaultIsAHintNotAnError) {
     EXPECT_EQ(Hook().Calls(), 2);
   }
   obs::SetEnabled(false);
-#if !defined(ALEX_DISABLE_OBS)
   EXPECT_TRUE(obs::GlobalJournal().Snapshot().empty());
-#endif
   std::map<int64_t, int64_t> state;
   ASSERT_EQ(Replay(prefix, {}, &state, nullptr), WalStatus::kOk);
   EXPECT_EQ(state.size(), 4001u);
@@ -1529,9 +1525,6 @@ TEST(WalClockTest, AppendersRaceTheClockAndRotationOnTheMappedLog) {
 // ---- Commit-wait histogram ----
 
 TEST(WalLogTest, CommitWaitHistogramCountsEveryAck) {
-#if defined(ALEX_DISABLE_OBS)
-  GTEST_SKIP() << "the registry is compiled out";
-#endif
   const std::string prefix = TempPrefix("wal-commitwait");
   RemoveSegments(prefix);
   obs::SetEnabled(true);
